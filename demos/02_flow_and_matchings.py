@@ -10,7 +10,7 @@ Run:  python demos/02_flow_and_matchings.py
 import random
 
 from hamdec import (Multigraph, regular_bipartite_to_matchings,
-                    regular_spanning_subgraph, split_regular)
+                    regular_spanning_subgraph)
 from hamdec.errors import DegreeHypothesisViolated
 
 m = 30
@@ -33,9 +33,6 @@ matchings = regular_bipartite_to_matchings(sub, left, right)
 print(f"1-factorized into {len(matchings)} perfect matchings; "
       f"union reproduces the subgraph exactly: "
       f"{sum(matchings[1:], matchings[0]) == sub}")
-
-halves = split_regular(sub, left, right, 2, r // 2)
-print(f"split into 2 edge-disjoint {r // 2}-regular spanning subgraphs")
 
 # an infeasible demand produces a cut certificate
 starved = host - Multigraph(host.n, [(0, w) for w in host.neighbors(0)[:20]])

@@ -15,8 +15,7 @@ from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
                    verify_hamilton_cycle, winds_around)
 from .classic import (bipartite_hamilton_decompose, perfect_matching,
                       regular_bipartite_to_matchings,
-                      regular_spanning_subgraph, split_regular,
-                      walecki_decompose)
+                      regular_spanning_subgraph, walecki_decompose)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                           FictiveReduction, build_fictive_bipartite,
                           build_fictive_two_cliques, induce_jab,
@@ -52,7 +51,7 @@ __all__ = [
     "merge_to_hamilton", "perfect_matching", "regular_bipartite_to_matchings",
     "regular_spanning_subgraph", "reorder_for_consistency", "reserve_regular",
     "reserve_sparse", "splice_bipartite", "splice_two_cliques",
-    "split_regular", "sysdecom", "sysdecombip", "trim_instance",
+    "sysdecom", "sysdecombip", "trim_instance",
     "validate_balanced_extension", "verify_certificate",
     "verify_hamilton_cycle", "walecki_decompose", "winds_around",
 ]

@@ -349,25 +349,3 @@ def _euler_split(graph: Multigraph) -> tuple[Multigraph, Multigraph]:
     e1 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 1]
     return Multigraph(graph.n, e0), Multigraph(graph.n, e1)
 
-
-def split_regular(graph: Multigraph, left: Sequence[int], right: Sequence[int],
-                  t: int, s: int) -> list[Multigraph]:
-    """Split an r-regular bipartite multigraph into t edge-disjoint
-    s-regular spanning subgraphs (t*s <= r); grouping of the matchings
-    from the full 1-factorization."""
-    degs = {graph.degree(v) for v in list(left) + list(right)}
-    if len(degs) != 1:
-        raise InvalidParameter(f"graph is not regular: degrees {sorted(degs)}")
-    r = degs.pop()
-    if t * s > r:
-        raise InvalidParameter(f"t*s = {t * s} exceeds regularity {r}")
-    if t == 1 and s == r:
-        return [graph]
-    matchings = regular_bipartite_to_matchings(graph, left, right)
-    out = []
-    for i in range(t):
-        part = Multigraph(graph.n)
-        for m in matchings[i * s:(i + 1) * s]:
-            part = part + m
-        out.append(part)
-    return out

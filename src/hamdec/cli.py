@@ -12,13 +12,11 @@ import json
 import os
 import sys
 
+from . import pipeline
 from .core import ClusterPartition, Multigraph, canonical_json
 from .errors import HamdecError
-from .exceptional import BalancedExceptionalSystem, ExceptionalSystem
-from .pipeline import (DecompositionCertificate, InstanceConfig,
-                       MODE_BIPARTITE, MODE_TWO_CLIQUES,
-                       approx_decompose_bipartite,
-                       approx_decompose_two_cliques, generate_instance,
+from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
+                       MODE_BIPARTITE, MODE_TWO_CLIQUES, generate_instance,
                        trim_instance, verify_certificate)
 
 
@@ -28,8 +26,7 @@ def _load_instance(path: str):
     cfg = InstanceConfig.from_json_obj(obj["config"])
     host = Multigraph.from_json_obj(obj["graph"])
     partition = ClusterPartition.from_json_obj(obj["partition"])
-    ctor = (ExceptionalSystem if cfg.mode == MODE_TWO_CLIQUES
-            else BalancedExceptionalSystem)
+    ctor = MODES[cfg.mode].system_class
     systems = [ctor.from_json_obj(o, partition)
                for o in obj["exceptional_systems"]]
     return cfg, host, partition, systems
@@ -45,6 +42,11 @@ def _dump_instance(path: str, cfg, host, partition, systems):
     }
     with open(path, "w") as fh:
         fh.write(canonical_json(obj))
+
+
+def _decomposer(mode: str):
+    """The public decomposition entry point of ``mode``."""
+    return getattr(pipeline, MODES[mode].entry_point)
 
 
 def _effective_seed(args) -> int:
@@ -82,14 +84,8 @@ def cmd_decompose(args) -> int:
         else cfg.seed
     if args.trim:
         host = trim_instance(host, partition, systems)
-    if cfg.mode == MODE_BIPARTITE:
-        cert = approx_decompose_bipartite(host, partition, systems,
-                                          cfg.mu, cfg.rho, cfg.gamma, seed,
-                                          jobs=args.jobs)
-    else:
-        cert = approx_decompose_two_cliques(host, partition, systems,
-                                            cfg.mu, cfg.rho, cfg.gamma, seed,
-                                            jobs=args.jobs)
+    cert = _decomposer(cfg.mode)(host, partition, systems, cfg.mu, cfg.rho,
+                                 cfg.gamma, seed, jobs=args.jobs)
     with open(args.out, "w") as fh:
         fh.write(cert.to_json())
     ok = cert.global_report.get("all_ok", False)
@@ -144,31 +140,26 @@ def cmd_selftest(args) -> int:
                 seen |= c.undirected_edge_set()
             assert len(seen) == K * K
 
-    def tiny_pipeline():
-        seed = _effective_seed(args)
-        cfg = InstanceConfig(mode=MODE_TWO_CLIQUES, K=3, m=24, a0_size=1,
-                             b0_size=1, eps0=0.02, mu=0.0, rho=0.1,
-                             gamma=0.18, hes_count=5, mes_count=0, seed=seed)
-        host, partition, systems = generate_instance(cfg)
-        cert = approx_decompose_two_cliques(host, partition, systems,
-                                            cfg.mu, cfg.rho, cfg.gamma, seed)
-        assert cert.global_report["all_ok"]
-
-    def tiny_bipartite():
-        seed = _effective_seed(args)
-        cfg = InstanceConfig(mode=MODE_BIPARTITE, K=4, m=32, a0_size=1,
-                             b0_size=1, eps0=0.02, mu=0.0, rho=0.1,
-                             gamma=0.12, bes_count=8, seed=seed)
-        host, partition, systems = generate_instance(cfg)
-        cert = approx_decompose_bipartite(host, partition, systems,
-                                          cfg.mu, cfg.rho, cfg.gamma, seed)
-        assert cert.global_report["all_ok"]
+    def tiny_pipeline(**config):
+        def run():
+            seed = _effective_seed(args)
+            cfg = InstanceConfig(a0_size=1, b0_size=1, eps0=0.02, mu=0.0,
+                                 rho=0.1, seed=seed, **config)
+            host, partition, systems = generate_instance(cfg)
+            cert = _decomposer(cfg.mode)(host, partition, systems, cfg.mu,
+                                         cfg.rho, cfg.gamma, seed)
+            assert cert.global_report["all_ok"]
+        return run
 
     print("selftest:")
     check("walecki-cover", walecki)
     check("bipartite-cover", bipartite)
-    check("two-cliques-pipeline", tiny_pipeline)
-    check("bipartite-pipeline", tiny_bipartite)
+    check("two-cliques-pipeline",
+          tiny_pipeline(mode=MODE_TWO_CLIQUES, K=3, m=24, gamma=0.18,
+                        hes_count=5, mes_count=0))
+    check("bipartite-pipeline",
+          tiny_pipeline(mode=MODE_BIPARTITE, K=4, m=32, gamma=0.12,
+                        bes_count=8))
     return 1 if failures else 0
 
 

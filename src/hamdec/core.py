@@ -101,10 +101,6 @@ class Multigraph:
             out.add(v)
         return out
 
-    def max_degree(self) -> int:
-        adj = self._adjacency()
-        return max((sum(r.values()) for r in adj.values()), default=0)
-
     # -- arithmetic (section-2 style G+H / G-H) --------------------------
 
     def __add__(self, other: "Multigraph") -> "Multigraph":
@@ -209,27 +205,6 @@ class Multigraph:
             if comp_edges // 2 >= comp_vertices:
                 return True
         return False
-
-    def components(self) -> list[set[int]]:
-        """Connected components over covered vertices."""
-        adj = self._adjacency()
-        seen: set[int] = set()
-        comps = []
-        for root in sorted(adj):
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            seen.add(root)
-            while stack:
-                x = stack.pop()
-                for y in adj.get(x, {}):
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        return comps
 
     def paths(self) -> list[list[int]]:
         """Decompose a path system into its maximal paths (as vertex lists).
@@ -353,13 +328,6 @@ class Digraph:
 
     def with_arcs(self, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         return Digraph(self.n, self._arcs | set(arcs))
-
-    def restrict_pair(self, tails: Iterable[int],
-                      heads: Iterable[int]) -> "Digraph":
-        """Sub-digraph of arcs from ``tails`` to ``heads``."""
-        ts, hs = set(tails), set(heads)
-        return Digraph(self.n, {(u, v) for (u, v) in self._arcs
-                                if u in ts and v in hs})
 
     def underlying_multigraph(self) -> Multigraph:
         return Multigraph(self.n, [(u, v) for (u, v) in self._arcs])
@@ -514,9 +482,6 @@ class ClusterPartition:
         except KeyError:
             raise MalformedInput(f"vertex {v} not in partition") from None
 
-    def contains(self, v: int) -> bool:
-        return v in self._index
-
     def a_cluster(self, i: int) -> tuple[int, ...]:
         return self.clusters[i]
 
@@ -632,9 +597,6 @@ class OrderedDirectedMatching:
             out.add(u)
             out.add(v)
         return out
-
-    def as_digraph(self, n: int) -> Digraph:
-        return Digraph(n, self.arcs)
 
 
 # -- predicates --------------------------------------------------------------
@@ -789,14 +751,6 @@ def cycle_to_perfect_matchings(g: Multigraph, vertex_set: Iterable[int]
     m1 = Multigraph(g.n, edges[0::2])
     m2 = Multigraph(g.n, edges[1::2])
     return m1, m2
-
-
-def multigraph_sum(g: Multigraph, h: Multigraph) -> Multigraph:
-    return g + h
-
-
-def multigraph_minus(g: Multigraph, h: Multigraph) -> Multigraph:
-    return g - h
 
 
 def canonical_json(obj) -> str:

@@ -14,14 +14,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .classic import (bipartite_hamilton_decompose, perfect_matching,
+                      regular_bipartite_to_matchings,
                       regular_spanning_subgraph, walecki_decompose)
 from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
-                   OrderedDirectedMatching, derive_seed)
+                   OrderedDirectedMatching, derive_seed, winds_around)
 from .errors import (InvalidParameter, MalformedInput,
                      MatchingInfeasible, SamplingFailed)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
@@ -45,33 +48,20 @@ class CyclicSystem:
         m = self.q.m
         lo = (1 - self.mu - self.eps) * m
         hi = (1 - self.mu + self.eps) * m
-        succ = {self.cycle.order[i]: self.cycle.order[(i + 1) % len(self.cycle)]
-                for i in range(len(self.cycle))}
-        for (u, v) in self.g_dir._arcs:
-            cu = self.q.cluster_index(u)
-            cv = self.q.cluster_index(v)
-            if succ[cu] != cv:
-                raise MalformedInput(
-                    f"arc ({u},{v}) does not wind around the cluster cycle")
+        if not winds_around(self.g_dir, self.q, self.cycle):
+            raise MalformedInput("an arc does not wind around the cluster "
+                                 "cycle")
         for (ci, cj) in self.cycle.edges():
-            w_set = set(self.q.cluster(cj))
-            u_set = set(self.q.cluster(ci))
-            for u in self.q.cluster(ci):
-                d = self.g_dir.out_degree(u, w_set)
-                if not (lo <= d <= hi):
-                    raise MalformedInput(
-                        f"out-degree {d} of {u} into cluster {cj} outside "
-                        f"[{lo:.1f}, {hi:.1f}]")
-            for w in self.q.cluster(cj):
-                d = self.g_dir.in_degree(w, u_set)
-                if not (lo <= d <= hi):
-                    raise MalformedInput(
-                        f"in-degree {d} of {w} from cluster {ci} outside "
-                        f"[{lo:.1f}, {hi:.1f}]")
-
-    def pair(self, ci: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(V_i, V_{i+1}) along the cycle for cluster index ci."""
-        return (self.q.cluster(ci), self.q.cluster(self.cycle.successor(ci)))
+            checks = ((self.g_dir.out_degree, ci, cj, "out-degree", "into"),
+                      (self.g_dir.in_degree, cj, ci, "in-degree", "from"))
+            for (degree, own, other, what, prep) in checks:
+                other_set = set(self.q.cluster(other))
+                for v in self.q.cluster(own):
+                    d = degree(v, other_set)
+                    if not (lo <= d <= hi):
+                        raise MalformedInput(
+                            f"{what} {d} of {v} {prep} cluster {other} "
+                            f"outside [{lo:.1f}, {hi:.1f}]")
 
 
 @dataclass
@@ -218,10 +208,7 @@ class ExpanderVerdict:
     violating_set: list[int] | None = None
 
     def to_json_obj(self) -> dict:
-        return {"schema": 1, "ok": self.ok, "mode": self.mode,
-                "worst_margin": self.worst_margin,
-                "sets_tested": self.sets_tested,
-                "violating_set": self.violating_set}
+        return {"schema": 1, **asdict(self)}
 
 
 def check_robust_outexpander(d: Digraph, nu: float, tau: float,
@@ -253,6 +240,7 @@ def check_robust_outexpander(d: Digraph, nu: float, tau: float,
     worst = math.inf
     worst_set = None
     if mode == "exhaustive" or (mode == "auto" and n <= EXHAUSTIVE_EXPANDER_LIMIT):
+        mode = "exhaustive"
         tested = 0
         for mask in range(1, 1 << n):
             size = mask.bit_count()
@@ -263,29 +251,25 @@ def check_robust_outexpander(d: Digraph, nu: float, tau: float,
             if mg < worst:
                 worst = mg
                 worst_set = mask
-        return ExpanderVerdict(
-            ok=(worst >= 0 or worst is math.inf), mode="exhaustive",
-            worst_margin=worst if worst is not math.inf else 0.0,
-            sets_tested=tested,
-            violating_set=None if worst >= 0 else
-            [verts[i] for i in range(n) if (worst_set >> i) & 1])
-    sizes = [s for s in range(n + 1) if lo <= s <= hi]
-    if not sizes:
-        return ExpanderVerdict(ok=True, mode="sampled", worst_margin=0.0,
-                               sets_tested=0)
-    for _ in range(trials):
-        size = rng.choice(sizes)
-        chosen = rng.sample(range(n), size)
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        mg = margin_for(mask, size)
-        if mg < worst:
-            worst = mg
-            worst_set = mask
+    else:
+        mode = "sampled"
+        sizes = [s for s in range(n + 1) if lo <= s <= hi]
+        tested = trials if sizes else 0
+        for _ in range(tested):
+            size = rng.choice(sizes)
+            chosen = rng.sample(range(n), size)
+            mask = 0
+            for i in chosen:
+                mask |= 1 << i
+            mg = margin_for(mask, size)
+            if mg < worst:
+                worst = mg
+                worst_set = mask
+    # no set in the size window: vacuously expanding
+    if worst is math.inf:
+        worst = 0.0
     return ExpanderVerdict(
-        ok=worst >= 0, mode="sampled", worst_margin=worst,
-        sets_tested=trials,
+        ok=worst >= 0, mode=mode, worst_margin=worst, sets_tested=tested,
         violating_set=None if worst >= 0 else
         [verts[i] for i in range(n) if (worst_set >> i) & 1])
 
@@ -467,13 +451,7 @@ class DecompositionQuotas:
     notes: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {"reserve_degree_formula": self.reserve_degree_formula,
-                "reserve_degree_used": self.reserve_degree_used,
-                "slot_bound": self.slot_bound,
-                "matching_size_bound": self.matching_size_bound,
-                "reserve_inner": self.reserve_inner,
-                "reserve_outer": self.reserve_outer,
-                "notes": self.notes}
+        return asdict(self)
 
 
 def two_cliques_reserve_degree(K: int, m: int, eps0: float, mu: float,
@@ -487,24 +465,9 @@ def two_cliques_reserve_degree(K: int, m: int, eps0: float, mu: float,
     balanced extension needs an exactly 2*eps*m-regular graph with
     eps*m >= e(M) for every assigned matching)."""
     formula = math.floor(10 * K * math.sqrt(eps0) * m)
-    budget = math.floor((1 - 4 * mu - rho) * m)
-    slices = (K - 1) // 2
-    cap = budget // slices if slices else 0
-    need = max(2 * max_matching, 2)
-    if formula <= cap:
-        used = formula
-        notes = []
-    else:
-        used = need
-        notes = [
-            f"reserve degree clamped from {formula} to the functional "
-            f"minimum {used}: {slices} slices x {formula} exceeds the "
-            f"regular-extraction budget {budget}"]
-    if used > cap or used < 2:
-        raise InvalidParameter(
-            f"reserve degree {used} infeasible (budget share {cap})",
-            hint="increase m or decrease mu/rho or the matching sizes")
-    return formula, used, notes
+    return _clamp_reserve_degree(
+        formula, (K - 1) // 2, m, mu, rho, max(2 * max_matching, 2), 2,
+        "increase m or decrease mu/rho or the matching sizes")
 
 
 def bipartite_reserve_degree(K: int, m: int, eps0: float, mu: float,
@@ -515,8 +478,18 @@ def bipartite_reserve_degree(K: int, m: int, eps0: float, mu: float,
     (inner greedy-matching part plus outer balancing part) when the K/2
     slices do not fit the budget."""
     formula = math.floor((11 * K + 248 / K) * eps0 * m)
+    return _clamp_reserve_degree(formula, K // 2, m, mu, rho, need, 5,
+                                 "increase m or eps0, or decrease mu/rho")
+
+
+def _clamp_reserve_degree(formula: int, slices: int, m: int, mu: float,
+                          rho: float, need: int, least: int, hint: str
+                          ) -> tuple[int, int, list[str]]:
+    """(formula, used, notes): the formula value when ``slices`` copies fit
+    the regular-extraction budget (1-4mu-rho)m, else the functional
+    minimum ``need``; raises when the value used exceeds the per-slice
+    share or is below ``least``."""
     budget = math.floor((1 - 4 * mu - rho) * m)
-    slices = K // 2
     cap = budget // slices if slices else 0
     if formula <= cap:
         used = formula
@@ -527,10 +500,10 @@ def bipartite_reserve_degree(K: int, m: int, eps0: float, mu: float,
             f"reserve degree clamped from {formula} to the functional "
             f"minimum {used}: {slices} slices x {formula} exceeds the "
             f"regular-extraction budget {budget}"]
-    if used > cap or used < 5:
+    if used > cap or used < least:
         raise InvalidParameter(
             f"reserve degree {used} infeasible (budget share {cap})",
-            hint="increase m or eps0, or decrease mu/rho")
+            hint=hint)
     return formula, used, notes
 
 
@@ -620,15 +593,8 @@ def sysdecom(g: Multigraph, partition: ClusterPartition,
         matching_size_bound=5 * K * math.sqrt(eps0) * m, notes=notes)
 
     # localized cells J_{i,i'} -> per-slice parts, equal as possible
-    cells: dict[tuple[int, int], list[int]] = {}
-    for idx, es in enumerate(systems):
-        if es.locality is None:
-            raise InvalidParameter(
-                f"exceptional system {idx} lacks an (i,i') locality tag")
-        cells.setdefault(tuple(es.locality), []).append(idx)
-    cell_split: dict[tuple[int, int], list[list[int]]] = {}
-    for (i, ip), idxs in sorted(cells.items()):
-        cell_split[(i, ip)] = _equal_split(idxs, n_slices, offset=i * K + ip)
+    cell_split = _split_cells(systems, n_slices,
+                              lambda pos, cell: cell[0] * K + cell[1])
 
     for red in reductions:
         if red.ja_dir is None:
@@ -639,76 +605,94 @@ def sysdecom(g: Multigraph, partition: ClusterPartition,
                 f"fictive matching larger than 5*K*sqrt(eps0)*m = {bound:.2f}")
 
     cycles = walecki_decompose(K)
-    a_slices = _build_side(g, partition, "A", cycles, cell_split, reductions,
-                           r_h, mu, rho, quotas, seed)
-    b_slices = _build_side(g, partition, "B", cycles, cell_split, reductions,
-                           r_h, mu, rho, quotas, seed)
-    return a_slices, b_slices, quotas
+    sides = []
+    for side, q, cell_pos, matching in (
+            ("A", partition.a_side_equipartition(), 0, "ja_dir"),
+            ("B", partition.b_side_equipartition(), 1, "jb_dir")):
+        # reserves per unordered cluster pair of this side
+        pairs = [(i, ip, q.cluster(i), q.cluster(ip))
+                 for i in range(K) for ip in range(i + 1, K)]
+        slices = _cyclic_slices(g, g.restrict(q.vertices()), side, q, cycles,
+                                pairs, cell_split, reductions, matching,
+                                cell_pos, r_h, mu, K, seed)
+        for slc in slices:
+            per_cluster = Counter(slot.cluster_index for slot in slc.slots)
+            for ci, cnt in per_cluster.items():
+                if cnt > quotas.slot_bound:
+                    raise InvalidParameter(
+                        f"slice {slc.j} side {side}: {cnt} systems localized "
+                        f"at cluster {ci} exceed the per-cluster bound "
+                        f"{quotas.slot_bound:.2f}",
+                        hint="spread localities or reduce the system count")
+        sides.append(slices)
+    return sides[0], sides[1], quotas
 
 
-def _build_side(g: Multigraph, partition: ClusterPartition, side: str,
-                cycles: list[ClusterCycle],
-                cell_split: dict[tuple[int, int], list[list[int]]],
-                reductions: list[FictiveReduction], r_h: int, mu: float,
-                rho: float, quotas: DecompositionQuotas, seed: int
-                ) -> list[SliceSide]:
-    K, m = partition.K, partition.m
-    n_slices = (K - 1) // 2
-    cluster = (partition.a_cluster if side == "A" else partition.b_cluster)
-    q = (partition.a_side_equipartition() if side == "A"
-         else partition.b_side_equipartition())
+def _split_cells(systems: list, n_slices: int, offset: Callable
+                 ) -> dict[tuple, list[list[int]]]:
+    """Group the systems by locality cell and split every cell over the
+    slices as equally as possible; ``offset(position, cell)`` rotates
+    which slices receive the extras."""
+    cells: dict[tuple, list[int]] = {}
+    for idx, es in enumerate(systems):
+        if es.locality is None:
+            raise InvalidParameter(
+                f"exceptional system {idx} lacks a locality tag")
+        cells.setdefault(tuple(es.locality), []).append(idx)
+    return {cell: _equal_split(idxs, n_slices, offset(pos, cell))
+            for pos, (cell, idxs) in enumerate(sorted(cells.items()))}
 
-    # reserve extraction: per unordered cluster pair, pull an
-    # (n_slices * r_h)-regular subgraph and split it into slices
+
+def _cyclic_slices(g: Multigraph, core_graph: Multigraph, side: str,
+                   q: ClusterPartition, cycles: list[ClusterCycle],
+                   pairs: list[tuple], cell_split: dict[tuple, list[list[int]]],
+                   reductions: list[FictiveReduction], matching: str,
+                   cell_pos: int, r_h: int, mu: float, K: int, seed: int
+                   ) -> list[SliceSide]:
+    """One SliceSide per cluster cycle, shared by both modes.
+
+    Every cluster pair (i, i', X, Y) in ``pairs`` gives up an exactly
+    (len(cycles) * r_h)-regular subgraph of G[X, Y], split into one
+    r_h-regular reserve per slice.  What ``core_graph`` keeps after all
+    reserves are removed is oriented along each cluster cycle (the
+    oriented blow-up).  Slice j gets one slot per system of part j of
+    each cell, carrying the reduction's ``matching`` attribute and
+    localized at cluster ``cell[cell_pos]``.
+    """
+    n_slices = len(cycles)
     h_per_slice = [Multigraph(g.n) for _ in range(n_slices)]
-    for i in range(K):
-        for ip in range(i + 1, K):
-            pair_graph = g.bipartite_restrict(cluster(i), cluster(ip))
-            rng = random.Random(derive_seed(seed, "reserve", side, i, ip))
-            parts = _extract_regular_parts(pair_graph, list(cluster(i)),
-                                           list(cluster(ip)), n_slices, r_h,
-                                           rng)
-            for j, part in enumerate(parts):
-                h_per_slice[j] = h_per_slice[j] + part
-
+    for (i, ip, left, right) in pairs:
+        pair_graph = g.bipartite_restrict(left, right)
+        rng = random.Random(derive_seed(seed, "reserve", side, i, ip))
+        parts = _extract_regular_parts(pair_graph, list(left), list(right),
+                                       n_slices, r_h, rng)
+        for j, part in enumerate(parts):
+            h_per_slice[j] = h_per_slice[j] + part
     h_total = Multigraph(g.n)
     for hj in h_per_slice:
         h_total = h_total + hj
-    g_side = g.restrict(set().union(*(set(cluster(i)) for i in range(K))))
-    g_rest = g_side - h_total
+    g_rest = core_graph - h_total
 
-    slot_bound = quotas.slot_bound
     slices = []
     for j, cyc in enumerate(cycles):
-        # oriented blow-up of this cluster cycle
         arcs = []
         for (ci, cj) in cyc.edges():
-            tails = set(cluster(ci))
-            heads = set(cluster(cj))
+            tails = set(q.cluster(ci))
+            heads = set(q.cluster(cj))
             for (u, v, _k) in g_rest.bipartite_restrict(tails, heads).edges():
                 if u in tails:
                     arcs.append((u, v))
                 else:
                     arcs.append((v, u))
-        g_dir = Digraph(g.n, arcs)
         slots = []
-        per_cluster: dict[int, int] = {}
-        for (i, ip), parts in sorted(cell_split.items()):
+        for cell, parts in sorted(cell_split.items()):
             for es_idx in parts[j]:
-                red = reductions[es_idx]
-                matching = red.ja_dir if side == "A" else red.jb_dir
-                ci = i if side == "A" else ip
-                slots.append(SlotInfo(es_index=es_idx, matching=matching,
-                                      cluster_index=ci))
-                per_cluster[ci] = per_cluster.get(ci, 0) + 1
-        for ci, cnt in per_cluster.items():
-            if cnt > slot_bound:
-                raise InvalidParameter(
-                    f"slice {j} side {side}: {cnt} systems localized at "
-                    f"cluster {ci} exceed the per-cluster bound "
-                    f"{slot_bound:.2f}",
-                    hint="spread localities or reduce the system count")
-        slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc, g_dir=g_dir,
+                slots.append(SlotInfo(
+                    es_index=es_idx,
+                    matching=getattr(reductions[es_idx], matching),
+                    cluster_index=cell[cell_pos]))
+        slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc,
+                                g_dir=Digraph(g.n, arcs),
                                 h_reserve=h_per_slice[j], slots=slots,
                                 mu=4 * mu, eps=5 / K))
     return slices
@@ -760,12 +744,7 @@ def sysdecombip(g: Multigraph, partition: ClusterPartition,
             "per-cell bound (1-4mu-3rho)m/K^4 < 1 at this scale; "
             "cells of size 1 accepted")
 
-    cells: dict[tuple[int, int, int, int], list[int]] = {}
-    for idx, es in enumerate(systems):
-        cells.setdefault(tuple(es.locality), []).append(idx)
-    cell_split = {}
-    for cell_pos, (quad, idxs) in enumerate(sorted(cells.items())):
-        cell_split[quad] = _equal_split(idxs, n_slices, offset=cell_pos)
+    cell_split = _split_cells(systems, n_slices, lambda pos, cell: pos)
     for quad, parts in cell_split.items():
         for part in parts:
             if len(part) > quotas.slot_bound:
@@ -773,44 +752,11 @@ def sysdecombip(g: Multigraph, partition: ClusterPartition,
                     f"{len(part)} systems in localized cell {quad} exceed "
                     f"the per-cell bound {quotas.slot_bound:.2f}")
 
-    h_per_slice = [Multigraph(g.n) for _ in range(n_slices)]
-    for i in range(K):
-        for ip in range(K):
-            a_i = list(partition.a_cluster(i))
-            b_ip = list(partition.b_cluster(ip))
-            pair_graph = g.bipartite_restrict(a_i, b_ip)
-            rng = random.Random(derive_seed(seed, "reserve", "AB", i, ip))
-            parts = _extract_regular_parts(pair_graph, a_i, b_ip, n_slices,
-                                           r_h, rng)
-            for j, part in enumerate(parts):
-                h_per_slice[j] = h_per_slice[j] + part
-    h_total = Multigraph(g.n)
-    for hj in h_per_slice:
-        h_total = h_total + hj
-    g_ab = g.bipartite_restrict(partition.A, partition.B) - h_total
-
-    q = partition.ab_equipartition()
-    cycles = bipartite_hamilton_decompose(K)
-    slices = []
-    for j, cyc in enumerate(cycles):
-        arcs = []
-        for (ci, cj) in cyc.edges():
-            tails = set(q.cluster(ci))
-            heads = set(q.cluster(cj))
-            for (u, v, _k) in g_ab.bipartite_restrict(tails, heads).edges():
-                if u in tails:
-                    arcs.append((u, v))
-                else:
-                    arcs.append((v, u))
-        g_dir = Digraph(g.n, arcs)
-        slots = []
-        for quad, parts in sorted(cell_split.items()):
-            for es_idx in parts[j]:
-                red = reductions[es_idx]
-                slots.append(SlotInfo(es_index=es_idx,
-                                      matching=red.jstar_dir,
-                                      cluster_index=quad[0]))
-        slices.append(SliceSide(side="AB", j=j, q=q, cycle=cyc, g_dir=g_dir,
-                                h_reserve=h_per_slice[j], slots=slots,
-                                mu=4 * mu, eps=5 / K))
+    # reserves on every (A_i, B_i') pair
+    pairs = [(i, ip, partition.a_cluster(i), partition.b_cluster(ip))
+             for i in range(K) for ip in range(K)]
+    slices = _cyclic_slices(
+        g, g.bipartite_restrict(partition.A, partition.B), "AB",
+        partition.ab_equipartition(), bipartite_hamilton_decompose(K), pairs,
+        cell_split, reductions, "jstar_dir", 0, r_h, mu, K, seed)
     return slices, quotas

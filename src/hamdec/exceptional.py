@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (ClusterPartition, Digraph, Multigraph,
-                   OrderedDirectedMatching, cycle_to_perfect_matchings,
-                   is_consistent_with, verify_hamilton_cycle)
+                   OrderedDirectedMatching, is_consistent_with,
+                   verify_hamilton_cycle)
 from .errors import (InvalidExceptionalSystem, NotConsistent,
                      SpliceVerificationFailed)
 
@@ -22,30 +22,17 @@ KIND_HES = "HES"
 KIND_MES = "MES"
 
 
-def _path_system_or_raise(graph: Multigraph, vertices: set[int], what: str):
-    if not graph.is_path_system():
-        raise InvalidExceptionalSystem(f"{what}: underlying graph is not a "
-                                       "path system")
-    if not graph.covered_vertices() <= vertices:
-        raise InvalidExceptionalSystem(f"{what}: edge endpoints outside V(J)")
+class _ExceptionalSystemBase:
+    """What both kinds of exceptional system share: storage, the checks
+    that J is a path system covering V0 with degree 2 there and degree at
+    most 1 elsewhere, path access and the JSON codec.  Subclasses add
+    their mode's checks in ``_validate_mode`` and may set ``kind``."""
 
-
-class ExceptionalSystem:
-    """A path system J covering V0 in two-cliques mode.
-
-    Validates on construction:
-      * J is a path system with V0 <= V(J) <= V,
-      * every V0 vertex has degree exactly 2, all others at most 1,
-      * no edges inside A or inside B,
-      * HES: the number of AB-paths is even and positive,
-        MES: no edges between A' and B',
-      * at most sqrt(eps0) * n AB-paths,
-      * if localized at (i, i'): V(J) inside V0 u A_i u B_i'.
-    """
+    what = "exceptional system"
 
     def __init__(self, partition: ClusterPartition, graph: Multigraph,
                  vertices: set[int] | None = None, eps0: float | None = None,
-                 locality: tuple[int, int] | None = None):
+                 locality: tuple[int, ...] | None = None):
         self.partition = partition
         self.graph = graph
         self.vertices = set(vertices) if vertices is not None \
@@ -55,9 +42,13 @@ class ExceptionalSystem:
         self._validate()
 
     def _validate(self):
-        P = self.partition
-        v0 = set(P.V0)
-        _path_system_or_raise(self.graph, self.vertices, "exceptional system")
+        v0 = set(self.partition.V0)
+        if not self.graph.is_path_system():
+            raise InvalidExceptionalSystem(
+                f"{self.what}: underlying graph is not a path system")
+        if not self.graph.covered_vertices() <= self.vertices:
+            raise InvalidExceptionalSystem(
+                f"{self.what}: edge endpoints outside V(J)")
         if not v0 <= self.vertices:
             raise InvalidExceptionalSystem("V0 not fully covered by V(J)")
         for v in self.vertices:
@@ -69,45 +60,10 @@ class ExceptionalSystem:
             elif d > 1:
                 raise InvalidExceptionalSystem(
                     f"non-exceptional vertex {v} has degree {d} > 1")
-        a, b = set(P.A), set(P.B)
-        for (u, v) in self.graph.support():
-            if (u in a and v in a) or (u in b and v in b):
-                raise InvalidExceptionalSystem(
-                    f"edge ({u},{v}) inside A or inside B")
-        n_ab = self.count_ab_paths()
-        if n_ab > 0:
-            if n_ab % 2 != 0:
-                raise InvalidExceptionalSystem(
-                    f"odd number of AB-paths ({n_ab})")
-            self.kind = KIND_HES
-        else:
-            ap, bp = set(P.A_prime), set(P.B_prime)
-            for (u, v) in self.graph.support():
-                if (u in ap) != (v in ap):
-                    raise InvalidExceptionalSystem(
-                        "zero AB-paths but an A'B'-edge present: neither "
-                        "HES nor MES")
-            self.kind = KIND_MES
-        if self.eps0 is not None:
-            limit = math.sqrt(self.eps0) * P.n
-            if n_ab > limit:
-                raise InvalidExceptionalSystem(
-                    f"{n_ab} AB-paths exceed sqrt(eps0)*n = {limit:.2f}")
-        if self.locality is not None:
-            i, ip = self.locality
-            allowed = v0 | set(P.a_cluster(i)) | set(P.b_cluster(ip))
-            if not self.vertices <= allowed:
-                raise InvalidExceptionalSystem(
-                    f"not ({i},{ip})-localized: vertices escape V0+A_i+B_i'")
+        self._validate_mode()
 
-    def count_ab_paths(self) -> int:
-        a, b = set(self.partition.A), set(self.partition.B)
-        count = 0
-        for path in self.graph.paths():
-            ends = {path[0], path[-1]}
-            if len(ends & a) == 1 and len(ends & b) == 1:
-                count += 1
-        return count
+    def _validate_mode(self):
+        raise NotImplementedError
 
     def nontrivial_paths(self) -> list[list[int]]:
         return self.graph.paths()
@@ -135,7 +91,63 @@ class ExceptionalSystem:
                    obj.get("eps0"), loc)
 
 
-class BalancedExceptionalSystem:
+class ExceptionalSystem(_ExceptionalSystemBase):
+    """A path system J covering V0 in two-cliques mode.
+
+    Validates on construction:
+      * J is a path system with V0 <= V(J) <= V,
+      * every V0 vertex has degree exactly 2, all others at most 1,
+      * no edges inside A or inside B,
+      * HES: the number of AB-paths is even and positive,
+        MES: no edges between A' and B',
+      * at most sqrt(eps0) * n AB-paths,
+      * if localized at (i, i'): V(J) inside V0 u A_i u B_i'.
+    """
+
+    def _validate_mode(self):
+        P = self.partition
+        a, b = set(P.A), set(P.B)
+        for (u, v) in self.graph.support():
+            if (u in a and v in a) or (u in b and v in b):
+                raise InvalidExceptionalSystem(
+                    f"edge ({u},{v}) inside A or inside B")
+        n_ab = self.count_ab_paths()
+        if n_ab > 0:
+            if n_ab % 2 != 0:
+                raise InvalidExceptionalSystem(
+                    f"odd number of AB-paths ({n_ab})")
+            self.kind = KIND_HES
+        else:
+            ap, bp = set(P.A_prime), set(P.B_prime)
+            for (u, v) in self.graph.support():
+                if (u in ap) != (v in ap):
+                    raise InvalidExceptionalSystem(
+                        "zero AB-paths but an A'B'-edge present: neither "
+                        "HES nor MES")
+            self.kind = KIND_MES
+        if self.eps0 is not None:
+            limit = math.sqrt(self.eps0) * P.n
+            if n_ab > limit:
+                raise InvalidExceptionalSystem(
+                    f"{n_ab} AB-paths exceed sqrt(eps0)*n = {limit:.2f}")
+        if self.locality is not None:
+            i, ip = self.locality
+            allowed = set(P.V0) | set(P.a_cluster(i)) | set(P.b_cluster(ip))
+            if not self.vertices <= allowed:
+                raise InvalidExceptionalSystem(
+                    f"not ({i},{ip})-localized: vertices escape V0+A_i+B_i'")
+
+    def count_ab_paths(self) -> int:
+        a, b = set(self.partition.A), set(self.partition.B)
+        count = 0
+        for path in self.graph.paths():
+            ends = {path[0], path[-1]}
+            if len(ends & a) == 1 and len(ends & b) == 1:
+                count += 1
+        return count
+
+
+class BalancedExceptionalSystem(_ExceptionalSystemBase):
     """A path system J in bipartite mode, localized at (i1, i2, i3, i4).
 
     Validates (on construction): degree-2 cover of V0 with degree <= 1
@@ -145,42 +157,23 @@ class BalancedExceptionalSystem:
     """
 
     kind = "BES"
+    what = "balanced exceptional system"
 
     def __init__(self, partition: ClusterPartition, graph: Multigraph,
                  vertices: set[int] | None = None, eps0: float | None = None,
                  locality: tuple[int, int, int, int] = None):
         if locality is None or len(locality) != 4:
             raise InvalidExceptionalSystem("BES requires an (i1,i2,i3,i4) tag")
-        self.partition = partition
-        self.graph = graph
-        self.vertices = set(vertices) if vertices is not None \
-            else graph.covered_vertices() | set(partition.V0)
-        self.eps0 = eps0 if eps0 is not None else partition.eps0
-        self.locality = tuple(locality)
-        self._validate()
+        super().__init__(partition, graph, vertices, eps0, tuple(locality))
 
-    def _validate(self):
+    def _validate_mode(self):
         P = self.partition
         i1, i2, i3, i4 = self.locality
-        v0 = set(P.V0)
-        _path_system_or_raise(self.graph, self.vertices,
-                              "balanced exceptional system")
-        if not v0 <= self.vertices:
-            raise InvalidExceptionalSystem("V0 not fully covered by V(J)")
-        allowed = (v0 | set(P.a_cluster(i1)) | set(P.a_cluster(i2))
+        allowed = (set(P.V0) | set(P.a_cluster(i1)) | set(P.a_cluster(i2))
                    | set(P.b_cluster(i3)) | set(P.b_cluster(i4)))
         if not self.vertices <= allowed:
             raise InvalidExceptionalSystem("vertices escape the four "
                                            "localized clusters")
-        for v in self.vertices:
-            d = self.graph.degree(v)
-            if v in v0:
-                if d != 2:
-                    raise InvalidExceptionalSystem(
-                        f"exceptional vertex {v} has degree {d}, need 2")
-            elif d > 1:
-                raise InvalidExceptionalSystem(
-                    f"vertex {v} has degree {d} > 1")
         a_i1, a_i2 = set(P.a_cluster(i1)), set(P.a_cluster(i2))
         b_i3, b_i4 = set(P.b_cluster(i3)), set(P.b_cluster(i4))
         ab = set(P.A) | set(P.B)
@@ -203,30 +196,6 @@ class BalancedExceptionalSystem:
                 f"e(J) = {self.graph.edge_count()} exceeds eps0*n = "
                 f"{self.eps0 * P.n:.2f}")
 
-    def nontrivial_paths(self) -> list[list[int]]:
-        return self.graph.paths()
-
-    def edge_count(self) -> int:
-        return self.graph.edge_count()
-
-    def to_json_obj(self) -> dict:
-        return {"schema": 1, "kind": "BES",
-                "paths": [p for p in self.graph.paths()],
-                "isolated": sorted(self.vertices
-                                   - self.graph.covered_vertices()),
-                "locality": list(self.locality),
-                "eps0": self.eps0}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, partition: ClusterPartition):
-        edges = []
-        verts: set[int] = set(obj.get("isolated", ()))
-        for p in obj["paths"]:
-            verts.update(p)
-            edges.extend((p[i], p[i + 1]) for i in range(len(p) - 1))
-        return cls(partition, Multigraph(partition.n, edges), verts,
-                   obj.get("eps0"), tuple(obj["locality"]))
-
 
 @dataclass
 class FictiveReduction:
@@ -244,7 +213,6 @@ class FictiveReduction:
     ja_dir: OrderedDirectedMatching | None = None
     jb_dir: OrderedDirectedMatching | None = None
     jstar_dir: OrderedDirectedMatching | None = None
-    ab_enumeration: tuple = ()
 
 
 def induce_jab(system) -> Multigraph:
@@ -260,6 +228,22 @@ def induce_jab(system) -> Multigraph:
     return jab
 
 
+def _classify_jab(jab: Multigraph, partition: ClusterPartition):
+    """Split the edges of J*_AB into sorted lists of A-edges, B-edges and
+    AB-edges; A- and B-edges as (low, high), AB-edges as (A-end, B-end)."""
+    a, b = set(partition.A), set(partition.B)
+    aa_edges, bb_edges, ab_edges = [], [], []
+    for (u, v) in jab.support():
+        if u in a and v in a:
+            aa_edges.append((min(u, v), max(u, v)))
+        elif u in b and v in b:
+            bb_edges.append((min(u, v), max(u, v)))
+        else:
+            x, y = (u, v) if u in a else (v, u)
+            ab_edges.append((x, y))
+    return sorted(aa_edges), sorted(bb_edges), sorted(ab_edges)
+
+
 def build_fictive_two_cliques(system: ExceptionalSystem) -> FictiveReduction:
     """Construct J*_A, J*_B and their ordered directed versions.
 
@@ -270,19 +254,7 @@ def build_fictive_two_cliques(system: ExceptionalSystem) -> FictiveReduction:
     """
     P = system.partition
     jab = induce_jab(system)
-    a, b = set(P.A), set(P.B)
-    aa_edges, bb_edges, ab_edges = [], [], []
-    for (u, v) in jab.support():
-        if u in a and v in a:
-            aa_edges.append((min(u, v), max(u, v)))
-        elif u in b and v in b:
-            bb_edges.append((min(u, v), max(u, v)))
-        else:
-            x, y = (u, v) if u in a else (v, u)
-            ab_edges.append((x, y))
-    ab_edges.sort()
-    aa_edges.sort()
-    bb_edges.sort()
+    aa_edges, bb_edges, ab_edges = _classify_jab(jab, P)
     if len(ab_edges) % 2 != 0:
         raise InvalidExceptionalSystem(
             f"odd number of AB-connections ({len(ab_edges)})")
@@ -302,8 +274,7 @@ def build_fictive_two_cliques(system: ExceptionalSystem) -> FictiveReduction:
     ja_dir = OrderedDirectedMatching(tuple(ja_cross) + tuple(aa_edges))
     jb_dir = OrderedDirectedMatching(tuple(jb_cross) + tuple(bb_edges))
     return FictiveReduction(jab=jab, jstar=jstar, ja=ja, jb=jb,
-                            ja_dir=ja_dir, jb_dir=jb_dir,
-                            ab_enumeration=tuple(ab_edges))
+                            ja_dir=ja_dir, jb_dir=jb_dir)
 
 
 def build_fictive_bipartite(system: BalancedExceptionalSystem
@@ -316,19 +287,7 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
     """
     P = system.partition
     jab = induce_jab(system)
-    a, b = set(P.A), set(P.B)
-    aa_edges, bb_edges, ab_edges = [], [], []
-    for (u, v) in jab.support():
-        if u in a and v in a:
-            aa_edges.append((min(u, v), max(u, v)))
-        elif u in b and v in b:
-            bb_edges.append((min(u, v), max(u, v)))
-        else:
-            x, y = (u, v) if u in a else (v, u)
-            ab_edges.append((x, y))
-    aa_edges.sort()
-    bb_edges.sort()
-    ab_edges.sort()
+    aa_edges, bb_edges, ab_edges = _classify_jab(jab, P)
     if len(aa_edges) != len(bb_edges):
         raise InvalidExceptionalSystem(
             f"e(J*_AB[A]) = {len(aa_edges)} != e(J*_AB[B]) = "
@@ -349,8 +308,7 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
     if jstar.edge_count() != jab.edge_count():
         raise InvalidExceptionalSystem("e(J*) != e(J*_AB)")
     return FictiveReduction(jab=jab, jstar=jstar,
-                            jstar_dir=OrderedDirectedMatching(arcs),
-                            ab_enumeration=tuple(ab_edges))
+                            jstar_dir=OrderedDirectedMatching(arcs))
 
 
 def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
@@ -403,12 +361,3 @@ def splice_bipartite(d_dir: Digraph, system: BalancedExceptionalSystem,
                                        "cycle on V")
     return result
 
-
-def mes_output_matchings(result: Multigraph, partition: ClusterPartition
-                         ) -> tuple[Multigraph, Multigraph]:
-    """Split an MES splice output into two edge-disjoint perfect matchings
-    (requires |A'| and |B'| even)."""
-    a_pr, b_pr = set(partition.A_prime), set(partition.B_prime)
-    ma1, ma2 = cycle_to_perfect_matchings(result.restrict(a_pr), a_pr)
-    mb1, mb2 = cycle_to_perfect_matchings(result.restrict(b_pr), b_pr)
-    return ma1 + mb1, ma2 + mb2

@@ -189,17 +189,23 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
             matchings.append(mm)
             ext_cluster.append(ci)
             order.append((ci, gi))
-    # orient leftover H edges low id -> high id
-    h_arcs = set(used_h_arcs)
-    used_und = {tuple(sorted(a)) for a in used_h_arcs}
-    for (u, v) in h.support():
-        if (u, v) not in used_und:
-            h_arcs.add((u, v))
-    h_dir = Digraph(n_vertices, h_arcs)
+    h_dir = _orient_reserve(h, used_h_arcs, n_vertices)
     be = BalancedExtension(path_sequences=sequences, matchings=matchings,
                            extension_cluster=ext_cluster, eps=2 * eps, ell=3)
     validate_balanced_extension(be, q, cycle)
     return h_dir, be, order
+
+
+def _orient_reserve(h: Multigraph, used_arcs: set[tuple[int, int]],
+                    n: int) -> Digraph:
+    """Orientation of H: the H-arcs a builder used keep their direction,
+    every other edge goes low id -> high id."""
+    arcs = set(used_arcs)
+    used_und = {tuple(sorted(a)) for a in used_arcs}
+    for (u, v) in h.support():
+        if (u, v) not in used_und:
+            arcs.add((u, v))
+    return Digraph(n, arcs)
 
 
 # -- bipartite builder ----------------------------------------------------
@@ -359,15 +365,8 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
             raise ReservoirExhausted(f"e(PS'_{idx}) != 4 e(J*_{idx})")
         sequences.append(ps2)
 
-    # orientation of H: arcs used by the sequences keep their orientation,
-    # everything else goes low id -> high id
-    used_und = {tuple(sorted(a)) for s in sequences for a in s._arcs}
-    h_dir_arcs = {a for s in sequences for a in s._arcs
-                  if h.multiplicity(*a) > 0}
-    for (u, v) in h.support():
-        if (u, v) not in used_und:
-            h_dir_arcs.add((u, v))
-    h_dir = Digraph(n, h_dir_arcs)
+    h_dir = _orient_reserve(h, {a for s in sequences for a in s._arcs
+                                if h.multiplicity(*a) > 0}, n)
     be = BalancedExtension(
         path_sequences=sequences,
         matchings=[red.jstar_dir for red in reductions],

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 from . import core
 from .assembly import assemble_slice
 from .core import (ClusterPartition, Digraph, Multigraph,
                    canonical_json, cycle_to_perfect_matchings,
                    verify_hamilton_cycle)
-from .cyclic import (CyclicSystem, SliceSide, reserve_regular, sysdecom,
-                     sysdecombip)
+# the fictive builders, decomposers and splices are called by name
+# through MODES, so they are imported but not referenced directly
+from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
+                     reserve_regular, sysdecom, sysdecombip)
 from .errors import (HamdecError, HamiltonSearchExhausted, InvalidParameter,
                      MatchingInfeasible, PipelineError, SamplingFailed)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
@@ -109,18 +112,12 @@ class InstanceConfig:
                     hint="increase eps0")
 
     def to_json_obj(self) -> dict:
-        return {"schema": 1, "mode": self.mode, "K": self.K, "m": self.m,
-                "a0_size": self.a0_size, "b0_size": self.b0_size,
-                "eps0": self.eps0, "mu": self.mu, "rho": self.rho,
-                "gamma": self.gamma, "hes_count": self.hes_count,
-                "mes_count": self.mes_count, "bes_count": self.bes_count,
-                "seed": self.seed}
+        return {"schema": 1, **asdict(self)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InstanceConfig":
-        keys = ["mode", "K", "m", "a0_size", "b0_size", "eps0", "mu", "rho",
-                "gamma", "hes_count", "mes_count", "bes_count", "seed"]
-        return cls(**{k: obj[k] for k in keys if k in obj})
+        return cls(**{f.name: obj[f.name] for f in fields(cls)
+                      if f.name in obj})
 
 
 # -- instance generation ----------------------------------------------------
@@ -224,17 +221,11 @@ def _clique_side_edges(cfg: InstanceConfig, partition: ClusterPartition,
     matchings) and every cluster interior is a circulant meeting the
     degree window."""
     K, m = cfg.K, cfg.m
-    thin = round(4 * cfg.mu * m)
     cluster = (partition.a_cluster if side == "A" else partition.b_cluster)
     edges = []
     for i in range(K):
         for ip in range(i + 1, K):
-            ci, cj = cluster(i), cluster(ip)
-            skips = set(rng.sample(range(m), thin)) if thin else set()
-            for x in range(m):
-                for y in range(m):
-                    if (y - x) % m not in skips:
-                        edges.append((ci[x], cj[y]))
+            edges += _thinned_pair_edges(cfg, cluster(i), cluster(ip), rng)
     lo = (1 - 4 * cfg.mu - 4 / K) * m
     d_inner = max(0, math.ceil(lo))
     d_inner += d_inner % 2
@@ -254,7 +245,7 @@ def _clique_side_edges(cfg: InstanceConfig, partition: ClusterPartition,
 
 def _generate_bipartite(cfg: InstanceConfig, partition: ClusterPartition,
                         rng: random.Random):
-    K, m = cfg.K, cfg.m
+    K = cfg.K
     count = cfg.system_count
     # localized quadruples spread diagonally over K^2 base cells;
     # alternate between single-cluster systems (i, i, i', i') and spread
@@ -284,17 +275,25 @@ def _generate_bipartite(cfg: InstanceConfig, partition: ClusterPartition,
             partition, graph, eps0=cfg.eps0, locality=(i1, i2, i3, i4)))
         j_edges_all += edges
     host_edges = list(j_edges_all)
-    thin = round(4 * cfg.mu * m)
     for i in range(K):
         for ip in range(K):
-            ci = partition.a_cluster(i)
-            cj = partition.b_cluster(ip)
-            skips = set(rng.sample(range(m), thin)) if thin else set()
-            for x in range(m):
-                for y in range(m):
-                    if (y - x) % m not in skips:
-                        host_edges.append((ci[x], cj[y]))
+            host_edges += _thinned_pair_edges(cfg, partition.a_cluster(i),
+                                              partition.b_cluster(ip), rng)
     return Multigraph(partition.n, host_edges), systems
+
+
+def _thinned_pair_edges(cfg: InstanceConfig, ci, cj, rng: random.Random):
+    """The (m - round(4*mu*m))-regular bipartite graph between clusters ci
+    and cj: complete minus round(4*mu*m) random shifted matchings."""
+    m = cfg.m
+    thin = round(4 * cfg.mu * m)
+    skips = set(rng.sample(range(m), thin)) if thin else set()
+    edges = []
+    for x in range(m):
+        for y in range(m):
+            if (y - x) % m not in skips:
+                edges.append((ci[x], cj[y]))
+    return edges
 
 
 # -- hypothesis validation ----------------------------------------------------
@@ -455,11 +454,70 @@ def _reserve_degree_for(pair_min_degree: int, gamma: float, m: int,
 SLICE_RETRIES = 6
 
 
-def _slice_hamilton_cycles(slc: SliceSide, partition: ClusterPartition,
-                           reductions, seed: int, mode: str, gamma: float,
-                           eps_be: float = 0.0, r_reserve: int = 0,
-                           r_inner: int = 0,
-                           systems=None) -> dict[int, Digraph]:
+@dataclass(frozen=True)
+class ModeSpec:
+    """What the shared decomposition skeleton needs to know about a mode.
+
+    The public stage functions are held by name and looked up in this
+    module's globals when a stage runs, so a wrapper installed over a
+    stage (a tracer, a profiler) sees every call.  ``decomposer`` doubles
+    as the PipelineError stage name of the cyclic-system decomposition;
+    ``splice`` takes one cycle per slice list the decomposer returns, in
+    that order.
+    """
+
+    mode: str
+    system_class: type
+    entry_point: str
+    fictive: str
+    decomposer: str
+    extend: Callable
+    splice: str
+
+
+def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
+                    reductions, quotas: DecompositionQuotas):
+    """Two-cliques balanced extension of one slice; returns the extension
+    and the slot index of each of its path sequences."""
+    groups: dict[int, list] = {}
+    group_slots: dict[int, list[int]] = {}
+    for t, slot in enumerate(slc.slots):
+        groups.setdefault(slot.cluster_index, []).append(slot.matching)
+        group_slots.setdefault(slot.cluster_index, []).append(t)
+    eps_be = quotas.reserve_degree_used / (2 * partition.m)
+    _h_dir, be, order = balance_extend_cliques(
+        groups, slc.q, slc.cycle, slc.h_reserve, eps_be, slc.g_dir.n)
+    return be, [group_slots[ci][gi] for (ci, gi) in order]
+
+
+def _extend_bipartite(slc: SliceSide, partition: ClusterPartition, systems,
+                      reductions, quotas: DecompositionQuotas):
+    """Bipartite balanced extension of one slice; its path sequences come
+    in slot order."""
+    idxs = [slot.es_index for slot in slc.slots]
+    _h_dir, be = balance_extend_bipartite(
+        [systems[i] for i in idxs], [reductions[i] for i in idxs],
+        partition, slc.cycle, slc.h_reserve, partition.eps0,
+        quotas.reserve_inner, quotas.reserve_outer)
+    return be, list(range(len(slc.slots)))
+
+
+MODES = {
+    MODE_TWO_CLIQUES: ModeSpec(
+        MODE_TWO_CLIQUES, ExceptionalSystem, "approx_decompose_two_cliques",
+        "build_fictive_two_cliques", "sysdecom", _extend_cliques,
+        "splice_two_cliques"),
+    MODE_BIPARTITE: ModeSpec(
+        MODE_BIPARTITE, BalancedExceptionalSystem,
+        "approx_decompose_bipartite", "build_fictive_bipartite",
+        "sysdecombip", _extend_bipartite, "splice_bipartite"),
+}
+
+
+def _slice_hamilton_cycles(mode: str, slc: SliceSide,
+                           partition: ClusterPartition, systems, reductions,
+                           quotas: DecompositionQuotas, gamma: float,
+                           seed: int) -> dict[int, Digraph]:
     """Run balanced extension + reservoir split + assembly for one slice;
     returns {es_index: directed Hamilton cycle consistent with its
     fictive matching}."""
@@ -468,24 +526,8 @@ def _slice_hamilton_cycles(slc: SliceSide, partition: ClusterPartition,
     q_count = len(slc.slots)
     if q_count == 0:
         return {}
-    # balanced extension
-    if mode == MODE_TWO_CLIQUES:
-        groups: dict[int, list] = {}
-        group_slots: dict[int, list[int]] = {}
-        for t, slot in enumerate(slc.slots):
-            groups.setdefault(slot.cluster_index, []).append(slot.matching)
-            group_slots.setdefault(slot.cluster_index, []).append(t)
-        h_dir, be, order = balance_extend_cliques(
-            groups, slc.q, slc.cycle, slc.h_reserve, eps_be, n)
-        be_to_slot = [group_slots[ci][gi] for (ci, gi) in order]
-    else:
-        idxs = [slot.es_index for slot in slc.slots]
-        sys_j = [systems[i] for i in idxs]
-        red_j = [reductions[i] for i in idxs]
-        h_dir, be = balance_extend_bipartite(
-            sys_j, red_j, partition, slc.cycle, slc.h_reserve,
-            partition.eps0, r_inner, r_reserve - r_inner)
-        be_to_slot = list(range(q_count))
+    be, be_to_slot = MODES[mode].extend(slc, partition, systems, reductions,
+                                        quotas)
 
     # merge reservoir carved out of the cyclic system itself; if a Hall
     # matching or a merge search fails, re-roll the reservoir (the bad
@@ -499,9 +541,9 @@ def _slice_hamilton_cycles(slc: SliceSide, partition: ClusterPartition,
         for ci in slc.cycle.order:
             cj = slc.cycle.successor(ci)
             tails, heads = list(slc.q.cluster(ci)), list(slc.q.cluster(cj))
-            tail_set = set(tails)
+            tail_set, head_set = set(tails), set(heads)
             und = Multigraph(n, [(u, v) for (u, v) in slc.g_dir._arcs
-                                 if u in tail_set and v in set(heads)])
+                                 if u in tail_set and v in head_set])
             h_res, _rest, _rep = reserve_regular(
                 und, tails, heads, r_res, 0.5,
                 rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,
@@ -551,45 +593,44 @@ def _run_slice_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
         return [f.result() for f in futures]
 
 
-def approx_decompose_two_cliques(host: Multigraph,
-                                 partition: ClusterPartition,
-                                 systems: list[ExceptionalSystem],
-                                 mu: float, rho: float, gamma: float,
-                                 seed: int = 0,
-                                 jobs: int = 1) -> DecompositionCertificate:
-    """Extend each exceptional system into a Hamilton cycle (HES) or a
-    pair of edge-disjoint perfect matchings (MES), using only edges
-    inside the two clique sides, all outputs pairwise edge-disjoint."""
+def _decompose(spec: ModeSpec, host: Multigraph, partition: ClusterPartition,
+               systems: list, mu: float, rho: float, gamma: float, seed: int,
+               jobs: int) -> DecompositionCertificate:
+    """The stage sequence shared by both modes: validate, fictive
+    reduction, cyclic-system decomposition, per-slice extension and
+    assembly, splice, certificate, verification."""
     try:
         validate_hypotheses(host, partition, systems)
     except HamdecError as e:
         raise PipelineError("validate", e, seed=seed) from e
     try:
-        reductions = [build_fictive_two_cliques(es) for es in systems]
+        fictive = globals()[spec.fictive]
+        reductions = [fictive(es) for es in systems]
     except HamdecError as e:
         raise PipelineError("fictive", e, seed=seed) from e
     try:
-        a_slices, b_slices, quotas = sysdecom(host, partition, systems,
-                                              reductions, mu, rho, seed)
+        *slice_lists, quotas = globals()[spec.decomposer](
+            host, partition, systems, reductions, mu, rho, seed)
     except HamdecError as e:
-        raise PipelineError("sysdecom", e, seed=seed) from e
-    m = partition.m
-    eps_be = quotas.reserve_degree_used / (2 * m)
-    tasks = [(slc, partition, reductions, seed, MODE_TWO_CLIQUES, gamma,
-              eps_be, 0, 0, None) for slc in a_slices + b_slices]
+        raise PipelineError(spec.decomposer, e, seed=seed) from e
+    owners = [(k, slc) for k, slices in enumerate(slice_lists)
+              for slc in slices]
+    tasks = [(spec.mode, slc, partition, systems, reductions, quotas, gamma,
+              seed) for (_k, slc) in owners]
     try:
         results = _run_slice_tasks(tasks, jobs)
     except HamdecError as e:
         raise PipelineError("assemble", e, seed=seed) from e
-    a_cycles: dict[int, Digraph] = {}
-    b_cycles: dict[int, Digraph] = {}
-    for slc, result in zip(a_slices + b_slices, results):
-        (a_cycles if slc.side == "A" else b_cycles).update(result)
+    # cycles[k][es_index]: the cycle from slice list k
+    cycles: list[dict[int, Digraph]] = [{} for _ in slice_lists]
+    for (k, _slc), result in zip(owners, results):
+        cycles[k].update(result)
+    splice = globals()[spec.splice]
     slots = []
     for idx, es in enumerate(systems):
         try:
-            spanning = splice_two_cliques(a_cycles[idx], b_cycles[idx], es,
-                                          reductions[idx])
+            spanning = splice(*(side[idx] for side in cycles), es,
+                              reductions[idx])
         except HamdecError as e:
             raise PipelineError("splice", e, slot=idx, seed=seed) from e
         edges = sorted([u, v] for (u, v) in spanning.support())
@@ -600,16 +641,29 @@ def approx_decompose_two_cliques(host: Multigraph,
             "edges_sha256": _edge_hash(edges),
         })
     params = {
-        "mode": MODE_TWO_CLIQUES, "K": partition.K, "m": m,
+        "mode": spec.mode, "K": partition.K, "m": partition.m,
         "n": partition.n, "mu": mu, "rho": rho, "gamma": gamma,
         "seed": seed, "eps0": partition.eps0,
         "quotas": quotas.to_json_obj(),
     }
-    cert = DecompositionCertificate(mode=MODE_TWO_CLIQUES, params=params,
+    cert = DecompositionCertificate(mode=spec.mode, params=params,
                                     slots=slots)
     report = verify_certificate(host, partition, systems, cert)
     _embed_verdicts(cert, report)
     return cert
+
+
+def approx_decompose_two_cliques(host: Multigraph,
+                                 partition: ClusterPartition,
+                                 systems: list[ExceptionalSystem],
+                                 mu: float, rho: float, gamma: float,
+                                 seed: int = 0,
+                                 jobs: int = 1) -> DecompositionCertificate:
+    """Extend each exceptional system into a Hamilton cycle (HES) or a
+    pair of edge-disjoint perfect matchings (MES), using only edges
+    inside the two clique sides, all outputs pairwise edge-disjoint."""
+    return _decompose(MODES[MODE_TWO_CLIQUES], host, partition, systems, mu,
+                      rho, gamma, seed, jobs)
 
 
 def approx_decompose_bipartite(host: Multigraph,
@@ -620,53 +674,8 @@ def approx_decompose_bipartite(host: Multigraph,
                                jobs: int = 1) -> DecompositionCertificate:
     """Extend each balanced exceptional system into a Hamilton cycle of
     the host, all cycles pairwise edge-disjoint."""
-    try:
-        validate_hypotheses(host, partition, systems)
-    except HamdecError as e:
-        raise PipelineError("validate", e, seed=seed) from e
-    try:
-        reductions = [build_fictive_bipartite(es) for es in systems]
-    except HamdecError as e:
-        raise PipelineError("fictive", e, seed=seed) from e
-    try:
-        slices, quotas = sysdecombip(host, partition, systems, reductions,
-                                     mu, rho, seed)
-    except HamdecError as e:
-        raise PipelineError("sysdecombip", e, seed=seed) from e
-    tasks = [(slc, partition, reductions, seed, MODE_BIPARTITE, gamma,
-              0.0, quotas.reserve_degree_used, quotas.reserve_inner,
-              systems) for slc in slices]
-    try:
-        results = _run_slice_tasks(tasks, jobs)
-    except HamdecError as e:
-        raise PipelineError("assemble", e, seed=seed) from e
-    cycles: dict[int, Digraph] = {}
-    for result in results:
-        cycles.update(result)
-    slots = []
-    for idx, es in enumerate(systems):
-        try:
-            spanning = splice_bipartite(cycles[idx], es, reductions[idx])
-        except HamdecError as e:
-            raise PipelineError("splice", e, slot=idx, seed=seed) from e
-        edges = sorted([u, v] for (u, v) in spanning.support())
-        slots.append({
-            "es_index": idx,
-            "kind": "BES",
-            "edges": edges,
-            "edges_sha256": _edge_hash(edges),
-        })
-    params = {
-        "mode": MODE_BIPARTITE, "K": partition.K, "m": partition.m,
-        "n": partition.n, "mu": mu, "rho": rho, "gamma": gamma,
-        "seed": seed, "eps0": partition.eps0,
-        "quotas": quotas.to_json_obj(),
-    }
-    cert = DecompositionCertificate(mode=MODE_BIPARTITE, params=params,
-                                    slots=slots)
-    report = verify_certificate(host, partition, systems, cert)
-    _embed_verdicts(cert, report)
-    return cert
+    return _decompose(MODES[MODE_BIPARTITE], host, partition, systems, mu,
+                      rho, gamma, seed, jobs)
 
 
 def _embed_verdicts(cert: DecompositionCertificate, report: dict) -> None:
@@ -681,19 +690,25 @@ def _embed_verdicts(cert: DecompositionCertificate, report: dict) -> None:
 def verify_certificate(host: Multigraph, partition: ClusterPartition,
                        systems: list, cert: DecompositionCertificate) -> dict:
     """Recompute every verdict from the raw edge lists in the certificate:
-    per-slot structure (Hamiltonicity or matching-pair decomposition),
-    containment of the assigned system, membership of every edge in the
-    host, global pairwise edge-disjointness by multiset accounting, and
-    the coverage fraction."""
+    exactly one slot per system, per-slot structure (Hamiltonicity or
+    matching-pair decomposition), containment of the assigned system,
+    membership of every edge in the host, global pairwise
+    edge-disjointness by multiset accounting, and the coverage fraction."""
     all_vertices = set(partition.vertices())
     a_pr = set(partition.A_prime)
     b_pr = set(partition.B_prime)
     slot_reports = []
-    usage = Multigraph(host.n)
+    used_edges: list[tuple[int, int, int]] = []
+    slot_counts = [0] * len(systems)
     coverage_edges = 0
     failures = []
     for slot in cert.slots:
         idx = slot["es_index"]
+        if not (isinstance(idx, int) and 0 <= idx < len(systems)):
+            slot_reports.append({"ok": False})
+            failures.append(idx)
+            continue
+        slot_counts[idx] += 1
         sub = Multigraph(host.n, [tuple(e) for e in slot["edges"]])
         es = systems[idx]
         verdicts = {}
@@ -721,8 +736,12 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         if not ok:
             failures.append(idx)
         slot_reports.append(verdicts)
-        usage = usage + sub
+        used_edges.extend(sub.edges())
         coverage_edges += sub.edge_count() - es.graph.edge_count()
+    # every system is extended exactly once: a missing or repeated slot
+    # fails the certificate even when each present slot is valid
+    failures += [idx for idx, count in enumerate(slot_counts) if count != 1]
+    usage = Multigraph(host.n, used_edges)
     edge_disjoint = usage.is_submultigraph_of(host) and usage.is_simple()
     if partition.mode == MODE_TWO_CLIQUES:
         denom = (host.edges_inside(partition.A)

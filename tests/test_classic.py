@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamdec.classic import (bipartite_hamilton_decompose, perfect_matching,
                             regular_bipartite_to_matchings,
-                            regular_spanning_subgraph, split_regular,
-                            walecki_decompose)
+                            regular_spanning_subgraph, walecki_decompose)
 from hamdec.core import Multigraph
 from hamdec.errors import (DegreeHypothesisViolated, InvalidParameter,
                            MatchingInfeasible)
@@ -164,27 +163,6 @@ class TestFactorization:
             assert pm.is_matching() and pm.edge_count() == m
             total = total + pm
         assert total == g
-
-
-class TestSplitRegular:
-    def test_split_into_2_factors(self):
-        g, left, right = shifted_regular(6, [0, 1, 2, 3, 4, 5])
-        parts = split_regular(g, left, right, 3, 2)
-        assert len(parts) == 3
-        seen = Multigraph(g.n)
-        for p in parts:
-            assert all(p.degree(v) == 2 for v in left + right)
-            seen = seen + p
-        assert seen.is_submultigraph_of(g)
-
-    def test_identity(self):
-        g, left, right = shifted_regular(5, [0, 2])
-        assert split_regular(g, left, right, 1, 2) == [g]
-
-    def test_overcommit_rejected(self):
-        g, left, right = shifted_regular(5, [0, 2])
-        with pytest.raises(InvalidParameter):
-            split_regular(g, left, right, 2, 2)
 
 
 class TestPerfectMatching:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hamdec.core import Digraph, Multigraph, winds_around
-from hamdec.cyclic import (check_robust_outexpander,
+from hamdec.cyclic import (_extract_regular_parts, check_robust_outexpander,
                            check_superregular, reserve_regular, reserve_sparse,
                            sysdecom, sysdecombip, two_cliques_reserve_degree,
                            bipartite_reserve_degree)
@@ -163,6 +163,23 @@ class TestReserveDegrees:
             K=4, m=4000, eps0=1e-4, mu=0.0, rho=0.1, need=8)
         assert f == math.floor((44 + 62) * 1e-4 * 4000)
         assert used == f and not notes
+
+
+class TestExtractRegularParts:
+    def test_starved_fallback(self):
+        # random perfect-matching extraction starves on this pair at
+        # rng seed 2, so the flow + 1-factorization fallback runs
+        left, right = list(range(6)), list(range(6, 12))
+        g = Multigraph(12, [(0, 7), (0, 8), (0, 10), (1, 6), (1, 9),
+                            (2, 7), (2, 9), (3, 10), (3, 11), (4, 8),
+                            (4, 11), (5, 6), (5, 7), (5, 11)])
+        parts = _extract_regular_parts(g, left, right, 2, 1,
+                                       random.Random(2))
+        assert len(parts) == 2
+        for part in parts:
+            assert all(part.degree(v) == 1 for v in left + right)
+        assert (parts[0] + parts[1]).is_simple()
+        assert (parts[0] + parts[1]).is_submultigraph_of(g)
 
 
 @pytest.fixture(scope="module")

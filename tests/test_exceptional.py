@@ -3,13 +3,12 @@ import random
 import pytest
 
 from hamdec.core import (ClusterPartition, Digraph, Multigraph,
-                         verify_hamilton_cycle)
+                         cycle_to_perfect_matchings, verify_hamilton_cycle)
 from hamdec.errors import (InvalidExceptionalSystem, NotConsistent)
 from hamdec.exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                                 build_fictive_bipartite,
                                 build_fictive_two_cliques, induce_jab,
-                                mes_output_matchings, splice_bipartite,
-                                splice_two_cliques)
+                                splice_bipartite, splice_two_cliques)
 
 
 def tiny_partition(a_size=3, b_size=3, a0=1, b0=1, eps0=0.5, mode="two-cliques"):
@@ -237,7 +236,10 @@ class TestSplice:
         red2 = build_fictive_two_cliques(es2)
         out2 = splice_two_cliques(directed_cycle([0, 1, 2], P2.n),
                                   directed_cycle([3, 4, 5], P2.n), es2, red2)
-        m1, m2 = mes_output_matchings(out2, P2)
+        a_pr, b_pr = set(P2.A_prime), set(P2.B_prime)
+        ma1, ma2 = cycle_to_perfect_matchings(out2.restrict(a_pr), a_pr)
+        mb1, mb2 = cycle_to_perfect_matchings(out2.restrict(b_pr), b_pr)
+        m1, m2 = ma1 + mb1, ma2 + mb2
         assert m1.is_matching() and m2.is_matching()
         assert m1 + m2 == out2
 

@@ -140,6 +140,37 @@ class TestVerifierSoundness:
         report = verify_certificate(host, P, systems, cert)
         assert report["global"]["all_ok"]
 
+    def test_no_slots_rejected(self, small_two_cliques):
+        cfg, host, P, systems, cert = small_two_cliques
+        empty = DecompositionCertificate.from_json_obj(
+            json.loads(cert.to_json()))
+        empty.slots = []
+        report = verify_certificate(host, P, systems, empty)
+        assert not report["global"]["all_ok"]
+        assert report["global"]["slot_failures"] == list(range(len(systems)))
+
+    def test_missing_slots_rejected(self, small_two_cliques):
+        cfg, host, P, systems, cert = small_two_cliques
+        partial = DecompositionCertificate.from_json_obj(
+            json.loads(cert.to_json()))
+        partial.slots = partial.slots[:2]
+        report = verify_certificate(host, P, systems, partial)
+        assert all(v["ok"] for v in report["slots"])
+        assert not report["global"]["all_ok"]
+        assert report["global"]["slot_failures"] == \
+            list(range(2, len(systems)))
+
+    def test_out_of_range_index_rejected(self, small_two_cliques):
+        cfg, host, P, systems, cert = small_two_cliques
+        bad = DecompositionCertificate.from_json_obj(
+            json.loads(cert.to_json()))
+        bad.slots[0]["es_index"] = 99
+        report = verify_certificate(host, P, systems, bad)
+        assert report["slots"][0] == {"ok": False}
+        assert not report["global"]["all_ok"]
+        assert 99 in report["global"]["slot_failures"]
+        assert 0 in report["global"]["slot_failures"]
+
 
 class TestCertificates:
     def test_slots_complete(self, small_two_cliques):
