@@ -198,8 +198,8 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
 
 def _orient_reserve(h: Multigraph, used_arcs: set[tuple[int, int]],
                     n: int) -> Digraph:
-    """Orientation of H: the H-arcs a builder used keep their direction,
-    every other edge goes low id -> high id."""
+    """Orientation of H: the H-arcs the sequences use keep their
+    direction, every other edge goes low id -> high id."""
     arcs = set(used_arcs)
     used_und = {tuple(sorted(a)) for a in used_arcs}
     for (u, v) in h.support():

@@ -18,7 +18,7 @@ from .assembly import assemble_slice
 from .core import (ClusterPartition, Digraph, Multigraph,
                    canonical_json, cycle_to_perfect_matchings,
                    verify_hamilton_cycle)
-# the fictive builders, decomposers and splices are called by name
+# the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
 from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
                      reserve_regular, sysdecom, sysdecombip)
