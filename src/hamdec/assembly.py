@@ -16,7 +16,7 @@ from .classic import (hopcroft_karp, regular_bipartite_to_matchings,
                       regular_spanning_subgraph)
 from .core import (Digraph, Multigraph, OrderedDirectedMatching,
                    cycle_vertex_order, derive_seed, is_consistent_with,
-                   verify_hamilton_cycle)
+                   verify_hamilton_cycle, visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
                      HamiltonSearchExhausted, MalformedInput,
@@ -166,22 +166,11 @@ def find_ordered_hamilton(d: Digraph, waypoints: list[int],
             cyc = Digraph(d.n, [(seq[i], seq[(i + 1) % nv])
                                 for i in range(nv)])
             if verify_hamilton_cycle(cyc, set(verts)) and \
-                    _visits_in_order(cyc, seq, waypoints):
+                    visits_in_order(seq, waypoints):
                 return cyc
     raise HamiltonSearchExhausted(
         f"no ordered Hamilton cycle found on {nv} vertices with "
         f"{len(waypoints)} waypoints", restarts=restarts)
-
-
-def _visits_in_order(cyc: Digraph, seq: list[int],
-                     waypoints: list[int]) -> bool:
-    if len(waypoints) <= 2:
-        # containment plus any rotation realizes a 2-waypoint cyclic order
-        return all(w in seq for w in waypoints)
-    pos = {v: i for i, v in enumerate(seq)}
-    base = pos[waypoints[0]]
-    rel = [(pos[w] - base) % len(seq) for w in waypoints]
-    return all(rel[i] < rel[i + 1] for i in range(len(rel) - 1))
 
 
 def _greedy_insertion(arcset, waypoints: list[int], others: list[int],
@@ -278,12 +267,14 @@ class PairSpec:
     v2: tuple[int, ...]
 
 
-def _replace_pair_matching(f: Digraph, spec: PairSpec, reservoir: Digraph,
-                           waypoints: list[int], rng: random.Random,
-                           restarts: int) -> tuple[Digraph, list[tuple[int, int]]]:
+def _replace_pair_matching(f: Digraph, spec: PairSpec,
+                           reservoir: set[tuple[int, int]],
+                           waypoints: list[int], rng: random.Random
+                           ) -> tuple[Digraph, list[tuple[int, int]]]:
     """Replace the perfect matching F[V^1, V^2] with one from the reservoir
-    so that all paths through the pair close into a single cycle, visiting
-    the paths ending at ``waypoints`` (subset of V^1) in order.
+    arcs so that all paths through the pair close into a single cycle,
+    visiting the paths ending at ``waypoints`` (subset of V^1) in order.
+    The arcs taken are removed from ``reservoir``.
 
     Built on the auxiliary digraph whose vertices are V^2: identify each
     path (from y in V^2 to x in V^1, after deleting the pair matching)
@@ -315,23 +306,16 @@ def _replace_pair_matching(f: Digraph, spec: PairSpec, reservoir: Digraph,
             if cur in v2:
                 break
         start_of[x] = cur
-    aux_arcs = []
-    for x in v1:
-        fx = start_of[x]
-        for w in reservoir.out_neighbors(x) & v2:
-            if w != fx:
-                aux_arcs.append((fx, w))
-    aux = Digraph(f.n, set(aux_arcs))
+    aux = Digraph(f.n, {(start_of[x], w) for x in v1 for w in v2
+                        if w != start_of[x] and (x, w) in reservoir})
     aux_waypoints = [start_of[x] for x in waypoints]
-    cyc = find_ordered_hamilton(aux, aux_waypoints, restarts=restarts,
-                                rng=rng, vertices=sorted(v2))
+    cyc = find_ordered_hamilton(aux, aux_waypoints, rng=rng,
+                                vertices=sorted(v2))
     # translate the auxiliary cycle back into a replacement matching
     inv_start = {y: x for x, y in start_of.items()}
-    new_arcs = []
-    for (y, y2) in cyc._arcs:
-        new_arcs.append((inv_start[y], y2))
-    old_arcs = [(x, y) for x, y in matching.items()]
-    f2 = f.without_arcs(old_arcs).with_arcs(new_arcs)
+    new_arcs = [(inv_start[y], y2) for (y, y2) in cyc._arcs]
+    reservoir.difference_update(new_arcs)
+    f2 = Digraph(f.n, (f._arcs - set(matching.items())) | set(new_arcs))
     return f2, new_arcs
 
 
@@ -353,13 +337,14 @@ def _cycle_count(f: Digraph, verts: set[int]) -> list[list[int]]:
     return cycles
 
 
-def merge_to_hamilton(f: Digraph, reservoir: Digraph, pairs: list[PairSpec],
-                      rng: random.Random | None = None,
-                      restarts: int = DEFAULT_RESTARTS
+def merge_to_hamilton(f: Digraph, reservoir: set[tuple[int, int]],
+                      pairs: list[PairSpec],
+                      rng: random.Random | None = None
                       ) -> tuple[Digraph, list[tuple[int, int]]]:
     """Merge the cycles of the 1-factor ``f`` into a single directed cycle
-    by replacing F[V^1_i, V^2_{i+1}] with reservoir matchings at (a subset
-    of) the listed pairs.  Returns (cycle, arcs taken from the reservoir).
+    by replacing F[V^1_i, V^2_{i+1}] with matchings of unused reservoir
+    arcs at (a subset of) the listed pairs.  Returns (cycle, arcs taken);
+    the arcs taken are removed from ``reservoir``.
 
     A replacement happens at a pair only while the factor is still
     disconnected and at least two current cycles pass through the pair;
@@ -369,7 +354,6 @@ def merge_to_hamilton(f: Digraph, reservoir: Digraph, pairs: list[PairSpec],
     verts = f.vertices_with_arcs()
     used: list[tuple[int, int]] = []
     current = f
-    avail = reservoir
     for spec in pairs:
         cycles = _cycle_count(current, verts)
         if len(cycles) == 1:
@@ -379,9 +363,8 @@ def merge_to_hamilton(f: Digraph, reservoir: Digraph, pairs: list[PairSpec],
         if touching < 2:
             continue
         current, new_arcs = _replace_pair_matching(
-            current, spec, avail, [], rng, restarts)
+            current, spec, reservoir, [], rng)
         used.extend(new_arcs)
-        avail = avail.without_arcs(new_arcs)
     cycles = _cycle_count(current, verts)
     if len(cycles) != 1:
         raise MalformedInput(
@@ -392,16 +375,17 @@ def merge_to_hamilton(f: Digraph, reservoir: Digraph, pairs: list[PairSpec],
     return current, used
 
 
-def reorder_for_consistency(cycle: Digraph, reservoir: Digraph,
+def reorder_for_consistency(cycle: Digraph,
+                            reservoir: set[tuple[int, int]],
                             spec: PairSpec, waypoints: list[int],
-                            rng: random.Random | None = None,
-                            restarts: int = DEFAULT_RESTARTS
+                            rng: random.Random | None = None
                             ) -> tuple[Digraph, list[tuple[int, int]]]:
     """A Hamilton cycle on the same vertices visiting ``waypoints`` in
-    cyclic order, differing from the input only inside the given pair.
+    cyclic order, differing from the input only inside the given pair;
+    the reservoir arcs it takes are removed from ``reservoir``.
 
     If the input already visits the waypoints in order it is returned
-    unchanged (consuming no reservoir edges).
+    unchanged (consuming no reservoir arcs).
     """
     rng = rng or random.Random(0)
     verts = cycle.vertices_with_arcs()
@@ -409,25 +393,17 @@ def reorder_for_consistency(cycle: Digraph, reservoir: Digraph,
         raise MalformedInput("reorder requires a Hamilton cycle")
     if not set(waypoints) <= set(spec.v1):
         raise MalformedInput("waypoints must lie inside V^1 of the pair")
-    if _already_in_order(cycle, verts, waypoints):
+    # any rotation realizes the cyclic order of at most two waypoints
+    if len(waypoints) <= 2 or \
+            visits_in_order(cycle_vertex_order(cycle, verts), waypoints):
         return cycle, []
     out, new_arcs = _replace_pair_matching(cycle, spec, reservoir,
-                                           list(waypoints), rng, restarts)
+                                           list(waypoints), rng)
     if not verify_hamilton_cycle(out, verts):
         raise AssemblyVerificationFailed("reordered cycle failed verification")
-    if not _already_in_order(out, verts, waypoints):
+    if not visits_in_order(cycle_vertex_order(out, verts), waypoints):
         raise AssemblyVerificationFailed("reordered cycle ignores waypoints")
     return out, new_arcs
-
-
-def _already_in_order(cycle: Digraph, verts, waypoints: list[int]) -> bool:
-    if len(waypoints) <= 2:
-        return True
-    order = cycle_vertex_order(cycle, verts)
-    pos = {v: i for i, v in enumerate(order)}
-    base = pos[waypoints[0]]
-    rel = [(pos[w] - base) % len(order) for w in waypoints]
-    return all(rel[i] < rel[i + 1] for i in range(len(rel) - 1))
 
 
 # -- the per-slice pipeline ----------------------------------------------
@@ -440,22 +416,21 @@ class SliceAssembly:
 
 
 def assemble_slice(system: CyclicSystem, be: BalancedExtension,
-                   reservoir: Digraph, seed: int = 0,
-                   restarts: int = DEFAULT_RESTARTS) -> SliceAssembly:
+                   reservoir: Digraph, seed: int = 0) -> SliceAssembly:
     """Produce one consistent Hamilton cycle per balanced-extension slot.
 
-    Maintains the depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'});
-    per slot: extend to 1-factors, merge through the touched cluster
-    pairs, then reorder at the extension cluster so the cycle is
-    consistent with its ordered matching.  Every output is re-verified:
-    sequence containment, consistency, Hamiltonicity, and the confinement
-    of C_s - F_s to the touched pairs.
+    Maintains the depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'})
+    as one set of unused reservoir arcs, which merging and reordering
+    deplete in place; per slot: extend to 1-factors, merge through the
+    touched cluster pairs, then reorder at the extension cluster so the
+    cycle is consistent with its ordered matching.  Every output is
+    re-verified: sequence containment, consistency, Hamiltonicity, and the
+    confinement of C_s - F_s to the touched pairs.
     """
     qp = system.q
     k = len(qp.clusters)
-    verts = {v for c in qp.clusters for v in c}
     factors = extend_to_one_factors(system, be.path_sequences)
-    h_current = reservoir
+    unused = set(reservoir._arcs)
     out_cycles: list[Digraph] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
@@ -474,16 +449,13 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             v2 = tuple(v for v in qp.cluster(cj)
                        if ps.in_degree(v) == 0)
             specs.append(PairSpec(cluster_index=ci, v1=v1, v2=v2))
-        merged, used1 = merge_to_hamilton(factors[s], h_current, specs,
-                                          rng=rng, restarts=restarts)
-        h_mid = h_current.without_arcs(used1)
+        merged, used1 = merge_to_hamilton(factors[s], unused, specs, rng=rng)
         # reorder at the extension cluster
         ext_spec = next(sp for sp in specs if sp.cluster_index == i_s) \
             if any(sp.cluster_index == i_s for sp in specs) else specs[0]
         xs = _final_waypoints(ps, matching, i_s, qp)
-        final, used2 = reorder_for_consistency(merged, h_mid, ext_spec, xs,
-                                               rng=rng, restarts=restarts)
-        h_current = h_mid.without_arcs(used2)
+        final, used2 = reorder_for_consistency(merged, unused, ext_spec, xs,
+                                               rng=rng)
         # full verification of the slot output
         if not set(ps._arcs) <= set(final._arcs):
             raise AssemblyVerificationFailed(

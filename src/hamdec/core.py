@@ -264,7 +264,11 @@ class Multigraph:
 
 
 class Digraph:
-    """Digraph on 0..n-1; at most one arc per direction per pair, no loops."""
+    """Digraph on 0..n-1; at most one arc per direction per pair, no loops.
+
+    No library code calls ``without_arcs``, ``with_arcs``, ``+`` or ``-``;
+    they stay because ``bench/tracing.py`` wraps them by name.
+    """
 
     __slots__ = ("n", "_arcs", "_out", "_in")
 
@@ -716,13 +720,20 @@ def is_consistent_with(cycle: Digraph, matching: OrderedDirectedMatching) -> boo
     for (u, v) in matching.arcs:
         if not cycle.has_arc(u, v):
             return False
-    order = cycle_vertex_order(cycle, verts)
+    # arc (u,v) sits where the cycle leaves u
+    return visits_in_order(cycle_vertex_order(cycle, verts),
+                           [u for (u, _v) in matching.arcs])
+
+
+def visits_in_order(order: Sequence[int], targets: Sequence[int]) -> bool:
+    """True iff walking the cyclic vertex sequence ``order`` once, from
+    ``targets[0]``, meets the distinct ``targets`` in the given order."""
+    if not targets:
+        return True
     pos = {v: i for i, v in enumerate(order)}
-    # arc (u,v) sits at position pos[u]; rotate so the first arc is at 0
-    base = pos[matching.arcs[0][0]]
-    nvert = len(order)
-    rel = [(pos[u] - base) % nvert for (u, _v) in matching.arcs]
-    return all(rel[i] < rel[i + 1] for i in range(len(rel) - 1))
+    base = pos[targets[0]]
+    rel = [(pos[t] - base) % len(order) for t in targets]
+    return all(a < b for a, b in zip(rel, rel[1:]))
 
 
 def cycle_to_perfect_matchings(g: Multigraph, vertex_set: Iterable[int]

@@ -112,15 +112,15 @@ def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
 def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]],
                            q: ClusterPartition, cycle: ClusterCycle,
                            h: Multigraph, eps: float, n_vertices: int
-                           ) -> tuple[Digraph, BalancedExtension,
+                           ) -> tuple[BalancedExtension,
                                       list[tuple[int, int]]]:
     """Extend each matching M in m_partition[i] (vertices inside V_i) by an
     equal-sized matching from H[V_{i-1}, V_{i+1}] oriented V_{i-1}->V_{i+1}.
 
     Requires |m_partition[i]| <= m/k, e(M) <= eps*m, and every pair
-    H[V_{i-1}, V_{i+1}] exactly 2*eps*m-regular.  Returns the orientation
-    of H, the balanced extension with parameters (2*eps, 3), and the slot
-    order as (cluster, index-within-cluster) pairs.
+    H[V_{i-1}, V_{i+1}] exactly 2*eps*m-regular.  Returns the balanced
+    extension with parameters (2*eps, 3) and the slot order as (cluster,
+    index-within-cluster) pairs.
     """
     k, m = len(q.clusters), q.m
     if k < 3:
@@ -149,7 +149,6 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
                 raise InvalidParameter(
                     f"matching vertices escape cluster {ci}")
 
-    used_h_arcs: set[tuple[int, int]] = set()
     sequences: list[Digraph] = []
     matchings: list[OrderedDirectedMatching] = []
     ext_cluster: list[int] = []
@@ -184,28 +183,14 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
                     f"edges for cluster {ci}")
             extra = pool_arcs[pm_idx][offset:offset + need]
             offset += need
-            used_h_arcs.update(extra)
             sequences.append(Digraph(n_vertices, list(mm.arcs) + extra))
             matchings.append(mm)
             ext_cluster.append(ci)
             order.append((ci, gi))
-    h_dir = _orient_reserve(h, used_h_arcs, n_vertices)
     be = BalancedExtension(path_sequences=sequences, matchings=matchings,
                            extension_cluster=ext_cluster, eps=2 * eps, ell=3)
     validate_balanced_extension(be, q, cycle)
-    return h_dir, be, order
-
-
-def _orient_reserve(h: Multigraph, used_arcs: set[tuple[int, int]],
-                    n: int) -> Digraph:
-    """Orientation of H: the H-arcs the sequences use keep their
-    direction, every other edge goes low id -> high id."""
-    arcs = set(used_arcs)
-    used_und = {tuple(sorted(a)) for a in used_arcs}
-    for (u, v) in h.support():
-        if (u, v) not in used_und:
-            arcs.add((u, v))
-    return Digraph(n, arcs)
+    return be, order
 
 
 # -- bipartite builder ----------------------------------------------------
@@ -216,8 +201,7 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
                              partition: ClusterPartition,
                              cycle: ClusterCycle, h: Multigraph,
                              eps: float, inner_degree: int,
-                             outer_degree: int
-                             ) -> tuple[Digraph, BalancedExtension]:
+                             outer_degree: int) -> BalancedExtension:
     """Two-phase bipartite balanced extension.
 
     Phase 1 extends each J*_dir into an A_{i1}-extension by adding a
@@ -365,11 +349,9 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
             raise ReservoirExhausted(f"e(PS'_{idx}) != 4 e(J*_{idx})")
         sequences.append(ps2)
 
-    h_dir = _orient_reserve(h, {a for s in sequences for a in s._arcs
-                                if h.multiplicity(*a) > 0}, n)
     be = BalancedExtension(
         path_sequences=sequences,
         matchings=[red.jstar_dir for red in reductions],
         extension_cluster=ext_cluster, eps=12 * eps * K, ell=12)
     validate_balanced_extension(be, q, cycle)
-    return h_dir, be
+    return be

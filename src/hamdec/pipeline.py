@@ -8,6 +8,7 @@ lists.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
@@ -23,7 +24,8 @@ from .core import (ClusterPartition, Digraph, Multigraph,
 from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
                      reserve_regular, sysdecom, sysdecombip)
 from .errors import (HamdecError, HamiltonSearchExhausted, InvalidParameter,
-                     MatchingInfeasible, PipelineError, SamplingFailed)
+                     MalformedInput, MatchingInfeasible, PipelineError,
+                     SamplingFailed)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                           build_fictive_bipartite, build_fictive_two_cliques,
                           splice_bipartite, splice_two_cliques)
@@ -485,7 +487,7 @@ def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
         groups.setdefault(slot.cluster_index, []).append(slot.matching)
         group_slots.setdefault(slot.cluster_index, []).append(t)
     eps_be = quotas.reserve_degree_used / (2 * partition.m)
-    _h_dir, be, order = balance_extend_cliques(
+    be, order = balance_extend_cliques(
         groups, slc.q, slc.cycle, slc.h_reserve, eps_be, slc.g_dir.n)
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
@@ -495,7 +497,7 @@ def _extend_bipartite(slc: SliceSide, partition: ClusterPartition, systems,
     """Bipartite balanced extension of one slice; its path sequences come
     in slot order."""
     idxs = [slot.es_index for slot in slc.slots]
-    _h_dir, be = balance_extend_bipartite(
+    be = balance_extend_bipartite(
         [systems[i] for i in idxs], [reductions[i] for i in idxs],
         partition, slc.cycle, slc.h_reserve, partition.eps0,
         quotas.reserve_inner, quotas.reserve_outer)
@@ -582,15 +584,30 @@ def _min_pair_degree(slc: SliceSide) -> int:
     return worst or 0
 
 
-def _run_slice_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
+def _run_slice_tasks(tasks: list[tuple], jobs: int, seed: int) -> list[dict]:
     """Run _slice_hamilton_cycles over independent slices, optionally in
-    a process pool; results merge deterministically (disjoint key sets)."""
+    a process pool; results merge deterministically (disjoint key sets).
+    The first failing slice, in task order, raises the PipelineError of
+    stage ``assemble`` that names it (side and index, e.g. ``A1``)."""
+    def collect(outcomes) -> list[dict]:
+        results = []
+        for task, outcome in zip(tasks, outcomes):
+            try:
+                results.append(outcome())
+            except HamdecError as e:
+                slc = task[1]
+                raise PipelineError("assemble", e,
+                                    slice_index=f"{slc.side}{slc.j}",
+                                    seed=seed) from e
+        return results
+
     if jobs <= 1 or len(tasks) <= 1:
-        return [_slice_hamilton_cycles(*t) for t in tasks]
+        return collect(functools.partial(_slice_hamilton_cycles, *t)
+                       for t in tasks)
     import concurrent.futures as cf
     with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_slice_hamilton_cycles, *t) for t in tasks]
-        return [f.result() for f in futures]
+        return collect(f.result for f in futures)
 
 
 def _decompose(spec: ModeSpec, host: Multigraph, partition: ClusterPartition,
@@ -617,10 +634,7 @@ def _decompose(spec: ModeSpec, host: Multigraph, partition: ClusterPartition,
               for slc in slices]
     tasks = [(spec.mode, slc, partition, systems, reductions, quotas, gamma,
               seed) for (_k, slc) in owners]
-    try:
-        results = _run_slice_tasks(tasks, jobs)
-    except HamdecError as e:
-        raise PipelineError("assemble", e, seed=seed) from e
+    results = _run_slice_tasks(tasks, jobs, seed)
     # cycles[k][es_index]: the cycle from slice list k
     cycles: list[dict[int, Digraph]] = [{} for _ in slice_lists]
     for (k, _slc), result in zip(owners, results):
@@ -691,9 +705,13 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
                        systems: list, cert: DecompositionCertificate) -> dict:
     """Recompute every verdict from the raw edge lists in the certificate:
     exactly one slot per system, per-slot structure (Hamiltonicity or
-    matching-pair decomposition), containment of the assigned system,
-    membership of every edge in the host, global pairwise
-    edge-disjointness by multiset accounting, and the coverage fraction."""
+    matching-pair decomposition, by the kind of the assigned system, which
+    the slot must claim), containment of the assigned system, membership
+    of every edge in the host, global pairwise edge-disjointness by
+    multiset accounting, and the coverage fraction.  A slot that cannot be
+    read (not an object, an index that names no system, a missing key, an
+    edge that is no vertex pair of the host) gets the verdict
+    ``{"ok": false}``."""
     all_vertices = set(partition.vertices())
     a_pr = set(partition.A_prime)
     b_pr = set(partition.B_prime)
@@ -703,13 +721,17 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
     coverage_edges = 0
     failures = []
     for slot in cert.slots:
-        idx = slot["es_index"]
-        if not (isinstance(idx, int) and 0 <= idx < len(systems)):
+        idx = slot.get("es_index") if isinstance(slot, dict) else None
+        read = None
+        # JSON true/false would pass isinstance(idx, int) as 1/0
+        if type(idx) is int and 0 <= idx < len(systems):
+            slot_counts[idx] += 1
+            read = _read_slot(slot, host.n)
+        if read is None:
             slot_reports.append({"ok": False})
             failures.append(idx)
             continue
-        slot_counts[idx] += 1
-        sub = Multigraph(host.n, [tuple(e) for e in slot["edges"]])
+        kind, sub = read
         es = systems[idx]
         verdicts = {}
         verdicts["in_host"] = sub.is_submultigraph_of(host)
@@ -717,7 +739,7 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         if "edges_sha256" in slot:
             verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
                 slot["edges"])
-        if slot["kind"] == "MES":
+        if es.kind == "MES":
             cyc_a = verify_hamilton_cycle(sub.restrict(a_pr), a_pr)
             cyc_b = verify_hamilton_cycle(sub.restrict(b_pr), b_pr)
             cross = sub.edges_between(a_pr, b_pr) == 0
@@ -730,7 +752,7 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         else:
             verdicts["hamiltonian"] = verify_hamilton_cycle(sub, all_vertices)
             structure_ok = verdicts["hamiltonian"]
-        ok = structure_ok and verdicts["in_host"] and \
+        ok = structure_ok and kind == es.kind and verdicts["in_host"] and \
             verdicts["contains_system"] and verdicts.get("hash_ok", True)
         verdicts["ok"] = ok
         if not ok:
@@ -756,6 +778,15 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         "all_ok": edge_disjoint and not failures,
     }
     return {"slots": slot_reports, "global": global_report}
+
+
+def _read_slot(slot: dict, n: int):
+    """(claimed kind, edge multigraph) of a certificate slot, or None when
+    the slot cannot be read."""
+    try:
+        return slot["kind"], Multigraph(n, [tuple(e) for e in slot["edges"]])
+    except (KeyError, TypeError, ValueError, MalformedInput):
+        return None
 
 
 def _splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:

@@ -329,7 +329,7 @@ def test_criterion_05_balanced_extension_validators():
                 group.append(OrderedDirectedMatching(arcs))
             if group:
                 groups[ci] = group
-        h_dir, be, order = balance_extend_cliques(groups, qp, cycle, h, eps, n)
+        be, order = balance_extend_cliques(groups, qp, cycle, h, eps, n)
         assert be.eps == 2 * eps and be.ell == 3
         validate_balanced_extension(be, qp, cycle)
     # bipartite builder, validated at (12 eps K, 12) with the exact
@@ -343,7 +343,7 @@ def test_criterion_05_balanced_extension_validators():
                                      mu=cfg.mu, rho=cfg.rho, seed=seed)
         for slc in slices:
             idxs = [slot.es_index for slot in slc.slots]
-            h_dir, be = balance_extend_bipartite(
+            be = balance_extend_bipartite(
                 [systems[i] for i in idxs], [reductions[i] for i in idxs],
                 P, slc.cycle, slc.h_reserve, P.eps0,
                 quotas.reserve_inner, quotas.reserve_outer)

@@ -103,17 +103,19 @@ class TestMergeAndReorder:
         f = self.build_two_cycle_factor()
         v1 = tuple(range(6))
         v2 = tuple(range(6, 12))
-        reservoir = Digraph(12, [(u, v) for u in v1 for v in v2])
+        reservoir = {(u, v) for u in v1 for v in v2}
         spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
-        merged, used = merge_to_hamilton(f, reservoir, [spec],
+        unused = set(reservoir)
+        merged, used = merge_to_hamilton(f, unused, [spec],
                                          rng=random.Random(1))
         assert verify_hamilton_cycle(merged, set(range(12)))
-        assert used and all(a in reservoir._arcs for a in used)
+        assert used and all(a in reservoir for a in used)
+        assert unused == reservoir - set(used)
 
     def test_identity_when_single_cycle(self):
         verts = list(range(8))
         f = cycle_digraph(verts, 8)
-        merged, used = merge_to_hamilton(f, Digraph(8, []), [],
+        merged, used = merge_to_hamilton(f, set(), [],
                                          rng=random.Random(1))
         assert merged == f and used == []
 
@@ -121,8 +123,7 @@ class TestMergeAndReorder:
         f = self.build_two_cycle_factor()
         # pair whose V^1 misses the second cycle entirely
         spec = PairSpec(cluster_index=0, v1=(0, 1, 2), v2=(6, 7, 8))
-        reservoir = Digraph(12, [(u, v) for u in (0, 1, 2)
-                                 for v in (6, 7, 8)])
+        reservoir = {(u, v) for u in (0, 1, 2) for v in (6, 7, 8)}
         with pytest.raises(MalformedInput):
             merge_to_hamilton(f, reservoir, [spec], rng=random.Random(1))
 
@@ -132,7 +133,7 @@ class TestMergeAndReorder:
         cyc = cycle_digraph(verts, 12)
         v1 = tuple(range(6))
         v2 = tuple(range(6, 12))
-        reservoir = Digraph(12, [(u, v) for u in v1 for v in v2])
+        reservoir = {(u, v) for u in v1 for v in v2}
         spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
         out, used = reorder_for_consistency(cyc, reservoir, spec, [0, 3, 1],
                                             rng=random.Random(4))
@@ -149,7 +150,7 @@ class TestMergeAndReorder:
         cyc = cycle_digraph(verts, 12)
         spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
                         v2=tuple(range(6, 12)))
-        out, used = reorder_for_consistency(cyc, Digraph(12, []), spec, [],
+        out, used = reorder_for_consistency(cyc, set(), spec, [],
                                             rng=random.Random(4))
         assert out == cyc and used == []
 
@@ -159,7 +160,7 @@ class TestMergeAndReorder:
         spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
                         v2=tuple(range(6, 12)))
         with pytest.raises(MalformedInput):
-            reorder_for_consistency(cyc, Digraph(12, []), spec, [6, 0, 1],
+            reorder_for_consistency(cyc, set(), spec, [6, 0, 1],
                                     rng=random.Random(4))
 
 

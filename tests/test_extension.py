@@ -48,7 +48,7 @@ class TestCliquesBuilder:
 
     def test_simple_extension(self):
         m0 = OrderedDirectedMatching(((12, 13),))  # inside V_1
-        h_dir, be, order = balance_extend_cliques(
+        be, order = balance_extend_cliques(
             {1: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
         validate_balanced_extension(be, self.qp, self.cycle)
         assert be.eps == 2 * self.eps and be.ell == 3
@@ -60,13 +60,13 @@ class TestCliquesBuilder:
         assert self.qp.cluster_index(u) == 0 and self.qp.cluster_index(v) == 2
 
     def test_empty_input(self):
-        h_dir, be, order = balance_extend_cliques(
+        be, order = balance_extend_cliques(
             {}, self.qp, self.cycle, self.h, self.eps, self.n)
         assert len(be) == 0
 
     def test_cluster_intersection_bound(self):
         m0 = OrderedDirectedMatching(((12, 13),))
-        _, be, _ = balance_extend_cliques(
+        be, _ = balance_extend_cliques(
             {1: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
         (ps,) = be.path_sequences
         verts = ps.vertices_with_arcs()
@@ -106,7 +106,7 @@ class TestCliquesBuilder:
                     group.append(OrderedDirectedMatching(arcs))
                 if group:
                     groups[ci] = group
-            _, be, _ = balance_extend_cliques(groups, self.qp, self.cycle,
+            be, _ = balance_extend_cliques(groups, self.qp, self.cycle,
                                               h, eps, self.n)
             validate_balanced_extension(be, self.qp, self.cycle)
 
@@ -153,7 +153,7 @@ def built():
                                  mu=cfg.mu, rho=cfg.rho, seed=31)
     slc = slices[0]
     idxs = [slot.es_index for slot in slc.slots]
-    h_dir, be = balance_extend_bipartite(
+    be = balance_extend_bipartite(
         [systems[i] for i in idxs], [reductions[i] for i in idxs],
         P, slc.cycle, slc.h_reserve, P.eps0,
         quotas.reserve_inner, quotas.reserve_outer)

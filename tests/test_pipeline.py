@@ -1,11 +1,14 @@
+import copy
+import hashlib
 import json
 import math
 
 import pytest
 
+from hamdec import pipeline
 from hamdec.cli import main as cli_main
-from hamdec.core import Multigraph
-from hamdec.errors import InvalidParameter, PipelineError
+from hamdec.core import Multigraph, canonical_json
+from hamdec.errors import InvalidParameter, MatchingInfeasible, PipelineError
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
@@ -172,6 +175,113 @@ class TestVerifierSoundness:
         assert 0 in report["global"]["slot_failures"]
 
 
+SEED4_CONFIG = InstanceConfig(
+    mode="two-cliques", K=3, m=24, a0_size=1, b0_size=1, eps0=0.02, mu=0.0,
+    rho=0.1, gamma=0.18, hes_count=5, seed=4)
+
+
+@pytest.fixture(scope="module")
+def seed4_files(tmp_path_factory):
+    """The instance and certificate files `hamdec gen` and `hamdec
+    decompose` write for SEED4_CONFIG, plus the instance objects."""
+    tmp = tmp_path_factory.mktemp("seed4")
+    params, inst, cert = tmp / "params.json", tmp / "inst.json", \
+        tmp / "cert.json"
+    params.write_text(json.dumps(SEED4_CONFIG.to_json_obj()))
+    assert cli_main(["gen", "--params", str(params), "--seed", "4",
+                     "--out", str(inst)]) == 0
+    assert cli_main(["decompose", str(inst), "--out", str(cert)]) == 0
+    return inst, json.loads(cert.read_text()), \
+        generate_instance(SEED4_CONFIG)
+
+
+def _swap_in_host_non_edge(obj, host, systems):
+    """Replace one non-system edge of slot 0 by a host non-edge, keeping
+    the slot's hash consistent so only the edge itself is wrong."""
+    slot = obj["slots"][0]
+    edges = slot["edges"]
+    j = next(j for j, (u, v) in enumerate(edges)
+             if systems[0].graph.multiplicity(u, v) == 0)
+    edges[j] = next([u, v] for u in range(host.n) for v in range(u + 1, host.n)
+                    if host.multiplicity(u, v) == 0 and [u, v] not in edges)
+    slot["edges_sha256"] = hashlib.sha256(
+        canonical_json(edges).encode()).hexdigest()
+
+
+def _set(key, value):
+    def mutate(obj, host, systems):
+        obj["slots"][0][key] = value
+    return mutate
+
+
+def _delete(key):
+    def mutate(obj, host, systems):
+        del obj["slots"][0][key]
+    return mutate
+
+
+def _slot_to_list(obj, host, systems):
+    obj["slots"][0] = obj["slots"][0]["edges"]
+
+
+def _vertex_out_of_range(obj, host, systems):
+    obj["slots"][0]["edges"][0] = [0, 1000000]
+
+
+# each mutation must fail the verdict; the malformed ones must fail
+# slot 0 with {"ok": false} instead of raising
+MALFORMED = {
+    "no-edges": _delete("edges"),
+    "no-kind": _delete("kind"),
+    "edges-not-a-list": _set("edges", "x"),
+    "slot-is-a-list": _slot_to_list,
+    "vertex-out-of-range": _vertex_out_of_range,
+    "boolean-index": _set("es_index", False),
+}
+TAMPERED = {
+    "drop-slot": lambda obj, host, systems: obj["slots"].pop(0),
+    "duplicate-slot": lambda obj, host, systems: obj["slots"].append(
+        copy.deepcopy(obj["slots"][0])),
+    "reindex-slot": _set("es_index", 1),
+    "host-non-edge": _swap_in_host_non_edge,
+    "kind-BES": _set("kind", "BES"),
+    "kind-MES": _set("kind", "MES"),
+}
+
+
+class TestVerifierTampering:
+    def test_untampered_verifies(self, seed4_files):
+        inst, obj, (host, P, systems) = seed4_files
+        cert = DecompositionCertificate.from_json_obj(copy.deepcopy(obj))
+        assert verify_certificate(host, P, systems, cert)["global"]["all_ok"]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED) + sorted(TAMPERED))
+    def test_mutation_fails(self, name, seed4_files, tmp_path):
+        inst, obj, (host, P, systems) = seed4_files
+        obj = copy.deepcopy(obj)
+        {**MALFORMED, **TAMPERED}[name](obj, host, systems)
+        report = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(obj))
+        assert not report["global"]["all_ok"]
+        assert 0 in report["global"]["slot_failures"]
+        if name in MALFORMED:
+            assert report["slots"][0] == {"ok": False}
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(inst), str(bad)]) == 1
+
+    def test_structure_follows_the_system_kind(self, seed4_files):
+        # an HES slot relabelled MES is still checked for Hamiltonicity
+        inst, obj, (host, P, systems) = seed4_files
+        obj = copy.deepcopy(obj)
+        obj["slots"][0]["kind"] = "MES"
+        report = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(obj))
+        assert report["slots"][0]["hamiltonian"]
+        assert "bi_hamiltonian" not in report["slots"][0]
+        assert not report["slots"][0]["ok"]
+
+
 class TestCertificates:
     def test_slots_complete(self, small_two_cliques):
         cfg, host, P, systems, cert = small_two_cliques
@@ -332,3 +442,22 @@ class TestPipelineErrors:
             approx_decompose_two_cliques(bad_host, P, systems, cfg.mu,
                                          cfg.rho, cfg.gamma, seed=2)
         assert exc.value.stage == "validate"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_assemble_failure_names_its_slice(self, jobs, monkeypatch):
+        # the pool workers are forked after the patch, so they see it too
+        def infeasible(*args, **kwargs):
+            raise MatchingInfeasible("forced")
+
+        monkeypatch.setattr(pipeline, "assemble_slice", infeasible)
+        cfg = InstanceConfig(mode="two-cliques", K=3, m=24, a0_size=1,
+                             b0_size=1, eps0=0.02, mu=0.0, rho=0.1,
+                             gamma=0.18, hes_count=5, seed=3)
+        host, P, systems = generate_instance(cfg)
+        with pytest.raises(PipelineError) as exc:
+            approx_decompose_two_cliques(host, P, systems, cfg.mu, cfg.rho,
+                                         cfg.gamma, seed=3, jobs=jobs)
+        assert exc.value.stage == "assemble"
+        assert isinstance(exc.value.cause, MatchingInfeasible)
+        assert exc.value.slice_index == "A0"
+        assert "slice=A0" in str(exc.value)
