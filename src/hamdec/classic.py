@@ -93,43 +93,22 @@ def regular_spanning_subgraph(gamma_graph: Multigraph, left: Sequence[int],
     if r == 0:
         return Multigraph(gamma_graph.n)
 
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
+    mat = pair_matrix(gamma_graph, left, right)
+    ii, jj = np.nonzero(mat)
     # network nodes: 0 = source, 1..m = left, m+1..2m = right, 2m+1 = sink
     src, snk = 0, 2 * m + 1
-    rows, cols, caps = [], [], []
-    pair_index = {}
-    for (u, v, k) in gamma_graph.edges():
-        if u in lpos and v in rpos:
-            a, b = lpos[u] + 1, rpos[v] + m + 1
-        elif v in lpos and u in rpos:
-            a, b = lpos[v] + 1, rpos[u] + m + 1
-            u, v = v, u
-        else:
-            continue
-        pair_index[(a, b)] = (u, v)
-        rows.append(a)
-        cols.append(b)
-        caps.append(k)
-    for i in range(m):
-        rows.append(src)
-        cols.append(i + 1)
-        caps.append(r)
-        rows.append(m + 1 + i)
-        cols.append(snk)
-        caps.append(r)
-    graph = csr_matrix((np.array(caps, dtype=np.int32),
-                        (np.array(rows), np.array(cols))),
-                       shape=(2 * m + 2, 2 * m + 2))
+    rows = np.concatenate([ii + 1, np.full(m, src), np.arange(m + 1, snk)])
+    cols = np.concatenate([jj + m + 1, np.arange(1, m + 1), np.full(m, snk)])
+    caps = np.concatenate([mat[ii, jj], np.full(2 * m, r)]).astype(np.int32)
+    graph = csr_matrix((caps, (rows, cols)), shape=(2 * m + 2, 2 * m + 2))
     result = maximum_flow(graph, src, snk)
     if result.flow_value == r * m:
         block = result.flow[1:m + 1, m + 1:2 * m + 1].toarray()
-        edges = []
-        for (a, b), (u, v) in pair_index.items():
-            f = block[a - 1, b - m - 1]
-            if f > 0:
-                edges.append((u, v, int(f)))
-        return Multigraph(gamma_graph.n, edges)
+        # the used edges in the order of gamma_graph.edges()
+        used = sorted(((left[i], right[j], int(block[i, j]))
+                       for i, j in zip(ii.tolist(), jj.tolist())
+                       if block[i, j] > 0), key=lambda e: sorted(e[:2]))
+        return Multigraph(gamma_graph.n, used)
 
     # short flow: extract the min cut from residual reachability and
     # translate it into the degree-hypothesis witness
@@ -217,28 +196,54 @@ def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
     return match_l
 
 
+def pair_matrix(graph: Multigraph, left: Sequence[int],
+                right: Sequence[int]) -> np.ndarray:
+    """The multiplicity matrix of ``graph`` between the disjoint classes
+    ``left`` (rows) and ``right`` (columns)."""
+    rpos = {v: j for j, v in enumerate(right)}
+    adj = graph._adjacency()
+    mat = np.zeros((len(left), len(right)), dtype=np.int64)
+    for i, u in enumerate(left):
+        for w, k in adj.get(u, {}).items():
+            if w in rpos:
+                mat[i, rpos[w]] = k
+    return mat
+
+
+def take_matching(res: np.ndarray, rows: Sequence[int],
+                  cols: Sequence[int]) -> list[int]:
+    """A perfect matching of ``rows`` to ``cols`` on the positive entries
+    of the residual matrix ``res``, decremented in place; entry p is the
+    position in ``cols`` matched to ``rows[p]``.  The orders of ``rows``
+    and ``cols`` decide which matching Hopcroft-Karp finds.  Raises
+    MatchingInfeasible with a Hall violator given as indices of ``res``.
+    """
+    adj = [np.flatnonzero(row).tolist() for row in res[np.ix_(rows, cols)] > 0]
+    match_l = hopcroft_karp(adj, len(cols))
+    if -1 in match_l:
+        violator = _hall_violator(adj, match_l, len(cols))
+        raise MatchingInfeasible(
+            f"no perfect matching between classes of size {len(rows)}",
+            witness={"S": [rows[p] for p in violator],
+                     "N(S)": sorted({cols[q] for p in violator
+                                     for q in adj[p]})})
+    res[np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp)[match_l]] -= 1
+    return match_l
+
+
 def perfect_matching(graph: Multigraph, left: Sequence[int],
                      right: Sequence[int]) -> list[tuple[int, int]]:
     """A perfect matching between ``left`` and ``right`` using edges of
     ``graph``; raises MatchingInfeasible with a Hall violator otherwise."""
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    adj: list[list[int]] = [[] for _ in left]
-    for (u, v, _k) in graph.edges():
-        if u in lpos and v in rpos:
-            adj[lpos[u]].append(rpos[v])
-        elif v in lpos and u in rpos:
-            adj[lpos[v]].append(rpos[u])
-    for row in adj:
-        row.sort()
-    match_l = hopcroft_karp(adj, len(right))
-    if all(x != -1 for x in match_l):
-        return [(left[i], right[match_l[i]]) for i in range(len(left))]
-    violator = _hall_violator(adj, match_l, len(right))
-    raise MatchingInfeasible(
-        f"no perfect matching between classes of size {len(left)}",
-        witness={"S": [left[i] for i in violator],
-                 "N(S)": sorted({right[v] for i in violator for v in adj[i]})})
+    try:
+        match_l = take_matching(pair_matrix(graph, left, right),
+                                range(len(left)), range(len(right)))
+    except MatchingInfeasible as e:
+        raise MatchingInfeasible(str(e), witness={
+            "S": [left[i] for i in e.witness["S"]],
+            "N(S)": sorted(right[j] for j in e.witness["N(S)"])}) from None
+    return [(left[i], right[j]) for i, j in enumerate(match_l)]
 
 
 def _hall_violator(adj, match_l, n_right) -> list[int]:

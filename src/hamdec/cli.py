@@ -14,7 +14,7 @@ import sys
 
 from . import pipeline
 from .core import ClusterPartition, Multigraph, canonical_json
-from .errors import HamdecError
+from .errors import HamdecError, MalformedInput
 from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
                        MODE_BIPARTITE, MODE_TWO_CLIQUES, generate_instance,
                        trim_instance, verify_certificate)
@@ -97,7 +97,12 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     cfg, host, partition, systems = _load_instance(args.instance)
     with open(args.certificate) as fh:
-        cert = DecompositionCertificate.from_json_obj(json.load(fh))
+        try:
+            cert = DecompositionCertificate.from_json_obj(json.load(fh))
+        except (MalformedInput, json.JSONDecodeError) as exc:
+            print(canonical_json({"all_ok": False, "malformed": str(exc)}))
+            print(f"certificate unreadable: {exc}", file=sys.stderr)
+            return 1
     report = verify_certificate(host, partition, systems, cert)
     print(canonical_json(report["global"]))
     if not report["global"]["all_ok"]:

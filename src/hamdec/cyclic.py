@@ -20,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .classic import (bipartite_hamilton_decompose, perfect_matching,
+from .classic import (bipartite_hamilton_decompose, pair_matrix,
                       regular_bipartite_to_matchings,
-                      regular_spanning_subgraph, walecki_decompose)
+                      regular_spanning_subgraph, take_matching,
+                      walecki_decompose)
 from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, derive_seed, winds_around)
 from .errors import (InvalidParameter, MalformedInput,
@@ -117,20 +118,18 @@ def check_superregular(graph: Multigraph, left, right, eps: float, d: float,
     """
     left = list(left)
     right = list(right)
-    m = len(left)
-    if m != len(right) or m == 0:
+    if len(left) != len(right) or not left:
         raise InvalidParameter("classes must be nonempty and of equal size")
-    rng = rng or random.Random(0)
+    return _superregular_report(pair_matrix(graph, left, right), eps, d,
+                                d_star, c, mode, trials,
+                                rng or random.Random(0))
 
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    mat = np.zeros((m, m), dtype=np.int64)
-    for (u, v, k) in graph.edges():
-        if u in lpos and v in rpos:
-            mat[lpos[u], rpos[v]] += k
-        elif v in lpos and u in rpos:
-            mat[lpos[v], rpos[u]] += k
 
+def _superregular_report(mat: np.ndarray, eps: float, d: float,
+                         d_star: float, c: float, mode: str, trials: int,
+                         rng: random.Random) -> SuperregularityReport:
+    """check_superregular on the pair's m x m multiplicity matrix."""
+    m = len(mat)
     deg_l = mat.sum(axis=1)
     deg_r = mat.sum(axis=0)
     max_deg = int(max(deg_l.max(), deg_r.max()))
@@ -176,12 +175,18 @@ def check_superregular(graph: Multigraph, left, right, eps: float, d: float,
     else:
         reg1_mode = "sampled"
         pairs_tested = trials
-        for _ in range(trials):
+        # one indicator row per sampled set; e(A, B) = 1_A^T mat 1_B
+        ind_a = np.zeros((trials, m), dtype=np.int64)
+        ind_b = np.zeros((trials, m), dtype=np.int64)
+        sizes = []
+        for t in range(trials):
             size_a = rng.randint(thresh, m)
             size_b = rng.randint(thresh, m)
-            a_idx = rng.sample(range(m), size_a)
-            b_idx = rng.sample(range(m), size_b)
-            e_ab = int(mat[np.ix_(a_idx, b_idx)].sum())
+            ind_a[t, rng.sample(range(m), size_a)] = 1
+            ind_b[t, rng.sample(range(m), size_b)] = 1
+            sizes.append((size_a, size_b))
+        e_abs = ((ind_a @ mat) * ind_b).sum(axis=1).tolist()
+        for (size_a, size_b), e_ab in zip(sizes, e_abs):
             dens = e_ab / (size_a * size_b)
             if d > 0:
                 ratio = dens / d
@@ -361,18 +366,19 @@ def reserve_regular(graph: Multigraph, left, right, degree: int,
     mean_codeg = degree * degree / m
     codeg_cap = max((1.5 * d) ** 2 * m,
                     mean_codeg + 5 * math.sqrt(mean_codeg) + 3)
+    mat = pair_matrix(graph, left, right)
     failures: dict[str, int] = {}
     for attempt in range(retries):
         rng = random.Random(derive_seed(rng_seed, "reserve_regular", attempt))
-        h = _random_regular_subgraph(graph, left, right, degree, rng)
-        if h is None:
+        res = mat.copy()
+        chosen = _random_regular_subgraph(res, degree, rng)
+        if chosen is None:
             raise SamplingFailed(
                 f"cannot extract {degree} edge-disjoint perfect matchings",
                 failures={"matching": attempt + 1})
-        report = check_superregular(
-            h, left, right, eps, d, d / 2, 1.5 * d, mode="sampled",
-            trials=reg1_trials,
-            rng=random.Random(derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
+        report = _superregular_report(
+            mat - res, eps, d, d / 2, 1.5 * d, "sampled", reg1_trials,
+            random.Random(derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
         if not (report.reg3_ok and report.reg4_ok):
             failures["degree"] = failures.get("degree", 0) + 1
             continue
@@ -382,29 +388,30 @@ def reserve_regular(graph: Multigraph, left, right, degree: int,
         if not report.reg1_ok:
             failures["Reg1"] = failures.get("Reg1", 0) + 1
             continue
+        h = Multigraph(graph.n, [(left[i], right[j]) for (i, j) in chosen])
         return h, graph - h, report
     raise SamplingFailed(
         f"no valid regular reservoir after {retries} attempts",
         failures=failures)
 
 
-def _random_regular_subgraph(graph: Multigraph, left, right, degree: int,
-                             rng: random.Random) -> Multigraph | None:
-    """Union of ``degree`` random perfect matchings from the pair, or None."""
-    residual = graph
+def _random_regular_subgraph(res: np.ndarray, degree: int,
+                             rng: random.Random
+                             ) -> list[tuple[int, int]] | None:
+    """``degree`` random perfect matchings taken out of the residual
+    matrix ``res`` in place, as (row, column) pairs, or None."""
+    perm_l = list(range(len(res)))
+    perm_r = list(range(len(res)))
     chosen: list[tuple[int, int]] = []
-    perm_l = list(left)
-    perm_r = list(right)
     for _ in range(degree):
         rng.shuffle(perm_l)
         rng.shuffle(perm_r)
         try:
-            pm = perfect_matching(residual, perm_l, perm_r)
+            match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
             return None
-        chosen.extend(pm)
-        residual = residual - Multigraph(graph.n, pm)
-    return Multigraph(graph.n, chosen)
+        chosen.extend(zip(perm_l, [perm_r[q] for q in match]))
+    return chosen
 
 
 # -- decomposition into cyclic systems ----------------------------------------
@@ -516,11 +523,12 @@ def _equal_split(items: list, parts: int, offset: int) -> list[list]:
     return out
 
 
-def _extract_regular_parts(pair_graph: Multigraph, left, right, parts: int,
+def _extract_regular_parts(n: int, res: np.ndarray, left, right, parts: int,
                            degree: int, rng: random.Random
                            ) -> list[Multigraph]:
     """``parts`` edge-disjoint exactly ``degree``-regular spanning
-    subgraphs of a near-regular bipartite pair.
+    subgraphs of a near-regular bipartite pair, taken out of its
+    multiplicity matrix ``res`` in place.
 
     Random perfect-matching extraction keeps the remainder unstructured
     (a deterministic flow pattern leaves a remainder on which later Hall
@@ -528,35 +536,30 @@ def _extract_regular_parts(pair_graph: Multigraph, left, right, parts: int,
     back to flow extraction plus an exact 1-factorization.
     """
     total = parts * degree
-    pms: list[Multigraph] = []
-    residual = pair_graph
-    left = list(left)
-    right = list(right)
-    starved = False
+    pair = res.copy()
+    pms: list[list[tuple[int, int]]] = []
     for _ in range(total):
-        perm_l = list(left)
-        perm_r = list(right)
+        perm_l = list(range(len(left)))
+        perm_r = list(range(len(right)))
         rng.shuffle(perm_l)
         rng.shuffle(perm_r)
         try:
-            pm_edges = perfect_matching(residual, perm_l, perm_r)
+            match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
-            starved = True
+            pair_graph = Multigraph(n, [
+                (left[i], right[j], int(pair[i, j]))
+                for i, j in zip(*np.nonzero(pair))])
+            sub = regular_spanning_subgraph(pair_graph, left, right, 0.0,
+                                            0.0, degree=total)
+            res[:] = pair - pair_matrix(sub, left, right)
+            pms = [[(u, v, k) for (u, v), k in pm._mult.items()]
+                   for pm in regular_bipartite_to_matchings(sub, left, right)]
             break
-        pm = Multigraph(pair_graph.n, pm_edges)
-        pms.append(pm)
-        residual = residual - pm
-    if starved:
-        sub = regular_spanning_subgraph(pair_graph, left, right, 0.0, 0.0,
-                                        degree=total)
-        pms = regular_bipartite_to_matchings(sub, left, right)
-    out = []
-    for p in range(parts):
-        part = Multigraph(pair_graph.n)
-        for pm in pms[p * degree:(p + 1) * degree]:
-            part = part + pm
-        out.append(part)
-    return out
+        pms.append([(left[perm_l[p]], right[perm_r[q]])
+                    for p, q in enumerate(match)])
+    return [Multigraph(n, [e for pm in pms[p * degree:(p + 1) * degree]
+                           for e in pm])
+            for p in range(parts)]
 
 
 def sysdecom(g: Multigraph, partition: ClusterPartition,
@@ -612,9 +615,9 @@ def sysdecom(g: Multigraph, partition: ClusterPartition,
         # reserves per unordered cluster pair of this side
         pairs = [(i, ip, q.cluster(i), q.cluster(ip))
                  for i in range(K) for ip in range(i + 1, K)]
-        slices = _cyclic_slices(g, g.restrict(q.vertices()), side, q, cycles,
-                                pairs, cell_split, reductions, matching,
-                                cell_pos, r_h, mu, K, seed)
+        slices = _cyclic_slices(g, side, q, cycles, pairs, cell_split,
+                                reductions, matching, cell_pos, r_h, mu,
+                                K, seed)
         for slc in slices:
             per_cluster = Counter(slot.cluster_index for slot in slc.slots)
             for ci, cnt in per_cluster.items():
@@ -643,9 +646,9 @@ def _split_cells(systems: list, n_slices: int, offset: Callable
             for pos, (cell, idxs) in enumerate(sorted(cells.items()))}
 
 
-def _cyclic_slices(g: Multigraph, core_graph: Multigraph, side: str,
-                   q: ClusterPartition, cycles: list[ClusterCycle],
-                   pairs: list[tuple], cell_split: dict[tuple, list[list[int]]],
+def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
+                   cycles: list[ClusterCycle], pairs: list[tuple],
+                   cell_split: dict[tuple, list[list[int]]],
                    reductions: list[FictiveReduction], matching: str,
                    cell_pos: int, r_h: int, mu: float, K: int, seed: int
                    ) -> list[SliceSide]:
@@ -653,37 +656,36 @@ def _cyclic_slices(g: Multigraph, core_graph: Multigraph, side: str,
 
     Every cluster pair (i, i', X, Y) in ``pairs`` gives up an exactly
     (len(cycles) * r_h)-regular subgraph of G[X, Y], split into one
-    r_h-regular reserve per slice.  What ``core_graph`` keeps after all
-    reserves are removed is oriented along each cluster cycle (the
-    oriented blow-up).  Slice j gets one slot per system of part j of
-    each cell, carrying the reduction's ``matching`` attribute and
+    r_h-regular reserve per slice.  What each pair keeps after its
+    reserves are removed is oriented along the cluster cycle through it
+    (the oriented blow-up).  Slice j gets one slot per system of part j
+    of each cell, carrying the reduction's ``matching`` attribute and
     localized at cluster ``cell[cell_pos]``.
     """
     n_slices = len(cycles)
     h_per_slice = [Multigraph(g.n) for _ in range(n_slices)]
+    # (tail cluster, head cluster) -> (tails, heads, residual tails x heads)
+    residuals = {}
     for (i, ip, left, right) in pairs:
-        pair_graph = g.bipartite_restrict(left, right)
+        res = pair_matrix(g, left, right)
         rng = random.Random(derive_seed(seed, "reserve", side, i, ip))
-        parts = _extract_regular_parts(pair_graph, list(left), list(right),
+        parts = _extract_regular_parts(g.n, res, list(left), list(right),
                                        n_slices, r_h, rng)
         for j, part in enumerate(parts):
             h_per_slice[j] = h_per_slice[j] + part
-    h_total = Multigraph(g.n)
-    for hj in h_per_slice:
-        h_total = h_total + hj
-    g_rest = core_graph - h_total
+        ci, cj = q.cluster_index(left[0]), q.cluster_index(right[0])
+        residuals[ci, cj] = (left, right, res)
+        residuals[cj, ci] = (right, left, res.T)
 
     slices = []
     for j, cyc in enumerate(cycles):
         arcs = []
         for (ci, cj) in cyc.edges():
-            tails = set(q.cluster(ci))
-            heads = set(q.cluster(cj))
-            for (u, v, _k) in g_rest.bipartite_restrict(tails, heads).edges():
-                if u in tails:
-                    arcs.append((u, v))
-                else:
-                    arcs.append((v, u))
+            tails, heads, res = residuals[ci, cj]
+            ii, jj = np.nonzero(res)
+            # in the order of the undirected edges
+            arcs.extend(sorted(((tails[a], heads[b]) for a, b in
+                                zip(ii.tolist(), jj.tolist())), key=sorted))
         slots = []
         for cell, parts in sorted(cell_split.items()):
             for es_idx in parts[j]:
@@ -756,7 +758,6 @@ def sysdecombip(g: Multigraph, partition: ClusterPartition,
     pairs = [(i, ip, partition.a_cluster(i), partition.b_cluster(ip))
              for i in range(K) for ip in range(K)]
     slices = _cyclic_slices(
-        g, g.bipartite_restrict(partition.A, partition.B), "AB",
-        partition.ab_equipartition(), bipartite_hamilton_decompose(K), pairs,
-        cell_split, reductions, "jstar_dir", 0, r_h, mu, K, seed)
+        g, "AB", partition.ab_equipartition(), bipartite_hamilton_decompose(K),
+        pairs, cell_split, reductions, "jstar_dir", 0, r_h, mu, K, seed)
     return slices, quotas

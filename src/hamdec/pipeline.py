@@ -428,6 +428,14 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionCertificate":
+        """Raises MalformedInput on a missing key or non-list slots."""
+        if not isinstance(obj, dict):
+            raise MalformedInput("a certificate must be a JSON object")
+        for key in ("mode", "params", "slots", "global"):
+            if key not in obj:
+                raise MalformedInput(f"certificate lacks the key {key!r}")
+        if not isinstance(obj["slots"], list):
+            raise MalformedInput("certificate slots must be a list")
         return cls(mode=obj["mode"], params=obj["params"],
                    slots=obj["slots"], global_report=obj["global"])
 
@@ -544,8 +552,8 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
             cj = slc.cycle.successor(ci)
             tails, heads = list(slc.q.cluster(ci)), list(slc.q.cluster(cj))
             tail_set, head_set = set(tails), set(heads)
-            und = Multigraph(n, [(u, v) for (u, v) in slc.g_dir._arcs
-                                 if u in tail_set and v in head_set])
+            und = Multigraph(n, [(u, v) for u in tails for v in
+                                 slc.g_dir.out_neighbors(u) & head_set])
             h_res, _rest, _rep = reserve_regular(
                 und, tails, heads, r_res, 0.5,
                 rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,

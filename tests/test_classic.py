@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamdec.classic import (bipartite_hamilton_decompose, perfect_matching,
+from hamdec.classic import (bipartite_hamilton_decompose, hopcroft_karp,
+                            pair_matrix, perfect_matching,
                             regular_bipartite_to_matchings,
-                            regular_spanning_subgraph, walecki_decompose)
+                            regular_spanning_subgraph, take_matching,
+                            walecki_decompose)
 from hamdec.core import Multigraph
 from hamdec.errors import (DegreeHypothesisViolated, InvalidParameter,
                            MatchingInfeasible)
@@ -166,6 +169,51 @@ class TestFactorization:
 
 
 class TestPerfectMatching:
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from([0, 0, 1, 1, 1, 2]), min_size=m * m,
+                 max_size=m * m),
+        st.permutations(range(m)), st.permutations(range(m)))))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_matching_equals_perfect_matching(self, drawn):
+        mults, rows, cols = drawn
+        m = len(rows)
+        left, right = list(range(m)), list(range(m, 2 * m))
+        g = Multigraph(2 * m, [(left[t // m], right[t % m], k)
+                               for t, k in enumerate(mults) if k])
+        res = pair_matrix(g, left, right)
+        before = res.copy()
+        assert before.tolist() == [mults[i * m:(i + 1) * m]
+                                   for i in range(m)]
+        perm_l = [left[i] for i in rows]
+        perm_r = [right[j] for j in cols]
+        # Hopcroft-Karp on adjacency read off the sorted edge list
+        lpos = {v: p for p, v in enumerate(perm_l)}
+        rpos = {v: q for q, v in enumerate(perm_r)}
+        adj = [[] for _ in range(m)]
+        for (u, v, _k) in g.edges():
+            adj[lpos[u]].append(rpos[v])
+        reference = hopcroft_karp([sorted(row) for row in adj], m)
+        try:
+            expected = perfect_matching(g, perm_l, perm_r)
+        except MatchingInfeasible as exc:
+            assert -1 in reference
+            with pytest.raises(MatchingInfeasible) as mat_exc:
+                take_matching(res, rows, cols)
+            assert exc.witness == {
+                "S": [left[i] for i in mat_exc.value.witness["S"]],
+                "N(S)": [right[j] for j in mat_exc.value.witness["N(S)"]]}
+            assert len(exc.witness["N(S)"]) < len(exc.witness["S"])
+            assert (res == before).all()
+            return
+        match = take_matching(res, rows, cols)
+        assert match == reference
+        assert [(perm_l[p], perm_r[q])
+                for p, q in enumerate(match)] == expected
+        taken = np.zeros_like(before)
+        for p, q in enumerate(match):
+            taken[rows[p], cols[q]] = 1
+        assert (res == before - taken).all()
+
     def test_hall_witness(self):
         # 3 left vertices all pointing to one right vertex
         g = Multigraph(6, [(0, 3), (1, 3), (2, 3)])

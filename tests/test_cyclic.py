@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hamdec.classic import pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
 from hamdec.cyclic import (_extract_regular_parts, check_robust_outexpander,
                            check_superregular, reserve_regular, reserve_sparse,
@@ -144,6 +145,19 @@ class TestReserveSparse:
         assert rep.reg3_ok and rep.reg4_ok
         assert h + g2 == g
 
+    def test_reserve_regular_keeps_the_rest(self):
+        # a doubled pair edge and an edge inside one class stay in the rest
+        m = 40
+        pair, left, right = complete_pair(m, thin=4, seed=5)
+        g = pair + Multigraph(2 * m, [(0, 1), (left[0], right[0])])
+        assert g.multiplicity(left[0], right[0]) == 2
+        h, rest, rep = reserve_regular(g, left, right, degree=10, eps=0.5,
+                                       rng_seed=6)
+        assert all(h.degree(v) == 10 for v in left + right)
+        assert h.is_submultigraph_of(g)
+        assert rest.multiplicity(0, 1) == 1
+        assert h + rest == g
+
 
 class TestReserveDegrees:
     def test_formula_values(self):
@@ -173,13 +187,31 @@ class TestExtractRegularParts:
         g = Multigraph(12, [(0, 7), (0, 8), (0, 10), (1, 6), (1, 9),
                             (2, 7), (2, 9), (3, 10), (3, 11), (4, 8),
                             (4, 11), (5, 6), (5, 7), (5, 11)])
-        parts = _extract_regular_parts(g, left, right, 2, 1,
-                                       random.Random(2))
+        parts = _extract_regular_parts(12, pair_matrix(g, left, right),
+                                       left, right, 2, 1, random.Random(2))
         assert len(parts) == 2
         for part in parts:
             assert all(part.degree(v) == 1 for v in left + right)
         assert (parts[0] + parts[1]).is_simple()
         assert (parts[0] + parts[1]).is_submultigraph_of(g)
+
+    def test_multiplicity_two_edge(self):
+        # left 0 reaches right 4 only, by a doubled edge, so both
+        # 1-regular parts use it; the rest is K_{3,3}
+        left, right = list(range(4)), list(range(4, 8))
+        g = Multigraph(8, [(0, 4, 2)] + [(u, v) for u in (1, 2, 3)
+                                        for v in (5, 6, 7)])
+        res = pair_matrix(g, left, right)
+        parts = _extract_regular_parts(8, res, left, right, 2, 1,
+                                       random.Random(0))
+        assert len(parts) == 2
+        for part in parts:
+            assert all(part.degree(v) == 1 for v in left + right)
+        total = parts[0] + parts[1]
+        assert total.multiplicity(0, 4) == 2
+        assert total.is_submultigraph_of(g)
+        assert (res == pair_matrix(g, left, right)
+                - pair_matrix(total, left, right)).all()
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,8 @@ import pytest
 from hamdec import pipeline
 from hamdec.cli import main as cli_main
 from hamdec.core import Multigraph, canonical_json
-from hamdec.errors import InvalidParameter, MatchingInfeasible, PipelineError
+from hamdec.errors import (InvalidParameter, MalformedInput,
+                           MatchingInfeasible, PipelineError)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
@@ -280,6 +281,45 @@ class TestVerifierTampering:
         assert report["slots"][0]["hamiltonian"]
         assert "bi_hamiltonian" not in report["slots"][0]
         assert not report["slots"][0]["ok"]
+
+
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+# certificate objects that are no certificate; each gets a failed verdict
+MALFORMED_OBJECTS = {
+    "schema-only": lambda obj: {"schema": 1},
+    "no-mode": _without("mode"),
+    "no-params": _without("params"),
+    "no-slots": _without("slots"),
+    "no-global": _without("global"),
+    "slots-not-a-list": lambda obj: {**obj, "slots": "x"},
+    "not-an-object": lambda obj: [obj],
+}
+
+
+class TestMalformedCertificate:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_OBJECTS))
+    def test_verify_exits_1(self, name, seed4_files, tmp_path, capsys):
+        inst, obj, _ = seed4_files
+        bad_obj = MALFORMED_OBJECTS[name](copy.deepcopy(obj))
+        with pytest.raises(MalformedInput) as exc:
+            DecompositionCertificate.from_json_obj(bad_obj)
+        if name.startswith("no-"):
+            assert repr(name[3:]) in str(exc.value)
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(bad_obj))
+        assert cli_main(["verify", str(inst), str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out.strip().splitlines()[-1])["all_ok"] is False
+
+    def test_unparsable_file_exits_1(self, seed4_files, tmp_path, capsys):
+        inst, _obj, _ = seed4_files
+        bad = tmp_path / "cert.json"
+        bad.write_text('{"schema": 1, "slots": [')
+        assert cli_main(["verify", str(inst), str(bad)]) == 1
+        assert json.loads(capsys.readouterr().out)["all_ok"] is False
 
 
 class TestCertificates:
