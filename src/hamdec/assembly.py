@@ -12,8 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classic import (hopcroft_karp, regular_bipartite_to_matchings,
-                      regular_spanning_subgraph)
+import numpy as np
+
+from .classic import (regular_bipartite_to_matchings,
+                      regular_spanning_subgraph, take_matching)
 from .core import (Digraph, Multigraph, OrderedDirectedMatching,
                    cycle_vertex_order, derive_seed, is_consistent_with,
                    verify_hamilton_cycle, visits_in_order)
@@ -40,8 +42,7 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
     """
     q_count = len(ps_list)
     qp = system.q
-    k, m = len(qp.clusters), qp.m
-    n = system.g_dir.n
+    n = system.n
     out_plus: list[dict[int, set[int]]] = []
     in_minus: list[dict[int, set[int]]] = []
     for ps in ps_list:
@@ -54,40 +55,43 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
         in_minus.append(minus)
 
     add_arcs: list[list[tuple[int, int]]] = [[] for _ in range(q_count)]
-    for pos in range(k):
-        ci = system.cycle.order[pos]
-        cj = system.cycle.order[(pos + 1) % k]
-        tails = list(qp.cluster(ci))
-        heads = list(qp.cluster(cj))
-        tail_set, head_set = set(tails), set(heads)
-        pair_arcs = {(u, v) for (u, v) in system.g_dir._arcs
-                     if u in tail_set and v in head_set}
-        used: set[tuple[int, int]] = set()
+    for (ci, cj), (tails, heads, mat) in zip(system.cycle.edges(),
+                                             system.pairs):
+        avail = mat.copy()
         restricted = [s for s in range(q_count)
                       if out_plus[s].get(ci) or in_minus[s].get(cj)]
         bulk = [s for s in range(q_count) if s not in set(restricted)]
         for s in restricted:
-            t_free = [u for u in tails if u not in out_plus[s].get(ci, ())]
-            h_free = [v for v in heads if v not in in_minus[s].get(cj, ())]
+            busy_t, busy_h = out_plus[s].get(ci, ()), in_minus[s].get(cj, ())
+            t_free = [a for a, u in enumerate(tails) if u not in busy_t]
+            h_free = [b for b, v in enumerate(heads) if v not in busy_h]
             if len(t_free) != len(h_free):
                 raise MalformedInput(
                     f"slot {s} not locally balanced at pair ({ci},{cj}): "
                     f"{len(t_free)} free tails vs {len(h_free)} free heads")
-            match = _pair_matching(pair_arcs - used, t_free, h_free, ci, cj, s)
-            used.update(match)
-            add_arcs[s].extend(match)
-        if bulk:
-            avail = Multigraph(n, [(u, v) for (u, v) in pair_arcs
-                                   if (u, v) not in used])
             try:
-                sub = regular_spanning_subgraph(avail, tails, heads, 0.0, 0.0,
-                                                degree=len(bulk))
+                match = take_matching(avail, t_free, h_free)
+            except MatchingInfeasible as e:
+                raise MatchingInfeasible(
+                    f"slot {s}: no perfect matching at pair ({ci},{cj})",
+                    witness={"unmatched_tails": [
+                        tails[a] for a in e.witness["unmatched"]]}) from None
+            add_arcs[s].extend((tails[a], heads[h_free[p]])
+                               for a, p in zip(t_free, match))
+        if bulk:
+            ii, jj = np.nonzero(avail)
+            avail_graph = Multigraph(n, [(tails[a], heads[b]) for a, b in
+                                         zip(ii.tolist(), jj.tolist())])
+            try:
+                sub = regular_spanning_subgraph(avail_graph, tails, heads,
+                                                0.0, 0.0, degree=len(bulk))
             except DegreeHypothesisViolated as e:
                 raise MatchingInfeasible(
                     f"cannot extract {len(bulk)} edge-disjoint perfect "
                     f"matchings at pair ({ci},{cj})", witness=e.witness
                 ) from e
             pms = regular_bipartite_to_matchings(sub, tails, heads)
+            tail_set = set(tails)
             for s, pm in zip(bulk, pms):
                 arcs = [(u, v) if u in tail_set else (v, u)
                         for (u, v) in pm.support()]
@@ -104,25 +108,6 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
                     f"({f.in_degree(v)},{f.out_degree(v)}) in the 1-factor")
         factors.append(f)
     return factors
-
-
-def _pair_matching(avail_arcs: set[tuple[int, int]], tails, heads,
-                   ci, cj, slot) -> list[tuple[int, int]]:
-    tpos = {v: i for i, v in enumerate(tails)}
-    hpos = {v: i for i, v in enumerate(heads)}
-    adj: list[list[int]] = [[] for _ in tails]
-    for (u, v) in avail_arcs:
-        if u in tpos and v in hpos:
-            adj[tpos[u]].append(hpos[v])
-    for row in adj:
-        row.sort()
-    match = hopcroft_karp(adj, len(heads))
-    if any(x == -1 for x in match):
-        deficient = [tails[i] for i, x in enumerate(match) if x == -1]
-        raise MatchingInfeasible(
-            f"slot {slot}: no perfect matching at pair ({ci},{cj})",
-            witness={"unmatched_tails": deficient})
-    return [(tails[i], heads[match[i]]) for i in range(len(tails))]
 
 
 # -- ordered Hamilton cycle search -------------------------------------------
@@ -416,7 +401,8 @@ class SliceAssembly:
 
 
 def assemble_slice(system: CyclicSystem, be: BalancedExtension,
-                   reservoir: Digraph, seed: int = 0) -> SliceAssembly:
+                   reservoir: set[tuple[int, int]], seed: int = 0
+                   ) -> SliceAssembly:
     """Produce one consistent Hamilton cycle per balanced-extension slot.
 
     Maintains the depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'})
@@ -430,7 +416,7 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     qp = system.q
     k = len(qp.clusters)
     factors = extend_to_one_factors(system, be.path_sequences)
-    unused = set(reservoir._arcs)
+    unused = set(reservoir)
     out_cycles: list[Digraph] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
@@ -478,7 +464,7 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     if len(flat) != len(set(flat)):
         raise AssemblyVerificationFailed("reservoir arc charged twice")
     for a in flat:
-        if a not in reservoir._arcs:
+        if a not in reservoir:
             raise AssemblyVerificationFailed(
                 f"replacement arc {a} not in the reservoir")
     return SliceAssembly(cycles=out_cycles, reservoir_usage=usage)

@@ -189,10 +189,14 @@ def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
         dist[u] = INF
         return False
 
-    while bfs():
+    # first phase without bfs(): every left vertex is free, so every
+    # layer is 0 (as ``dist`` starts) and a path exists iff an arc does
+    found = any(adj)
+    while found:
         for u in range(n_left):
             if match_l[u] == -1:
                 dfs(u)
+        found = bfs()
     return match_l
 
 
@@ -216,9 +220,15 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     of the residual matrix ``res``, decremented in place; entry p is the
     position in ``cols`` matched to ``rows[p]``.  The orders of ``rows``
     and ``cols`` decide which matching Hopcroft-Karp finds.  Raises
-    MatchingInfeasible with a Hall violator given as indices of ``res``.
+    MatchingInfeasible with a Hall violator ``S`` and its neighbourhood
+    ``N(S)``, plus the rows a maximum matching leaves ``unmatched``, all
+    given as indices of ``res``.
     """
-    adj = [np.flatnonzero(row).tolist() for row in res[np.ix_(rows, cols)] > 0]
+    sub = res[np.ix_(rows, cols)] > 0
+    # row-major nonzero: each row's columns, ascending, one row after another
+    flat = np.nonzero(sub)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
+    adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
     match_l = hopcroft_karp(adj, len(cols))
     if -1 in match_l:
         violator = _hall_violator(adj, match_l, len(cols))
@@ -226,7 +236,9 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
             f"no perfect matching between classes of size {len(rows)}",
             witness={"S": [rows[p] for p in violator],
                      "N(S)": sorted({cols[q] for p in violator
-                                     for q in adj[p]})})
+                                     for q in adj[p]}),
+                     "unmatched": [rows[p] for p, q in enumerate(match_l)
+                                   if q == -1]})
     res[np.asarray(rows, dtype=np.intp),
         np.asarray(cols, dtype=np.intp)[match_l]] -= 1
     return match_l

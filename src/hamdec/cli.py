@@ -20,15 +20,33 @@ from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
                        trim_instance, verify_certificate)
 
 
+INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
+
+
 def _load_instance(path: str):
+    """(config, host, partition, systems) of an instance file; raises
+    MalformedInput when the file is not JSON, not an object, lacks one of
+    INSTANCE_KEYS or holds a part that cannot be read."""
     with open(path) as fh:
-        obj = json.load(fh)
-    cfg = InstanceConfig.from_json_obj(obj["config"])
-    host = Multigraph.from_json_obj(obj["graph"])
-    partition = ClusterPartition.from_json_obj(obj["partition"])
-    ctor = MODES[cfg.mode].system_class
-    systems = [ctor.from_json_obj(o, partition)
-               for o in obj["exceptional_systems"]]
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise MalformedInput(f"instance file is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise MalformedInput("an instance must be a JSON object")
+    for key in INSTANCE_KEYS:
+        if key not in obj:
+            raise MalformedInput(f"instance lacks the key {key!r}")
+    try:
+        cfg = InstanceConfig.from_json_obj(obj["config"])
+        host = Multigraph.from_json_obj(obj["graph"])
+        partition = ClusterPartition.from_json_obj(obj["partition"])
+        ctor = MODES[cfg.mode].system_class
+        systems = [ctor.from_json_obj(o, partition)
+                   for o in obj["exceptional_systems"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(
+            f"instance unreadable: {type(exc).__name__}: {exc}") from None
     return cfg, host, partition, systems
 
 
@@ -95,14 +113,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, host, partition, systems = _load_instance(args.instance)
-    with open(args.certificate) as fh:
-        try:
+    try:
+        cfg, host, partition, systems = _load_instance(args.instance)
+        with open(args.certificate) as fh:
             cert = DecompositionCertificate.from_json_obj(json.load(fh))
-        except (MalformedInput, json.JSONDecodeError) as exc:
-            print(canonical_json({"all_ok": False, "malformed": str(exc)}))
-            print(f"certificate unreadable: {exc}", file=sys.stderr)
-            return 1
+    except (MalformedInput, json.JSONDecodeError) as exc:
+        print(canonical_json({"all_ok": False, "malformed": str(exc)}))
+        print(f"input unreadable: {exc}", file=sys.stderr)
+        return 1
     report = verify_certificate(host, partition, systems, cert)
     print(canonical_json(report["global"]))
     if not report["global"]["all_ok"]:

@@ -36,29 +36,73 @@ from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
 @dataclass
 class CyclicSystem:
     """A digraph winding around a directed cluster cycle with near-uniform
-    degrees into consecutive clusters."""
+    degrees into consecutive clusters.
 
-    g_dir: Digraph
+    The arcs are held per cycle edge: ``pairs[p]`` is (tails, heads,
+    matrix) for the p-th edge (ci, cj) of ``cycle.edges()``, with tails
+    and heads the clusters ci and cj and matrix the int64 0/1 arc matrix
+    tails x heads.
+    """
+
+    n: int
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]
     q: ClusterPartition  # plain equipartition
     cycle: ClusterCycle
     mu: float
     eps: float
+
+    @classmethod
+    def from_digraph(cls, g_dir: Digraph, q: ClusterPartition,
+                     cycle: ClusterCycle, mu: float, eps: float
+                     ) -> "CyclicSystem":
+        """The system of ``g_dir``; raises MalformedInput on an arc that
+        does not wind around the cycle."""
+        if not winds_around(g_dir, q, cycle):
+            raise MalformedInput("an arc does not wind around the cluster "
+                                 "cycle")
+        pairs = []
+        for (ci, cj) in cycle.edges():
+            tails, heads = q.cluster(ci), q.cluster(cj)
+            hpos = {v: b for b, v in enumerate(heads)}
+            mat = np.zeros((len(tails), len(heads)), dtype=np.int64)
+            for a, u in enumerate(tails):
+                for v in g_dir.out_neighbors(u):
+                    mat[a, hpos[v]] = 1
+            pairs.append((tails, heads, mat))
+        return cls(g_dir.n, pairs, q, cycle, mu, eps)
+
+    @property
+    def g_dir(self) -> Digraph:
+        """The system as one Digraph, built on every read."""
+        arcs = []
+        for (tails, heads, mat) in self.pairs:
+            ii, jj = np.nonzero(mat)
+            # in the order of the undirected edges
+            arcs.extend(sorted(((tails[a], heads[b]) for a, b in
+                                zip(ii.tolist(), jj.tolist())), key=sorted))
+        return Digraph(self.n, arcs)
 
     def validate(self) -> None:
         self.cycle.validate_spans(self.q)
         m = self.q.m
         lo = (1 - self.mu - self.eps) * m
         hi = (1 - self.mu + self.eps) * m
-        if not winds_around(self.g_dir, self.q, self.cycle):
-            raise MalformedInput("an arc does not wind around the cluster "
-                                 "cycle")
-        for (ci, cj) in self.cycle.edges():
-            checks = ((self.g_dir.out_degree, ci, cj, "out-degree", "into"),
-                      (self.g_dir.in_degree, cj, ci, "in-degree", "from"))
-            for (degree, own, other, what, prep) in checks:
-                other_set = set(self.q.cluster(other))
-                for v in self.q.cluster(own):
-                    d = degree(v, other_set)
+        edges = self.cycle.edges()
+        if len(self.pairs) != len(edges):
+            raise MalformedInput(f"{len(self.pairs)} arc matrices for "
+                                 f"{len(edges)} cycle edges")
+        for (ci, cj), (tails, heads, mat) in zip(edges, self.pairs):
+            if (tuple(tails) != self.q.cluster(ci)
+                    or tuple(heads) != self.q.cluster(cj)
+                    or mat.shape != (len(tails), len(heads))
+                    or not np.isin(mat, (0, 1)).all()):
+                raise MalformedInput(f"the arc matrix of cycle edge "
+                                     f"({ci},{cj}) is not a 0/1 matrix "
+                                     f"from cluster {ci} to cluster {cj}")
+            checks = ((mat.sum(axis=1), tails, cj, "out-degree", "into"),
+                      (mat.sum(axis=0), heads, ci, "in-degree", "from"))
+            for (degs, own, other, what, prep) in checks:
+                for v, d in zip(own, degs.tolist()):
                     if not (lo <= d <= hi):
                         raise MalformedInput(
                             f"{what} {d} of {v} {prep} cluster {other} "
@@ -343,30 +387,31 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
         f"check the parameterization)", failures=failures)
 
 
-def reserve_regular(graph: Multigraph, left, right, degree: int,
-                    eps: float, rng_seed: int, retries: int = 8,
-                    reg1_trials: int = 200
-                    ) -> tuple[Multigraph, Multigraph, SuperregularityReport]:
+def reserve_regular(mat: np.ndarray, degree: int, eps: float,
+                    rng_seed: int, retries: int = 8, reg1_trials: int = 200
+                    ) -> tuple[list[tuple[int, int]], SuperregularityReport]:
     """Exact-degree variant of the sparse reservoir used inside the
-    pipeline: H is the union of ``degree`` randomly extracted perfect
-    matchings, so the min/max degree conditions hold with certainty and
-    only the codegree and density checks are randomized.
+    pipeline, on a pair's m x m multiplicity matrix ``mat`` (rows one
+    class, columns the other): H is the union of ``degree`` randomly
+    extracted perfect matchings, so the min/max degree conditions hold
+    with certainty and only the codegree and density checks are
+    randomized.
 
-    The returned report carries the verdicts at the literal parameters
-    (eps, d, d/2, 3d/2) with d = degree/m.  The acceptance gate for the
-    codegree uses a scale-aware cap max(c^2 m, mean + 5 sd + 3): the
-    literal cap is a fixed multiple of the mean, which fluctuations at
-    small m overshoot with constant probability, while the wide cap
-    converges to the literal one as m grows.
+    Returns (chosen, report): ``chosen`` lists the (row, column) pairs of
+    H, one per unit of multiplicity, and on success they are taken out of
+    ``mat`` in place; on SamplingFailed ``mat`` is left untouched.  The
+    report carries the verdicts at the literal parameters (eps, d, d/2,
+    3d/2) with d = degree/m.  The acceptance gate for the codegree uses a
+    scale-aware cap max(c^2 m, mean + 5 sd + 3): the literal cap is a
+    fixed multiple of the mean, which fluctuations at small m overshoot
+    with constant probability, while the wide cap converges to the
+    literal one as m grows.
     """
-    left = list(left)
-    right = list(right)
-    m = len(left)
+    m = len(mat)
     d = degree / m
     mean_codeg = degree * degree / m
     codeg_cap = max((1.5 * d) ** 2 * m,
                     mean_codeg + 5 * math.sqrt(mean_codeg) + 3)
-    mat = pair_matrix(graph, left, right)
     failures: dict[str, int] = {}
     for attempt in range(retries):
         rng = random.Random(derive_seed(rng_seed, "reserve_regular", attempt))
@@ -388,8 +433,8 @@ def reserve_regular(graph: Multigraph, left, right, degree: int,
         if not report.reg1_ok:
             failures["Reg1"] = failures.get("Reg1", 0) + 1
             continue
-        h = Multigraph(graph.n, [(left[i], right[j]) for (i, j) in chosen])
-        return h, graph - h, report
+        mat[:] = res
+        return chosen, report
     raise SamplingFailed(
         f"no valid regular reservoir after {retries} attempts",
         failures=failures)
@@ -434,14 +479,17 @@ class SliceSide:
     j: int
     q: ClusterPartition
     cycle: ClusterCycle
-    g_dir: Digraph
+    n: int
+    # (tails, heads, 0/1 arc matrix) per edge of cycle.edges()
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]
     h_reserve: Multigraph
     slots: list[SlotInfo]
     mu: float
     eps: float
 
     def cyclic_system(self) -> CyclicSystem:
-        return CyclicSystem(self.g_dir, self.q, self.cycle, self.mu, self.eps)
+        return CyclicSystem(self.n, self.pairs, self.q, self.cycle, self.mu,
+                            self.eps)
 
 
 @dataclass
@@ -658,7 +706,8 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
     (len(cycles) * r_h)-regular subgraph of G[X, Y], split into one
     r_h-regular reserve per slice.  What each pair keeps after its
     reserves are removed is oriented along the cluster cycle through it
-    (the oriented blow-up).  Slice j gets one slot per system of part j
+    (the oriented blow-up) and kept as the slice's 0/1 arc matrix of that
+    cycle edge.  Slice j gets one slot per system of part j
     of each cell, carrying the reduction's ``matching`` attribute and
     localized at cluster ``cell[cell_pos]``.
     """
@@ -679,13 +728,11 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
 
     slices = []
     for j, cyc in enumerate(cycles):
-        arcs = []
+        arc_pairs = []
         for (ci, cj) in cyc.edges():
             tails, heads, res = residuals[ci, cj]
-            ii, jj = np.nonzero(res)
-            # in the order of the undirected edges
-            arcs.extend(sorted(((tails[a], heads[b]) for a, b in
-                                zip(ii.tolist(), jj.tolist())), key=sorted))
+            arc_pairs.append((tails, heads, np.ascontiguousarray(
+                res > 0, dtype=np.int64)))
         slots = []
         for cell, parts in sorted(cell_split.items()):
             for es_idx in parts[j]:
@@ -693,8 +740,8 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
                     es_index=es_idx,
                     matching=getattr(reductions[es_idx], matching),
                     cluster_index=cell[cell_pos]))
-        slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc,
-                                g_dir=Digraph(g.n, arcs),
+        slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc, n=g.n,
+                                pairs=arc_pairs,
                                 h_reserve=h_per_slice[j], slots=slots,
                                 mu=4 * mu, eps=5 / K))
     return slices

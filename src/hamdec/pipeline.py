@@ -496,7 +496,7 @@ def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
         group_slots.setdefault(slot.cluster_index, []).append(t)
     eps_be = quotas.reserve_degree_used / (2 * partition.m)
     be, order = balance_extend_cliques(
-        groups, slc.q, slc.cycle, slc.h_reserve, eps_be, slc.g_dir.n)
+        groups, slc.q, slc.cycle, slc.h_reserve, eps_be, slc.n)
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
 
@@ -531,7 +531,6 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     """Run balanced extension + reservoir split + assembly for one slice;
     returns {es_index: directed Hamilton cycle consistent with its
     fictive matching}."""
-    n = slc.g_dir.n
     m = slc.q.m
     q_count = len(slc.slots)
     if q_count == 0:
@@ -542,29 +541,22 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     # merge reservoir carved out of the cyclic system itself; if a Hall
     # matching or a merge search fails, re-roll the reservoir (the bad
     # event is a property of the random draw, not of the instance)
-    pair_min = _min_pair_degree(slc)
+    pair_min = min(int(mat.sum(axis=1).min()) for (_t, _h, mat) in slc.pairs)
     r_res = _reserve_degree_for(pair_min, gamma, m, q_count)
     last_error: HamdecError | None = None
     for attempt in range(SLICE_RETRIES):
-        res_arcs: set[tuple[int, int]] = set()
-        keep_arcs = set(slc.g_dir._arcs)
-        for ci in slc.cycle.order:
-            cj = slc.cycle.successor(ci)
-            tails, heads = list(slc.q.cluster(ci)), list(slc.q.cluster(cj))
-            tail_set, head_set = set(tails), set(heads)
-            und = Multigraph(n, [(u, v) for u in tails for v in
-                                 slc.g_dir.out_neighbors(u) & head_set])
-            h_res, _rest, _rep = reserve_regular(
-                und, tails, heads, r_res, 0.5,
+        reservoir: set[tuple[int, int]] = set()
+        kept = []
+        for (ci, _cj), (tails, heads, mat) in zip(slc.cycle.edges(),
+                                                  slc.pairs):
+            mat = mat.copy()
+            chosen, _rep = reserve_regular(
+                mat, r_res, 0.5,
                 rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,
                                           attempt))
-            for (u, v) in h_res.support():
-                a = (u, v) if u in tail_set else (v, u)
-                res_arcs.add(a)
-                keep_arcs.discard(a)
-        reservoir = Digraph(n, res_arcs)
-        g_prime = Digraph(n, keep_arcs)
-        system = CyclicSystem(g_prime, slc.q, slc.cycle, slc.mu, 1.0)
+            reservoir.update((tails[a], heads[b]) for (a, b) in chosen)
+            kept.append((tails, heads, mat))
+        system = CyclicSystem(slc.n, kept, slc.q, slc.cycle, slc.mu, 1.0)
         try:
             asm = assemble_slice(
                 system, be, reservoir,
@@ -579,17 +571,6 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
             out[slot.es_index] = cyc
         return out
     raise last_error
-
-
-def _min_pair_degree(slc: SliceSide) -> int:
-    worst = None
-    for ci in slc.cycle.order:
-        cj = slc.cycle.successor(ci)
-        heads = set(slc.q.cluster(cj))
-        for u in slc.q.cluster(ci):
-            d = slc.g_dir.out_degree(u, heads)
-            worst = d if worst is None else min(worst, d)
-    return worst or 0
 
 
 def _run_slice_tasks(tasks: list[tuple], jobs: int, seed: int) -> list[dict]:

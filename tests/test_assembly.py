@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from hamdec.assembly import (PairSpec, assemble_slice, extend_to_one_factors,
                              find_ordered_hamilton, merge_to_hamilton,
                              reorder_for_consistency)
-from hamdec.core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
+from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.cyclic import CyclicSystem, reserve_regular
@@ -13,8 +14,9 @@ from hamdec.errors import (HamiltonSearchExhausted, MalformedInput)
 from hamdec.extension import BalancedExtension
 
 
-def blowup_system(k, m, missing=0.0, seed=0):
-    """Complete winding blow-up of a k-cycle, optionally thinned."""
+def blowup_digraph(k, m, missing=0.0, seed=0):
+    """Complete winding blow-up of a k-cycle, optionally thinned, as
+    (digraph, partition, cluster cycle, clusters)."""
     n = k * m
     clusters = [list(range(i * m, (i + 1) * m)) for i in range(k)]
     qp = ClusterPartition.equipartition(clusters)
@@ -22,8 +24,39 @@ def blowup_system(k, m, missing=0.0, seed=0):
     rng = random.Random(seed)
     arcs = [(u, v) for i in range(k) for u in clusters[i]
             for v in clusters[(i + 1) % k] if rng.random() >= missing]
-    g = Digraph(n, arcs)
-    return CyclicSystem(g, qp, cyc, mu=missing, eps=0.5), clusters
+    return Digraph(n, arcs), qp, cyc, clusters
+
+
+def blowup_system(k, m, missing=0.0, seed=0):
+    g, qp, cyc, clusters = blowup_digraph(k, m, missing, seed)
+    system = CyclicSystem.from_digraph(g, qp, cyc, mu=missing, eps=0.5)
+    return system, clusters
+
+
+class TestCyclicSystemMatrices:
+    @pytest.mark.parametrize("missing", [0.0, 0.3])
+    def test_from_digraph_round_trip(self, missing):
+        g, qp, cyc, clusters = blowup_digraph(4, 6, missing, seed=3)
+        system = CyclicSystem.from_digraph(g, qp, cyc, mu=missing, eps=0.5)
+        assert system.g_dir == g
+        for (ci, cj), (tails, heads, mat) in zip(cyc.edges(), system.pairs):
+            assert tails == qp.cluster(ci) and heads == qp.cluster(cj)
+            assert mat.dtype == np.int64 and mat.shape == (6, 6)
+        assert sum(int(mat.sum()) for (_, _, mat) in system.pairs) == \
+            g.edge_count()
+
+    def test_from_digraph_rejects_a_skipping_arc(self):
+        g, qp, cyc, clusters = blowup_digraph(4, 6)
+        bad = Digraph(g.n, set(g._arcs) | {(clusters[0][0], clusters[2][0])})
+        with pytest.raises(MalformedInput):
+            CyclicSystem.from_digraph(bad, qp, cyc, mu=0.0, eps=0.5)
+
+    def test_validate_rejects_a_doubled_arc(self):
+        system, _ = blowup_system(4, 6)
+        system.validate()
+        system.pairs[1][2][0, 0] = 2
+        with pytest.raises(MalformedInput):
+            system.validate()
 
 
 class TestExtendToOneFactors:
@@ -170,21 +203,14 @@ class TestAssembleSlice:
         n = k * m
         system, clusters = blowup_system(k, m)
         # carve a reservoir out of the system
-        res_arcs = set()
-        keep = set(system.g_dir._arcs)
-        for i in range(k):
-            und = Multigraph(n, [(u, v) for u in clusters[i]
-                                 for v in clusters[(i + 1) % k]])
-            h, _, _ = reserve_regular(und, clusters[i],
-                                      clusters[(i + 1) % k], 6, 0.5,
-                                      rng_seed=17)
-            for (u, v) in h.support():
-                a = (u, v) if u in set(clusters[i]) else (v, u)
-                res_arcs.add(a)
-                keep.discard(a)
-        reservoir = Digraph(n, res_arcs)
-        sys2 = CyclicSystem(Digraph(n, keep), system.q, system.cycle,
-                            mu=0.4, eps=0.5)
+        reservoir = set()
+        kept = []
+        for (tails, heads, mat) in system.pairs:
+            mat = mat.copy()
+            chosen, _ = reserve_regular(mat, 6, 0.5, rng_seed=17)
+            reservoir.update((tails[a], heads[b]) for (a, b) in chosen)
+            kept.append((tails, heads, mat))
+        sys2 = CyclicSystem(n, kept, system.q, system.cycle, mu=0.4, eps=0.5)
         m0 = OrderedDirectedMatching(((0, 1), (2, 3)))
         ps0 = Digraph(n, [(0, 1), (2, 3), (48, 12), (49, 13)])
         m1 = OrderedDirectedMatching(())
@@ -195,6 +221,7 @@ class TestAssembleSlice:
         be = BalancedExtension([ps0, ps1, ps2], [m0, m1, m2], [0, 1, 2],
                                eps=0.5, ell=3)
         asm = assemble_slice(sys2, be, reservoir, seed=5)
+        assert reservoir.isdisjoint(sys2.g_dir._arcs)
         used_flat = set()
         for s, cyc in enumerate(asm.cycles):
             assert verify_hamilton_cycle(cyc, set(range(n)))
@@ -203,4 +230,4 @@ class TestAssembleSlice:
             for a in asm.reservoir_usage[s]:
                 assert a not in used_flat
                 used_flat.add(a)
-                assert a in reservoir._arcs
+                assert a in reservoir

@@ -221,3 +221,83 @@ class TestPerfectMatching:
             perfect_matching(g, [0, 1, 2], [3, 4, 5])
         w = exc.value.witness
         assert len(w["N(S)"]) < len(w["S"])
+
+
+def reference_hopcroft_karp(adj, n_right):
+    """Hopcroft-Karp as it was before its first phase skipped bfs();
+    kept frozen here so that hopcroft_karp must keep every matching."""
+    from collections import deque
+    n_left = len(adj)
+    INF = n_left + n_right + 1
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0] * n_left
+
+    def bfs():
+        queue = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u):
+        for v in adj[u]:
+            w = match_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u)
+    return match_l
+
+
+@st.composite
+def adjacency_lists(draw):
+    """Random bipartite adjacency lists in random order; rows may be empty
+    and the graph need not have a perfect matching."""
+    n_left = draw(st.integers(0, 10))
+    n_right = draw(st.integers(0, 10))
+    adj = [draw(st.lists(st.integers(0, n_right - 1), unique=True,
+                         max_size=n_right)) if n_right else []
+           for _ in range(n_left)]
+    return adj, n_right
+
+
+class TestHopcroftKarp:
+    @given(adjacency_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_frozen_reference(self, drawn):
+        adj, n_right = drawn
+        assert hopcroft_karp(adj, n_right) == \
+            reference_hopcroft_karp(adj, n_right)
+
+    def test_take_matching_names_the_unmatched_rows(self):
+        # rows 1 and 2 of the 3 x 3 matrix reach column 0 only
+        res = np.array([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
+        rows, cols = [2, 0, 1], [0, 1, 2]
+        adj = [[0], [0, 1, 2], [0]]
+        left = reference_hopcroft_karp(adj, 3)
+        with pytest.raises(MatchingInfeasible) as exc:
+            take_matching(res, rows, cols)
+        assert exc.value.witness["unmatched"] == \
+            [rows[p] for p, q in enumerate(left) if q == -1] == [1]
+        assert sorted(exc.value.witness["S"]) == [1, 2]

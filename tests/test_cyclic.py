@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hamdec.classic import pair_matrix
@@ -139,24 +140,54 @@ class TestReserveSparse:
     def test_reserve_regular_exact_degrees(self):
         m = 40
         g, left, right = complete_pair(m, thin=4, seed=5)
-        h, g2, rep = reserve_regular(g, left, right, degree=10, eps=0.5,
-                                     rng_seed=6)
-        assert all(h.degree(v) == 10 for v in left + right)
+        mat = pair_matrix(g, left, right)
+        before = mat.copy()
+        chosen, rep = reserve_regular(mat, degree=10, eps=0.5, rng_seed=6)
+        taken = before - mat
+        assert (taken.sum(axis=0) == 10).all()
+        assert (taken.sum(axis=1) == 10).all()
         assert rep.reg3_ok and rep.reg4_ok
-        assert h + g2 == g
+        assert (mat >= 0).all()
 
     def test_reserve_regular_keeps_the_rest(self):
-        # a doubled pair edge and an edge inside one class stay in the rest
+        # exactly the chosen entries leave the matrix; the rest stays
         m = 40
-        pair, left, right = complete_pair(m, thin=4, seed=5)
-        g = pair + Multigraph(2 * m, [(0, 1), (left[0], right[0])])
-        assert g.multiplicity(left[0], right[0]) == 2
-        h, rest, rep = reserve_regular(g, left, right, degree=10, eps=0.5,
-                                       rng_seed=6)
-        assert all(h.degree(v) == 10 for v in left + right)
-        assert h.is_submultigraph_of(g)
-        assert rest.multiplicity(0, 1) == 1
-        assert h + rest == g
+        g, left, right = complete_pair(m, thin=4, seed=5)
+        mat = pair_matrix(g, left, right)
+        before = mat.copy()
+        chosen, rep = reserve_regular(mat, degree=10, eps=0.5, rng_seed=6)
+        assert len(chosen) == 10 * m
+        taken = np.zeros_like(before)
+        for (i, j) in chosen:
+            taken[i, j] += 1
+        assert (before - mat == taken).all()
+
+    def test_reserve_regular_multiplicity_two(self):
+        # a doubled pair edge can be taken by two matchings, not by three
+        m = 40
+        g, left, right = complete_pair(m, thin=4, seed=5)
+        g = g + Multigraph(2 * m, [(left[0], right[0])])
+        mat = pair_matrix(g, left, right)
+        assert mat[0, 0] == 2
+        chosen, rep = reserve_regular(mat, degree=10, eps=0.5, rng_seed=6)
+        assert chosen.count((0, 0)) <= 2
+        assert mat[0, 0] == 2 - chosen.count((0, 0))
+
+    @pytest.mark.parametrize("case", ["no-matching", "gate"])
+    def test_reserve_regular_failure_leaves_matrix(self, case):
+        g, left, right = complete_pair(40, thin=4, seed=5)
+        mat = pair_matrix(g, left, right)
+        if case == "no-matching":
+            # left 0 keeps one edge, so two perfect matchings cannot exist
+            mat[0, 1:] = 0
+            kwargs = dict(degree=2, eps=0.5)
+        else:
+            # eps = 0 asks every sampled density to be exactly d: Reg1 fails
+            kwargs = dict(degree=10, eps=0.0, retries=2)
+        before = mat.copy()
+        with pytest.raises(SamplingFailed):
+            reserve_regular(mat, rng_seed=1, **kwargs)
+        assert (mat == before).all()
 
 
 class TestReserveDegrees:
@@ -259,7 +290,7 @@ class TestSysdecom:
             two_cliques_decomposed
         total = Multigraph(host.n)
         for slc in a_slices:
-            total = total + slc.g_dir.underlying_multigraph()
+            total = total + slc.cyclic_system().g_dir.underlying_multigraph()
             total = total + slc.h_reserve
         assert total.is_simple()
         assert total.is_submultigraph_of(host.restrict(P.A))
@@ -268,7 +299,7 @@ class TestSysdecom:
         cfg, host, P, systems, a_slices, b_slices, quotas = \
             two_cliques_decomposed
         for slc in a_slices:
-            assert winds_around(slc.g_dir, slc.q, slc.cycle)
+            assert winds_around(slc.cyclic_system().g_dir, slc.q, slc.cycle)
             for slot in slc.slots:
                 assert len(slot.matching) <= quotas.matching_size_bound
                 verts = slot.matching.vertices()
@@ -317,7 +348,7 @@ class TestSysdecombip:
         assert quotas.reserve_inner + quotas.reserve_outer == r
         total = Multigraph(host.n)
         for slc in slices:
-            assert winds_around(slc.g_dir, slc.q, slc.cycle)
+            assert winds_around(slc.cyclic_system().g_dir, slc.q, slc.cycle)
             slc.cyclic_system().validate()
             for i in range(cfg.K):
                 for ip in range(cfg.K):
@@ -326,7 +357,8 @@ class TestSysdecombip:
                     degs = {pair.degree(v)
                             for v in P.a_cluster(i) + P.b_cluster(ip)}
                     assert degs == {r}
-            total = total + slc.g_dir.underlying_multigraph() + slc.h_reserve
+            total = (total + slc.cyclic_system().g_dir.underlying_multigraph()
+                     + slc.h_reserve)
         assert total.is_simple()
         assert total.is_submultigraph_of(
             host.bipartite_restrict(P.A, P.B))

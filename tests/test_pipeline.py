@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hamdec import pipeline
-from hamdec.cli import main as cli_main
+from hamdec.cli import _load_instance, main as cli_main
 from hamdec.core import Multigraph, canonical_json
 from hamdec.errors import (InvalidParameter, MalformedInput,
                            MatchingInfeasible, PipelineError)
@@ -320,6 +320,58 @@ class TestMalformedCertificate:
         bad.write_text('{"schema": 1, "slots": [')
         assert cli_main(["verify", str(inst), str(bad)]) == 1
         assert json.loads(capsys.readouterr().out)["all_ok"] is False
+
+
+INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
+
+
+class TestMalformedInstance:
+    """A malformed instance file gets a failed verdict from ``verify``
+    (exit 1) and a HamdecError exit from ``decompose`` (exit 2)."""
+
+    @pytest.fixture(params=[f"no-{key}" for key in INSTANCE_KEYS]
+                    + ["not-json", "schema-only", "not-an-object"])
+    def bad_instance(self, request, seed4_files, tmp_path):
+        inst, _obj, _ = seed4_files
+        name = request.param
+        bad = tmp_path / "inst.json"
+        if name == "not-json":
+            bad.write_text('{"schema": 1, "config": ')
+        elif name == "schema-only":
+            bad.write_text(json.dumps({"schema": 1}))
+        elif name == "not-an-object":
+            bad.write_text(json.dumps([1, 2]))
+        else:
+            obj = json.loads(inst.read_text())
+            del obj[name[3:]]
+            bad.write_text(json.dumps(obj))
+        return name, bad
+
+    def test_load_names_the_missing_key(self, bad_instance):
+        name, bad = bad_instance
+        with pytest.raises(MalformedInput) as exc:
+            _load_instance(str(bad))
+        if name.startswith("no-"):
+            assert repr(name[3:]) in str(exc.value)
+        if name == "schema-only":
+            assert "'config'" in str(exc.value)
+
+    def test_verify_exits_1(self, bad_instance, seed4_files, tmp_path,
+                            capsys):
+        _inst, obj, _ = seed4_files
+        _name, bad = bad_instance
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(bad), str(cert)]) == 1
+        verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert verdict["all_ok"] is False and verdict["malformed"]
+
+    def test_decompose_exits_2(self, bad_instance, tmp_path, capsys):
+        _name, bad = bad_instance
+        out = tmp_path / "cert.json"
+        assert cli_main(["decompose", str(bad), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCertificates:
