@@ -2,14 +2,19 @@
 
 A near-regular bipartite pair always contains a spanning regular
 subgraph of slightly smaller degree; the extraction is an integral
-max-flow, and infeasibility comes back as a checkable cut witness.
+max-flow, and infeasibility comes back as a checkable cut witness.  Both
+steps take the pair as its multiplicity matrix (rows one class, columns
+the other), and the 1-factorization returns each perfect matching as a
+list of (left, right) vertex pairs.
 
 Run:  python demos/02_flow_and_matchings.py
 """
 
 import random
 
-from hamdec import (Multigraph, regular_bipartite_to_matchings,
+import numpy as np
+
+from hamdec import (Multigraph, pair_matrix, regular_bipartite_to_matchings,
                     regular_spanning_subgraph)
 from hamdec.errors import DegreeHypothesisViolated
 
@@ -24,20 +29,25 @@ host = Multigraph(2 * m, [(u, m + (u + s) % m) for u in range(m)
                           for s in range(m) if s not in skips])
 print(f"host pair: every degree = {host.degree(0)} of m = {m}")
 
-sub = regular_spanning_subgraph(host, left, right, mu=0.1, rho=0.1)
-r = sub.degree(left[0])
+sub = regular_spanning_subgraph(pair_matrix(host, left, right), left, right,
+                                mu=0.1, rho=0.1)
+r = int(sub[0].sum())
 print(f"extracted a spanning {r}-regular subgraph "
       f"(target floor((1-mu-rho)m) = {int(0.8 * m)})")
 
 matchings = regular_bipartite_to_matchings(sub, left, right)
+union = np.zeros_like(sub)
+for pm in matchings:
+    for (u, v) in pm:
+        union[left.index(u), right.index(v)] += 1
 print(f"1-factorized into {len(matchings)} perfect matchings; "
-      f"union reproduces the subgraph exactly: "
-      f"{sum(matchings[1:], matchings[0]) == sub}")
+      f"union reproduces the subgraph exactly: {(union == sub).all()}")
 
 # an infeasible demand produces a cut certificate
 starved = host - Multigraph(host.n, [(0, w) for w in host.neighbors(0)[:20]])
 try:
-    regular_spanning_subgraph(starved, left, right, mu=0.1, rho=0.1)
+    regular_spanning_subgraph(pair_matrix(starved, left, right), left, right,
+                              mu=0.1, rho=0.1)
 except DegreeHypothesisViolated as exc:
     w = exc.witness
     print(f"starved host rejected with cut witness: |S1| = {len(w['S1'])}, "

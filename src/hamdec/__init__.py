@@ -13,7 +13,7 @@ from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, cycle_to_perfect_matchings,
                    is_consistent_with, is_locally_balanced,
                    verify_hamilton_cycle, winds_around)
-from .classic import (bipartite_hamilton_decompose, perfect_matching,
+from .classic import (bipartite_hamilton_decompose, pair_matrix,
                       regular_bipartite_to_matchings,
                       regular_spanning_subgraph, walecki_decompose)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
@@ -48,7 +48,7 @@ __all__ = [
     "check_superregular", "cycle_to_perfect_matchings", "errors",
     "extend_to_one_factors", "find_ordered_hamilton", "generate_instance",
     "induce_jab", "is_consistent_with", "is_locally_balanced",
-    "merge_to_hamilton", "perfect_matching", "regular_bipartite_to_matchings",
+    "merge_to_hamilton", "pair_matrix", "regular_bipartite_to_matchings",
     "regular_spanning_subgraph", "reorder_for_consistency", "reserve_regular",
     "reserve_sparse", "splice_bipartite", "splice_two_cliques",
     "sysdecom", "sysdecombip", "trim_instance",

@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
-from .core import (Digraph, Multigraph, OrderedDirectedMatching,
-                   cycle_vertex_order, derive_seed, is_consistent_with,
-                   verify_hamilton_cycle, visits_in_order)
+from .core import (Digraph, OrderedDirectedMatching, cycle_vertex_order,
+                   derive_seed, is_consistent_with, verify_hamilton_cycle,
+                   visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
                      HamiltonSearchExhausted, MalformedInput,
@@ -79,23 +77,17 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
             add_arcs[s].extend((tails[a], heads[h_free[p]])
                                for a, p in zip(t_free, match))
         if bulk:
-            ii, jj = np.nonzero(avail)
-            avail_graph = Multigraph(n, [(tails[a], heads[b]) for a, b in
-                                         zip(ii.tolist(), jj.tolist())])
             try:
-                sub = regular_spanning_subgraph(avail_graph, tails, heads,
-                                                0.0, 0.0, degree=len(bulk))
+                sub = regular_spanning_subgraph(avail, tails, heads, 0.0,
+                                                0.0, degree=len(bulk))
             except DegreeHypothesisViolated as e:
                 raise MatchingInfeasible(
                     f"cannot extract {len(bulk)} edge-disjoint perfect "
                     f"matchings at pair ({ci},{cj})", witness=e.witness
                 ) from e
-            pms = regular_bipartite_to_matchings(sub, tails, heads)
-            tail_set = set(tails)
-            for s, pm in zip(bulk, pms):
-                arcs = [(u, v) if u in tail_set else (v, u)
-                        for (u, v) in pm.support()]
-                add_arcs[s].extend(arcs)
+            for s, pm in zip(bulk, regular_bipartite_to_matchings(
+                    sub, tails, heads)):
+                add_arcs[s].extend(pm)
 
     factors = []
     verts = {v for c in qp.clusters for v in c}

@@ -68,17 +68,19 @@ def bipartite_hamilton_decompose(K: int) -> list[ClusterCycle]:
 # -- flow-based regular spanning subgraphs -----------------------------------
 
 
-def regular_spanning_subgraph(gamma_graph: Multigraph, left: Sequence[int],
+def regular_spanning_subgraph(mat: np.ndarray, left: Sequence[int],
                               right: Sequence[int], mu: float, rho: float,
-                              degree: int | None = None) -> Multigraph:
+                              degree: int | None = None) -> np.ndarray:
     """Extract a spanning r-regular subgraph of a bipartite (multi)graph
-    with classes ``left`` and ``right`` of equal size m, where
-    r = floor((1 - mu - rho) * m) unless ``degree`` overrides it.
+    given as its multiplicity matrix ``mat`` between the classes ``left``
+    (rows) and ``right`` (columns) of equal size m, where
+    r = floor((1 - mu - rho) * m) unless ``degree`` overrides it; returns
+    the subgraph's multiplicity matrix.
 
     Realized as an integral max-flow on the source/sink network with unit
     (multiplicity) capacities on the graph edges.  If the flow value falls
     short, raises DegreeHypothesisViolated carrying a cut witness (S1, S2)
-    with e(S1, right \\ S2) < r * (|S1| - |S2|).
+    of vertex ids with e(S1, right \\ S2) < r * (|S1| - |S2|).
     """
     m = len(left)
     if m != len(right) or m == 0:
@@ -91,9 +93,8 @@ def regular_spanning_subgraph(gamma_graph: Multigraph, left: Sequence[int],
     if r < 0 or r > m:
         raise InvalidParameter(f"target degree {r} outside 0..{m}")
     if r == 0:
-        return Multigraph(gamma_graph.n)
+        return np.zeros((m, m), dtype=np.int64)
 
-    mat = pair_matrix(gamma_graph, left, right)
     ii, jj = np.nonzero(mat)
     # network nodes: 0 = source, 1..m = left, m+1..2m = right, 2m+1 = sink
     src, snk = 0, 2 * m + 1
@@ -103,25 +104,20 @@ def regular_spanning_subgraph(gamma_graph: Multigraph, left: Sequence[int],
     graph = csr_matrix((caps, (rows, cols)), shape=(2 * m + 2, 2 * m + 2))
     result = maximum_flow(graph, src, snk)
     if result.flow_value == r * m:
-        block = result.flow[1:m + 1, m + 1:2 * m + 1].toarray()
-        # the used edges in the order of gamma_graph.edges()
-        used = sorted(((left[i], right[j], int(block[i, j]))
-                       for i, j in zip(ii.tolist(), jj.tolist())
-                       if block[i, j] > 0), key=lambda e: sorted(e[:2]))
-        return Multigraph(gamma_graph.n, used)
+        return result.flow[1:m + 1, m + 1:2 * m + 1].toarray().astype(
+            np.int64)
 
     # short flow: extract the min cut from residual reachability and
     # translate it into the degree-hypothesis witness
     s1, s2 = _min_cut_witness(graph, result.flow, src, m)
-    s1_v = [left[i] for i in sorted(s1)]
-    s2_v = [right[i] for i in sorted(s2)]
-    rbar = [v for v in right if v not in set(s2_v)]
-    e_val = gamma_graph.edges_between(s1_v, rbar)
+    rbar = [j for j in range(m) if j not in set(s2)]
+    e_val = int(mat[np.ix_(s1, rbar)].sum())
     raise DegreeHypothesisViolated(
         f"max flow {result.flow_value} < r*m = {r * m}; cut witness "
         f"violates e(S1, ~S2) >= r(|S1|-|S2|): {e_val} < "
-        f"{r * (len(s1_v) - len(s2_v))}",
-        witness={"S1": s1_v, "S2": s2_v, "r": r, "e(S1,~S2)": e_val})
+        f"{r * (len(s1) - len(s2))}",
+        witness={"S1": [left[i] for i in s1], "S2": [right[j] for j in s2],
+                 "r": r, "e(S1,~S2)": e_val})
 
 
 def _min_cut_witness(graph: csr_matrix, flow: csr_matrix, src: int, m: int):
@@ -202,15 +198,18 @@ def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
 
 def pair_matrix(graph: Multigraph, left: Sequence[int],
                 right: Sequence[int]) -> np.ndarray:
-    """The multiplicity matrix of ``graph`` between the disjoint classes
-    ``left`` (rows) and ``right`` (columns)."""
-    rpos = {v: j for j, v in enumerate(right)}
+    """The multiplicity matrix of ``graph`` between the classes ``left``
+    (rows) and ``right`` (columns)."""
+    col = np.full(graph.n, -1, dtype=np.intp)
+    col[list(right)] = np.arange(len(right))
     adj = graph._adjacency()
     mat = np.zeros((len(left), len(right)), dtype=np.int64)
     for i, u in enumerate(left):
-        for w, k in adj.get(u, {}).items():
-            if w in rpos:
-                mat[i, rpos[w]] = k
+        row = adj.get(u)
+        if row:
+            js = col[np.fromiter(row, dtype=np.intp, count=len(row))]
+            ks = np.fromiter(row.values(), dtype=np.int64, count=len(row))
+            mat[i, js[js >= 0]] = ks[js >= 0]
     return mat
 
 
@@ -244,20 +243,6 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     return match_l
 
 
-def perfect_matching(graph: Multigraph, left: Sequence[int],
-                     right: Sequence[int]) -> list[tuple[int, int]]:
-    """A perfect matching between ``left`` and ``right`` using edges of
-    ``graph``; raises MatchingInfeasible with a Hall violator otherwise."""
-    try:
-        match_l = take_matching(pair_matrix(graph, left, right),
-                                range(len(left)), range(len(right)))
-    except MatchingInfeasible as e:
-        raise MatchingInfeasible(str(e), witness={
-            "S": [left[i] for i in e.witness["S"]],
-            "N(S)": sorted(right[j] for j in e.witness["N(S)"])}) from None
-    return [(left[i], right[j]) for i, j in enumerate(match_l)]
-
-
 def _hall_violator(adj, match_l, n_right) -> list[int]:
     """Alternating-reachability set from the unmatched left vertices;
     its neighbourhood is smaller than itself."""
@@ -281,88 +266,92 @@ def _hall_violator(adj, match_l, n_right) -> list[int]:
 # -- exact 1-factorization of regular bipartite multigraphs ------------------
 
 
-def regular_bipartite_to_matchings(graph: Multigraph, left: Sequence[int],
-                                   right: Sequence[int]) -> list[Multigraph]:
-    """Decompose an r-regular bipartite multigraph exactly into r perfect
-    matchings (Euler splits down to matchings, peeling one matching via
-    augmenting paths whenever the degree is odd)."""
-    left = list(left)
-    right = list(right)
-    degs = {graph.degree(v) for v in left} | {graph.degree(v) for v in right}
+def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
+                                   right: Sequence[int]
+                                   ) -> list[list[tuple[int, int]]]:
+    """Decompose an r-regular bipartite multigraph, given as its
+    multiplicity matrix ``mat`` between ``left`` (rows) and ``right``
+    (columns), exactly into r perfect matchings (Euler splits down to
+    matchings, peeling one matching via augmenting paths whenever the
+    degree is odd).
+
+    Each matching lists its (left vertex, right vertex) pairs ordered by
+    (smaller id, larger id).
+    """
+    degs = set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
     if len(degs) != 1:
         raise InvalidParameter(f"graph is not regular: degrees {sorted(degs)}")
     r = degs.pop()
     if r == 0:
         return []
-    vs = set(left) | set(right)
-    for (u, v) in graph.support():
-        if not ((u in vs) and (v in vs)):
-            raise InvalidParameter("graph has edges outside the two classes")
-        if (u in set(left)) == (v in set(left)):
-            raise InvalidParameter("graph is not bipartite on the classes")
-    matchings = _factorize(graph, left, right, r)
-    # exactness check: concatenating outputs reproduces the input
-    total = Multigraph(graph.n)
-    for m in matchings:
-        total = total + m
-    if total != graph:
+    parts = _factorize(mat.copy(), np.array([*left, *right]), r)
+    # exactness check: perfect matchings that sum to the input
+    total = np.zeros_like(mat)
+    for cols in parts:
+        total[np.arange(len(mat)), cols] += 1
+    if not (all(len(set(cols)) == len(cols) for cols in parts)
+            and (total == mat).all()):
         raise InvalidParameter("internal: factorization does not sum to input")
-    return matchings
+    return [sorted(zip(left, [right[j] for j in cols]),
+                   key=lambda e: (min(e), max(e))) for cols in parts]
 
 
-def _factorize(graph: Multigraph, left, right, r: int) -> list[Multigraph]:
-    if r == 0:
-        return []
+def _factorize(mat: np.ndarray, ids: np.ndarray, r: int) -> list[list[int]]:
+    """r perfect matchings of the r-regular ``mat``, each as the column
+    matched to every row; the odd-degree step decrements ``mat`` in
+    place.  ``ids`` holds the vertex ids of the rows, then of the
+    columns."""
     if r == 1:
-        return [graph]
+        return [mat.argmax(axis=1).tolist()]
     if r % 2 == 1:
-        pm_edges = perfect_matching(graph, left, right)
-        pm = Multigraph(graph.n, pm_edges)
-        rest = graph - pm
-        return [pm] + _factorize(rest, left, right, r - 1)
-    g1, g2 = _euler_split(graph)
-    return (_factorize(g1, left, right, r // 2)
-            + _factorize(g2, left, right, r // 2))
+        m = len(mat)
+        return [take_matching(mat, range(m), range(m))] + \
+            _factorize(mat, ids, r - 1)
+    g1, g2 = _euler_split(mat, ids)
+    return _factorize(g1, ids, r // 2) + _factorize(g2, ids, r // 2)
 
 
-def _euler_split(graph: Multigraph) -> tuple[Multigraph, Multigraph]:
+def _euler_split(mat: np.ndarray, ids: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Split an even-degree bipartite multigraph into two halves by
-    alternately colouring the edges of Eulerian circuits."""
-    # explicit edge copies with ids so parallel edges are distinct
-    edge_list = []
-    adj: dict[int, list[int]] = {}
-    for (u, v, k) in graph.edges():
-        for _ in range(k):
-            eid = len(edge_list)
-            edge_list.append((u, v))
-            adj.setdefault(u, []).append(eid)
-            adj.setdefault(v, []).append(eid)
-    used = [False] * len(edge_list)
-    ptr = {v: 0 for v in adj}
-    color = [0] * len(edge_list)
-    for start in sorted(adj):
-        while ptr[start] < len(adj[start]):
-            if used[adj[start][ptr[start]]]:
-                ptr[start] += 1
-                continue
-            # Hierholzer walk from start; in an even-degree graph the walk
-            # can only get stuck back at its start, closing a circuit
-            circuit = []
-            cur = start
-            while True:
-                row = adj[cur]
-                while ptr.get(cur, 0) < len(row) and used[row[ptr[cur]]]:
-                    ptr[cur] += 1
-                if ptr.get(cur, 0) >= len(row):
-                    break
-                eid = row[ptr[cur]]
-                used[eid] = True
-                circuit.append(eid)
-                a, b = edge_list[eid]
-                cur = b if cur == a else a
-            for i, eid in enumerate(circuit):
-                color[eid] = i % 2
-    e0 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 0]
-    e1 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 1]
-    return Multigraph(graph.n, e0), Multigraph(graph.n, e1)
+    alternately colouring the edges of Eulerian circuits.
 
+    Walk order: edges by (smaller id, larger id), parallel copies one
+    after another; circuits start at the vertices in id order.
+    """
+    m = len(mat)
+    ii, jj = np.nonzero(mat)
+    lo = np.minimum(ids[ii], ids[m + jj])
+    hi = np.maximum(ids[ii], ids[m + jj])
+    order = np.lexsort((hi, lo))
+    # explicit edge copies with ids so parallel edges are distinct; end
+    # a is the row vertex i, end b the column vertex m + j
+    counts = mat[ii[order], jj[order]]
+    ends_a = np.repeat(ii[order], counts).tolist()
+    ends_b = np.repeat(jj[order] + m, counts).tolist()
+    adj: list[list[int]] = [[] for _ in range(2 * m)]
+    for eid, (a, b) in enumerate(zip(ends_a, ends_b)):
+        adj[a].append(eid)
+        adj[b].append(eid)
+    used = [False] * len(ends_a)
+    ptr = [0] * (2 * m)
+    color = np.zeros(len(ends_a), dtype=bool)
+    for start in np.argsort(ids).tolist():
+        # Hierholzer walk from start; in an even-degree graph the walk can
+        # only get stuck back at start, once all of its edges are used
+        cur, odd = start, False
+        while True:
+            row = adj[cur]
+            while ptr[cur] < len(row) and used[row[ptr[cur]]]:
+                ptr[cur] += 1
+            if ptr[cur] == len(row):
+                break
+            eid = row[ptr[cur]]
+            used[eid] = True
+            color[eid] = odd
+            odd = not odd
+            a = ends_a[eid]
+            cur = ends_b[eid] if cur == a else a
+    flat = np.asarray(ends_a) * m + np.asarray(ends_b) - m
+    return tuple(np.bincount(flat[side], minlength=m * m).reshape(m, m)
+                 for side in (~color, color))

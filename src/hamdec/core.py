@@ -88,11 +88,6 @@ class Multigraph:
     def degree(self, v: int) -> int:
         return sum(self._adjacency().get(v, {}).values())
 
-    def degree_into(self, v: int, target: Iterable[int]) -> int:
-        """d(v, S): neighbours of v inside S, with multiplicity."""
-        row = self._adjacency().get(v, {})
-        return sum(row.get(w, 0) for w in target)
-
     def covered_vertices(self) -> set[int]:
         """Vertices incident with at least one edge."""
         out: set[int] = set()
@@ -129,17 +124,6 @@ class Multigraph:
         out = Multigraph(self.n)
         out._mult = {key: k for key, k in self._mult.items()
                      if key[0] in vs and key[1] in vs}
-        return out
-
-    def bipartite_restrict(self, left: Iterable[int],
-                           right: Iterable[int]) -> "Multigraph":
-        """Subgraph of edges with one end in ``left`` and one in ``right``."""
-        ls, rs = set(left), set(right)
-        out = Multigraph(self.n)
-        out._mult = {
-            (u, v): k for (u, v), k in self._mult.items()
-            if (u in ls and v in rs) or (u in rs and v in ls)
-        }
         return out
 
     def edges_between(self, left: Iterable[int], right: Iterable[int]) -> int:

@@ -25,7 +25,7 @@ from .classic import (bipartite_hamilton_decompose, pair_matrix,
                       regular_spanning_subgraph, take_matching,
                       walecki_decompose)
 from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
-                   OrderedDirectedMatching, derive_seed, winds_around)
+                   OrderedDirectedMatching, derive_seed)
 from .errors import (InvalidParameter, MalformedInput,
                      MatchingInfeasible, SamplingFailed)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
@@ -50,37 +50,6 @@ class CyclicSystem:
     cycle: ClusterCycle
     mu: float
     eps: float
-
-    @classmethod
-    def from_digraph(cls, g_dir: Digraph, q: ClusterPartition,
-                     cycle: ClusterCycle, mu: float, eps: float
-                     ) -> "CyclicSystem":
-        """The system of ``g_dir``; raises MalformedInput on an arc that
-        does not wind around the cycle."""
-        if not winds_around(g_dir, q, cycle):
-            raise MalformedInput("an arc does not wind around the cluster "
-                                 "cycle")
-        pairs = []
-        for (ci, cj) in cycle.edges():
-            tails, heads = q.cluster(ci), q.cluster(cj)
-            hpos = {v: b for b, v in enumerate(heads)}
-            mat = np.zeros((len(tails), len(heads)), dtype=np.int64)
-            for a, u in enumerate(tails):
-                for v in g_dir.out_neighbors(u):
-                    mat[a, hpos[v]] = 1
-            pairs.append((tails, heads, mat))
-        return cls(g_dir.n, pairs, q, cycle, mu, eps)
-
-    @property
-    def g_dir(self) -> Digraph:
-        """The system as one Digraph, built on every read."""
-        arcs = []
-        for (tails, heads, mat) in self.pairs:
-            ii, jj = np.nonzero(mat)
-            # in the order of the undirected edges
-            arcs.extend(sorted(((tails[a], heads[b]) for a, b in
-                                zip(ii.tolist(), jj.tolist())), key=sorted))
-        return Digraph(self.n, arcs)
 
     def validate(self) -> None:
         self.cycle.validate_spans(self.q)
@@ -571,12 +540,12 @@ def _equal_split(items: list, parts: int, offset: int) -> list[list]:
     return out
 
 
-def _extract_regular_parts(n: int, res: np.ndarray, left, right, parts: int,
+def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
                            degree: int, rng: random.Random
-                           ) -> list[Multigraph]:
+                           ) -> list[list[tuple[int, int]]]:
     """``parts`` edge-disjoint exactly ``degree``-regular spanning
     subgraphs of a near-regular bipartite pair, taken out of its
-    multiplicity matrix ``res`` in place.
+    multiplicity matrix ``res`` in place, each as its (left, right) edges.
 
     Random perfect-matching extraction keeps the remainder unstructured
     (a deterministic flow pattern leaves a remainder on which later Hall
@@ -594,19 +563,14 @@ def _extract_regular_parts(n: int, res: np.ndarray, left, right, parts: int,
         try:
             match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
-            pair_graph = Multigraph(n, [
-                (left[i], right[j], int(pair[i, j]))
-                for i, j in zip(*np.nonzero(pair))])
-            sub = regular_spanning_subgraph(pair_graph, left, right, 0.0,
-                                            0.0, degree=total)
-            res[:] = pair - pair_matrix(sub, left, right)
-            pms = [[(u, v, k) for (u, v), k in pm._mult.items()]
-                   for pm in regular_bipartite_to_matchings(sub, left, right)]
+            sub = regular_spanning_subgraph(pair, left, right, 0.0, 0.0,
+                                            degree=total)
+            res[:] = pair - sub
+            pms = regular_bipartite_to_matchings(sub, left, right)
             break
         pms.append([(left[perm_l[p]], right[perm_r[q]])
                     for p, q in enumerate(match)])
-    return [Multigraph(n, [e for pm in pms[p * degree:(p + 1) * degree]
-                           for e in pm])
+    return [[e for pm in pms[p * degree:(p + 1) * degree] for e in pm]
             for p in range(parts)]
 
 
@@ -712,16 +676,16 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
     localized at cluster ``cell[cell_pos]``.
     """
     n_slices = len(cycles)
-    h_per_slice = [Multigraph(g.n) for _ in range(n_slices)]
+    h_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_slices)]
     # (tail cluster, head cluster) -> (tails, heads, residual tails x heads)
     residuals = {}
     for (i, ip, left, right) in pairs:
         res = pair_matrix(g, left, right)
         rng = random.Random(derive_seed(seed, "reserve", side, i, ip))
-        parts = _extract_regular_parts(g.n, res, list(left), list(right),
+        parts = _extract_regular_parts(res, list(left), list(right),
                                        n_slices, r_h, rng)
         for j, part in enumerate(parts):
-            h_per_slice[j] = h_per_slice[j] + part
+            h_edges[j].extend(part)
         ci, cj = q.cluster_index(left[0]), q.cluster_index(right[0])
         residuals[ci, cj] = (left, right, res)
         residuals[cj, ci] = (right, left, res.T)
@@ -742,7 +706,8 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
                     cluster_index=cell[cell_pos]))
         slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc, n=g.n,
                                 pairs=arc_pairs,
-                                h_reserve=h_per_slice[j], slots=slots,
+                                h_reserve=Multigraph(g.n, h_edges[j]),
+                                slots=slots,
                                 mu=4 * mu, eps=5 / K))
     return slices
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classic import regular_bipartite_to_matchings
+from .classic import pair_matrix, regular_bipartite_to_matchings
 from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, is_locally_balanced)
 from .errors import InvalidParameter, MalformedInput, ReservoirExhausted
@@ -126,16 +126,17 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
     if k < 3:
         raise InvalidParameter("need at least 3 clusters")
     target = round(2 * eps * m)
+    pair_mats = []
     for pos in range(k):
         prev_c = cycle.order[(pos - 1) % k]
         next_c = cycle.order[(pos + 1) % k]
-        pair = h.bipartite_restrict(q.cluster(prev_c), q.cluster(next_c))
-        degs = {pair.degree(v) for v in q.cluster(prev_c)} | \
-               {pair.degree(v) for v in q.cluster(next_c)}
+        mat = pair_matrix(h, q.cluster(prev_c), q.cluster(next_c))
+        degs = set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
         if degs != {target}:
             raise InvalidParameter(
                 f"H[V_{prev_c},V_{next_c}] must be exactly {target}-regular, "
                 f"degrees seen: {sorted(degs)}")
+        pair_mats.append(mat)
     for ci, group in m_partition.items():
         if len(group) > m / k:
             raise InvalidParameter(f"{len(group)} matchings at cluster {ci} "
@@ -160,13 +161,9 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
             continue
         prev_c = cycle.order[(pos - 1) % k]
         next_c = cycle.order[(pos + 1) % k]
-        prev_vs = list(q.cluster(prev_c))
-        next_vs = list(q.cluster(next_c))
-        pair = h.bipartite_restrict(prev_vs, next_vs)
-        pool = regular_bipartite_to_matchings(pair, prev_vs, next_vs)
-        prev_set = set(prev_vs)
-        pool_arcs = [[(u, v) if u in prev_set else (v, u)
-                      for (u, v) in sorted(pm.support())] for pm in pool]
+        # each pool matching is oriented V_{i-1} -> V_{i+1}
+        pool_arcs = regular_bipartite_to_matchings(
+            pair_mats[pos], q.cluster(prev_c), q.cluster(next_c))
         pm_idx = 0
         offset = 0
         for gi, mm in enumerate(group):
@@ -223,24 +220,26 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
         raise InvalidParameter("systems and reductions must align")
 
     # split H into H' (inner) and H'' (outer) per cluster pair
-    h_inner = Multigraph(n)
-    h_outer = Multigraph(n)
+    inner_edges: list[tuple[int, int]] = []
+    outer_edges: list[tuple[int, int]] = []
     for i in range(K):
         for ip in range(K):
-            a_i = list(P.a_cluster(i))
-            b_ip = list(P.b_cluster(ip))
-            pair = h.bipartite_restrict(a_i, b_ip)
-            degs = {pair.degree(v) for v in a_i + b_ip}
+            a_i, b_ip = P.a_cluster(i), P.b_cluster(ip)
+            mat = pair_matrix(h, a_i, b_ip)
+            degs = set(mat.sum(axis=1).tolist()) | \
+                set(mat.sum(axis=0).tolist())
             if degs != {inner_degree + outer_degree}:
                 raise InvalidParameter(
                     f"H[A_{i},B_{ip}] must be exactly "
                     f"{inner_degree + outer_degree}-regular, got "
                     f"{sorted(degs)}")
-            pms = regular_bipartite_to_matchings(pair, a_i, b_ip)
+            pms = regular_bipartite_to_matchings(mat, a_i, b_ip)
             for pm in pms[:inner_degree]:
-                h_inner = h_inner + pm
+                inner_edges.extend(pm)
             for pm in pms[inner_degree:]:
-                h_outer = h_outer + pm
+                outer_edges.extend(pm)
+    h_inner = Multigraph(n, inner_edges)
+    h_outer = Multigraph(n, outer_edges)
 
     # phase 1: A_{i1}-extensions PS_s = J*_dir + M_s,dir
     used_inner: set[tuple[int, int]] = set()
@@ -303,18 +302,17 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     assigned: dict[tuple[int, tuple[int, int]], list[tuple[int, int]]] = {}
     for key, slot_list in sorted(demand.items()):
         i, ip = key
-        a_i = list(P.a_cluster(i))
-        b_ip = list(P.b_cluster(ip))
-        pair = h_outer.bipartite_restrict(a_i, b_ip)
-        pms = regular_bipartite_to_matchings(pair, a_i, b_ip)
+        pms = regular_bipartite_to_matchings(
+            pair_matrix(h_outer, P.a_cluster(i), P.b_cluster(ip)),
+            P.a_cluster(i), P.b_cluster(ip))
         count_needed = len(slot_list)
         sigma = max(1, min(sigma_formula, m,
                            (len(pms) * m) // max(1, count_needed)))
+        # (A, B) edges, so a pick is oriented whatever the id layout
         chunks: list[list[tuple[int, int]]] = []
         for pm in pms:
-            edges = sorted(pm.support())
-            for start in range(0, len(edges) - sigma + 1, sigma):
-                chunks.append(edges[start:start + sigma])
+            for start in range(0, len(pm) - sigma + 1, sigma):
+                chunks.append(pm[start:start + sigma])
         if len(chunks) < count_needed:
             raise ReservoirExhausted(
                 f"H''[A_{i},B_{ip}] provides {len(chunks)} matchings of "

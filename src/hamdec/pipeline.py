@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import core
 from .assembly import assemble_slice
+from .classic import pair_matrix
 from .core import (ClusterPartition, Digraph, Multigraph,
                    canonical_json, cycle_to_perfect_matchings,
                    verify_hamilton_cycle)
@@ -360,19 +361,16 @@ def _degree_window(host: Multigraph, partition: ClusterPartition) -> float:
     against the observed mean: every cluster degree must lie within
     4m/K of it.  Returns the inferred mu."""
     K, m = partition.K, partition.m
-    mode = partition.mode
+    a_side, b_side = partition.clusters[:K], partition.clusters[K:]
+    # the targets are clusters 0..K-1 of one side, m columns each
+    pairs = [(a_side, partition.A), (b_side, partition.B)] \
+        if partition.mode == "two-cliques" \
+        else [(a_side, partition.B), (b_side, partition.A)]
     degs = []
-    if mode == "two-cliques":
-        pairs = [(partition.A, partition.a_cluster),
-                 (partition.B, partition.b_cluster)]
-    else:
-        pairs = [(partition.A, partition.b_cluster),
-                 (partition.B, partition.a_cluster)]
-    for verts, cluster in pairs:
-        for i in range(K):
-            target = set(cluster(i))
-            for v in verts:
-                degs.append(host.degree_into(v, target))
+    for clusters, targets in pairs:
+        for cluster in clusters:
+            degs.extend(pair_matrix(host, cluster, targets).reshape(
+                m, K, m).sum(axis=2).ravel().tolist())
     mean = sum(degs) / len(degs)
     dev = max(abs(d - mean) for d in degs)
     if dev > 4 * m / K:

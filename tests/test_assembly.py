@@ -10,47 +10,22 @@ from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.cyclic import CyclicSystem, reserve_regular
-from hamdec.errors import (HamiltonSearchExhausted, MalformedInput)
+from hamdec.errors import HamiltonSearchExhausted, MalformedInput
 from hamdec.extension import BalancedExtension
 
 
-def blowup_digraph(k, m, missing=0.0, seed=0):
-    """Complete winding blow-up of a k-cycle, optionally thinned, as
-    (digraph, partition, cluster cycle, clusters)."""
-    n = k * m
-    clusters = [list(range(i * m, (i + 1) * m)) for i in range(k)]
+def blowup_system(k, m):
+    """The complete winding blow-up of a k-cycle, with clusters of size
+    m, as (cyclic system, clusters)."""
+    clusters = [tuple(range(i * m, (i + 1) * m)) for i in range(k)]
     qp = ClusterPartition.equipartition(clusters)
     cyc = ClusterCycle(tuple(range(k)))
-    rng = random.Random(seed)
-    arcs = [(u, v) for i in range(k) for u in clusters[i]
-            for v in clusters[(i + 1) % k] if rng.random() >= missing]
-    return Digraph(n, arcs), qp, cyc, clusters
-
-
-def blowup_system(k, m, missing=0.0, seed=0):
-    g, qp, cyc, clusters = blowup_digraph(k, m, missing, seed)
-    system = CyclicSystem.from_digraph(g, qp, cyc, mu=missing, eps=0.5)
-    return system, clusters
+    pairs = [(clusters[ci], clusters[cj], np.ones((m, m), dtype=np.int64))
+             for (ci, cj) in cyc.edges()]
+    return CyclicSystem(k * m, pairs, qp, cyc, mu=0.0, eps=0.5), clusters
 
 
 class TestCyclicSystemMatrices:
-    @pytest.mark.parametrize("missing", [0.0, 0.3])
-    def test_from_digraph_round_trip(self, missing):
-        g, qp, cyc, clusters = blowup_digraph(4, 6, missing, seed=3)
-        system = CyclicSystem.from_digraph(g, qp, cyc, mu=missing, eps=0.5)
-        assert system.g_dir == g
-        for (ci, cj), (tails, heads, mat) in zip(cyc.edges(), system.pairs):
-            assert tails == qp.cluster(ci) and heads == qp.cluster(cj)
-            assert mat.dtype == np.int64 and mat.shape == (6, 6)
-        assert sum(int(mat.sum()) for (_, _, mat) in system.pairs) == \
-            g.edge_count()
-
-    def test_from_digraph_rejects_a_skipping_arc(self):
-        g, qp, cyc, clusters = blowup_digraph(4, 6)
-        bad = Digraph(g.n, set(g._arcs) | {(clusters[0][0], clusters[2][0])})
-        with pytest.raises(MalformedInput):
-            CyclicSystem.from_digraph(bad, qp, cyc, mu=0.0, eps=0.5)
-
     def test_validate_rejects_a_doubled_arc(self):
         system, _ = blowup_system(4, 6)
         system.validate()
@@ -221,7 +196,9 @@ class TestAssembleSlice:
         be = BalancedExtension([ps0, ps1, ps2], [m0, m1, m2], [0, 1, 2],
                                eps=0.5, ell=3)
         asm = assemble_slice(sys2, be, reservoir, seed=5)
-        assert reservoir.isdisjoint(sys2.g_dir._arcs)
+        assert reservoir.isdisjoint(
+            (tails[a], heads[b]) for (tails, heads, mat) in sys2.pairs
+            for a, b in zip(*np.nonzero(mat)))
         used_flat = set()
         for s, cyc in enumerate(asm.cycles):
             assert verify_hamilton_cycle(cyc, set(range(n)))

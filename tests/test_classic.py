@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdec.classic import (bipartite_hamilton_decompose, hopcroft_karp,
-                            pair_matrix, perfect_matching,
-                            regular_bipartite_to_matchings,
+                            pair_matrix, regular_bipartite_to_matchings,
                             regular_spanning_subgraph, take_matching,
                             walecki_decompose)
 from hamdec.core import Multigraph
@@ -81,19 +80,27 @@ def shifted_regular(m, shifts, n_offset=0):
     return Multigraph(n_offset + 2 * m, edges), left, right
 
 
+def sub_graph(n, sub, left, right):
+    """The Multigraph of the multiplicity matrix ``sub`` on left x right."""
+    return Multigraph(n, [(left[i], right[j], int(sub[i, j]))
+                          for i, j in zip(*np.nonzero(sub))])
+
+
 class TestRegularSpanningSubgraph:
     def test_complete_case(self):
         g, left, right = complete_bipartite(10)
-        sub = regular_spanning_subgraph(g, left, right, 0.0, 0.2)
-        assert all(sub.degree(v) == 8 for v in left + right)
-        assert sub.is_submultigraph_of(g)
+        mat = pair_matrix(g, left, right)
+        sub = regular_spanning_subgraph(mat, left, right, 0.0, 0.2)
+        assert (sub.sum(axis=0) == 8).all() and (sub.sum(axis=1) == 8).all()
+        assert sub_graph(g.n, sub, left, right).is_submultigraph_of(g)
 
     def test_complete_minus_matching(self):
         m = 10
         g, left, right = shifted_regular(m, [s for s in range(m) if s != 3])
-        sub = regular_spanning_subgraph(g, left, right, 0.1, 0.2)
-        assert all(sub.degree(v) == 7 for v in left + right)
-        assert sub.is_submultigraph_of(g)
+        mat = pair_matrix(g, left, right)
+        sub = regular_spanning_subgraph(mat, left, right, 0.1, 0.2)
+        assert (sub.sum(axis=0) == 7).all() and (sub.sum(axis=1) == 7).all()
+        assert sub_graph(g.n, sub, left, right).is_submultigraph_of(g)
 
     def test_star_heavy_witness(self):
         m = 10
@@ -102,29 +109,43 @@ class TestRegularSpanningSubgraph:
         edges = [(0, v) for v in right] + [(u, m) for u in left[1:]]
         g = Multigraph(2 * m, edges)
         with pytest.raises(DegreeHypothesisViolated) as exc:
-            regular_spanning_subgraph(g, left, right, 0.1, 0.2)
+            regular_spanning_subgraph(pair_matrix(g, left, right), left,
+                                      right, 0.1, 0.2)
         w = exc.value.witness
         s1, s2, r = w["S1"], w["S2"], w["r"]
         e_val = g.edges_between(s1, [v for v in right if v not in set(s2)])
+        assert e_val == w["e(S1,~S2)"]
         assert e_val < r * (len(s1) - len(s2))
 
     def test_explicit_degree(self):
         g, left, right = complete_bipartite(6)
-        sub = regular_spanning_subgraph(g, left, right, 0.0, 0.0, degree=3)
-        assert all(sub.degree(v) == 3 for v in left + right)
+        sub = regular_spanning_subgraph(pair_matrix(g, left, right), left,
+                                        right, 0.0, 0.0, degree=3)
+        assert (sub.sum(axis=0) == 3).all() and (sub.sum(axis=1) == 3).all()
+
+
+def factorize(g, left, right):
+    """regular_bipartite_to_matchings on g's pair matrix; each matching
+    is checked to be a list of (left, right) pairs and returned as a
+    Multigraph."""
+    ms = regular_bipartite_to_matchings(pair_matrix(g, left, right), left,
+                                        right)
+    for pm in ms:
+        assert all(u in left and v in right for (u, v) in pm)
+    return [Multigraph(g.n, pm) for pm in ms]
 
 
 class TestFactorization:
     def test_one_regular_identity(self):
         g, left, right = shifted_regular(5, [2])
-        (pm,) = regular_bipartite_to_matchings(g, left, right)
+        (pm,) = factorize(g, left, right)
         assert pm == g
 
     def test_c8_two_matchings(self):
         # C8 as a 2-regular bipartite graph
         g = Multigraph(8, [(0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3),
                            (3, 7), (7, 0)])
-        ms = regular_bipartite_to_matchings(g, [0, 1, 2, 3], [4, 5, 6, 7])
+        ms = factorize(g, [0, 1, 2, 3], [4, 5, 6, 7])
         assert len(ms) == 2
         assert all(m.is_matching() and m.edge_count() == 4 for m in ms)
         assert ms[0] + ms[1] == g
@@ -133,7 +154,7 @@ class TestFactorization:
         rng = random.Random(11)
         shifts = rng.sample(range(50), 5)
         g, left, right = shifted_regular(50, shifts)
-        ms = regular_bipartite_to_matchings(g, left, right)
+        ms = factorize(g, left, right)
         assert len(ms) == 5
         total = Multigraph(g.n)
         for m in ms:
@@ -144,14 +165,14 @@ class TestFactorization:
     def test_multigraph_multiplicities(self):
         # doubled perfect matching: 2-regular with parallel edges
         g = Multigraph(4, [(0, 2, 2), (1, 3, 2)])
-        ms = regular_bipartite_to_matchings(g, [0, 1], [2, 3])
+        ms = factorize(g, [0, 1], [2, 3])
         assert len(ms) == 2
         assert ms[0] + ms[1] == g
 
     def test_not_regular_rejected(self):
         g = Multigraph(4, [(0, 2), (0, 3)])
         with pytest.raises(InvalidParameter):
-            regular_bipartite_to_matchings(g, [0, 1], [2, 3])
+            factorize(g, [0, 1], [2, 3])
 
     @given(st.integers(2, 12), st.integers(1, 6), st.randoms())
     @settings(max_examples=60, deadline=None)
@@ -159,13 +180,89 @@ class TestFactorization:
         r = min(r, m)
         shifts = pyrng.sample(range(m), r)
         g, left, right = shifted_regular(m, shifts)
-        ms = regular_bipartite_to_matchings(g, left, right)
+        ms = factorize(g, left, right)
         assert len(ms) == r
         total = Multigraph(g.n)
         for pm in ms:
             assert pm.is_matching() and pm.edge_count() == m
             total = total + pm
         assert total == g
+
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.integers(1, 7), st.permutations(range(3 * m)), st.randoms())))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_frozen_multigraph_factorization(self, drawn):
+        r, perm, pyrng = drawn
+        m = len(perm) // 3
+        # vertex ids drawn at random, so right ids may sit below left ids
+        # or interleave with them
+        left, right = perm[:m], perm[m:2 * m]
+        edges = []
+        for _ in range(r):
+            cols = list(range(m))
+            pyrng.shuffle(cols)
+            edges.extend((left[i], right[j]) for i, j in enumerate(cols))
+        g = Multigraph(3 * m, edges)
+        expected = [[(u, v) if u in set(left) else (v, u)
+                     for (u, v) in sorted(pm.support())]
+                    for pm in reference_factorization(g, left, right)]
+        got = regular_bipartite_to_matchings(pair_matrix(g, left, right),
+                                             left, right)
+        assert got == expected
+
+
+def reference_factorization(graph, left, right):
+    """The 1-factorization as it was when it took and returned Multigraphs,
+    kept frozen here so that the matrix form must keep every matching."""
+    def factorize_rec(graph, r):
+        if r == 1:
+            return [graph]
+        if r % 2 == 1:
+            mat = pair_matrix(graph, left, right)
+            match = take_matching(mat, range(len(left)), range(len(right)))
+            pm = Multigraph(graph.n, [(left[i], right[j])
+                                      for i, j in enumerate(match)])
+            return [pm] + factorize_rec(graph - pm, r - 1)
+        g1, g2 = euler_split(graph)
+        return factorize_rec(g1, r // 2) + factorize_rec(g2, r // 2)
+
+    def euler_split(graph):
+        edge_list = []
+        adj = {}
+        for (u, v, k) in graph.edges():
+            for _ in range(k):
+                eid = len(edge_list)
+                edge_list.append((u, v))
+                adj.setdefault(u, []).append(eid)
+                adj.setdefault(v, []).append(eid)
+        used = [False] * len(edge_list)
+        ptr = {v: 0 for v in adj}
+        color = [0] * len(edge_list)
+        for start in sorted(adj):
+            while ptr[start] < len(adj[start]):
+                if used[adj[start][ptr[start]]]:
+                    ptr[start] += 1
+                    continue
+                circuit = []
+                cur = start
+                while True:
+                    row = adj[cur]
+                    while ptr.get(cur, 0) < len(row) and used[row[ptr[cur]]]:
+                        ptr[cur] += 1
+                    if ptr.get(cur, 0) >= len(row):
+                        break
+                    eid = row[ptr[cur]]
+                    used[eid] = True
+                    circuit.append(eid)
+                    a, b = edge_list[eid]
+                    cur = b if cur == a else a
+                for i, eid in enumerate(circuit):
+                    color[eid] = i % 2
+        e0 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 0]
+        e1 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 1]
+        return Multigraph(graph.n, e0), Multigraph(graph.n, e1)
+
+    return factorize_rec(graph, graph.degree(left[0]))
 
 
 class TestPerfectMatching:
@@ -192,23 +289,19 @@ class TestPerfectMatching:
         adj = [[] for _ in range(m)]
         for (u, v, _k) in g.edges():
             adj[lpos[u]].append(rpos[v])
-        reference = hopcroft_karp([sorted(row) for row in adj], m)
-        try:
-            expected = perfect_matching(g, perm_l, perm_r)
-        except MatchingInfeasible as exc:
-            assert -1 in reference
-            with pytest.raises(MatchingInfeasible) as mat_exc:
+        reference = reference_hopcroft_karp([sorted(row) for row in adj], m)
+        if -1 in reference:
+            with pytest.raises(MatchingInfeasible) as exc:
                 take_matching(res, rows, cols)
-            assert exc.witness == {
-                "S": [left[i] for i in mat_exc.value.witness["S"]],
-                "N(S)": [right[j] for j in mat_exc.value.witness["N(S)"]]}
-            assert len(exc.witness["N(S)"]) < len(exc.witness["S"])
+            w = exc.value.witness
+            assert len(w["N(S)"]) < len(w["S"])
+            # the witness holds: N(S) is exactly the neighbourhood of S
+            assert w["N(S)"] == sorted({j for i in w["S"]
+                                        for j in np.flatnonzero(before[i])})
             assert (res == before).all()
             return
         match = take_matching(res, rows, cols)
         assert match == reference
-        assert [(perm_l[p], perm_r[q])
-                for p, q in enumerate(match)] == expected
         taken = np.zeros_like(before)
         for p, q in enumerate(match):
             taken[rows[p], cols[q]] = 1
@@ -218,7 +311,8 @@ class TestPerfectMatching:
         # 3 left vertices all pointing to one right vertex
         g = Multigraph(6, [(0, 3), (1, 3), (2, 3)])
         with pytest.raises(MatchingInfeasible) as exc:
-            perfect_matching(g, [0, 1, 2], [3, 4, 5])
+            take_matching(pair_matrix(g, [0, 1, 2], [3, 4, 5]), range(3),
+                          range(3))
         w = exc.value.witness
         assert len(w["N(S)"]) < len(w["S"])
 

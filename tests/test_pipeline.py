@@ -61,6 +61,21 @@ class TestGenerator:
                     incidence[v] = incidence.get(v, 0) + 1
         assert max(incidence.values()) <= 2 * cfg.eps0 * P.n
 
+    @pytest.mark.parametrize("fixture", ["small_two_cliques",
+                                         "small_bipartite"])
+    def test_degree_window_matches_a_per_vertex_count(self, fixture,
+                                                      request):
+        cfg, host, P, systems, _ = request.getfixturevalue(fixture)
+        into = {"two-cliques": {"A": "A", "B": "B"},
+                "bipartite": {"A": "B", "B": "A"}}[cfg.mode]
+        clusters = {"A": [P.a_cluster(i) for i in range(P.K)],
+                    "B": [P.b_cluster(i) for i in range(P.K)]}
+        degs = [sum(host.multiplicity(v, w) for w in cluster)
+                for side in ("A", "B") for cluster in clusters[into[side]]
+                for v in getattr(P, side)]
+        assert pipeline._degree_window(host, P) == \
+            1 - (sum(degs) / len(degs)) / P.m
+
     def test_count_bound_rejected(self):
         cfg = InstanceConfig(mode="two-cliques", K=3, m=8, hes_count=100,
                              eps0=0.05, seed=1)
@@ -499,6 +514,49 @@ class TestCli:
                   "--out", str(inst)])
         assert cli_main(["export-dot", str(inst), "--out", str(dot)]) == 0
         assert dot.read_text().startswith("graph")
+
+
+def _reversed_ids(obj):
+    """The instance object with every vertex id v replaced by n - 1 - v,
+    so B-side ids sit below A-side ids."""
+    n = obj["graph"]["n"]
+
+    def flip(vs):
+        return [n - 1 - v for v in vs]
+
+    obj["graph"]["edges"] = [[n - 1 - u, n - 1 - v, k]
+                             for (u, v, k) in obj["graph"]["edges"]]
+    part = obj["partition"]
+    part["A0"], part["B0"] = flip(part["A0"]), flip(part["B0"])
+    part["A"] = [flip(c) for c in part["A"]]
+    part["B"] = [flip(c) for c in part["B"]]
+    for es in obj["exceptional_systems"]:
+        es["paths"] = [flip(path) for path in es["paths"]]
+        es["isolated"] = flip(es["isolated"])
+    return obj
+
+
+class TestReversedVertexIds:
+    @pytest.mark.parametrize("config", [
+        dict(mode="two-cliques", K=3, m=24, gamma=0.18, hes_count=5),
+        dict(mode="bipartite", K=4, m=32, gamma=0.12, bes_count=8),
+    ], ids=["two-cliques", "bipartite"])
+    def test_decompose_and_verify(self, tmp_path, config):
+        # the selftest configurations with every vertex id reversed
+        params, inst, cert = (tmp_path / "params.json",
+                              tmp_path / "inst.json", tmp_path / "cert.json")
+        params.write_text(json.dumps(InstanceConfig(
+            a0_size=1, b0_size=1, eps0=0.02, mu=0.0, rho=0.1, seed=0,
+            **config).to_json_obj()))
+        assert cli_main(["gen", "--params", str(params), "--seed", "0",
+                         "--out", str(inst)]) == 0
+        inst.write_text(json.dumps(_reversed_ids(json.loads(
+            inst.read_text()))))
+        _cfg, _host, partition, _systems = _load_instance(str(inst))
+        assert max(partition.B) < min(partition.A)
+        assert cli_main(["decompose", str(inst), "--out", str(cert)]) == 0
+        assert json.loads(cert.read_text())["global"]["all_ok"]
+        assert cli_main(["verify", str(inst), str(cert)]) == 0
 
 
 class TestLargerClusterCounts:
