@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
-from .core import (Digraph, OrderedDirectedMatching, cycle_vertex_order,
-                   derive_seed, is_consistent_with, verify_hamilton_cycle,
+from .core import (Digraph, OrderedDirectedMatching, derive_seed,
                    visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
@@ -27,11 +27,19 @@ from .extension import BalancedExtension
 # -- 1-factor completion (locally balanced path sequences -> 1-factors) ------
 
 
+class SuccessorArray(list):
+    """A 1-factor or cycle as ``succ[v]``, -1 for vertices off it."""
+
+    def arcs(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, v in enumerate(self) if v >= 0]
+
+
 def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
-                          ) -> list[Digraph]:
+                          ) -> list[SuccessorArray]:
     """Extend each locally balanced path sequence into a directed 1-factor
     on the cyclic system's vertex set, using winding edges of the system;
-    the added parts are pairwise edge-disjoint across slots.
+    the added parts are pairwise edge-disjoint across slots.  Each factor
+    is returned as its successor array.
 
     Per cluster pair, slots whose sequences touch the pair are matched
     first by augmenting paths on the restricted sets; the remaining slots
@@ -90,15 +98,23 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
                 add_arcs[s].extend(pm)
 
     factors = []
-    verts = {v for c in qp.clusters for v in c}
+    verts = [v for c in qp.clusters for v in c]
     for s in range(q_count):
-        f = Digraph(n, set(ps_list[s]._arcs) | set(add_arcs[s]))
+        succ = SuccessorArray([-1] * n)
+        pred = [-1] * n
+        for (u, v) in chain(ps_list[s]._arcs, add_arcs[s]):
+            if succ[u] != -1 or pred[v] != -1:
+                raise AssemblyVerificationFailed(
+                    f"slot {s}: arc ({u},{v}) doubles a degree in the "
+                    f"1-factor")
+            succ[u], pred[v] = v, u
         for v in verts:
-            if f.out_degree(v) != 1 or f.in_degree(v) != 1:
+            if succ[v] == -1 or pred[v] == -1:
                 raise AssemblyVerificationFailed(
                     f"slot {s}: vertex {v} has degree "
-                    f"({f.in_degree(v)},{f.out_degree(v)}) in the 1-factor")
-        factors.append(f)
+                    f"({int(pred[v] != -1)},{int(succ[v] != -1)}) in the "
+                    f"1-factor")
+        factors.append(succ)
     return factors
 
 
@@ -109,42 +125,38 @@ DEFAULT_RESTARTS = 80
 WAYPOINT_FRACTION = 0.5
 
 
-def find_ordered_hamilton(d: Digraph, waypoints: list[int],
-                          restarts: int = DEFAULT_RESTARTS,
-                          rng: random.Random | None = None,
-                          vertices=None) -> Digraph:
-    """A directed Hamilton cycle of ``d`` visiting ``waypoints`` in cyclic
-    order, found by randomized greedy insertion plus local reinsertion
-    search with restarts.  The output is always verified (Hamiltonicity
-    and waypoint order) before returning; a correct answer never depends
-    on the heuristic.
+def find_ordered_hamilton(arcs: set[tuple[int, int]], waypoints: list[int],
+                          vertices, restarts: int = DEFAULT_RESTARTS,
+                          rng: random.Random | None = None) -> list[int]:
+    """A directed Hamilton cycle on ``vertices`` using only ``arcs``
+    (a set of pairs) and visiting ``waypoints`` in cyclic order, as its
+    vertex sequence; found by randomized greedy insertion plus local
+    reinsertion search with restarts.  The output is always verified
+    (every step an arc, every vertex once, waypoint order) before
+    returning; a correct answer never depends on the heuristic.
     """
     rng = rng or random.Random(0)
-    verts = sorted(vertices) if vertices is not None \
-        else sorted(d.vertices_with_arcs())
+    verts = sorted(vertices)
     nv = len(verts)
     if nv < 2:
         raise HamiltonSearchExhausted("fewer than two vertices", restarts=0)
     if len(set(waypoints)) != len(waypoints) or \
             not set(waypoints) <= set(verts):
-        raise MalformedInput("waypoints must be distinct vertices of d")
+        raise MalformedInput("waypoints must be distinct vertices")
     if len(waypoints) > max(1, WAYPOINT_FRACTION * nv):
         raise MalformedInput(
             f"{len(waypoints)} waypoints exceed the supported fraction "
             f"{WAYPOINT_FRACTION} of {nv} vertices")
-    arcset = d._arcs
     others = [v for v in verts if v not in set(waypoints)]
     moves_budget = 30 * nv
 
     for attempt in range(restarts):
-        seq = _greedy_insertion(arcset, list(waypoints), others, rng)
-        seq = _local_search(arcset, seq, set(waypoints), moves_budget, rng)
-        if seq is not None:
-            cyc = Digraph(d.n, [(seq[i], seq[(i + 1) % nv])
-                                for i in range(nv)])
-            if verify_hamilton_cycle(cyc, set(verts)) and \
-                    visits_in_order(seq, waypoints):
-                return cyc
+        seq = _greedy_insertion(arcs, list(waypoints), others, rng)
+        seq = _local_search(arcs, seq, set(waypoints), moves_budget, rng)
+        if seq is not None and sorted(seq) == verts and \
+                all((seq[i - 1], seq[i]) in arcs for i in range(nv)) and \
+                visits_in_order(seq, waypoints):
+            return seq
     raise HamiltonSearchExhausted(
         f"no ordered Hamilton cycle found on {nv} vertices with "
         f"{len(waypoints)} waypoints", restarts=restarts)
@@ -244,14 +256,15 @@ class PairSpec:
     v2: tuple[int, ...]
 
 
-def _replace_pair_matching(f: Digraph, spec: PairSpec,
-                           reservoir: set[tuple[int, int]],
+def _replace_pair_matching(succ: list[int], spec: PairSpec,
+                           ledger: dict[int, set[int]],
                            waypoints: list[int], rng: random.Random
-                           ) -> tuple[Digraph, list[tuple[int, int]]]:
-    """Replace the perfect matching F[V^1, V^2] with one from the reservoir
-    arcs so that all paths through the pair close into a single cycle,
-    visiting the paths ending at ``waypoints`` (subset of V^1) in order.
-    The arcs taken are removed from ``reservoir``.
+                           ) -> tuple[list[int], list[tuple[int, int]]]:
+    """Replace the perfect matching F[V^1, V^2] of the 1-factor ``succ``
+    with one from the reservoir rows ``ledger`` so that all paths through
+    the pair close into a single cycle, visiting the paths ending at
+    ``waypoints`` (subset of V^1) in order.  Returns the new successor
+    array and the arcs taken, which are removed from ``ledger``.
 
     Built on the auxiliary digraph whose vertices are V^2: identify each
     path (from y in V^2 to x in V^1, after deleting the pair matching)
@@ -260,125 +273,149 @@ def _replace_pair_matching(f: Digraph, spec: PairSpec,
     matching.
     """
     v1, v2 = set(spec.v1), set(spec.v2)
-    matching = {}
     for x in v1:
-        outs = f.out_neighbors(x) & v2
-        if len(outs) != 1:
+        if succ[x] not in v2:
             raise MalformedInput(
                 f"F[V1,V2] at cluster {spec.cluster_index} is not a perfect "
                 f"matching (vertex {x})")
-        matching[x] = next(iter(outs))
-    if len(set(matching.values())) != len(v2):
+    if len({succ[x] for x in v1}) != len(v2):
         raise MalformedInput(
             f"F[V1,V2] at cluster {spec.cluster_index} is not a perfect "
             f"matching (heads not exactly V^2)")
     # f(x): walk backwards from x in V^1 to the first vertex in V^2.
     # Every V^2 vertex has its in-arc inside the pair matching, so the
     # first V^2 vertex met is exactly the start of the path ending at x.
+    pred = [-1] * len(succ)
+    for v, w in enumerate(succ):
+        if w >= 0:
+            pred[w] = v
     start_of: dict[int, int] = {}
     for x in v1:
-        cur = x
-        while True:
-            cur = next(iter(f.in_neighbors(cur)))
-            if cur in v2:
-                break
+        cur = pred[x]
+        while cur not in v2:
+            cur = pred[cur]
         start_of[x] = cur
-    aux = Digraph(f.n, {(start_of[x], w) for x in v1 for w in v2
-                        if w != start_of[x] and (x, w) in reservoir})
+    aux = {(start_of[x], w) for x in v1 for w in ledger.get(x, set()) & v2
+           if w != start_of[x]}
     aux_waypoints = [start_of[x] for x in waypoints]
-    cyc = find_ordered_hamilton(aux, aux_waypoints, rng=rng,
-                                vertices=sorted(v2))
+    seq = find_ordered_hamilton(aux, aux_waypoints, v2, rng=rng)
     # translate the auxiliary cycle back into a replacement matching
     inv_start = {y: x for x, y in start_of.items()}
-    new_arcs = [(inv_start[y], y2) for (y, y2) in cyc._arcs]
-    reservoir.difference_update(new_arcs)
-    f2 = Digraph(f.n, (f._arcs - set(matching.items())) | set(new_arcs))
-    return f2, new_arcs
+    new_arcs = [(inv_start[y], y2) for y, y2 in zip(seq, seq[1:] + seq[:1])]
+    out = list(succ)
+    for (x, y2) in new_arcs:
+        out[x] = y2
+        ledger[x].discard(y2)
+    return out, new_arcs
 
 
-def _cycle_count(f: Digraph, verts: set[int]) -> list[list[int]]:
-    """Decompose a 1-regular digraph into its cycles (as vertex lists)."""
+def _cycle_count(succ: list[int], verts: list[int]) -> list[list[int]]:
+    """Decompose a 1-factor into its cycles (as vertex lists)."""
     seen: set[int] = set()
     cycles = []
-    for v in sorted(verts):
+    for v in verts:
         if v in seen:
             continue
         cyc = [v]
         seen.add(v)
-        cur = next(iter(f.out_neighbors(v)))
+        cur = succ[v]
         while cur != v:
+            if cur < 0 or cur in seen:
+                raise MalformedInput(f"not a 1-factor at vertex {cyc[-1]}")
             cyc.append(cur)
             seen.add(cur)
-            cur = next(iter(f.out_neighbors(cur)))
+            cur = succ[cur]
         cycles.append(cyc)
     return cycles
 
 
-def merge_to_hamilton(f: Digraph, reservoir: set[tuple[int, int]],
+def _hamilton_order(succ: list[int], verts: list[int]) -> list[int] | None:
+    """The vertices of ``succ`` in cycle order from ``verts[0]``, or None
+    unless ``succ`` is one directed cycle through all of ``verts``, the
+    vertices that have a successor."""
+    if not verts:
+        return None
+    order = [verts[0]]
+    cur = succ[verts[0]]
+    while cur != verts[0]:
+        if cur < 0 or len(order) == len(verts):
+            return None
+        order.append(cur)
+        cur = succ[cur]
+    return order if len(order) == len(verts) else None
+
+
+def _support(succ: list[int]) -> list[int]:
+    return [v for v, w in enumerate(succ) if w >= 0]
+
+
+def merge_to_hamilton(succ: list[int], ledger: dict[int, set[int]],
                       pairs: list[PairSpec],
                       rng: random.Random | None = None
-                      ) -> tuple[Digraph, list[tuple[int, int]]]:
-    """Merge the cycles of the 1-factor ``f`` into a single directed cycle
-    by replacing F[V^1_i, V^2_{i+1}] with matchings of unused reservoir
-    arcs at (a subset of) the listed pairs.  Returns (cycle, arcs taken);
-    the arcs taken are removed from ``reservoir``.
+                      ) -> tuple[list[int], list[tuple[int, int]]]:
+    """Merge the cycles of the 1-factor ``succ`` into a single directed
+    cycle by replacing F[V^1_i, V^2_{i+1}] with matchings of unused
+    reservoir arcs (``ledger[u]``: the heads still unused at tail u) at
+    (a subset of) the listed pairs.  Returns (cycle, arcs taken); the
+    arcs taken are removed from ``ledger``.
 
     A replacement happens at a pair only while the factor is still
     disconnected and at least two current cycles pass through the pair;
     every cycle must pass through some listed pair or the merge fails.
     """
     rng = rng or random.Random(0)
-    verts = f.vertices_with_arcs()
+    verts = _support(succ)
     used: list[tuple[int, int]] = []
-    current = f
+    current = succ
     for spec in pairs:
         cycles = _cycle_count(current, verts)
         if len(cycles) == 1:
             break
         v1 = set(spec.v1)
-        touching = sum(1 for cyc in cycles if set(cyc) & v1)
+        touching = sum(1 for cyc in cycles if not v1.isdisjoint(cyc))
         if touching < 2:
             continue
         current, new_arcs = _replace_pair_matching(
-            current, spec, reservoir, [], rng)
+            current, spec, ledger, [], rng)
         used.extend(new_arcs)
     cycles = _cycle_count(current, verts)
     if len(cycles) != 1:
         raise MalformedInput(
             f"{len(cycles)} cycles remain after merging at all listed "
             f"pairs; a cycle avoids every pair (precondition violation)")
-    if not verify_hamilton_cycle(current, verts):
+    if _hamilton_order(current, verts) is None:
         raise AssemblyVerificationFailed("merged factor failed verification")
     return current, used
 
 
-def reorder_for_consistency(cycle: Digraph,
-                            reservoir: set[tuple[int, int]],
+def reorder_for_consistency(succ: list[int], ledger: dict[int, set[int]],
                             spec: PairSpec, waypoints: list[int],
                             rng: random.Random | None = None
-                            ) -> tuple[Digraph, list[tuple[int, int]]]:
-    """A Hamilton cycle on the same vertices visiting ``waypoints`` in
-    cyclic order, differing from the input only inside the given pair;
-    the reservoir arcs it takes are removed from ``reservoir``.
+                            ) -> tuple[list[int], list[tuple[int, int]]]:
+    """A Hamilton cycle on the same vertices as the cycle ``succ``,
+    visiting ``waypoints`` in cyclic order and differing from the input
+    only inside the given pair; the reservoir arcs it takes are removed
+    from ``ledger``.
 
     If the input already visits the waypoints in order it is returned
     unchanged (consuming no reservoir arcs).
     """
     rng = rng or random.Random(0)
-    verts = cycle.vertices_with_arcs()
-    if not verify_hamilton_cycle(cycle, verts):
+    verts = _support(succ)
+    order = _hamilton_order(succ, verts)
+    if order is None:
         raise MalformedInput("reorder requires a Hamilton cycle")
     if not set(waypoints) <= set(spec.v1):
         raise MalformedInput("waypoints must lie inside V^1 of the pair")
     # any rotation realizes the cyclic order of at most two waypoints
-    if len(waypoints) <= 2 or \
-            visits_in_order(cycle_vertex_order(cycle, verts), waypoints):
-        return cycle, []
-    out, new_arcs = _replace_pair_matching(cycle, spec, reservoir,
+    if len(waypoints) <= 2 or visits_in_order(order, waypoints):
+        return succ, []
+    out, new_arcs = _replace_pair_matching(succ, spec, ledger,
                                            list(waypoints), rng)
-    if not verify_hamilton_cycle(out, verts):
+    order = _hamilton_order(out, verts)
+    if order is None:
         raise AssemblyVerificationFailed("reordered cycle failed verification")
-    if not visits_in_order(cycle_vertex_order(out, verts), waypoints):
+    if not visits_in_order(order, waypoints):
         raise AssemblyVerificationFailed("reordered cycle ignores waypoints")
     return out, new_arcs
 
@@ -393,22 +430,25 @@ class SliceAssembly:
 
 
 def assemble_slice(system: CyclicSystem, be: BalancedExtension,
-                   reservoir: set[tuple[int, int]], seed: int = 0
+                   reservoir: dict[int, set[int]], seed: int = 0
                    ) -> SliceAssembly:
     """Produce one consistent Hamilton cycle per balanced-extension slot.
 
-    Maintains the depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'})
-    as one set of unused reservoir arcs, which merging and reordering
-    deplete in place; per slot: extend to 1-factors, merge through the
-    touched cluster pairs, then reorder at the extension cluster so the
-    cycle is consistent with its ordered matching.  Every output is
-    re-verified: sequence containment, consistency, Hamiltonicity, and the
-    confinement of C_s - F_s to the touched pairs.
+    ``reservoir`` holds the slice's reservoir arcs as out-rows
+    (``reservoir[u]``: the heads of the arcs at tail u).  Maintains the
+    depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'}) as one copy
+    of those rows, which merging and reordering deplete in place; per
+    slot: extend to 1-factors, merge through the touched cluster pairs,
+    then reorder at the extension cluster so the cycle is consistent with
+    its ordered matching.  Every output is re-verified: sequence
+    containment, consistency, Hamiltonicity, and the confinement of
+    C_s - F_s to the touched pairs.
     """
     qp = system.q
     k = len(qp.clusters)
     factors = extend_to_one_factors(system, be.path_sequences)
-    unused = set(reservoir)
+    verts = sorted(v for c in qp.clusters for v in c)
+    unused = {u: set(row) for u, row in reservoir.items()}
     out_cycles: list[Digraph] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
@@ -435,30 +475,35 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         final, used2 = reorder_for_consistency(merged, unused, ext_spec, xs,
                                                rng=rng)
         # full verification of the slot output
-        if not set(ps._arcs) <= set(final._arcs):
+        if any(final[u] != v for (u, v) in ps._arcs):
             raise AssemblyVerificationFailed(
                 f"slot {s}: path sequence not contained in the output")
-        if not is_consistent_with(final, matching):
+        order = _hamilton_order(final, verts)
+        if order is None or _support(final) != verts:
+            raise AssemblyVerificationFailed(
+                f"slot {s}: output is not a Hamilton cycle of the slice")
+        if any(final[u] != v for (u, v) in matching.arcs) or \
+                not visits_in_order(order, [u for (u, _v) in matching.arcs]):
             raise AssemblyVerificationFailed(
                 f"slot {s}: output not consistent with its matching")
-        diff = set(final._arcs) - set(factors[s]._arcs)
         allowed_clusters = {sp.cluster_index for sp in specs}
-        for (u, v) in diff:
-            if qp.cluster_index(u) not in allowed_clusters:
+        for u in verts:
+            if final[u] != factors[s][u] and \
+                    qp.cluster_index(u) not in allowed_clusters:
                 raise AssemblyVerificationFailed(
-                    f"slot {s}: replacement arc ({u},{v}) outside the "
-                    f"touched pairs")
-        out_cycles.append(final)
+                    f"slot {s}: replacement arc ({u},{final[u]}) outside "
+                    f"the touched pairs")
+        out_cycles.append(Digraph(system.n, [(u, final[u]) for u in order]))
         usage.append(used1 + used2)
     # conservation: all reservoir arcs charged exist in the reservoir and
     # are pairwise distinct across slots
     flat = [a for u in usage for a in u]
     if len(flat) != len(set(flat)):
         raise AssemblyVerificationFailed("reservoir arc charged twice")
-    for a in flat:
-        if a not in reservoir:
+    for (u, v) in flat:
+        if v not in reservoir.get(u, ()):
             raise AssemblyVerificationFailed(
-                f"replacement arc {a} not in the reservoir")
+                f"replacement arc {(u, v)} not in the reservoir")
     return SliceAssembly(cycles=out_cycles, reservoir_usage=usage)
 
 

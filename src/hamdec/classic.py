@@ -224,23 +224,51 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     given as indices of ``res``.
     """
     sub = res[np.ix_(rows, cols)] > 0
-    # row-major nonzero: each row's columns, ascending, one row after another
-    flat = np.nonzero(sub)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
-    adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    match_l = hopcroft_karp(adj, len(cols))
-    if -1 in match_l:
-        violator = _hall_violator(adj, match_l, len(cols))
-        raise MatchingInfeasible(
-            f"no perfect matching between classes of size {len(rows)}",
-            witness={"S": [rows[p] for p in violator],
-                     "N(S)": sorted({cols[q] for p in violator
-                                     for q in adj[p]}),
-                     "unmatched": [rows[p] for p, q in enumerate(match_l)
-                                   if q == -1]})
+    match_l = _greedy_matching(sub)
+    if match_l is None:
+        # row-major nonzero: each row's columns, ascending, row after row
+        flat = np.nonzero(sub)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
+        adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        match_l = hopcroft_karp(adj, len(cols))
+        if -1 in match_l:
+            violator = _hall_violator(adj, match_l, len(cols))
+            raise MatchingInfeasible(
+                f"no perfect matching between classes of size {len(rows)}",
+                witness={"S": [rows[p] for p in violator],
+                         "N(S)": sorted({cols[q] for p in violator
+                                         for q in adj[p]}),
+                         "unmatched": [rows[p] for p, q in enumerate(match_l)
+                                       if q == -1]})
     res[np.asarray(rows, dtype=np.intp),
         np.asarray(cols, dtype=np.intp)[match_l]] -= 1
     return match_l
+
+
+def _greedy_matching(sub: np.ndarray) -> list[int] | None:
+    """Hopcroft-Karp's first phase on row bitsets: each row of the boolean
+    matrix ``sub``, in order, takes its lowest free column.  Returns that
+    matching if it leaves no row unmatched, else None.
+
+    This is exactly what ``hopcroft_karp`` finds then: in its first phase
+    every layer is 0, so ``dfs`` never recurses and each free row takes
+    the first free column of its ascending adjacency; a matching that
+    leaves no row free ends the search.
+    """
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    free = (1 << sub.shape[1]) - 1
+    match = []
+    for i in range(len(sub)):
+        row = int.from_bytes(buf[i * width:(i + 1) * width], "little")
+        avail = row & free
+        if not avail:
+            return None
+        low = avail & -avail
+        free ^= low
+        match.append(low.bit_length() - 1)
+    return match
 
 
 def _hall_violator(adj, match_l, n_right) -> list[int]:

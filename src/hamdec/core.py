@@ -287,22 +287,11 @@ class Digraph:
     def out_neighbors(self, v: int) -> set[int]:
         return self._out.get(v, set())
 
-    def in_neighbors(self, v: int) -> set[int]:
-        return self._in.get(v, set())
+    def out_degree(self, v: int) -> int:
+        return len(self._out.get(v, ()))
 
-    def out_degree(self, v: int, target: Iterable[int] | None = None) -> int:
-        row = self._out.get(v, set())
-        if target is None:
-            return len(row)
-        return len(row & set(target)) if isinstance(target, (set, frozenset)) \
-            else sum(1 for w in target if w in row)
-
-    def in_degree(self, v: int, source: Iterable[int] | None = None) -> int:
-        row = self._in.get(v, set())
-        if source is None:
-            return len(row)
-        return len(row & set(source)) if isinstance(source, (set, frozenset)) \
-            else sum(1 for w in source if w in row)
+    def in_degree(self, v: int) -> int:
+        return len(self._in.get(v, ()))
 
     def __add__(self, other: "Digraph") -> "Digraph":
         n = max(self.n, other.n)

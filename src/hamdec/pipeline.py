@@ -543,7 +543,8 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     r_res = _reserve_degree_for(pair_min, gamma, m, q_count)
     last_error: HamdecError | None = None
     for attempt in range(SLICE_RETRIES):
-        reservoir: set[tuple[int, int]] = set()
+        # the reservoir as out-rows: reservoir[u] = heads of u's arcs
+        reservoir: dict[int, set[int]] = {}
         kept = []
         for (ci, _cj), (tails, heads, mat) in zip(slc.cycle.edges(),
                                                   slc.pairs):
@@ -552,7 +553,8 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
                 mat, r_res, 0.5,
                 rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,
                                           attempt))
-            reservoir.update((tails[a], heads[b]) for (a, b) in chosen)
+            for (a, b) in chosen:
+                reservoir.setdefault(tails[a], set()).add(heads[b])
             kept.append((tails, heads, mat))
         system = CyclicSystem(slc.n, kept, slc.q, slc.cycle, slc.mu, 1.0)
         try:

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hamdec import assembly
 from hamdec.assembly import (PairSpec, assemble_slice, extend_to_one_factors,
                              find_ordered_hamilton, merge_to_hamilton,
                              reorder_for_consistency)
@@ -25,6 +26,40 @@ def blowup_system(k, m):
     return CyclicSystem(k * m, pairs, qp, cyc, mu=0.0, eps=0.5), clusters
 
 
+def succ_of(n, arcs):
+    """The successor array of a set of arcs with distinct tails."""
+    succ = [-1] * n
+    for (u, v) in arcs:
+        succ[u] = v
+    return succ
+
+
+def rows_of(arcs):
+    """Reservoir arcs as out-rows: tail -> set of heads."""
+    rows = {}
+    for (u, v) in arcs:
+        rows.setdefault(u, set()).add(v)
+    return rows
+
+
+def arcs_of(rows):
+    return {(u, v) for u, row in rows.items() for v in row}
+
+
+def cycle_succ(verts, n):
+    return succ_of(n, [(verts[i], verts[(i + 1) % len(verts)])
+                       for i in range(len(verts))])
+
+
+def as_digraph(succ):
+    return Digraph(len(succ), [(u, v) for u, v in enumerate(succ) if v >= 0])
+
+
+def is_permutation(succ):
+    """Every vertex has out- and in-degree exactly 1."""
+    return sorted(succ) == list(range(len(succ)))
+
+
 class TestCyclicSystemMatrices:
     def test_validate_rejects_a_doubled_arc(self):
         system, _ = blowup_system(4, 6)
@@ -43,10 +78,9 @@ class TestExtendToOneFactors:
         assert len(factors) == q
         used = set()
         for f in factors:
-            for v in range(24):
-                assert f.out_degree(v) == 1 and f.in_degree(v) == 1
-            assert not (set(f._arcs) & used)
-            used |= set(f._arcs)
+            assert is_permutation(f)
+            assert not (set(f.arcs()) & used)
+            used |= set(f.arcs())
 
     def test_path_containment(self):
         system, clusters = blowup_system(4, 6)
@@ -54,22 +88,23 @@ class TestExtendToOneFactors:
         u, v = clusters[0][0], clusters[1][0]
         ps = Digraph(24, [(u, v)])
         (f,) = extend_to_one_factors(system, [ps])
-        assert f.has_arc(u, v)
-        for w in range(24):
-            assert f.out_degree(w) == 1 and f.in_degree(w) == 1
+        assert f[u] == v
+        assert is_permutation(f)
 
 
 class TestFindOrderedHamilton:
     def test_complete_digraph_with_waypoints(self):
         n = 8
-        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-        cyc = find_ordered_hamilton(d, [3, 5, 1], rng=random.Random(0))
-        assert verify_hamilton_cycle(cyc, set(range(n)))
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v}
+        seq = find_ordered_hamilton(arcs, [3, 5, 1], range(n),
+                                    rng=random.Random(0))
+        cyc = cycle_succ(seq, n)
+        assert verify_hamilton_cycle(as_digraph(cyc), set(range(n)))
         order = []
         cur = 3
         for _ in range(n):
             order.append(cur)
-            cur = next(iter(cyc.out_neighbors(cur)))
+            cur = cyc[cur]
         assert order.index(5) < order.index(1)
 
     def test_dense_random_no_waypoints(self):
@@ -77,33 +112,41 @@ class TestFindOrderedHamilton:
         rng = random.Random(2)
         arcs = {(u, v) for u in range(n) for v in range(n)
                 if u != v and rng.random() < 0.75}
-        d = Digraph(n, arcs)
-        cyc = find_ordered_hamilton(d, [], rng=random.Random(3))
-        assert verify_hamilton_cycle(cyc, set(range(n)))
+        seq = find_ordered_hamilton(arcs, [], range(n), rng=random.Random(3))
+        assert verify_hamilton_cycle(as_digraph(cycle_succ(seq, n)),
+                                     set(range(n)))
+        assert all((seq[i - 1], seq[i]) in arcs for i in range(n))
 
     def test_path_has_no_hamilton_cycle(self):
-        d = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        arcs = {(0, 1), (1, 2), (2, 3), (3, 4)}
         with pytest.raises(HamiltonSearchExhausted) as exc:
-            find_ordered_hamilton(d, [], restarts=5, rng=random.Random(0))
+            find_ordered_hamilton(arcs, [], range(5), restarts=5,
+                                  rng=random.Random(0))
         assert exc.value.restarts == 5
+
+    def test_output_arcs_are_checked(self, monkeypatch):
+        # with a search that returns its greedy start unchanged, two
+        # disjoint triangles give sequences with non-arcs; none may pass
+        monkeypatch.setattr(assembly, "_local_search",
+                            lambda arcset, seq, wps, budget, rng: seq)
+        arcs = {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}
+        with pytest.raises(HamiltonSearchExhausted):
+            find_ordered_hamilton(arcs, [], range(6), restarts=5,
+                                  rng=random.Random(0))
 
     def test_waypoint_fraction_guard(self):
         n = 10
-        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v}
         with pytest.raises(MalformedInput):
-            find_ordered_hamilton(d, [0, 1, 2, 3, 4, 5], rng=random.Random(0))
-
-
-def cycle_digraph(verts, n):
-    return Digraph(n, [(verts[i], verts[(i + 1) % len(verts)])
-                       for i in range(len(verts))])
+            find_ordered_hamilton(arcs, [0, 1, 2, 3, 4, 5], range(n),
+                                  rng=random.Random(0))
 
 
 class TestMergeAndReorder:
     def build_two_cycle_factor(self):
         """k=2-ish structure on 12 vertices: two disjoint 6-cycles winding
         around clusters V_0 = 0..5, V_1 = 6..11."""
-        f = Digraph(12, [(0, 6), (6, 1), (1, 7), (7, 2), (2, 8), (8, 0),
+        f = succ_of(12, [(0, 6), (6, 1), (1, 7), (7, 2), (2, 8), (8, 0),
                          (3, 9), (9, 4), (4, 10), (10, 5), (5, 11), (11, 3)])
         return f
 
@@ -113,17 +156,17 @@ class TestMergeAndReorder:
         v2 = tuple(range(6, 12))
         reservoir = {(u, v) for u in v1 for v in v2}
         spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
-        unused = set(reservoir)
+        unused = rows_of(reservoir)
         merged, used = merge_to_hamilton(f, unused, [spec],
                                          rng=random.Random(1))
-        assert verify_hamilton_cycle(merged, set(range(12)))
+        assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
         assert used and all(a in reservoir for a in used)
-        assert unused == reservoir - set(used)
+        assert arcs_of(unused) == reservoir - set(used)
 
     def test_identity_when_single_cycle(self):
         verts = list(range(8))
-        f = cycle_digraph(verts, 8)
-        merged, used = merge_to_hamilton(f, set(), [],
+        f = cycle_succ(verts, 8)
+        merged, used = merge_to_hamilton(f, {}, [],
                                          rng=random.Random(1))
         assert merged == f and used == []
 
@@ -133,42 +176,43 @@ class TestMergeAndReorder:
         spec = PairSpec(cluster_index=0, v1=(0, 1, 2), v2=(6, 7, 8))
         reservoir = {(u, v) for u in (0, 1, 2) for v in (6, 7, 8)}
         with pytest.raises(MalformedInput):
-            merge_to_hamilton(f, reservoir, [spec], rng=random.Random(1))
+            merge_to_hamilton(f, rows_of(reservoir), [spec],
+                              rng=random.Random(1))
 
     def test_reorder_square_blowup(self):
         # 12-vertex blow-up of a 2-cluster cycle; 3 waypoints forced
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
-        cyc = cycle_digraph(verts, 12)
+        cyc = cycle_succ(verts, 12)
         v1 = tuple(range(6))
         v2 = tuple(range(6, 12))
         reservoir = {(u, v) for u in v1 for v in v2}
         spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
-        out, used = reorder_for_consistency(cyc, reservoir, spec, [0, 3, 1],
-                                            rng=random.Random(4))
-        assert verify_hamilton_cycle(out, set(range(12)))
+        out, used = reorder_for_consistency(cyc, rows_of(reservoir), spec,
+                                            [0, 3, 1], rng=random.Random(4))
+        assert verify_hamilton_cycle(as_digraph(out), set(range(12)))
         order = []
         cur = 0
         for _ in range(12):
             order.append(cur)
-            cur = next(iter(out.out_neighbors(cur)))
+            cur = out[cur]
         assert order.index(3) < order.index(1)
 
     def test_reorder_empty_waypoints_identity(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
-        cyc = cycle_digraph(verts, 12)
+        cyc = cycle_succ(verts, 12)
         spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
                         v2=tuple(range(6, 12)))
-        out, used = reorder_for_consistency(cyc, set(), spec, [],
+        out, used = reorder_for_consistency(cyc, {}, spec, [],
                                             rng=random.Random(4))
         assert out == cyc and used == []
 
     def test_reorder_waypoints_outside_v1(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
-        cyc = cycle_digraph(verts, 12)
+        cyc = cycle_succ(verts, 12)
         spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
                         v2=tuple(range(6, 12)))
         with pytest.raises(MalformedInput):
-            reorder_for_consistency(cyc, set(), spec, [6, 0, 1],
+            reorder_for_consistency(cyc, {}, spec, [6, 0, 1],
                                     rng=random.Random(4))
 
 
@@ -195,7 +239,7 @@ class TestAssembleSlice:
                           (12, 36), (14, 37), (16, 38)])
         be = BalancedExtension([ps0, ps1, ps2], [m0, m1, m2], [0, 1, 2],
                                eps=0.5, ell=3)
-        asm = assemble_slice(sys2, be, reservoir, seed=5)
+        asm = assemble_slice(sys2, be, rows_of(reservoir), seed=5)
         assert reservoir.isdisjoint(
             (tails[a], heads[b]) for (tails, heads, mat) in sys2.pairs
             for a, b in zip(*np.nonzero(mat)))

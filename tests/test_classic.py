@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamdec import classic
 from hamdec.classic import (bipartite_hamilton_decompose, hopcroft_karp,
                             pair_matrix, regular_bipartite_to_matchings,
                             regular_spanning_subgraph, take_matching,
@@ -306,6 +307,64 @@ class TestPerfectMatching:
         for p, q in enumerate(match):
             taken[rows[p], cols[q]] = 1
         assert (res == before - taken).all()
+
+    @given(st.integers(1, 96), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bitset_path_equals_hopcroft_karp(self, m, density, seed):
+        # past the 64-column word boundary, and dense enough that the
+        # greedy first phase alone is often perfect
+        gen = np.random.default_rng(seed)
+        res = (gen.random((m, m)) < density) * gen.integers(1, 3, (m, m))
+        rows = gen.permutation(m).tolist()
+        cols = gen.permutation(m).tolist()
+        before = res.copy()
+        sub = before[np.ix_(rows, cols)] > 0
+        adj = [np.flatnonzero(row).tolist() for row in sub]
+        reference = reference_hopcroft_karp(adj, m)
+        if -1 in reference:
+            with pytest.raises(MatchingInfeasible) as exc:
+                take_matching(res, rows, cols)
+            violator = classic._hall_violator(adj, reference, m)
+            assert exc.value.witness == {
+                "S": [rows[p] for p in violator],
+                "N(S)": sorted({cols[q] for p in violator for q in adj[p]}),
+                "unmatched": [rows[p] for p, q in enumerate(reference)
+                              if q == -1]}
+            assert (res == before).all()
+            return
+        assert take_matching(res, rows, cols) == reference
+        taken = np.zeros_like(before)
+        for p, q in enumerate(reference):
+            taken[rows[p], cols[q]] = 1
+        assert (res == before - taken).all()
+
+    def count_hopcroft_karp(self, monkeypatch):
+        calls = []
+
+        def counted(adj, n_right):
+            calls.append(n_right)
+            return hopcroft_karp(adj, n_right)
+
+        monkeypatch.setattr(classic, "hopcroft_karp", counted)
+        return calls
+
+    def test_greedy_perfect_skips_hopcroft_karp(self, monkeypatch):
+        calls = self.count_hopcroft_karp(monkeypatch)
+        res = np.ones((80, 80), dtype=np.int64)
+        match = take_matching(res, range(80), range(80))
+        assert match == list(range(80)) == \
+            reference_hopcroft_karp([list(range(80))] * 80, 80)
+        assert calls == []
+        assert (res == 1 - np.eye(80, dtype=np.int64)).all()
+
+    def test_greedy_failure_falls_back_to_augmenting(self, monkeypatch):
+        calls = self.count_hopcroft_karp(monkeypatch)
+        # row 0 takes column 0 first; row 1 then needs an augmenting path
+        res = np.array([[1, 1], [1, 0]])
+        assert take_matching(res, [0, 1], [0, 1]) == [1, 0] == \
+            reference_hopcroft_karp([[0, 1], [0]], 2)
+        assert calls == [2]
+        assert (res == [[1, 0], [0, 0]]).all()
 
     def test_hall_witness(self):
         # 3 left vertices all pointing to one right vertex
