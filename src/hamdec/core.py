@@ -685,17 +685,13 @@ def is_locally_balanced(d: Digraph, partition: ClusterPartition,
 def is_consistent_with(cycle: Digraph, matching: OrderedDirectedMatching) -> bool:
     """True iff the cycle contains every arc of the matching and traversing
     once from the first arc encounters the arcs in the given cyclic order."""
-    verts = cycle.vertices_with_arcs()
-    if not verify_hamilton_cycle(cycle, verts):
-        raise MalformedInput("consistency check requires a Hamilton cycle")
-    if len(matching) == 0:
-        return True
+    # raises MalformedInput on a non-cycle, whatever the matching
+    order = cycle_vertex_order(cycle, cycle.vertices_with_arcs())
     for (u, v) in matching.arcs:
         if not cycle.has_arc(u, v):
             return False
     # arc (u,v) sits where the cycle leaves u
-    return visits_in_order(cycle_vertex_order(cycle, verts),
-                           [u for (u, _v) in matching.arcs])
+    return visits_in_order(order, [u for (u, _v) in matching.arcs])
 
 
 def visits_in_order(order: Sequence[int], targets: Sequence[int]) -> bool:

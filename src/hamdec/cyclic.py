@@ -128,21 +128,29 @@ def check_superregular(graph: Multigraph, left, right, eps: float, d: float,
     The codegree, max-degree and min-degree verdicts are exact; the
     density-uniformity verdict is exhaustive for m <= 12 and sampled
     (``trials`` random set pairs of threshold size and larger) otherwise.
+    ``mode`` forces one of the two; InvalidParameter for an unknown mode
+    or for "exhaustive" above m = EXHAUSTIVE_REG1_LIMIT.
     """
     left = list(left)
     right = list(right)
     if len(left) != len(right) or not left:
         raise InvalidParameter("classes must be nonempty and of equal size")
-    return _superregular_report(pair_matrix(graph, left, right), eps, d,
-                                d_star, c, mode, trials,
-                                rng or random.Random(0))
+    return _superregular_report(
+        pair_matrix(graph, left, right), eps, d, d_star, c, mode, trials,
+        np.random.default_rng((rng or random.Random(0)).getrandbits(64)))
 
 
 def _superregular_report(mat: np.ndarray, eps: float, d: float,
                          d_star: float, c: float, mode: str, trials: int,
-                         rng: random.Random) -> SuperregularityReport:
+                         rng: np.random.Generator) -> SuperregularityReport:
     """check_superregular on the pair's m x m multiplicity matrix."""
     m = len(mat)
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise InvalidParameter(f"unknown Reg1 mode {mode!r}")
+    if mode == "exhaustive" and m > EXHAUSTIVE_REG1_LIMIT:
+        raise InvalidParameter(
+            f"exhaustive Reg1 enumerates 2^m sets; m = {m} exceeds "
+            f"{EXHAUSTIVE_REG1_LIMIT}")
     deg_l = mat.sum(axis=1)
     deg_r = mat.sum(axis=0)
     max_deg = int(max(deg_l.max(), deg_r.max()))
@@ -188,25 +196,24 @@ def _superregular_report(mat: np.ndarray, eps: float, d: float,
     else:
         reg1_mode = "sampled"
         pairs_tested = trials
-        # one indicator row per sampled set; e(A, B) = 1_A^T mat 1_B
-        ind_a = np.zeros((trials, m), dtype=np.int64)
-        ind_b = np.zeros((trials, m), dtype=np.int64)
-        sizes = []
-        for t in range(trials):
-            size_a = rng.randint(thresh, m)
-            size_b = rng.randint(thresh, m)
-            ind_a[t, rng.sample(range(m), size_a)] = 1
-            ind_b[t, rng.sample(range(m), size_b)] = 1
-            sizes.append((size_a, size_b))
-        e_abs = ((ind_a @ mat) * ind_b).sum(axis=1).tolist()
-        for (size_a, size_b), e_ab in zip(sizes, e_abs):
-            dens = e_ab / (size_a * size_b)
-            if d > 0:
-                ratio = dens / d
-                worst_ratio = max(worst_ratio, ratio,
-                                  1.0 / ratio if ratio > 0 else math.inf)
-            if not (lo - 1e-12 <= dens <= hi + 1e-12):
-                reg1 = False
+        # a uniform permutation's entries below k mark a uniform k-subset;
+        # one indicator row per sampled set, e(A, B) = 1_A^T mat 1_B
+        size_a = rng.integers(thresh, m, size=trials, endpoint=True)
+        size_b = rng.integers(thresh, m, size=trials, endpoint=True)
+        ranks = rng.permuted(np.tile(np.arange(m), (2 * trials, 1)), axis=1)
+        ind_a = (ranks[:trials] < size_a[:, None]).astype(np.int64)
+        ind_b = ranks[trials:] < size_b[:, None]
+        # an integer product: a float64 one goes to OpenBLAS, whose threads
+        # oversubscribe the cores under a jobs=2 process pool
+        e_ab = ((ind_a @ mat) * ind_b).sum(axis=1)
+        dens = e_ab / (size_a * size_b)
+        if d > 0:
+            ratios = dens / d
+            inverse = np.divide(1.0, ratios, out=np.full(trials, math.inf),
+                                where=ratios > 0)
+            worst_ratio = float(max(ratios.max(initial=1.0),
+                                    inverse.max(initial=1.0)))
+        reg1 = bool(((dens >= lo - 1e-12) & (dens <= hi + 1e-12)).all())
     return SuperregularityReport(
         eps=eps, d=d, d_star=d_star, c=c, reg1_ok=reg1, reg2_ok=reg2,
         reg3_ok=reg3, reg4_ok=reg4, reg1_mode=reg1_mode,
@@ -237,6 +244,8 @@ def check_robust_outexpander(d: Digraph, nu: float, tau: float,
     tau*n <= |S| <= (1-tau)*n has at least |S| + nu*n vertices with at
     least nu*n in-neighbours in S.  Exhaustive for n <= 18, else sampled.
     """
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise InvalidParameter(f"unknown expansion mode {mode!r}")
     verts = sorted(vertices) if vertices is not None \
         else sorted(set(range(d.n)))
     n = len(verts)
@@ -392,7 +401,8 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
                 failures={"matching": attempt + 1})
         report = _superregular_report(
             mat - res, eps, d, d / 2, 1.5 * d, "sampled", reg1_trials,
-            random.Random(derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
+            np.random.default_rng(
+                derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
         if not (report.reg3_ok and report.reg4_ok):
             failures["degree"] = failures.get("degree", 0) + 1
             continue

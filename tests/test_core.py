@@ -203,6 +203,11 @@ class TestConsistency:
         with pytest.raises(MalformedInput):
             is_consistent_with(d, OrderedDirectedMatching(((0, 1),)))
 
+    def test_non_cycle_raises_with_empty_matching(self):
+        d = Digraph(4, [(0, 1), (1, 2)])
+        with pytest.raises(MalformedInput):
+            is_consistent_with(d, OrderedDirectedMatching(()))
+
     @given(st.integers(5, 9), st.data())
     @settings(max_examples=100, deadline=None)
     def test_rotations_of_two_arcs_always_consistent(self, n, data):

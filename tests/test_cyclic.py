@@ -6,11 +6,12 @@ import pytest
 
 from hamdec.classic import pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
-from hamdec.cyclic import (_extract_regular_parts, check_robust_outexpander,
-                           check_superregular, reserve_regular, reserve_sparse,
-                           sysdecom, sysdecombip, two_cliques_reserve_degree,
+from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
+                           check_robust_outexpander, check_superregular,
+                           reserve_regular, reserve_sparse, sysdecom,
+                           sysdecombip, two_cliques_reserve_degree,
                            bipartite_reserve_degree)
-from hamdec.errors import SamplingFailed
+from hamdec.errors import InvalidParameter, SamplingFailed
 from hamdec.pipeline import InstanceConfig, generate_instance
 
 
@@ -75,6 +76,84 @@ class TestSuperregular:
                                   rng=random.Random(7))
         assert rep2.reg2_ok and rep2.reg3_ok and rep2.reg4_ok
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_reg1_catches_block_diagonal(self, seed):
+        # two complete 20 x 20 blocks: every degree is 20, so d = 0.5 and
+        # only sets leaning to one block give it away.  Uniform random sets
+        # lean little: at eps = 0.2, 200 trials miss it for 3 seeds in 4,
+        # at eps = 0.1 they caught it for each of 100 seeds tried
+        m = 40
+        g = Multigraph(2 * m, [(u, m + v) for u in range(m) for v in range(m)
+                               if u // 20 == v // 20])
+        rep = check_superregular(g, list(range(m)), list(range(m, 2 * m)),
+                                 eps=0.1, d=0.5, d_star=0.5, c=0.5,
+                                 mode="sampled", rng=random.Random(seed))
+        assert rep.reg3_ok and rep.reg4_ok
+        assert not rep.reg1_ok
+        assert rep.worst_density_ratio > 1.1
+
+    def test_sampled_complete_pair_ratio_is_one(self):
+        g, left, right = complete_pair(40)
+        rep = check_superregular(g, left, right, eps=0.2, d=1.0, d_star=0.9,
+                                 c=1.1, mode="sampled", trials=120,
+                                 rng=random.Random(2))
+        assert rep.reg1_ok and rep.worst_density_ratio == 1.0
+        assert rep.pairs_tested == 120
+
+    def test_sampled_same_seed_same_report(self):
+        g, left, right = complete_pair(40, thin=10, seed=3)
+        reps = [check_superregular(g, left, right, eps=0.2, d=0.75,
+                                   d_star=0.5, c=1.0, mode="sampled",
+                                   rng=random.Random(9)).to_json_obj()
+                for _ in range(2)]
+        assert reps[0] == reps[1]
+        assert reps[0]["worst_density_ratio"] > 1.0
+
+    def test_sampled_matches_loop_reference(self):
+        # the same draws, with e(A, B) and the gate worked out set by set
+        m, trials, eps = 30, 60, 0.2
+        g, left, right = complete_pair(m, thin=9, seed=4)
+        mat = pair_matrix(g, left, right)
+        mat[0, 0] += 1  # one doubled edge
+        d = 21 / m
+        rep = _superregular_report(mat, eps, d, d / 2, 1.0, "sampled",
+                                   trials, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        size_a = rng.integers(math.ceil(eps * m), m, size=trials,
+                              endpoint=True)
+        size_b = rng.integers(math.ceil(eps * m), m, size=trials,
+                              endpoint=True)
+        ranks = rng.permuted(np.tile(np.arange(m), (2 * trials, 1)), axis=1)
+        worst, ok = 1.0, True
+        for t in range(trials):
+            a = [i for i in range(m) if ranks[t, i] < size_a[t]]
+            b = [j for j in range(m) if ranks[trials + t, j] < size_b[t]]
+            assert (len(a), len(b)) == (size_a[t], size_b[t])
+            dens = sum(int(mat[i, j]) for i in a for j in b) / (len(a) * len(b))
+            worst = max(worst, dens / d, d / dens)
+            ok = ok and (1 - eps) * d - 1e-12 <= dens <= (1 + eps) * d + 1e-12
+        assert rep.worst_density_ratio == pytest.approx(worst, rel=1e-12)
+        assert rep.reg1_ok == ok and rep.pairs_tested == trials
+
+    def test_sampled_zero_trials(self):
+        g, left, right = complete_pair(20)
+        rep = check_superregular(g, left, right, eps=0.2, d=1.0, d_star=0.9,
+                                 c=1.1, mode="sampled", trials=0)
+        assert rep.reg1_ok and rep.pairs_tested == 0
+
+    def test_unknown_mode_rejected(self):
+        g, left, right = complete_pair(8)
+        with pytest.raises(InvalidParameter):
+            check_superregular(g, left, right, eps=0.5, d=1.0, d_star=1.0,
+                               c=1.0, mode="exhaustiv")
+
+    def test_exhaustive_above_limit_rejected(self):
+        # m = 13 is one above EXHAUSTIVE_REG1_LIMIT
+        g, left, right = complete_pair(13)
+        with pytest.raises(InvalidParameter):
+            check_superregular(g, left, right, eps=0.5, d=1.0, d_star=1.0,
+                               c=1.0, mode="exhaustive")
+
 
 class TestRobustOutexpander:
     def test_complete_digraph(self):
@@ -100,6 +179,11 @@ class TestRobustOutexpander:
                                            mode="sampled", trials=300,
                                            rng=random.Random(4))
         assert verdict.ok and verdict.sets_tested == 300
+
+    def test_unknown_mode_rejected(self):
+        d = Digraph(4, [(i, (i + 1) % 4) for i in range(4)])
+        with pytest.raises(InvalidParameter):
+            check_robust_outexpander(d, nu=0.1, tau=0.25, mode="sample")
 
 
 class TestReserveSparse:
