@@ -145,72 +145,93 @@ def _min_cut_witness(graph: csr_matrix, flow: csr_matrix, src: int, m: int):
 # -- Hopcroft-Karp maximum matching ------------------------------------------
 
 
-def hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; adj[u] lists right-neighbours of left
-    vertex u.  Returns match_left with match_left[u] = matched right vertex
-    or -1.  Deterministic given the adjacency order."""
-    n_left = len(adj)
-    INF = n_left + n_right + 1
-    match_l = [-1] * n_left
+def hopcroft_karp(rows: list[int], n_right: int,
+                  match_l: list[int]) -> list[int]:
+    """Maximum bipartite matching on row bitsets: bit v of ``rows[u]`` is
+    set iff left vertex u is adjacent to right vertex v.  Continues from
+    ``match_l`` (match_l[u] = matched right vertex or -1), which must be
+    the first phase ``_greedy_matching`` leaves, and completes it in
+    place; returns it.
+
+    The same matching as the textbook search on ascending adjacency
+    lists: each phase's BFS layers come from OR-ing the frontier's rows
+    (layer distances do not depend on visit order), and the augmenting
+    DFS, iterative so a path may cross every row, tries columns in
+    ascending order.
+    """
+    n_left = len(rows)
     match_r = [-1] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
+    free = (1 << n_right) - 1
+    for u, v in enumerate(match_l):
+        if v != -1:
+            match_r[v] = u
+            free ^= 1 << v
+    while True:
+        # BFS from the free rows; layers[d] holds the columns matched to
+        # the rows at alternating distance d
+        frontier = [u for u in range(n_left) if match_l[u] == -1]
+        layers = [0]
+        seen = 0
+        while frontier:
+            reach = 0
+            for u in frontier:
+                reach |= rows[u]
+            reach &= ~seen
+            seen |= reach
+            reach &= ~free
+            layers.append(reach)
+            frontier = []
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                frontier.append(match_r[low.bit_length() - 1])
+        if not seen & free:
+            return match_l
+        for root in range(n_left):
+            if match_l[root] != -1:
+                continue
+            # DFS: a row at depth d may step to a free column or to one
+            # whose row sits at distance d + 1.  ``layers`` stays exact: a
+            # dead-end row leaves its layer, and an augmenting path moves
+            # its columns, so a row's candidate set taken on entry holds
+            # until the row is left
+            path, taken = [root], []
+            cand = [rows[root] & (free | layers[1])]
+            while path:
+                bits = cand[-1]
+                if not bits:
+                    path.pop()
+                    cand.pop()
+                    if taken:
+                        layers[len(path)] &= ~(1 << taken.pop())
+                    continue
+                low = bits & -bits
+                cand[-1] = bits ^ low
+                v = low.bit_length() - 1
+                taken.append(v)
                 w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    # first phase without bfs(): every left vertex is free, so every
-    # layer is 0 (as ``dist`` starts) and a path exists iff an arc does
-    found = any(adj)
-    while found:
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-        found = bfs()
-    return match_l
+                if w != -1:
+                    path.append(w)
+                    cand.append(rows[w] & (free | layers[len(path)]))
+                    continue
+                # augment: path[i], at distance i, takes column taken[i]
+                free ^= low
+                for i, (x, y) in enumerate(zip(path, taken)):
+                    if i:
+                        layers[i] &= ~(1 << match_l[x])
+                    layers[i] |= 1 << y
+                    match_l[x] = y
+                    match_r[y] = x
+                break
 
 
 def pair_matrix(graph: Multigraph, left: Sequence[int],
                 right: Sequence[int]) -> np.ndarray:
     """The multiplicity matrix of ``graph`` between the classes ``left``
-    (rows) and ``right`` (columns)."""
-    col = np.full(graph.n, -1, dtype=np.intp)
-    col[list(right)] = np.arange(len(right))
-    adj = graph._adjacency()
-    mat = np.zeros((len(left), len(right)), dtype=np.int64)
-    for i, u in enumerate(left):
-        row = adj.get(u)
-        if row:
-            js = col[np.fromiter(row, dtype=np.intp, count=len(row))]
-            ks = np.fromiter(row.values(), dtype=np.int64, count=len(row))
-            mat[i, js[js >= 0]] = ks[js >= 0]
-    return mat
+    (rows) and ``right`` (columns), as a fresh int64 array."""
+    return graph._matrix()[np.ix_(np.asarray(left, dtype=np.intp),
+                                  np.asarray(right, dtype=np.intp))
+                           ].astype(np.int64)
 
 
 def take_matching(res: np.ndarray, rows: Sequence[int],
@@ -224,14 +245,20 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     given as indices of ``res``.
     """
     sub = res[np.ix_(rows, cols)] > 0
-    match_l = _greedy_matching(sub)
-    if match_l is None:
-        # row-major nonzero: each row's columns, ascending, row after row
-        flat = np.nonzero(sub)[1].tolist()
-        ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
-        adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
-        match_l = hopcroft_karp(adj, len(cols))
+    # one Python int per row, bit q set iff sub[p, q]
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    bits = [int.from_bytes(buf[i * width:(i + 1) * width], "little")
+            for i in range(len(sub))]
+    match_l = _greedy_matching(bits, len(cols))
+    if -1 in match_l:
+        match_l = hopcroft_karp(bits, len(cols), match_l)
         if -1 in match_l:
+            # row-major nonzero: each row's columns, ascending
+            flat = np.nonzero(sub)[1].tolist()
+            ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
+            adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
             violator = _hall_violator(adj, match_l, len(cols))
             raise MatchingInfeasible(
                 f"no perfect matching between classes of size {len(rows)}",
@@ -245,29 +272,24 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     return match_l
 
 
-def _greedy_matching(sub: np.ndarray) -> list[int] | None:
-    """Hopcroft-Karp's first phase on row bitsets: each row of the boolean
-    matrix ``sub``, in order, takes its lowest free column.  Returns that
-    matching if it leaves no row unmatched, else None.
+def _greedy_matching(rows: list[int], n_right: int) -> list[int]:
+    """Hopcroft-Karp's first phase on row bitsets: each row, in order,
+    takes its lowest free column, or -1 when none is left.
 
-    This is exactly what ``hopcroft_karp`` finds then: in its first phase
-    every layer is 0, so ``dfs`` never recurses and each free row takes
-    the first free column of its ascending adjacency; a matching that
-    leaves no row free ends the search.
+    In that phase every left vertex is free, so every layer is 0, no
+    augmenting path has more than one arc, and each row in turn takes the
+    first free column of its ascending adjacency.
     """
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    free = (1 << sub.shape[1]) - 1
+    free = (1 << n_right) - 1
     match = []
-    for i in range(len(sub)):
-        row = int.from_bytes(buf[i * width:(i + 1) * width], "little")
+    for row in rows:
         avail = row & free
-        if not avail:
-            return None
-        low = avail & -avail
-        free ^= low
-        match.append(low.bit_length() - 1)
+        if avail:
+            low = avail & -avail
+            free ^= low
+            match.append(low.bit_length() - 1)
+        else:
+            match.append(-1)
     return match
 
 

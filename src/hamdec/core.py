@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import MalformedInput
 
@@ -31,7 +34,7 @@ class Multigraph:
     multiplicity >= 1; loops are rejected.
     """
 
-    __slots__ = ("n", "_mult", "_adj")
+    __slots__ = ("n", "_mult", "_adj", "_dense")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -52,6 +55,16 @@ class Multigraph:
             mult[key] = mult.get(key, 0) + k
         self._mult = mult
         self._adj: dict[int, dict[int, int]] | None = None
+        self._dense: np.ndarray | None = None
+
+    # the lazy caches are rebuilt on demand, so pickles (the jobs=2 slice
+    # tasks) carry only the edges
+    def __getstate__(self):
+        return self.n, self._mult
+
+    def __setstate__(self, state):
+        self.n, self._mult = state
+        self._adj = self._dense = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -81,6 +94,21 @@ class Multigraph:
                 adj.setdefault(v, {})[u] = k
             self._adj = adj
         return self._adj
+
+    def _matrix(self) -> np.ndarray:
+        """The n x n int32 multiplicity matrix, built once and read-only."""
+        if self._dense is None:
+            count = len(self._mult)
+            us, vs = np.fromiter(chain.from_iterable(self._mult),
+                                 dtype=np.intp, count=2 * count
+                                 ).reshape(-1, 2).T
+            ks = np.fromiter(self._mult.values(), dtype=np.int32, count=count)
+            mat = np.zeros((self.n, self.n), dtype=np.int32)
+            mat[us, vs] = ks
+            mat[vs, us] = ks
+            mat.flags.writeable = False
+            self._dense = mat
+        return self._dense
 
     def neighbors(self, v: int) -> list[int]:
         return sorted(self._adjacency().get(v, ()))

@@ -773,8 +773,12 @@ def _read_slot(slot: dict, n: int):
     """(claimed kind, edge multigraph) of a certificate slot, or None when
     the slot cannot be read."""
     try:
-        return slot["kind"], Multigraph(n, [tuple(e) for e in slot["edges"]])
-    except (KeyError, TypeError, ValueError, MalformedInput):
+        edges = [tuple(e) for e in slot["edges"]]
+        # JSON true and 1.0 would pass as the vertex 1 (equal dict keys)
+        if not all(type(e[0]) is int and type(e[1]) is int for e in edges):
+            return None
+        return slot["kind"], Multigraph(n, edges)
+    except (KeyError, TypeError, ValueError, IndexError, MalformedInput):
         return None
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -85,6 +86,79 @@ def sub_graph(n, sub, left, right):
     """The Multigraph of the multiplicity matrix ``sub`` on left x right."""
     return Multigraph(n, [(left[i], right[j], int(sub[i, j]))
                           for i, j in zip(*np.nonzero(sub))])
+
+
+def reference_pair_matrix(graph, left, right):
+    """pair_matrix as it was when it read the adjacency rows of ``left``,
+    kept frozen here so that the dense cache must give the same matrix."""
+    col = np.full(graph.n, -1, dtype=np.intp)
+    col[list(right)] = np.arange(len(right))
+    adj = graph._adjacency()
+    mat = np.zeros((len(left), len(right)), dtype=np.int64)
+    for i, u in enumerate(left):
+        row = adj.get(u)
+        if row:
+            js = col[np.fromiter(row, dtype=np.intp, count=len(row))]
+            ks = np.fromiter(row.values(), dtype=np.int64, count=len(row))
+            mat[i, js[js >= 0]] = ks[js >= 0]
+    return mat
+
+
+@st.composite
+def multigraphs(draw, n):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(1, 3)).filter(lambda e: e[0] != e[1])
+    return Multigraph(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
+@st.composite
+def pair_matrix_cases(draw):
+    """A multigraph, possibly the result of ``+``, ``-`` or ``restrict``,
+    and two lists of distinct vertices in random order."""
+    n = draw(st.integers(2, 14))
+    left = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    right = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    g = draw(multigraphs(n))
+    # fill the operand's cache first: a result of +, - or restrict must
+    # build its own
+    pair_matrix(g, left, right)
+    op = draw(st.sampled_from(["plain", "add", "sub", "restrict"]))
+    if op == "add":
+        g = g + draw(multigraphs(n))
+    elif op == "sub":
+        g = g - draw(multigraphs(n))
+    elif op == "restrict":
+        g = g.restrict(draw(st.sets(st.integers(0, n - 1))))
+    return g, left, right
+
+
+class TestPairMatrix:
+    @given(pair_matrix_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_frozen_per_row_version(self, drawn):
+        g, left, right = drawn
+        got = pair_matrix(g, left, right)
+        assert got.dtype == np.int64
+        assert got.shape == (len(left), len(right))
+        assert (got == reference_pair_matrix(g, left, right)).all()
+
+    def test_in_place_decrement_leaves_the_graph(self):
+        g, left, right = complete_bipartite(6)
+        res = pair_matrix(g, left, right)
+        take_matching(res, range(6), range(6))
+        res -= 1
+        assert (pair_matrix(g, left, right) == 1).all()
+
+    def test_pickle_leaves_out_the_caches(self):
+        g, left, right = complete_bipartite(30)
+        size = len(pickle.dumps(g))
+        pair_matrix(g, left, right)
+        g.neighbors(0)
+        blob = pickle.dumps(g)
+        assert len(blob) == size
+        back = pickle.loads(blob)
+        assert back == g
+        assert (pair_matrix(back, left, right) == 1).all()
 
 
 class TestRegularSpanningSubgraph:
@@ -341,9 +415,9 @@ class TestPerfectMatching:
     def count_hopcroft_karp(self, monkeypatch):
         calls = []
 
-        def counted(adj, n_right):
+        def counted(rows, n_right, match_l):
             calls.append(n_right)
-            return hopcroft_karp(adj, n_right)
+            return hopcroft_karp(rows, n_right, match_l)
 
         monkeypatch.setattr(classic, "hopcroft_karp", counted)
         return calls
@@ -425,12 +499,13 @@ def reference_hopcroft_karp(adj, n_right):
 
 @st.composite
 def adjacency_lists(draw):
-    """Random bipartite adjacency lists in random order; rows may be empty
-    and the graph need not have a perfect matching."""
+    """Random bipartite adjacency lists, each ascending (the order
+    ``take_matching`` reads its rows in); rows may be empty and the graph
+    need not have a perfect matching."""
     n_left = draw(st.integers(0, 10))
     n_right = draw(st.integers(0, 10))
-    adj = [draw(st.lists(st.integers(0, n_right - 1), unique=True,
-                         max_size=n_right)) if n_right else []
+    adj = [sorted(draw(st.lists(st.integers(0, n_right - 1), unique=True,
+                                max_size=n_right))) if n_right else []
            for _ in range(n_left)]
     return adj, n_right
 
@@ -440,8 +515,26 @@ class TestHopcroftKarp:
     @settings(max_examples=80, deadline=None)
     def test_matches_the_frozen_reference(self, drawn):
         adj, n_right = drawn
-        assert hopcroft_karp(adj, n_right) == \
+        rows = [sum(1 << v for v in row) for row in adj]
+        greedy = classic._greedy_matching(rows, n_right)
+        assert hopcroft_karp(rows, n_right, greedy) == \
             reference_hopcroft_karp(adj, n_right)
+
+    def test_augmenting_path_through_every_row(self):
+        # staircase: row i < 1200 reaches columns i and i + 1, row 1200
+        # only column 0, so the one augmenting path visits all 1201 rows
+        # (a recursive search exceeds the interpreter's recursion limit)
+        n = 1201
+        res = np.zeros((n, n), dtype=np.int64)
+        res[np.arange(n - 1), np.arange(n - 1)] = 1
+        res[np.arange(n - 1), np.arange(1, n)] = 1
+        res[n - 1, 0] = 1
+        before = res.copy()
+        match = take_matching(res, range(n), range(n))
+        assert match == list(range(1, n)) + [0]
+        taken = np.zeros_like(before)
+        taken[np.arange(n), match] = 1
+        assert (res == before - taken).all()
 
     def test_take_matching_names_the_unmatched_rows(self):
         # rows 1 and 2 of the 3 x 3 matrix reach column 0 only

@@ -244,6 +244,18 @@ def _vertex_out_of_range(obj, host, systems):
     obj["slots"][0]["edges"][0] = [0, 1000000]
 
 
+def _retyped_vertex(value):
+    """Write vertex 1 of slot 0 as ``value``, which equals 1 as a dict key
+    (JSON true, 1.0), keeping the slot's hash consistent."""
+    def mutate(obj, host, systems):
+        slot = obj["slots"][0]
+        edge = next(e for e in slot["edges"] if 1 in e)
+        edge[edge.index(1)] = value
+        slot["edges_sha256"] = hashlib.sha256(
+            canonical_json(slot["edges"]).encode()).hexdigest()
+    return mutate
+
+
 # each mutation must fail the verdict; the malformed ones must fail
 # slot 0 with {"ok": false} instead of raising
 MALFORMED = {
@@ -253,6 +265,8 @@ MALFORMED = {
     "slot-is-a-list": _slot_to_list,
     "vertex-out-of-range": _vertex_out_of_range,
     "boolean-index": _set("es_index", False),
+    "boolean-vertex": _retyped_vertex(True),
+    "float-vertex": _retyped_vertex(1.0),
 }
 TAMPERED = {
     "drop-slot": lambda obj, host, systems: obj["slots"].pop(0),
