@@ -117,11 +117,11 @@ def cmd_verify(args) -> int:
         cfg, host, partition, systems = _load_instance(args.instance)
         with open(args.certificate) as fh:
             cert = DecompositionCertificate.from_json_obj(json.load(fh))
+        report = verify_certificate(host, partition, systems, cert)
     except (MalformedInput, json.JSONDecodeError) as exc:
         print(canonical_json({"all_ok": False, "malformed": str(exc)}))
         print(f"input unreadable: {exc}", file=sys.stderr)
         return 1
-    report = verify_certificate(host, partition, systems, cert)
     print(canonical_json(report["global"]))
     if not report["global"]["all_ok"]:
         for idx, verdicts in enumerate(report["slots"]):

@@ -95,14 +95,25 @@ class Multigraph:
             self._adj = adj
         return self._adj
 
+    def _key_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 arrays (us, vs, ks) of the distinct edges (u < v) and
+        their multiplicities."""
+        count = len(self._mult)
+        us, vs = np.fromiter(chain.from_iterable(self._mult), dtype=np.int64,
+                             count=2 * count).reshape(-1, 2).T
+        ks = np.fromiter(self._mult.values(), dtype=np.int64, count=count)
+        return us, vs, ks
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 arrays (lo, hi), lo < hi, with one entry per edge counted
+        with multiplicity."""
+        us, vs, ks = self._key_arrays()
+        return np.repeat(us, ks), np.repeat(vs, ks)
+
     def _matrix(self) -> np.ndarray:
         """The n x n int32 multiplicity matrix, built once and read-only."""
         if self._dense is None:
-            count = len(self._mult)
-            us, vs = np.fromiter(chain.from_iterable(self._mult),
-                                 dtype=np.intp, count=2 * count
-                                 ).reshape(-1, 2).T
-            ks = np.fromiter(self._mult.values(), dtype=np.int32, count=count)
+            us, vs, ks = self._key_arrays()
             mat = np.zeros((self.n, self.n), dtype=np.int32)
             mat[us, vs] = ks
             mat[vs, us] = ks
@@ -159,12 +170,6 @@ class Multigraph:
         ls, rs = set(left), set(right)
         return sum(k for (u, v), k in self._mult.items()
                    if (u in ls and v in rs) or (u in rs and v in ls))
-
-    def edges_inside(self, vertices: Iterable[int]) -> int:
-        """e(S): edges with both ends in S, with multiplicity."""
-        vs = set(vertices)
-        return sum(k for (u, v), k in self._mult.items()
-                   if u in vs and v in vs)
 
     def is_submultigraph_of(self, other: "Multigraph") -> bool:
         return all(other._mult.get(key, 0) >= k
@@ -607,70 +612,96 @@ class OrderedDirectedMatching:
 # -- predicates --------------------------------------------------------------
 
 
+def vertex_mask(vertices: Iterable[int], n: int) -> np.ndarray | None:
+    """Boolean mask of ``vertices`` over 0..n-1, or None when one of them
+    lies outside that range, where no edge of an n-vertex graph reaches."""
+    ids = list(vertices)
+    if not all(0 <= v < n for v in ids):
+        return None
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def undirected_cycle_order(lo: np.ndarray, hi: np.ndarray,
+                           inside: np.ndarray) -> list[int] | None:
+    """The vertex set ``inside`` (a boolean mask) in the order of the one
+    cycle that the edges (lo[i], hi[i]) with both ends in it form, or None
+    when they form no cycle through every vertex of the set.
+
+    The walk starts at the smallest vertex and steps to its smaller
+    neighbour first.  An edge listed twice is a 2-cycle on its ends."""
+    keep = inside[lo] & inside[hi]
+    lo, hi = lo[keep], hi[keep]
+    count = int(np.count_nonzero(inside))
+    if count == 0 or lo.size != count:
+        return None
+    ends = np.concatenate((lo, hi))
+    if (np.bincount(ends, minlength=inside.size)[inside] != 2).any():
+        return None
+    # every vertex of the set now has exactly two neighbour entries; sort
+    # them by vertex so that rows 2i and 2i+1 hold the same vertex
+    by_end = np.argsort(ends, kind="stable")
+    owner = ends[by_end[0::2]]
+    other = np.concatenate((hi, lo))[by_end].reshape(-1, 2)
+    first = np.zeros(inside.size, dtype=np.int64)
+    second = np.zeros(inside.size, dtype=np.int64)
+    first[owner] = other.min(axis=1)
+    second[owner] = other.max(axis=1)
+    first, second = first.tolist(), second.tolist()
+    start = int(owner[0])
+    order = [start]
+    prev, cur = start, first[start]
+    while cur != start:
+        order.append(cur)
+        nxt = first[cur]
+        prev, cur = cur, (nxt if nxt != prev else second[cur])
+    return order if len(order) == count else None
+
+
+def _directed_cycle_order(d: "Digraph", vs: set) -> list[int] | None:
+    """``vs`` in the order of the directed cycle that the arcs of d inside
+    it form, from its smallest vertex, or None when they form none through
+    every vertex of ``vs``."""
+    if not vs:
+        return None
+    start = min(vs)
+    order, cur = [], start
+    out, none = d._out, frozenset()
+    for _ in range(len(vs)):
+        heads = out.get(cur, none) & vs
+        if len(heads) != 1:
+            return None
+        order.append(cur)
+        (cur,) = heads
+        if cur == start:
+            return order if len(order) == len(vs) else None
+    return None
+
+
+def _multigraph_cycle_order(g: Multigraph, vertex_set: Iterable[int]
+                            ) -> list[int] | None:
+    """``undirected_cycle_order`` of g's edges on ``vertex_set``."""
+    inside = vertex_mask(vertex_set, g.n)
+    return None if inside is None else \
+        undirected_cycle_order(*g.edge_arrays(), inside)
+
+
 def verify_hamilton_cycle(g, vertex_set: Iterable[int]) -> bool:
     """True iff g restricted to ``vertex_set`` is a single (directed) cycle
     spanning exactly ``vertex_set``.  Total predicate: never raises on
     structurally valid graphs."""
-    vs = set(vertex_set)
-    if not vs:
-        return False
     if isinstance(g, Digraph):
-        arcs = [(u, v) for (u, v) in g._arcs if u in vs and v in vs]
-        if len(arcs) != len(vs):
-            return False
-        nxt: dict[int, int] = {}
-        indeg: dict[int, int] = {}
-        for (u, v) in arcs:
-            if u in nxt:
-                return False
-            nxt[u] = v
-            indeg[v] = indeg.get(v, 0) + 1
-        if len(nxt) != len(vs) or any(indeg.get(v, 0) != 1 for v in vs):
-            return False
-        # single orbit: walking from any vertex must return only after
-        # visiting every vertex
-        start = next(iter(vs))
-        cur, steps = nxt[start], 1
-        while cur != start:
-            cur = nxt[cur]
-            steps += 1
-        return steps == len(vs)
-    # undirected multigraph
-    sub = g.restrict(vs)
-    if sub.edge_count() != len(vs):
-        return False
-    if len(vs) == 1:
-        return False
-    adj = sub._adjacency()
-    if any(v not in adj or sum(adj[v].values()) != 2 for v in vs):
-        return False
-    # connectivity over vs
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, {}):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == vs
+        return _directed_cycle_order(g, set(vertex_set)) is not None
+    return _multigraph_cycle_order(g, vertex_set) is not None
 
 
 def cycle_vertex_order(cycle: Digraph, vertex_set: Iterable[int]) -> list[int]:
-    """Vertices of a directed Hamilton cycle in traversal order."""
-    vs = set(vertex_set)
-    if not verify_hamilton_cycle(cycle, vs):
+    """Vertices of a directed Hamilton cycle in traversal order, from the
+    smallest."""
+    order = _directed_cycle_order(cycle, set(vertex_set))
+    if order is None:
         raise MalformedInput("not a directed Hamilton cycle on the given set")
-    start = min(vs)
-    order = [start]
-    cur = start
-    while True:
-        nxts = [w for w in cycle.out_neighbors(cur) if w in vs]
-        cur = nxts[0]
-        if cur == start:
-            break
-        order.append(cur)
     return order
 
 
@@ -736,29 +767,13 @@ def visits_in_order(order: Sequence[int], targets: Sequence[int]) -> bool:
 def cycle_to_perfect_matchings(g: Multigraph, vertex_set: Iterable[int]
                                ) -> tuple[Multigraph, Multigraph]:
     """Split an even cycle (as undirected multigraph) into its two
-    alternating perfect matchings."""
-    vs = set(vertex_set)
-    if not verify_hamilton_cycle(g, vs) or len(vs) % 2 != 0:
+    alternating perfect matchings: every other edge of the walk order of
+    ``undirected_cycle_order``, and the rest."""
+    order = _multigraph_cycle_order(g, vertex_set)
+    if order is None or len(order) % 2 != 0:
         raise MalformedInput("need a Hamilton cycle on an even vertex set")
-    sub = g.restrict(vs)
-    adj = {v: [] for v in vs}
-    for (u, v, k) in sub.edges():
-        for _ in range(k):
-            adj[u].append(v)
-            adj[v].append(u)
-    start = min(vs)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < len(vs):
-        cands = [w for w in adj[cur] if w != prev]
-        nxt = cands[0] if cands else adj[cur][0]
-        order.append(nxt)
-        prev, cur = cur, nxt
-    edges = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
-    m1 = Multigraph(g.n, edges[0::2])
-    m2 = Multigraph(g.n, edges[1::2])
-    return m1, m2
+    edges = list(zip(order, order[1:] + order[:1]))
+    return Multigraph(g.n, edges[0::2]), Multigraph(g.n, edges[1::2])
 
 
 def canonical_json(obj) -> str:

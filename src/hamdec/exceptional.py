@@ -332,12 +332,12 @@ def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
     result = (c_a_dir.underlying_multigraph()
               + c_b_dir.underlying_multigraph()
               - reduction.jstar + system.graph)
-    a_pr, b_pr = set(P.A_prime), set(P.B_prime)
+    a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
-        ok = verify_hamilton_cycle(result, a_pr | b_pr)
+        ok = verify_hamilton_cycle(result, a_pr + b_pr)
     else:
-        ok = (verify_hamilton_cycle(result.restrict(a_pr), a_pr)
-              and verify_hamilton_cycle(result.restrict(b_pr), b_pr)
+        ok = (verify_hamilton_cycle(result, a_pr)
+              and verify_hamilton_cycle(result, b_pr)
               and result.edges_between(a_pr, b_pr) == 0)
     if not ok:
         raise SpliceVerificationFailed(
@@ -355,8 +355,7 @@ def splice_bipartite(d_dir: Digraph, system: BalancedExceptionalSystem,
     if not is_consistent_with(d_dir, reduction.jstar_dir):
         raise NotConsistent("D is not consistent with J*_dir")
     result = d_dir.underlying_multigraph() - reduction.jstar + system.graph
-    everything = ab | set(P.V0)
-    if not verify_hamilton_cycle(result, everything):
+    if not verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")
     return result

@@ -12,14 +12,16 @@ import functools
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Callable
+
+import numpy as np
 
 from . import core
 from .assembly import assemble_slice
 from .classic import pair_matrix
 from .core import (ClusterPartition, Digraph, Multigraph,
-                   canonical_json, cycle_to_perfect_matchings,
-                   verify_hamilton_cycle)
+                   canonical_json, undirected_cycle_order, vertex_mask)
 # the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
 from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
@@ -699,13 +701,25 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
     of every edge in the host, global pairwise edge-disjointness by
     multiset accounting, and the coverage fraction.  A slot that cannot be
     read (not an object, an index that names no system, a missing key, an
-    edge that is no vertex pair of the host) gets the verdict
-    ``{"ok": false}``."""
-    all_vertices = set(partition.vertices())
-    a_pr = set(partition.A_prime)
-    b_pr = set(partition.B_prime)
+    edge that is not a pair of distinct int vertices of the host) gets the
+    verdict ``{"ok": false}``.
+
+    Each slot is read once into int64 (lo, hi) arrays; an edge is the key
+    lo * base + hi, and the host's multiplicities come from its dense
+    matrix.  Raises MalformedInput when the partition names a vertex
+    outside the host."""
+    n = host.n
+    everything = vertex_mask(partition.vertices(), n)
+    if everything is None:
+        raise MalformedInput("the partition names a vertex outside the host")
+    a_pr, b_pr = partition.A_prime, partition.B_prime
+    a_mask, b_mask = vertex_mask(a_pr, n), vertex_mask(b_pr, n)
+    mat = host._matrix()
+    # an edge (u, v) is the key u * base + v; a base past every system's
+    # vertex range keeps a system edge off the host from matching a slot
+    base = max([n] + [es.graph.n for es in systems])
     slot_reports = []
-    used_edges: list[tuple[int, int, int]] = []
+    used_keys = [np.empty(0, dtype=np.int64)]
     slot_counts = [0] * len(systems)
     coverage_edges = 0
     failures = []
@@ -715,31 +729,41 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         # JSON true/false would pass isinstance(idx, int) as 1/0
         if type(idx) is int and 0 <= idx < len(systems):
             slot_counts[idx] += 1
-            read = _read_slot(slot, host.n)
+            read = _read_slot(slot, n)
         if read is None:
             slot_reports.append({"ok": False})
             failures.append(idx)
             continue
-        kind, sub = read
+        kind, lo, hi = read
         es = systems[idx]
+        slot_keys = lo * base + hi
+        keys, counts = np.unique(slot_keys, return_counts=True)
         verdicts = {}
-        verdicts["in_host"] = sub.is_submultigraph_of(host)
-        verdicts["contains_system"] = es.graph.is_submultigraph_of(sub)
+        verdicts["in_host"] = bool(
+            (mat[keys // base, keys % base] >= counts).all())
+        # a system is a path system, so its edges are simple
+        sys_lo, sys_hi = es.graph.edge_arrays()
+        want = sys_lo * base + sys_hi
+        pos = np.searchsorted(keys, want)
+        verdicts["contains_system"] = bool(
+            (pos < keys.size).all() and (keys[pos] == want).all())
         if "edges_sha256" in slot:
             verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
                 slot["edges"])
         if es.kind == "MES":
-            cyc_a = verify_hamilton_cycle(sub.restrict(a_pr), a_pr)
-            cyc_b = verify_hamilton_cycle(sub.restrict(b_pr), b_pr)
-            cross = sub.edges_between(a_pr, b_pr) == 0
-            verdicts["bi_hamiltonian"] = cyc_a and cyc_b and cross
+            cyc_a = undirected_cycle_order(lo, hi, a_mask) is not None
+            cyc_b = undirected_cycle_order(lo, hi, b_mask) is not None
+            verdicts["bi_hamiltonian"] = cyc_a and cyc_b and not (
+                (a_mask[lo] & b_mask[hi]) | (b_mask[lo] & a_mask[hi])).any()
             if len(a_pr) % 2 == 0 and len(b_pr) % 2 == 0:
-                verdicts["matching_pair"] = _splits_into_matchings(
-                    sub, a_pr, b_pr)
+                # each side's walk order has even length, and its edges at
+                # even and at odd positions are two perfect matchings
+                verdicts["matching_pair"] = cyc_a and cyc_b
             structure_ok = verdicts["bi_hamiltonian"] and \
                 verdicts.get("matching_pair", True)
         else:
-            verdicts["hamiltonian"] = verify_hamilton_cycle(sub, all_vertices)
+            verdicts["hamiltonian"] = \
+                undirected_cycle_order(lo, hi, everything) is not None
             structure_ok = verdicts["hamiltonian"]
         ok = structure_ok and kind == es.kind and verdicts["in_host"] and \
             verdicts["contains_system"] and verdicts.get("hash_ok", True)
@@ -747,18 +771,22 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         if not ok:
             failures.append(idx)
         slot_reports.append(verdicts)
-        used_edges.extend(sub.edges())
-        coverage_edges += sub.edge_count() - es.graph.edge_count()
+        used_keys.append(slot_keys)
+        coverage_edges += lo.size - es.graph.edge_count()
     # every system is extended exactly once: a missing or repeated slot
     # fails the certificate even when each present slot is valid
     failures += [idx for idx, count in enumerate(slot_counts) if count != 1]
-    usage = Multigraph(host.n, used_edges)
-    edge_disjoint = usage.is_submultigraph_of(host) and usage.is_simple()
+    keys, counts = np.unique(np.concatenate(used_keys), return_counts=True)
+    edge_disjoint = bool((counts == 1).all()
+                         and (mat[keys // base, keys % base] >= 1).all())
+    a_side = np.asarray(partition.A, dtype=np.intp)
+    b_side = np.asarray(partition.B, dtype=np.intp)
     if partition.mode == MODE_TWO_CLIQUES:
-        denom = (host.edges_inside(partition.A)
-                 + host.edges_inside(partition.B))
+        # the matrix is symmetric with a zero diagonal: each edge twice
+        denom = int(mat[np.ix_(a_side, a_side)].sum(dtype=np.int64)
+                    + mat[np.ix_(b_side, b_side)].sum(dtype=np.int64)) // 2
     else:
-        denom = host.edges_between(partition.A, partition.B)
+        denom = int(mat[np.ix_(a_side, b_side)].sum(dtype=np.int64))
     coverage = coverage_edges / denom if denom else 0.0
     global_report = {
         "edge_disjoint": edge_disjoint,
@@ -770,23 +798,24 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
 
 
 def _read_slot(slot: dict, n: int):
-    """(claimed kind, edge multigraph) of a certificate slot, or None when
-    the slot cannot be read."""
+    """(claimed kind, lo, hi) of a certificate slot, with one int64 entry
+    per listed edge and lo < hi, or None when the slot cannot be read: a
+    missing key, or an edge that is not a pair of distinct ints in
+    0..n-1."""
     try:
-        edges = [tuple(e) for e in slot["edges"]]
-        # JSON true and 1.0 would pass as the vertex 1 (equal dict keys)
-        if not all(type(e[0]) is int and type(e[1]) is int for e in edges):
+        kind, edges = slot["kind"], slot["edges"]
+        if not set(map(len, edges)) <= {2}:
             return None
-        return slot["kind"], Multigraph(n, edges)
-    except (KeyError, TypeError, ValueError, IndexError, MalformedInput):
+        flat = list(chain.from_iterable(edges))
+    except (KeyError, TypeError):
         return None
-
-
-def _splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:
-    try:
-        m1a, m2a = cycle_to_perfect_matchings(sub.restrict(a_pr), a_pr)
-        m1b, m2b = cycle_to_perfect_matchings(sub.restrict(b_pr), b_pr)
-    except HamdecError:
-        return False
-    total = m1a + m2a + m1b + m2b
-    return total == sub.restrict(a_pr) + sub.restrict(b_pr)
+    # exact types: JSON true and 1.0 would pass as the vertex 1; the range
+    # check runs on Python ints, before any int64 conversion
+    if not set(map(type, flat)) <= {int} or \
+            (flat and not (0 <= min(flat) and max(flat) < n)):
+        return None
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    if (lo == hi).any():
+        return None
+    return kind, lo, hi

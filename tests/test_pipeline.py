@@ -240,10 +240,6 @@ def _slot_to_list(obj, host, systems):
     obj["slots"][0] = obj["slots"][0]["edges"]
 
 
-def _vertex_out_of_range(obj, host, systems):
-    obj["slots"][0]["edges"][0] = [0, 1000000]
-
-
 def _retyped_vertex(value):
     """Write vertex 1 of slot 0 as ``value``, which equals 1 as a dict key
     (JSON true, 1.0), keeping the slot's hash consistent."""
@@ -256,6 +252,24 @@ def _retyped_vertex(value):
     return mutate
 
 
+def _triple_edge(value):
+    """Write the first edge of slot 0 as the triple [u, v, value], keeping
+    the slot's hash consistent: an edge is a pair, not an edge with a
+    multiplicity."""
+    def mutate(obj, host, systems):
+        slot = obj["slots"][0]
+        slot["edges"][0] = slot["edges"][0][:2] + [value]
+        slot["edges_sha256"] = hashlib.sha256(
+            canonical_json(slot["edges"]).encode()).hexdigest()
+    return mutate
+
+
+def _first_edge(edge):
+    def mutate(obj, host, systems):
+        obj["slots"][0]["edges"][0] = edge
+    return mutate
+
+
 # each mutation must fail the verdict; the malformed ones must fail
 # slot 0 with {"ok": false} instead of raising
 MALFORMED = {
@@ -263,10 +277,15 @@ MALFORMED = {
     "no-kind": _delete("kind"),
     "edges-not-a-list": _set("edges", "x"),
     "slot-is-a-list": _slot_to_list,
-    "vertex-out-of-range": _vertex_out_of_range,
+    "vertex-out-of-range": _first_edge([0, 1000000]),
     "boolean-index": _set("es_index", False),
     "boolean-vertex": _retyped_vertex(True),
     "float-vertex": _retyped_vertex(1.0),
+    "triple-edge-int": _triple_edge(1),
+    "triple-edge-float": _triple_edge(1.0),
+    "triple-edge-true": _triple_edge(True),
+    "huge-vertex": _first_edge([2 ** 70, 3]),
+    "negative-vertex": _first_edge([-1, 3]),
 }
 TAMPERED = {
     "drop-slot": lambda obj, host, systems: obj["slots"].pop(0),
@@ -394,6 +413,22 @@ class TestMalformedInstance:
         assert cli_main(["verify", str(bad), str(cert)]) == 1
         verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert verdict["all_ok"] is False and verdict["malformed"]
+
+    def test_partition_outside_the_host(self, seed4_files, tmp_path,
+                                        capsys):
+        # the host loses its last vertex, which the partition still names
+        inst, obj, _ = seed4_files
+        bad_obj = json.loads(inst.read_text())
+        graph = bad_obj["graph"]
+        graph["n"] -= 1
+        graph["edges"] = [e for e in graph["edges"] if graph["n"] not in e]
+        bad, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        bad.write_text(json.dumps(bad_obj))
+        cert.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(bad), str(cert)]) == 1
+        verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert verdict["all_ok"] is False
+        assert "outside the host" in verdict["malformed"]
 
     def test_decompose_exits_2(self, bad_instance, tmp_path, capsys):
         _name, bad = bad_instance

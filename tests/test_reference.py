@@ -1,0 +1,384 @@
+"""Differential tests of the array cycle kernel and the array verifier
+against frozen copies of the dict-based versions they replaced.
+
+The references below are the earlier ``core.verify_hamilton_cycle``,
+``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
+``pipeline.verify_certificate`` (with its slot reader and matching
+split), kept verbatim apart from inlining ``Multigraph.edges_inside``.
+One verdict differs on purpose: an edge written as a triple
+``[u, v, k]`` was read as an edge of multiplicity k, and is now
+unreadable.  The mutations here write pairs only.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hamdec.core import (Digraph, Multigraph, cycle_to_perfect_matchings,
+                         cycle_vertex_order, verify_hamilton_cycle)
+from hamdec.errors import HamdecError, MalformedInput
+from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
+                             MODE_TWO_CLIQUES, _edge_hash,
+                             approx_decompose_bipartite,
+                             approx_decompose_two_cliques, generate_instance,
+                             verify_certificate)
+
+# -- frozen references --------------------------------------------------------
+
+
+def ref_verify_hamilton_cycle(g, vertex_set) -> bool:
+    vs = set(vertex_set)
+    if not vs:
+        return False
+    if isinstance(g, Digraph):
+        arcs = [(u, v) for (u, v) in g._arcs if u in vs and v in vs]
+        if len(arcs) != len(vs):
+            return False
+        nxt: dict[int, int] = {}
+        indeg: dict[int, int] = {}
+        for (u, v) in arcs:
+            if u in nxt:
+                return False
+            nxt[u] = v
+            indeg[v] = indeg.get(v, 0) + 1
+        if len(nxt) != len(vs) or any(indeg.get(v, 0) != 1 for v in vs):
+            return False
+        start = next(iter(vs))
+        cur, steps = nxt[start], 1
+        while cur != start:
+            cur = nxt[cur]
+            steps += 1
+        return steps == len(vs)
+    sub = g.restrict(vs)
+    if sub.edge_count() != len(vs):
+        return False
+    if len(vs) == 1:
+        return False
+    adj = sub._adjacency()
+    if any(v not in adj or sum(adj[v].values()) != 2 for v in vs):
+        return False
+    start = next(iter(vs))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj.get(x, {}):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen == vs
+
+
+def ref_cycle_vertex_order(cycle: Digraph, vertex_set) -> list[int]:
+    vs = set(vertex_set)
+    if not ref_verify_hamilton_cycle(cycle, vs):
+        raise MalformedInput("not a directed Hamilton cycle on the given set")
+    start = min(vs)
+    order = [start]
+    cur = start
+    while True:
+        nxts = [w for w in cycle.out_neighbors(cur) if w in vs]
+        cur = nxts[0]
+        if cur == start:
+            break
+        order.append(cur)
+    return order
+
+
+def ref_cycle_to_perfect_matchings(g: Multigraph, vertex_set):
+    vs = set(vertex_set)
+    if not ref_verify_hamilton_cycle(g, vs) or len(vs) % 2 != 0:
+        raise MalformedInput("need a Hamilton cycle on an even vertex set")
+    sub = g.restrict(vs)
+    adj = {v: [] for v in vs}
+    for (u, v, k) in sub.edges():
+        for _ in range(k):
+            adj[u].append(v)
+            adj[v].append(u)
+    start = min(vs)
+    order = [start]
+    prev = None
+    cur = start
+    while len(order) < len(vs):
+        cands = [w for w in adj[cur] if w != prev]
+        nxt = cands[0] if cands else adj[cur][0]
+        order.append(nxt)
+        prev, cur = cur, nxt
+    edges = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
+    return Multigraph(g.n, edges[0::2]), Multigraph(g.n, edges[1::2])
+
+
+def _ref_edges_inside(g: Multigraph, vertices) -> int:
+    vs = set(vertices)
+    return sum(k for (u, v), k in g._mult.items() if u in vs and v in vs)
+
+
+def _ref_read_slot(slot: dict, n: int):
+    try:
+        edges = [tuple(e) for e in slot["edges"]]
+        if not all(type(e[0]) is int and type(e[1]) is int for e in edges):
+            return None
+        return slot["kind"], Multigraph(n, edges)
+    except (KeyError, TypeError, ValueError, IndexError, MalformedInput):
+        return None
+
+
+def _ref_splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:
+    try:
+        m1a, m2a = ref_cycle_to_perfect_matchings(sub.restrict(a_pr), a_pr)
+        m1b, m2b = ref_cycle_to_perfect_matchings(sub.restrict(b_pr), b_pr)
+    except HamdecError:
+        return False
+    total = m1a + m2a + m1b + m2b
+    return total == sub.restrict(a_pr) + sub.restrict(b_pr)
+
+
+def ref_verify_certificate(host, partition, systems, cert) -> dict:
+    all_vertices = set(partition.vertices())
+    a_pr = set(partition.A_prime)
+    b_pr = set(partition.B_prime)
+    slot_reports = []
+    used_edges = []
+    slot_counts = [0] * len(systems)
+    coverage_edges = 0
+    failures = []
+    for slot in cert.slots:
+        idx = slot.get("es_index") if isinstance(slot, dict) else None
+        read = None
+        if type(idx) is int and 0 <= idx < len(systems):
+            slot_counts[idx] += 1
+            read = _ref_read_slot(slot, host.n)
+        if read is None:
+            slot_reports.append({"ok": False})
+            failures.append(idx)
+            continue
+        kind, sub = read
+        es = systems[idx]
+        verdicts = {}
+        verdicts["in_host"] = sub.is_submultigraph_of(host)
+        verdicts["contains_system"] = es.graph.is_submultigraph_of(sub)
+        if "edges_sha256" in slot:
+            verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
+                slot["edges"])
+        if es.kind == "MES":
+            cyc_a = ref_verify_hamilton_cycle(sub.restrict(a_pr), a_pr)
+            cyc_b = ref_verify_hamilton_cycle(sub.restrict(b_pr), b_pr)
+            cross = sub.edges_between(a_pr, b_pr) == 0
+            verdicts["bi_hamiltonian"] = cyc_a and cyc_b and cross
+            if len(a_pr) % 2 == 0 and len(b_pr) % 2 == 0:
+                verdicts["matching_pair"] = _ref_splits_into_matchings(
+                    sub, a_pr, b_pr)
+            structure_ok = verdicts["bi_hamiltonian"] and \
+                verdicts.get("matching_pair", True)
+        else:
+            verdicts["hamiltonian"] = ref_verify_hamilton_cycle(
+                sub, all_vertices)
+            structure_ok = verdicts["hamiltonian"]
+        ok = structure_ok and kind == es.kind and verdicts["in_host"] and \
+            verdicts["contains_system"] and verdicts.get("hash_ok", True)
+        verdicts["ok"] = ok
+        if not ok:
+            failures.append(idx)
+        slot_reports.append(verdicts)
+        used_edges.extend(sub.edges())
+        coverage_edges += sub.edge_count() - es.graph.edge_count()
+    failures += [idx for idx, count in enumerate(slot_counts) if count != 1]
+    usage = Multigraph(host.n, used_edges)
+    edge_disjoint = usage.is_submultigraph_of(host) and usage.is_simple()
+    if partition.mode == MODE_TWO_CLIQUES:
+        denom = (_ref_edges_inside(host, partition.A)
+                 + _ref_edges_inside(host, partition.B))
+    else:
+        denom = host.edges_between(partition.A, partition.B)
+    coverage = coverage_edges / denom if denom else 0.0
+    global_report = {
+        "edge_disjoint": edge_disjoint,
+        "slot_failures": failures,
+        "coverage_fraction": round(coverage, 6),
+        "all_ok": edge_disjoint and not failures,
+    }
+    return {"slots": slot_reports, "global": global_report}
+
+
+# -- the cycle kernel ---------------------------------------------------------
+
+
+@st.composite
+def cycle_instances(draw, directed: bool):
+    """A graph on n <= 9 vertices and a vertex set: zero, one or two
+    disjoint cycles on parts of the set (a 2-vertex undirected cycle is a
+    double edge), plus extra edges that may leave the set, and a set that
+    may name isolated or out-of-range vertices."""
+    n = draw(st.integers(2, 9))
+    perm = draw(st.permutations(range(n)))
+    size = draw(st.integers(0, n))
+    vs = list(perm[:size])
+    edges = []
+    cuts = draw(st.sampled_from([(), (0,), (0, 2), (0, 3)]))
+    bounds = [c for c in cuts if c < size] + [size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = vs[lo:hi]
+        if len(part) >= 2:
+            edges += list(zip(part, part[1:] + part[:1]))
+    if edges and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [e for e in draw(st.lists(pairs, max_size=3)) if e[0] != e[1]]
+    vset = set(vs) | set(draw(st.lists(st.integers(0, n + 1), max_size=2)))
+    if directed:
+        g = Digraph(n, list(dict.fromkeys(edges)))
+    else:
+        g = Multigraph(n, edges)
+    return g, vset
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MalformedInput:
+        return "raised"
+
+
+class TestCycleKernelMatchesReference:
+    @given(cycle_instances(directed=False))
+    @settings(max_examples=300, deadline=None)
+    def test_undirected(self, case):
+        g, vs = case
+        assert verify_hamilton_cycle(g, vs) is ref_verify_hamilton_cycle(g, vs)
+        assert _outcome(cycle_to_perfect_matchings, g, vs) == \
+            _outcome(ref_cycle_to_perfect_matchings, g, vs)
+
+    @given(cycle_instances(directed=True))
+    @settings(max_examples=300, deadline=None)
+    def test_directed(self, case):
+        g, vs = case
+        assert verify_hamilton_cycle(g, vs) is ref_verify_hamilton_cycle(g, vs)
+        assert _outcome(cycle_vertex_order, g, vs) == \
+            _outcome(ref_cycle_vertex_order, g, vs)
+
+    @pytest.mark.parametrize("edges,vs,expected", [
+        ([(0, 1, 2)], {0, 1}, True),               # double edge, 2 vertices
+        ([(0, 1)], {0, 1}, False),
+        ([(0, 1), (1, 2), (2, 0), (3, 4, 2)], {0, 1, 2, 3, 4}, False),
+        ([(0, 1), (1, 2), (2, 0)], {0, 1, 2, 3}, False),   # isolated 3
+        ([(0, 1), (1, 2), (2, 0)], {0, 1, 2, 7}, False),   # 7 not a vertex
+        ([(0, 1), (1, 2), (2, 0)], set(), False),
+    ])
+    def test_named_cases(self, edges, vs, expected):
+        g = Multigraph(5, edges)
+        assert verify_hamilton_cycle(g, vs) is expected
+        assert ref_verify_hamilton_cycle(g, vs) is expected
+
+
+# -- the verifier ---------------------------------------------------------------
+
+
+VERIFIER_CONFIGS = {
+    # HES and MES slots, |A'| and |B'| even, so matching_pair is checked
+    "two-cliques-mixed": InstanceConfig(
+        mode="two-cliques", K=3, m=24, a0_size=2, b0_size=2, eps0=0.03,
+        mu=0.0, rho=0.1, gamma=0.18, hes_count=4, mes_count=5, seed=3),
+    "bipartite": InstanceConfig(
+        mode="bipartite", K=4, m=32, a0_size=1, b0_size=1, eps0=0.02,
+        mu=0.0, rho=0.1, gamma=0.12, bes_count=8, seed=9),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(VERIFIER_CONFIGS))
+def certified(request):
+    cfg = VERIFIER_CONFIGS[request.param]
+    host, P, systems = generate_instance(cfg)
+    decompose = (approx_decompose_bipartite if cfg.mode == "bipartite"
+                 else approx_decompose_two_cliques)
+    cert = decompose(host, P, systems, cfg.mu, cfg.rho, cfg.gamma,
+                     seed=cfg.seed)
+    return host, P, systems, json.loads(cert.to_json())
+
+
+def _mutate(obj: dict, op: str, data, n: int) -> None:
+    slots = obj["slots"]
+    if not slots:
+        return
+    k = data.draw(st.integers(0, len(slots) - 1))
+    slot = slots[k]
+    edges = slot["edges"]
+    pair = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    if op == "drop-slot":
+        slots.pop(k)
+    elif op == "duplicate-slot":
+        slots.append(copy.deepcopy(slot))
+    elif op == "reindex-slot":
+        slot["es_index"] = data.draw(st.integers(-1, len(slots)))
+    elif op == "add-edge":
+        # either a random pair (maybe a loop or a host non-edge) or an
+        # edge of another slot
+        other = slots[data.draw(st.integers(0, len(slots) - 1))]["edges"]
+        edges.append(list(pair) if data.draw(st.booleans()) or not other
+                     else list(data.draw(st.sampled_from(other))))
+    elif op == "remove-edge" and edges:
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    elif op == "swap-edge" and edges:
+        edges[data.draw(st.integers(0, len(edges) - 1))] = list(pair)
+    elif op == "flip-kind":
+        slot["kind"] = data.draw(st.sampled_from(["HES", "MES", "BES"]))
+    elif op == "drop-hash":
+        slot.pop("edges_sha256", None)
+    if "edges_sha256" in slot and data.draw(st.booleans()):
+        slot["edges_sha256"] = _edge_hash(edges)
+
+
+MUTATIONS = ["drop-slot", "duplicate-slot", "reindex-slot", "add-edge",
+             "remove-edge", "swap-edge", "flip-kind", "drop-hash"]
+
+
+def _assert_plain_types(report: dict) -> None:
+    """Verdicts are Python bools and the fraction a Python float, so the
+    report embeds into certificate JSON as it did."""
+    for verdicts in report["slots"]:
+        assert all(type(v) is bool for v in verdicts.values())
+    g = report["global"]
+    assert type(g["edge_disjoint"]) is bool and type(g["all_ok"]) is bool
+    assert type(g["coverage_fraction"]) is float
+    assert all(type(idx) is int for idx in g["slot_failures"])
+
+
+class TestVerifierMatchesReference:
+    def test_valid_certificate(self, certified):
+        host, P, systems, obj = certified
+        cert = DecompositionCertificate.from_json_obj(copy.deepcopy(obj))
+        report = verify_certificate(host, P, systems, cert)
+        assert report["global"]["all_ok"]
+        assert report == ref_verify_certificate(host, P, systems, cert)
+        _assert_plain_types(report)
+
+    @pytest.mark.parametrize("certified", ["two-cliques-mixed"],
+                             indirect=True)
+    def test_cross_edge_in_a_matching_slot(self, certified):
+        # an edge from B0 to A leaves both Hamilton cycles of an MES slot
+        # intact; only the cross-edge check rejects it
+        host, P, systems, obj = certified
+        obj = copy.deepcopy(obj)
+        slot = next(s for s in obj["slots"] if s["kind"] == "MES")
+        slot["edges"] = slot["edges"] + [[P.b0[0], P.a_cluster(0)[0]]]
+        slot["edges_sha256"] = _edge_hash(slot["edges"])
+        cert = DecompositionCertificate.from_json_obj(obj)
+        report = verify_certificate(host, P, systems, cert)
+        assert report == ref_verify_certificate(host, P, systems, cert)
+        verdicts = report["slots"][obj["slots"].index(slot)]
+        assert not verdicts["bi_hamiltonian"]
+        assert verdicts["matching_pair"]
+
+    @given(data=st.data(),
+           ops=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_certificate(self, certified, data, ops):
+        host, P, systems, obj = certified
+        obj = copy.deepcopy(obj)
+        for op in ops:
+            _mutate(obj, op, data, host.n)
+        cert = DecompositionCertificate.from_json_obj(obj)
+        report = verify_certificate(host, P, systems, cert)
+        assert report == ref_verify_certificate(host, P, systems, cert)
+        _assert_plain_types(report)
