@@ -309,40 +309,26 @@ def _replace_pair_matching(succ: list[int], spec: PairSpec,
     return out, new_arcs
 
 
-def _cycle_count(succ: list[int], verts: list[int]) -> list[list[int]]:
-    """Decompose a 1-factor into its cycles (as vertex lists)."""
-    seen: set[int] = set()
+def _cycles(succ: list[int], verts: list[int]) -> list[list[int]] | None:
+    """The cycles of ``succ`` as vertex lists, each from its first vertex
+    in ``verts``, or None unless ``succ`` permutes ``verts``: every walk
+    from a vertex of ``verts`` returns to it through unvisited vertices of
+    ``verts`` only."""
+    unseen = set(verts)
     cycles = []
     for v in verts:
-        if v in seen:
+        if v not in unseen:
             continue
-        cyc = [v]
-        seen.add(v)
-        cur = succ[v]
+        unseen.discard(v)
+        cyc, cur = [v], succ[v]
         while cur != v:
-            if cur < 0 or cur in seen:
-                raise MalformedInput(f"not a 1-factor at vertex {cyc[-1]}")
+            if cur not in unseen:
+                return None
+            unseen.discard(cur)
             cyc.append(cur)
-            seen.add(cur)
             cur = succ[cur]
         cycles.append(cyc)
     return cycles
-
-
-def _hamilton_order(succ: list[int], verts: list[int]) -> list[int] | None:
-    """The vertices of ``succ`` in cycle order from ``verts[0]``, or None
-    unless ``succ`` is one directed cycle through all of ``verts``, the
-    vertices that have a successor."""
-    if not verts:
-        return None
-    order = [verts[0]]
-    cur = succ[verts[0]]
-    while cur != verts[0]:
-        if cur < 0 or len(order) == len(verts):
-            return None
-        order.append(cur)
-        cur = succ[cur]
-    return order if len(order) == len(verts) else None
 
 
 def _support(succ: list[int]) -> list[int]:
@@ -365,10 +351,12 @@ def merge_to_hamilton(succ: list[int], ledger: dict[int, set[int]],
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
+    cycles = _cycles(succ, verts)
+    if cycles is None:
+        raise MalformedInput("merge requires a 1-factor")
     used: list[tuple[int, int]] = []
     current = succ
     for spec in pairs:
-        cycles = _cycle_count(current, verts)
         if len(cycles) == 1:
             break
         v1 = set(spec.v1)
@@ -378,13 +366,14 @@ def merge_to_hamilton(succ: list[int], ledger: dict[int, set[int]],
         current, new_arcs = _replace_pair_matching(
             current, spec, ledger, [], rng)
         used.extend(new_arcs)
-    cycles = _cycle_count(current, verts)
+        cycles = _cycles(current, verts)
+        if cycles is None:
+            raise AssemblyVerificationFailed(
+                "merged factor failed verification")
     if len(cycles) != 1:
         raise MalformedInput(
             f"{len(cycles)} cycles remain after merging at all listed "
             f"pairs; a cycle avoids every pair (precondition violation)")
-    if _hamilton_order(current, verts) is None:
-        raise AssemblyVerificationFailed("merged factor failed verification")
     return current, used
 
 
@@ -402,20 +391,20 @@ def reorder_for_consistency(succ: list[int], ledger: dict[int, set[int]],
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
-    order = _hamilton_order(succ, verts)
-    if order is None:
+    cycles = _cycles(succ, verts)
+    if cycles is None or len(cycles) != 1:
         raise MalformedInput("reorder requires a Hamilton cycle")
     if not set(waypoints) <= set(spec.v1):
         raise MalformedInput("waypoints must lie inside V^1 of the pair")
     # any rotation realizes the cyclic order of at most two waypoints
-    if len(waypoints) <= 2 or visits_in_order(order, waypoints):
+    if len(waypoints) <= 2 or visits_in_order(cycles[0], waypoints):
         return succ, []
     out, new_arcs = _replace_pair_matching(succ, spec, ledger,
                                            list(waypoints), rng)
-    order = _hamilton_order(out, verts)
-    if order is None:
+    cycles = _cycles(out, verts)
+    if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("reordered cycle failed verification")
-    if not visits_in_order(order, waypoints):
+    if not visits_in_order(cycles[0], waypoints):
         raise AssemblyVerificationFailed("reordered cycle ignores waypoints")
     return out, new_arcs
 
@@ -478,10 +467,11 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         if any(final[u] != v for (u, v) in ps._arcs):
             raise AssemblyVerificationFailed(
                 f"slot {s}: path sequence not contained in the output")
-        order = _hamilton_order(final, verts)
-        if order is None or _support(final) != verts:
+        cycles = _cycles(final, verts)
+        if cycles is None or len(cycles) != 1 or _support(final) != verts:
             raise AssemblyVerificationFailed(
                 f"slot {s}: output is not a Hamilton cycle of the slice")
+        order = cycles[0]
         if any(final[u] != v for (u, v) in matching.arcs) or \
                 not visits_in_order(order, [u for (u, _v) in matching.arcs]):
             raise AssemblyVerificationFailed(

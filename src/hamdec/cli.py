@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from . import pipeline
 from .core import ClusterPartition, Multigraph, canonical_json
@@ -23,10 +24,19 @@ from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
 INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
 
 
+def _require_ints(values, what: str) -> None:
+    """Raise MalformedInput unless every value is an exact int: JSON true
+    and 1.0 would pass as the int 1."""
+    if not set(map(type, values)) <= {int}:
+        raise MalformedInput(f"instance {what} holds a value that is not "
+                             f"an int")
+
+
 def _load_instance(path: str):
     """(config, host, partition, systems) of an instance file; raises
     MalformedInput when the file is not JSON, not an object, lacks one of
-    INSTANCE_KEYS or holds a part that cannot be read."""
+    INSTANCE_KEYS or holds a part that cannot be read: among them a
+    vertex count, vertex id or multiplicity that is not an exact int."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -37,14 +47,26 @@ def _load_instance(path: str):
     for key in INSTANCE_KEYS:
         if key not in obj:
             raise MalformedInput(f"instance lacks the key {key!r}")
+    graph, part = obj["graph"], obj["partition"]
     try:
+        _require_ints([graph["n"]], "vertex count")
+        _require_ints(chain.from_iterable(graph["edges"]), "edge")
+        _require_ints(chain(part.get("A0", ()), part.get("B0", ()),
+                            *part.get("A", ()), *part.get("B", ()),
+                            *part.get("clusters", ())), "partition")
+        for es in obj["exceptional_systems"]:
+            _require_ints(chain(es.get("isolated", ()), *es["paths"]),
+                          "exceptional system")
         cfg = InstanceConfig.from_json_obj(obj["config"])
-        host = Multigraph.from_json_obj(obj["graph"])
-        partition = ClusterPartition.from_json_obj(obj["partition"])
+        host = Multigraph.from_json_obj(graph)
+        partition = ClusterPartition.from_json_obj(part)
         ctor = MODES[cfg.mode].system_class
         systems = [ctor.from_json_obj(o, partition)
                    for o in obj["exceptional_systems"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except MalformedInput:
+        raise
+    except (HamdecError, AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         raise MalformedInput(
             f"instance unreadable: {type(exc).__name__}: {exc}") from None
     return cfg, host, partition, systems

@@ -189,39 +189,32 @@ class Multigraph:
             seen.add(v)
         return True
 
+    def _walk_paths(self) -> list[list[int]] | None:
+        """The maximal paths as vertex lists, each walked from its smaller
+        end and listed by it, or None unless the graph is a vertex-disjoint
+        union of simple paths."""
+        if not self.is_simple():
+            return None
+        adj = self._adjacency()
+        if any(len(row) > 2 for row in adj.values()):
+            return None
+        out = []
+        far_ends: set[int] = set()
+        for end in sorted(v for v, row in adj.items() if len(row) == 1):
+            if end in far_ends:
+                continue
+            path = [end, *adj[end]]
+            while len(adj[path[-1]]) == 2:
+                a, b = adj[path[-1]]
+                path.append(b if a == path[-2] else a)
+            far_ends.add(path[-1])
+            out.append(path)
+        # a cycle component has no end, so its vertices stay unwalked
+        return out if sum(map(len, out)) == len(adj) else None
+
     def is_path_system(self) -> bool:
         """True iff the graph is a vertex-disjoint union of (simple) paths."""
-        if not self.is_simple():
-            return False
-        adj = self._adjacency()
-        if any(sum(r.values()) > 2 for r in adj.values()):
-            return False
-        # no cycles: every component with an edge must have a degree-1 vertex,
-        # and #edges = #vertices - #components over covered vertices
-        return not self._has_cycle()
-
-    def _has_cycle(self) -> bool:
-        adj = self._adjacency()
-        seen: set[int] = set()
-        for root in adj:
-            if root in seen:
-                continue
-            comp_vertices = 0
-            comp_edges = 0
-            stack = [root]
-            seen.add(root)
-            while stack:
-                x = stack.pop()
-                comp_vertices += 1
-                row = adj.get(x, {})
-                comp_edges += sum(row.values())
-                for y in row:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if comp_edges // 2 >= comp_vertices:
-                return True
-        return False
+        return self._walk_paths() is not None
 
     def paths(self) -> list[list[int]]:
         """Decompose a path system into its maximal paths (as vertex lists).
@@ -229,26 +222,9 @@ class Multigraph:
         Isolated covered vertices do not occur (an edgeless vertex is not
         stored); callers that track trivial paths keep a separate vertex set.
         """
-        if not self.is_path_system():
+        out = self._walk_paths()
+        if out is None:
             raise MalformedInput("not a path system")
-        adj = self._adjacency()
-        out = []
-        seen: set[int] = set()
-        endpoints = sorted(v for v, r in adj.items() if sum(r.values()) == 1)
-        for e in endpoints:
-            if e in seen:
-                continue
-            path = [e]
-            seen.add(e)
-            cur, prev = e, None
-            while True:
-                nxts = [w for w in adj[cur] if w != prev]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-                path.append(cur)
-                seen.add(cur)
-            out.append(path)
         return out
 
     # -- serialization ----------------------------------------------------
@@ -339,45 +315,39 @@ class Digraph:
     def with_arcs(self, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         return Digraph(self.n, self._arcs | set(arcs))
 
-    def underlying_multigraph(self) -> Multigraph:
-        return Multigraph(self.n, [(u, v) for (u, v) in self._arcs])
-
     def vertices_with_arcs(self) -> set[int]:
         out = set(self._out)
         out.update(self._in)
         return out
 
+    def _walk_paths(self) -> list[list[int]] | None:
+        """The maximal directed paths as vertex lists, listed by their
+        first vertex, or None unless the digraph is a union of
+        vertex-disjoint directed paths."""
+        out, inn = self._out, self._in
+        if any(len(ends) > 1 for ends in chain(out.values(), inn.values())):
+            return None
+        paths = []
+        for s in sorted(v for v in out if v not in inn):
+            path = [s]
+            while path[-1] in out:
+                (nxt,) = out[path[-1]]
+                path.append(nxt)
+            paths.append(path)
+        # a cycle has no first vertex, so its arcs stay unwalked
+        walked = sum(map(len, paths)) - len(paths)
+        return paths if walked == len(self._arcs) else None
+
     def is_path_sequence(self) -> bool:
         """Union of vertex-disjoint directed paths (trivial paths allowed)."""
-        if any(len(s) > 1 for s in self._out.values()):
-            return False
-        if any(len(s) > 1 for s in self._in.values()):
-            return False
-        # functional graph with in/out degree <= 1: cycles are the only
-        # obstruction, detected by walking forward from every start
-        starts = [v for v in self._out if not self._in.get(v)]
-        reached = set()
-        for s in starts:
-            cur = s
-            while cur in self._out and self._out[cur]:
-                reached.add(cur)
-                cur = next(iter(self._out[cur]))
-            reached.add(cur)
-        return all(v in reached for v in self._out)
+        return self._walk_paths() is not None
 
     def directed_paths(self) -> list[list[int]]:
         """Maximal directed paths of a path sequence, as vertex lists."""
-        if not self.is_path_sequence():
+        paths = self._walk_paths()
+        if paths is None:
             raise MalformedInput("not a path sequence")
-        out = []
-        for s in sorted(v for v in self._out if not self._in.get(v)):
-            path = [s]
-            cur = s
-            while self._out.get(cur):
-                cur = next(iter(self._out[cur]))
-                path.append(cur)
-            out.append(path)
-        return out
+        return paths
 
     def to_json_obj(self) -> dict:
         return {"schema": SCHEMA_VERSION, "n": self.n,

@@ -24,7 +24,8 @@ from .classic import (bipartite_hamilton_decompose, pair_matrix,
                       regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching,
                       walecki_decompose)
-from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
+from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterCycle,
+                   ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, derive_seed)
 from .errors import (InvalidParameter, MalformedInput,
                      MatchingInfeasible, SamplingFailed)
@@ -598,7 +599,7 @@ def sysdecom(g: Multigraph, partition: ClusterPartition,
     whose cluster pairs are exactly reserve-degree-regular, and the slots
     (one per exceptional system assigned to this slice).
     """
-    if partition.mode != "two-cliques":
+    if partition.mode != MODE_TWO_CLIQUES:
         raise InvalidParameter("sysdecom requires a two-cliques partition")
     K, m = partition.K, partition.m
     eps0 = partition.eps0
@@ -730,7 +731,7 @@ def sysdecombip(g: Multigraph, partition: ClusterPartition,
     """Bipartite analogue of sysdecom: K/2 cyclic systems on the 2K
     clusters, each with a reserve graph that is exactly
     reserve-degree-regular on every (A_i, B_i') pair."""
-    if partition.mode != "bipartite":
+    if partition.mode != MODE_BIPARTITE:
         raise InvalidParameter("sysdecombip requires a bipartite partition")
     K, m = partition.K, partition.m
     eps0 = partition.eps0

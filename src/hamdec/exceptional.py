@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, is_consistent_with,
                    verify_hamilton_cycle)
-from .errors import (InvalidExceptionalSystem, NotConsistent,
+from .errors import (InvalidExceptionalSystem, MalformedInput, NotConsistent,
                      SpliceVerificationFailed)
 
 KIND_HES = "HES"
@@ -311,6 +312,25 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
                             jstar_dir=OrderedDirectedMatching(arcs))
 
 
+def _check_input_cycle(cycle: Digraph, vertices: set[int],
+                       matching: OrderedDirectedMatching, name: str) -> None:
+    """Raise NotConsistent unless ``cycle`` is a directed Hamilton cycle
+    on exactly ``vertices`` and consistent with ``matching``.  One walk
+    checks both: ``is_consistent_with`` raises MalformedInput unless the
+    arcs form one cycle through every vertex they touch."""
+    if cycle.vertices_with_arcs() != vertices:
+        raise NotConsistent(f"{name} has arcs off its vertex set or misses "
+                            f"one of its vertices")
+    try:
+        consistent = is_consistent_with(cycle, matching)
+    except MalformedInput:
+        raise NotConsistent(f"{name} is not a directed Hamilton cycle") \
+            from None
+    if not consistent:
+        raise NotConsistent(f"{name} is not consistent with its ordered "
+                            f"matching")
+
+
 def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
                        system: ExceptionalSystem,
                        reduction: FictiveReduction) -> Multigraph:
@@ -320,17 +340,9 @@ def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
     is the vertex-disjoint union of a Hamilton cycle on A' and one on B'.
     """
     P = system.partition
-    a, b = set(P.A), set(P.B)
-    if not verify_hamilton_cycle(c_a_dir, a):
-        raise NotConsistent("C_A is not a directed Hamilton cycle on A")
-    if not verify_hamilton_cycle(c_b_dir, b):
-        raise NotConsistent("C_B is not a directed Hamilton cycle on B")
-    if not is_consistent_with(c_a_dir, reduction.ja_dir):
-        raise NotConsistent("C_A is not consistent with J*_A,dir")
-    if not is_consistent_with(c_b_dir, reduction.jb_dir):
-        raise NotConsistent("C_B is not consistent with J*_B,dir")
-    result = (c_a_dir.underlying_multigraph()
-              + c_b_dir.underlying_multigraph()
+    _check_input_cycle(c_a_dir, set(P.A), reduction.ja_dir, "C_A")
+    _check_input_cycle(c_b_dir, set(P.B), reduction.jb_dir, "C_B")
+    result = (Multigraph(P.n, chain(c_a_dir._arcs, c_b_dir._arcs))
               - reduction.jstar + system.graph)
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
@@ -349,14 +361,9 @@ def splice_bipartite(d_dir: Digraph, system: BalancedExceptionalSystem,
                      reduction: FictiveReduction) -> Multigraph:
     """D - J* + J for the bipartite case; output verified Hamiltonian."""
     P = system.partition
-    ab = set(P.A) | set(P.B)
-    if not verify_hamilton_cycle(d_dir, ab):
-        raise NotConsistent("D is not a directed Hamilton cycle on A u B")
-    if not is_consistent_with(d_dir, reduction.jstar_dir):
-        raise NotConsistent("D is not consistent with J*_dir")
-    result = d_dir.underlying_multigraph() - reduction.jstar + system.graph
+    _check_input_cycle(d_dir, set(P.A) | set(P.B), reduction.jstar_dir, "D")
+    result = Multigraph(P.n, d_dir._arcs) - reduction.jstar + system.graph
     if not verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")
     return result
-

@@ -20,8 +20,9 @@ import numpy as np
 from . import core
 from .assembly import assemble_slice
 from .classic import pair_matrix
-from .core import (ClusterPartition, Digraph, Multigraph,
-                   canonical_json, undirected_cycle_order, vertex_mask)
+from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterPartition,
+                   Digraph, Multigraph, canonical_json,
+                   undirected_cycle_order, vertex_mask)
 # the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
 from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
@@ -29,13 +30,11 @@ from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
 from .errors import (HamdecError, HamiltonSearchExhausted, InvalidParameter,
                      MalformedInput, MatchingInfeasible, PipelineError,
                      SamplingFailed)
-from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
-                          build_fictive_bipartite, build_fictive_two_cliques,
-                          splice_bipartite, splice_two_cliques)
+from .exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
+                          ExceptionalSystem, build_fictive_bipartite,
+                          build_fictive_two_cliques, splice_bipartite,
+                          splice_two_cliques)
 from .extension import balance_extend_bipartite, balance_extend_cliques
-
-MODE_TWO_CLIQUES = "two-cliques"
-MODE_BIPARTITE = "bipartite"
 
 
 @dataclass
@@ -191,7 +190,7 @@ def _generate_two_cliques(cfg: InstanceConfig, partition: ClusterPartition,
     # ceil(count / K) systems)
     cells = [(t % K, (t % K + t // K) % K) for t in range(K * K)]
     assignment = [cells[t % len(cells)] for t in range(count)]
-    kinds = ["HES"] * cfg.hes_count + ["MES"] * cfg.mes_count
+    kinds = [KIND_HES] * cfg.hes_count + [KIND_MES] * cfg.mes_count
     rng.shuffle(kinds)
     pools = _cluster_pools(partition, rng)
     systems = []
@@ -205,7 +204,7 @@ def _generate_two_cliques(cfg: InstanceConfig, partition: ClusterPartition,
         for v0 in partition.b0:
             x, y = _take(pools, "B", ip, 2)
             edges += [(x, v0), (v0, y)]
-        if kinds[t] == "HES":
+        if kinds[t] == KIND_HES:
             xa = _take(pools, "A", i, 2)
             xb = _take(pools, "B", ip, 2)
             edges += [(xa[0], xb[0]), (xa[1], xb[1])]
@@ -327,7 +326,7 @@ def validate_hypotheses(host: Multigraph, partition: ClusterPartition,
     cells: dict[tuple, int] = {}
     for es in systems:
         cells[tuple(es.locality)] = cells.get(tuple(es.locality), 0) + 1
-    total_cells = K ** 2 if mode == "two-cliques" else K ** 4
+    total_cells = K ** 2 if mode == MODE_TWO_CLIQUES else K ** 4
     if cells:
         sizes = sorted(cells.values())
         expected = len(systems) / total_cells
@@ -336,8 +335,8 @@ def validate_hypotheses(host: Multigraph, partition: ClusterPartition,
                 f"localized cell of size {sizes[-1]} exceeds the "
                 f"equal-as-possible bound {math.ceil(expected)}")
     # (d)
-    if mode == "two-cliques":
-        if any(getattr(es, "kind", "") == "MES" for es in systems):
+    if mode == MODE_TWO_CLIQUES:
+        if any(getattr(es, "kind", "") == KIND_MES for es in systems):
             if (len(partition.A_prime) % 2) or (len(partition.B_prime) % 2):
                 raise InvalidParameter(
                     "matching systems present but |A'|, |B'| not both even")
@@ -366,7 +365,7 @@ def _degree_window(host: Multigraph, partition: ClusterPartition) -> float:
     a_side, b_side = partition.clusters[:K], partition.clusters[K:]
     # the targets are clusters 0..K-1 of one side, m columns each
     pairs = [(a_side, partition.A), (b_side, partition.B)] \
-        if partition.mode == "two-cliques" \
+        if partition.mode == MODE_TWO_CLIQUES \
         else [(a_side, partition.B), (b_side, partition.A)]
     degs = []
     for clusters, targets in pairs:
@@ -750,7 +749,7 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         if "edges_sha256" in slot:
             verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
                 slot["edges"])
-        if es.kind == "MES":
+        if es.kind == KIND_MES:
             cyc_a = undirected_cycle_order(lo, hi, a_mask) is not None
             cyc_b = undirected_cycle_order(lo, hi, b_mask) is not None
             verdicts["bi_hamiltonian"] = cyc_a and cyc_b and not (

@@ -11,7 +11,8 @@ from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.cyclic import CyclicSystem, reserve_regular
-from hamdec.errors import HamiltonSearchExhausted, MalformedInput
+from hamdec.errors import (AssemblyVerificationFailed,
+                           HamiltonSearchExhausted, MalformedInput)
 from hamdec.extension import BalancedExtension
 
 
@@ -162,6 +163,20 @@ class TestMergeAndReorder:
         assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
         assert used and all(a in reservoir for a in used)
         assert arcs_of(unused) == reservoir - set(used)
+
+    def test_non_factor_replacement_fails_verification(self, monkeypatch):
+        # a replacement that gives vertices 0 and 1 the same head
+        def doubled_head(succ, spec, ledger, waypoints, rng):
+            out = list(succ)
+            out[0] = out[1]
+            return out, []
+
+        monkeypatch.setattr(assembly, "_replace_pair_matching", doubled_head)
+        spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
+                        v2=tuple(range(6, 12)))
+        with pytest.raises(AssemblyVerificationFailed):
+            merge_to_hamilton(self.build_two_cycle_factor(), {}, [spec],
+                              rng=random.Random(1))
 
     def test_identity_when_single_cycle(self):
         verts = list(range(8))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hamdec import core
 from hamdec.core import (ClusterPartition, Digraph, Multigraph,
                          cycle_to_perfect_matchings, verify_hamilton_cycle)
 from hamdec.errors import (InvalidExceptionalSystem, NotConsistent)
@@ -252,6 +253,41 @@ class TestSplice:
         with pytest.raises(NotConsistent):
             splice_two_cliques(bad, directed_cycle([4, 3, 5], P.n), es, red)
 
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1), (1, 2), (2, 0), (2, 3)],   # an arc leaving A
+        [(0, 1), (1, 0)],                   # misses the A-vertex 2
+        [(0, 1), (1, 2)],                   # spans A but is no cycle
+    ])
+    def test_bad_input_cycle_rejected(self, arcs):
+        P = tiny_partition()
+        g = Multigraph(P.n, [(0, 6), (6, 3), (1, 7), (7, 4)])
+        es = ExceptionalSystem(P, g)
+        red = build_fictive_two_cliques(es)
+        with pytest.raises(NotConsistent):
+            splice_two_cliques(Digraph(P.n, arcs),
+                               directed_cycle([4, 3, 5], P.n), es, red)
+
+    def test_each_input_cycle_walked_once(self, monkeypatch):
+        walks = []
+        walk = core._directed_cycle_order
+        monkeypatch.setattr(core, "_directed_cycle_order",
+                            lambda d, vs: walks.append(d) or walk(d, vs))
+        P = tiny_partition()
+        es = ExceptionalSystem(P, Multigraph(P.n, [(0, 6), (6, 3), (1, 7),
+                                                   (7, 4)]))
+        c_a = directed_cycle([0, 1, 2], P.n)
+        c_b = directed_cycle([4, 3, 5], P.n)
+        splice_two_cliques(c_a, c_b, es, build_fictive_two_cliques(es))
+        assert walks == [c_a, c_b]
+        walks.clear()
+        P = tiny_partition(mode="bipartite")
+        es = BalancedExceptionalSystem(
+            P, Multigraph(P.n, [(0, 6), (6, 1), (3, 7), (7, 4)]),
+            locality=(0, 0, 0, 0))
+        d = directed_cycle([0, 3, 2, 5, 1, 4], P.n)
+        splice_bipartite(d, es, build_fictive_bipartite(es))
+        assert walks == [d]
+
     def test_bipartite_splice(self):
         P = tiny_partition(mode="bipartite")
         g = Multigraph(P.n, [(0, 6), (6, 1), (3, 7), (7, 4)])
@@ -268,7 +304,7 @@ class TestSplice:
         red = build_fictive_bipartite(es)
         d = directed_cycle([0, 2, 1, 3], 4)
         out = splice_bipartite(d, es, red)
-        assert out == d.underlying_multigraph()
+        assert out == Multigraph(4, d.arcs())
 
 
 class TestSpliceRandomized:

@@ -373,12 +373,40 @@ class TestMalformedCertificate:
 INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
 
 
+def _edit(path, value):
+    """An edit of an instance object: the entry at ``path`` (keys and
+    indices from the top) becomes ``value(entry)``."""
+    def edit(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value(obj[last])
+    return edit
+
+
+# instance objects with a part that is not an exact int, or with an
+# invalid exceptional system; a float or boolean once verified as the int
+# it equals
+INSTANCE_EDITS = {
+    "partition-vertex-float": _edit(("partition", "A", 0, 0), float),
+    "n-float": _edit(("graph", "n"), float),
+    "edge-vertex-half": _edit(("graph", "edges", -1, 0), lambda u: u + 0.5),
+    "multiplicity-true": _edit(("graph", "edges", -1, 2), lambda k: True),
+    "multiplicity-float": _edit(("graph", "edges", -1, 2), lambda k: 1.5),
+    "system-path-float": _edit(("exceptional_systems", 0, "paths", 0, 0),
+                               float),
+    "system-invalid": _edit(("exceptional_systems", 0, "paths"),
+                            lambda paths: []),
+}
+
+
 class TestMalformedInstance:
     """A malformed instance file gets a failed verdict from ``verify``
     (exit 1) and a HamdecError exit from ``decompose`` (exit 2)."""
 
     @pytest.fixture(params=[f"no-{key}" for key in INSTANCE_KEYS]
-                    + ["not-json", "schema-only", "not-an-object"])
+                    + ["not-json", "schema-only", "not-an-object"]
+                    + sorted(INSTANCE_EDITS))
     def bad_instance(self, request, seed4_files, tmp_path):
         inst, _obj, _ = seed4_files
         name = request.param
@@ -391,7 +419,10 @@ class TestMalformedInstance:
             bad.write_text(json.dumps([1, 2]))
         else:
             obj = json.loads(inst.read_text())
-            del obj[name[3:]]
+            if name in INSTANCE_EDITS:
+                INSTANCE_EDITS[name](obj)
+            else:
+                del obj[name[3:]]
             bad.write_text(json.dumps(obj))
         return name, bad
 

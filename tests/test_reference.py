@@ -1,10 +1,14 @@
-"""Differential tests of the array cycle kernel and the array verifier
-against frozen copies of the dict-based versions they replaced.
+"""Differential tests of the array cycle kernel, the array verifier and
+the one-walk structure walkers against frozen copies of the versions
+they replaced.
 
 The references below are the earlier ``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
 ``pipeline.verify_certificate`` (with its slot reader and matching
-split), kept verbatim apart from inlining ``Multigraph.edges_inside``.
+split), kept verbatim apart from inlining ``Multigraph.edges_inside``;
+and the earlier ``Multigraph.is_path_system``/``paths``,
+``Digraph.is_path_sequence``/``directed_paths`` and
+``assembly._cycle_count``/``_hamilton_order``, as free functions.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
 unreadable.  The mutations here write pairs only.
@@ -16,6 +20,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamdec.assembly import _cycles
 from hamdec.core import (Digraph, Multigraph, cycle_to_perfect_matchings,
                          cycle_vertex_order, verify_hamilton_cycle)
 from hamdec.errors import HamdecError, MalformedInput
@@ -202,6 +207,120 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
     return {"slots": slot_reports, "global": global_report}
 
 
+def ref_is_path_system(g: Multigraph) -> bool:
+    if not g.is_simple():
+        return False
+    adj = g._adjacency()
+    if any(sum(r.values()) > 2 for r in adj.values()):
+        return False
+    seen: set[int] = set()
+    for root in adj:
+        if root in seen:
+            continue
+        comp_vertices = 0
+        comp_edges = 0
+        stack = [root]
+        seen.add(root)
+        while stack:
+            x = stack.pop()
+            comp_vertices += 1
+            row = adj.get(x, {})
+            comp_edges += sum(row.values())
+            for y in row:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if comp_edges // 2 >= comp_vertices:
+            return False
+    return True
+
+
+def ref_paths(g: Multigraph) -> list[list[int]]:
+    if not ref_is_path_system(g):
+        raise MalformedInput("not a path system")
+    adj = g._adjacency()
+    out = []
+    seen: set[int] = set()
+    endpoints = sorted(v for v, r in adj.items() if sum(r.values()) == 1)
+    for e in endpoints:
+        if e in seen:
+            continue
+        path = [e]
+        seen.add(e)
+        cur, prev = e, None
+        while True:
+            nxts = [w for w in adj[cur] if w != prev]
+            if not nxts:
+                break
+            prev, cur = cur, nxts[0]
+            path.append(cur)
+            seen.add(cur)
+        out.append(path)
+    return out
+
+
+def ref_is_path_sequence(d: Digraph) -> bool:
+    if any(len(s) > 1 for s in d._out.values()):
+        return False
+    if any(len(s) > 1 for s in d._in.values()):
+        return False
+    starts = [v for v in d._out if not d._in.get(v)]
+    reached = set()
+    for s in starts:
+        cur = s
+        while cur in d._out and d._out[cur]:
+            reached.add(cur)
+            cur = next(iter(d._out[cur]))
+        reached.add(cur)
+    return all(v in reached for v in d._out)
+
+
+def ref_directed_paths(d: Digraph) -> list[list[int]]:
+    if not ref_is_path_sequence(d):
+        raise MalformedInput("not a path sequence")
+    out = []
+    for s in sorted(v for v in d._out if not d._in.get(v)):
+        path = [s]
+        cur = s
+        while d._out.get(cur):
+            cur = next(iter(d._out[cur]))
+            path.append(cur)
+        out.append(path)
+    return out
+
+
+def ref_cycle_count(succ: list[int], verts: list[int]) -> list[list[int]]:
+    seen: set[int] = set()
+    cycles = []
+    for v in verts:
+        if v in seen:
+            continue
+        cyc = [v]
+        seen.add(v)
+        cur = succ[v]
+        while cur != v:
+            if cur < 0 or cur in seen:
+                raise MalformedInput(f"not a 1-factor at vertex {cyc[-1]}")
+            cyc.append(cur)
+            seen.add(cur)
+            cur = succ[cur]
+        cycles.append(cyc)
+    return cycles
+
+
+def ref_hamilton_order(succ: list[int], verts: list[int]) -> list[int] | None:
+    if not verts:
+        return None
+    order = [verts[0]]
+    cur = succ[verts[0]]
+    while cur != verts[0]:
+        if cur < 0 or len(order) == len(verts):
+            return None
+        order.append(cur)
+        cur = succ[cur]
+    return order if len(order) == len(verts) else None
+
+
 # -- the cycle kernel ---------------------------------------------------------
 
 
@@ -270,6 +389,93 @@ class TestCycleKernelMatchesReference:
         g = Multigraph(5, edges)
         assert verify_hamilton_cycle(g, vs) is expected
         assert ref_verify_hamilton_cycle(g, vs) is expected
+
+
+# -- the structure walkers ---------------------------------------------------
+
+
+@st.composite
+def path_instances(draw, directed: bool):
+    """A graph on n <= 9 vertices: disjoint parts, each a path, a cycle
+    or bare, plus up to two random edges.  So path systems, a cycle beside
+    paths, 2-cycles (a doubled edge, or two opposite arcs), doubled edges
+    and degree-3 vertices all occur."""
+    n = draw(st.integers(2, 9))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        part = perm[lo:hi]
+        shape = draw(st.sampled_from(["path", "cycle", "bare"]))
+        if shape != "bare" and len(part) >= 2:
+            edges += list(zip(part, part[1:]))
+            if shape == "cycle":
+                edges.append((part[-1], part[0]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [e for e in draw(st.lists(pairs, max_size=2)) if e[0] != e[1]]
+    if directed:
+        return Digraph(n, list(dict.fromkeys(edges)))
+    return Multigraph(n, edges)
+
+
+@st.composite
+def successor_arrays(draw):
+    """A successor array on n <= 9 vertices and the sorted vertex list
+    that the assembly walks: one cycle or a random permutation on a
+    subset, up to two entries redirected to any vertex or to -1 (off the
+    array), and the support, sometimes with vertices off the array."""
+    n = draw(st.integers(1, 9))
+    on = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    heads = on[1:] + on[:1] if draw(st.booleans()) \
+        else draw(st.permutations(on))
+    succ = [-1] * n
+    for v, w in zip(on, heads):
+        succ[v] = w
+    redirect = st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1))
+    for v, w in draw(st.lists(redirect, max_size=2)):
+        succ[v] = w
+    verts = {v for v in range(n) if succ[v] >= 0}
+    verts |= set(draw(st.lists(st.integers(0, n - 1), max_size=1)))
+    return succ, sorted(verts)
+
+
+class TestWalkersMatchReference:
+    @given(path_instances(directed=False))
+    @settings(max_examples=300, deadline=None)
+    def test_path_system(self, g):
+        assert g.is_path_system() is ref_is_path_system(g)
+        assert _outcome(Multigraph.paths, g) == _outcome(ref_paths, g)
+
+    @given(path_instances(directed=True))
+    @settings(max_examples=300, deadline=None)
+    def test_path_sequence(self, d):
+        assert d.is_path_sequence() is ref_is_path_sequence(d)
+        assert _outcome(Digraph.directed_paths, d) == \
+            _outcome(ref_directed_paths, d)
+
+    @given(successor_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_cycles(self, case):
+        succ, verts = case
+        cycles = _cycles(succ, verts)
+        assert _outcome(ref_cycle_count, succ, verts) == \
+            ("raised" if cycles is None else cycles)
+        single = cycles[0] if cycles is not None and len(cycles) == 1 \
+            else None
+        assert single == ref_hamilton_order(succ, verts)
+
+    @pytest.mark.parametrize("edges,paths", [
+        ([(0, 1), (1, 2), (4, 5)], [[0, 1, 2], [4, 5]]),
+        ([(0, 1), (1, 2), (2, 0), (3, 4)], None),   # cycle beside a path
+        ([(0, 1, 2)], None),                         # doubled edge
+        ([(0, 1), (1, 2), (1, 3)], None),            # degree 3
+        ([], []),
+    ])
+    def test_named_path_systems(self, edges, paths):
+        g = Multigraph(6, edges)
+        assert g._walk_paths() == paths
+        assert _outcome(ref_paths, g) == ("raised" if paths is None
+                                          else paths)
 
 
 # -- the verifier ---------------------------------------------------------------
