@@ -9,15 +9,16 @@ bipartite multigraphs by repeated Euler splits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
-from .core import ClusterCycle, Multigraph
+from .core import ClusterCycle, Host, Multigraph
 from .errors import (DegreeHypothesisViolated, InvalidParameter,
                      MatchingInfeasible)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 def walecki_decompose(K: int) -> list[ClusterCycle]:
@@ -95,6 +96,9 @@ def regular_spanning_subgraph(mat: np.ndarray, left: Sequence[int],
     if r == 0:
         return np.zeros((m, m), dtype=np.int64)
 
+    # imported here: `hamdec verify`, which never runs a flow, loads no scipy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
     ii, jj = np.nonzero(mat)
     # network nodes: 0 = source, 1..m = left, m+1..2m = right, 2m+1 = sink
     src, snk = 0, 2 * m + 1
@@ -225,13 +229,28 @@ def hopcroft_karp(rows: list[int], n_right: int,
                 break
 
 
-def pair_matrix(graph: Multigraph, left: Sequence[int],
+def pair_matrix(graph: Host | Multigraph, left: Sequence[int],
                 right: Sequence[int]) -> np.ndarray:
     """The multiplicity matrix of ``graph`` between the classes ``left``
-    (rows) and ``right`` (columns), as a fresh int64 array."""
-    return graph._matrix()[np.ix_(np.asarray(left, dtype=np.intp),
-                                  np.asarray(right, dtype=np.intp))
-                           ].astype(np.int64)
+    (rows) and ``right`` (columns) of distinct vertices, as a fresh int64
+    array: a block of the host's matrix, or a sparse graph's own edges
+    scattered into the block."""
+    rows = np.asarray(left, dtype=np.intp)
+    cols = np.asarray(right, dtype=np.intp)
+    if isinstance(graph, Host):
+        return graph.matrix[np.ix_(rows, cols)].astype(np.int64)
+    row_of = np.full(graph.n, -1, dtype=np.intp)
+    row_of[rows] = np.arange(rows.size)
+    col_of = np.full(graph.n, -1, dtype=np.intp)
+    col_of[cols] = np.arange(cols.size)
+    mat = np.zeros((rows.size, cols.size), dtype=np.int64)
+    us, vs, ks = graph._key_arrays()
+    # each distinct edge fills at most one cell per orientation
+    for tails, heads in ((us, vs), (vs, us)):
+        r, c = row_of[tails], col_of[heads]
+        keep = (r >= 0) & (c >= 0)
+        mat[r[keep], c[keep]] = ks[keep]
+    return mat
 
 
 def take_matching(res: np.ndarray, rows: Sequence[int],

@@ -14,7 +14,7 @@ import sys
 from itertools import chain
 
 from . import pipeline
-from .core import ClusterPartition, Multigraph, canonical_json
+from .core import ClusterPartition, Host, Multigraph, canonical_json
 from .errors import HamdecError, MalformedInput
 from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
                        MODE_BIPARTITE, MODE_TWO_CLIQUES, generate_instance,
@@ -36,7 +36,10 @@ def _load_instance(path: str):
     """(config, host, partition, systems) of an instance file; raises
     MalformedInput when the file is not JSON, not an object, lacks one of
     INSTANCE_KEYS or holds a part that cannot be read: among them a
-    vertex count, vertex id or multiplicity that is not an exact int."""
+    vertex count, vertex id or multiplicity that is not an exact int, a
+    multiplicity outside 1..255, and a partition whose vertices are not
+    exactly the host's 0..n-1 (checked before the n x n host matrix is
+    allocated)."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -58,8 +61,14 @@ def _load_instance(path: str):
             _require_ints(chain(es.get("isolated", ()), *es["paths"]),
                           "exceptional system")
         cfg = InstanceConfig.from_json_obj(obj["config"])
-        host = Multigraph.from_json_obj(graph)
         partition = ClusterPartition.from_json_obj(part)
+        n = graph["n"]
+        if partition.n != n or partition.vertices() != list(range(n)):
+            raise MalformedInput(
+                f"the partition's {partition.n} vertices are not the host's "
+                f"0..{n - 1}: a vertex lies outside the host or outside "
+                f"the partition")
+        host = Host.from_json_obj(graph)
         ctor = MODES[cfg.mode].system_class
         systems = [ctor.from_json_obj(o, partition)
                    for o in obj["exceptional_systems"]]

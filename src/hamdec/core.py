@@ -34,7 +34,7 @@ class Multigraph:
     multiplicity >= 1; loops are rejected.
     """
 
-    __slots__ = ("n", "_mult", "_adj", "_dense")
+    __slots__ = ("n", "_mult", "_adj", "_keys")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -55,7 +55,7 @@ class Multigraph:
             mult[key] = mult.get(key, 0) + k
         self._mult = mult
         self._adj: dict[int, dict[int, int]] | None = None
-        self._dense: np.ndarray | None = None
+        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # the lazy caches are rebuilt on demand, so pickles (the jobs=2 slice
     # tasks) carry only the edges
@@ -64,7 +64,7 @@ class Multigraph:
 
     def __setstate__(self, state):
         self.n, self._mult = state
-        self._adj = self._dense = None
+        self._adj = self._keys = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -97,29 +97,23 @@ class Multigraph:
 
     def _key_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """int64 arrays (us, vs, ks) of the distinct edges (u < v) and
-        their multiplicities."""
-        count = len(self._mult)
-        us, vs = np.fromiter(chain.from_iterable(self._mult), dtype=np.int64,
-                             count=2 * count).reshape(-1, 2).T
-        ks = np.fromiter(self._mult.values(), dtype=np.int64, count=count)
-        return us, vs, ks
+        their multiplicities, built once and read-only."""
+        if self._keys is None:
+            count = len(self._mult)
+            us, vs = np.fromiter(chain.from_iterable(self._mult),
+                                 dtype=np.int64,
+                                 count=2 * count).reshape(-1, 2).T
+            ks = np.fromiter(self._mult.values(), dtype=np.int64, count=count)
+            for arr in (us, vs, ks):
+                arr.flags.writeable = False
+            self._keys = us, vs, ks
+        return self._keys
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 arrays (lo, hi), lo < hi, with one entry per edge counted
         with multiplicity."""
         us, vs, ks = self._key_arrays()
         return np.repeat(us, ks), np.repeat(vs, ks)
-
-    def _matrix(self) -> np.ndarray:
-        """The n x n int32 multiplicity matrix, built once and read-only."""
-        if self._dense is None:
-            us, vs, ks = self._key_arrays()
-            mat = np.zeros((self.n, self.n), dtype=np.int32)
-            mat[us, vs] = ks
-            mat[vs, us] = ks
-            mat.flags.writeable = False
-            self._dense = mat
-        return self._dense
 
     def neighbors(self, v: int) -> list[int]:
         return sorted(self._adjacency().get(v, ()))
@@ -254,6 +248,105 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, e={self.edge_count()})"
+
+
+MAX_HOST_MULTIPLICITY = 255
+
+
+class Host:
+    """The host graph G on 0..n-1 as one read-only n x n uint8
+    multiplicity matrix, symmetric with a zero diagonal.
+
+    G is within eps*n^2 edges of two cliques or of a complete balanced
+    bipartite graph, so the dense matrix is its natural container; a
+    multiplicity is at most MAX_HOST_MULTIPLICITY.  The JSON form is the
+    edge list of ``Multigraph.to_json_obj``.
+    """
+
+    __slots__ = ("n", "matrix")
+
+    def __init__(self, n: int, edges: Iterable = ()):
+        """The host with the given (u, v, k) edges, k the multiplicity;
+        repeated edges add up.  Raises MalformedInput on a loop, an end
+        outside 0..n-1, or a multiplicity, single or summed, outside
+        1..MAX_HOST_MULTIPLICITY."""
+        if n < 0:
+            raise MalformedInput("vertex count must be nonnegative")
+        try:
+            arr = np.array(list(edges), dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            arr = None
+        if arr is None or (len(arr) and arr.shape[1:] != (3,)):
+            raise MalformedInput("every edge must be a triple (u, v, k) of "
+                                 "int64 values")
+        u, v, k = arr.reshape(-1, 3).T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            raise MalformedInput(f"edge {arr[bad.argmax()].tolist()} outside "
+                                 f"0..{n - 1}")
+        if (u == v).any():
+            raise MalformedInput(f"loop at vertex {u[(u == v).argmax()]} "
+                                 f"not allowed")
+        bad = (k < 1) | (k > MAX_HOST_MULTIPLICITY)
+        if bad.any():
+            raise MalformedInput(
+                f"multiplicity of edge {arr[bad.argmax()].tolist()} outside "
+                f"1..{MAX_HOST_MULTIPLICITY}")
+        keys, where = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                                return_inverse=True)
+        total = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(total, where, k)
+        if (total > MAX_HOST_MULTIPLICITY).any():
+            i = total.argmax()
+            raise MalformedInput(
+                f"edge ({keys[i] // n},{keys[i] % n}) repeated to "
+                f"multiplicity {total[i]} > {MAX_HOST_MULTIPLICITY}")
+        mat = np.zeros((n, n), dtype=np.uint8)
+        lo, hi = keys // n, keys % n
+        mat[lo, hi] = total
+        mat[hi, lo] = total
+        self._wrap(mat)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "Host":
+        """The host of a symmetric uint8 matrix with a zero diagonal, which
+        the host takes over read-only."""
+        host = cls.__new__(cls)
+        host._wrap(matrix)
+        return host
+
+    def _wrap(self, matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        self.n = len(matrix)
+        self.matrix = matrix
+
+    def multiplicity(self, u: int, v: int) -> int:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return 0
+        return int(self.matrix[u, v])
+
+    def edge_count(self) -> int:
+        """e(G): number of edges counted with multiplicity."""
+        return int(self.matrix.sum(dtype=np.int64)) // 2
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """(u, v, multiplicity) triples with u < v, in sorted order."""
+        for u in range(self.n):
+            row = self.matrix[u, u + 1:]
+            vs = np.flatnonzero(row)
+            yield from zip([u] * vs.size, (vs + u + 1).tolist(),
+                           row[vs].tolist())
+
+    def to_json_obj(self) -> dict:
+        return {"schema": SCHEMA_VERSION, "n": self.n,
+                "edges": [[u, v, k] for (u, v, k) in self.edges()]}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "Host":
+        return cls(obj["n"], obj["edges"])
+
+    def __repr__(self):
+        return f"Host(n={self.n}, e={self.edge_count()})"
 
 
 class Digraph:

@@ -53,7 +53,8 @@ def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
     ext_count = [0] * k
     for s, (ps, matching, i_s) in enumerate(zip(
             be.path_sequences, be.matchings, be.extension_cluster)):
-        if not ps.is_path_sequence():
+        paths = ps._walk_paths()
+        if paths is None:
             raise MalformedInput(f"PS_{s} is not a path sequence")
         if not is_locally_balanced(ps, q, cycle):
             raise MalformedInput(f"PS_{s} is not locally balanced")
@@ -65,7 +66,6 @@ def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
         seen_nonmatching_arcs |= extra
         # (BE2) V_{i_s}-extension: each matching arc in a distinct path
         # whose final vertex lies in cluster i_s
-        paths = ps.directed_paths()
         arc_to_path: dict[tuple[int, int], int] = {}
         fin_cluster = set(q.cluster(i_s))
         for pi, path in enumerate(paths):

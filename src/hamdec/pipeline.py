@@ -21,7 +21,7 @@ from . import core
 from .assembly import assemble_slice
 from .classic import pair_matrix
 from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterPartition,
-                   Digraph, Multigraph, canonical_json,
+                   Digraph, Host, Multigraph, canonical_json,
                    undirected_cycle_order, vertex_mask)
 # the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
@@ -128,7 +128,7 @@ class InstanceConfig:
 
 
 def generate_instance(cfg: InstanceConfig
-                      ) -> tuple[Multigraph, ClusterPartition, list]:
+                      ) -> tuple[Host, ClusterPartition, list]:
     """A host graph, partition and exceptional-system family satisfying
     the decomposition hypotheses, built deterministically from the seed.
 
@@ -194,7 +194,7 @@ def _generate_two_cliques(cfg: InstanceConfig, partition: ClusterPartition,
     rng.shuffle(kinds)
     pools = _cluster_pools(partition, rng)
     systems = []
-    j_edges_all = []
+    mat = np.zeros((partition.n, partition.n), dtype=np.uint8)
     for t in range(count):
         i, ip = assignment[t]
         edges = []
@@ -211,40 +211,35 @@ def _generate_two_cliques(cfg: InstanceConfig, partition: ClusterPartition,
         graph = Multigraph(partition.n, edges)
         systems.append(ExceptionalSystem(partition, graph, eps0=cfg.eps0,
                                          locality=(i, ip)))
-        j_edges_all += edges
-    host_edges = list(j_edges_all)
-    host_edges += _clique_side_edges(cfg, partition, "A", rng)
-    host_edges += _clique_side_edges(cfg, partition, "B", rng)
-    return Multigraph(partition.n, host_edges), systems
+        _add_graph(mat, graph)
+    _add_clique_side(cfg, partition, "A", rng, mat)
+    _add_clique_side(cfg, partition, "B", rng, mat)
+    return Host.from_matrix(mat), systems
 
 
-def _clique_side_edges(cfg: InstanceConfig, partition: ClusterPartition,
-                       side: str, rng: random.Random):
-    """Near-complete clique side: every cluster pair is an
-    (m - round(4*mu*m))-regular bipartite graph (complete minus shifted
-    matchings) and every cluster interior is a circulant meeting the
-    degree window."""
+def _add_clique_side(cfg: InstanceConfig, partition: ClusterPartition,
+                     side: str, rng: random.Random, mat: np.ndarray) -> None:
+    """Add a near-complete clique side to the host matrix ``mat``: every
+    cluster pair is an (m - round(4*mu*m))-regular bipartite graph
+    (complete minus shifted matchings) and every cluster interior is a
+    circulant meeting the degree window."""
     K, m = cfg.K, cfg.m
     cluster = (partition.a_cluster if side == "A" else partition.b_cluster)
-    edges = []
     for i in range(K):
         for ip in range(i + 1, K):
-            edges += _thinned_pair_edges(cfg, cluster(i), cluster(ip), rng)
+            _add_block(mat, cluster(i), cluster(ip),
+                       _thinned_pair_block(cfg, rng))
     lo = (1 - 4 * cfg.mu - 4 / K) * m
     d_inner = max(0, math.ceil(lo))
     d_inner += d_inner % 2
     if d_inner >= m:
         raise InvalidParameter("inner-cluster degree demand exceeds m - 1")
+    # the edges x -> x + shift, shift = 1..d_inner/2; _add_block adds the
+    # transpose too
+    shifts = _shifts(m)
+    circulant = (shifts >= 1) & (shifts <= d_inner // 2)
     for i in range(K):
-        ci = cluster(i)
-        for shift in range(1, d_inner // 2 + 1):
-            for x in range(m):
-                y = (x + shift) % m
-                if x < y:
-                    edges.append((ci[x], ci[y]))
-                else:
-                    edges.append((ci[y], ci[x]))
-    return edges
+        _add_block(mat, cluster(i), cluster(i), circulant)
 
 
 def _generate_bipartite(cfg: InstanceConfig, partition: ClusterPartition,
@@ -264,7 +259,7 @@ def _generate_bipartite(cfg: InstanceConfig, partition: ClusterPartition,
     assignment = [cells[t % len(cells)] for t in range(count)]
     pools = _cluster_pools(partition, rng)
     systems = []
-    j_edges_all = []
+    mat = np.zeros((partition.n, partition.n), dtype=np.uint8)
     for t in range(count):
         i1, i2, i3, i4 = assignment[t]
         edges = []
@@ -277,33 +272,48 @@ def _generate_bipartite(cfg: InstanceConfig, partition: ClusterPartition,
         graph = Multigraph(partition.n, edges)
         systems.append(BalancedExceptionalSystem(
             partition, graph, eps0=cfg.eps0, locality=(i1, i2, i3, i4)))
-        j_edges_all += edges
-    host_edges = list(j_edges_all)
+        _add_graph(mat, graph)
     for i in range(K):
         for ip in range(K):
-            host_edges += _thinned_pair_edges(cfg, partition.a_cluster(i),
-                                              partition.b_cluster(ip), rng)
-    return Multigraph(partition.n, host_edges), systems
+            _add_block(mat, partition.a_cluster(i), partition.b_cluster(ip),
+                       _thinned_pair_block(cfg, rng))
+    return Host.from_matrix(mat), systems
 
 
-def _thinned_pair_edges(cfg: InstanceConfig, ci, cj, rng: random.Random):
-    """The (m - round(4*mu*m))-regular bipartite graph between clusters ci
-    and cj: complete minus round(4*mu*m) random shifted matchings."""
+def _shifts(m: int) -> np.ndarray:
+    """The m x m matrix of (y - x) mod m."""
+    return (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+
+
+def _thinned_pair_block(cfg: InstanceConfig, rng: random.Random
+                        ) -> np.ndarray:
+    """The (m - round(4*mu*m))-regular bipartite graph between two
+    clusters, as a boolean m x m block: complete minus round(4*mu*m)
+    random shifted matchings."""
     m = cfg.m
     thin = round(4 * cfg.mu * m)
-    skips = set(rng.sample(range(m), thin)) if thin else set()
-    edges = []
-    for x in range(m):
-        for y in range(m):
-            if (y - x) % m not in skips:
-                edges.append((ci[x], cj[y]))
-    return edges
+    skips = rng.sample(range(m), thin) if thin else []
+    return ~np.isin(_shifts(m), skips)
+
+
+def _add_graph(mat: np.ndarray, graph: Multigraph) -> None:
+    """Add the edges of a sparse graph to the symmetric matrix ``mat``."""
+    us, vs, ks = graph._key_arrays()
+    mat[us, vs] += ks.astype(np.uint8)
+    mat[vs, us] += ks.astype(np.uint8)
+
+
+def _add_block(mat: np.ndarray, rows, cols, block: np.ndarray) -> None:
+    """Add the edges x ~ y with block[i, j] = 1, x = rows[i], y = cols[j],
+    to the symmetric matrix ``mat``."""
+    mat[np.ix_(rows, cols)] += block
+    mat[np.ix_(cols, rows)] += block.T
 
 
 # -- hypothesis validation ----------------------------------------------------
 
 
-def validate_hypotheses(host: Multigraph, partition: ClusterPartition,
+def validate_hypotheses(host: Host, partition: ClusterPartition,
                         systems: list) -> None:
     """Check the decomposition hypotheses; raises InvalidParameter naming
     the violated condition."""
@@ -355,7 +365,7 @@ def validate_hypotheses(host: Multigraph, partition: ClusterPartition,
                 f"{limit:.2f}")
 
 
-def _degree_window(host: Multigraph, partition: ClusterPartition) -> float:
+def _degree_window(host: Host, partition: ClusterPartition) -> float:
     """Verify the per-cluster degree window d(v, X_i) = (1 - 4mu +- 4/K)m.
 
     mu is not an input of the validation, so the window is checked
@@ -381,27 +391,22 @@ def _degree_window(host: Multigraph, partition: ClusterPartition) -> float:
     return 1 - mean / m
 
 
-def trim_instance(host: Multigraph, partition: ClusterPartition,
-                  systems: list) -> Multigraph:
+def trim_instance(host: Host, partition: ClusterPartition,
+                  systems: list) -> Host:
     """Drop host edges outside G[A] + G[B] (two-cliques) or G[A, B]
     (bipartite) that no exceptional system covers, so the family is an
     exact edge-decomposition of the remainder.  Opt-in policy; the
     pipelines run fine without it."""
-    a, b = set(partition.A), set(partition.B)
+    a = vertex_mask(partition.A, host.n)
+    b = vertex_mask(partition.B, host.n)
     if partition.mode == MODE_TWO_CLIQUES:
-        def is_core(u, v):
-            return (u in a and v in a) or (u in b and v in b)
+        keep = np.outer(a, a) | np.outer(b, b)
     else:
-        def is_core(u, v):
-            return (u in a and v in b) or (u in b and v in a)
-    covered: set[tuple[int, int]] = set()
+        keep = np.outer(a, b) | np.outer(b, a)
     for es in systems:
-        covered.update(es.graph.support())
-    edges = []
-    for (u, v, k) in host.edges():
-        if is_core(u, v) or (u, v) in covered:
-            edges.append((u, v, k))
-    return Multigraph(host.n, edges)
+        us, vs, _ks = es.graph._key_arrays()
+        keep[us, vs] = keep[vs, us] = True
+    return Host.from_matrix(np.where(keep, host.matrix, np.uint8(0)))
 
 
 # -- certificates ------------------------------------------------------------
@@ -600,7 +605,7 @@ def _run_slice_tasks(tasks: list[tuple], jobs: int, seed: int) -> list[dict]:
         return collect(f.result for f in futures)
 
 
-def _decompose(spec: ModeSpec, host: Multigraph, partition: ClusterPartition,
+def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
                systems: list, mu: float, rho: float, gamma: float, seed: int,
                jobs: int) -> DecompositionCertificate:
     """The stage sequence shared by both modes: validate, fictive
@@ -657,7 +662,7 @@ def _decompose(spec: ModeSpec, host: Multigraph, partition: ClusterPartition,
     return cert
 
 
-def approx_decompose_two_cliques(host: Multigraph,
+def approx_decompose_two_cliques(host: Host,
                                  partition: ClusterPartition,
                                  systems: list[ExceptionalSystem],
                                  mu: float, rho: float, gamma: float,
@@ -670,7 +675,7 @@ def approx_decompose_two_cliques(host: Multigraph,
                       rho, gamma, seed, jobs)
 
 
-def approx_decompose_bipartite(host: Multigraph,
+def approx_decompose_bipartite(host: Host,
                                partition: ClusterPartition,
                                systems: list[BalancedExceptionalSystem],
                                mu: float, rho: float, gamma: float,
@@ -691,7 +696,7 @@ def _embed_verdicts(cert: DecompositionCertificate, report: dict) -> None:
 # -- the independent verifier -------------------------------------------------
 
 
-def verify_certificate(host: Multigraph, partition: ClusterPartition,
+def verify_certificate(host: Host, partition: ClusterPartition,
                        systems: list, cert: DecompositionCertificate) -> dict:
     """Recompute every verdict from the raw edge lists in the certificate:
     exactly one slot per system, per-slot structure (Hamiltonicity or
@@ -704,7 +709,7 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
     verdict ``{"ok": false}``.
 
     Each slot is read once into int64 (lo, hi) arrays; an edge is the key
-    lo * base + hi, and the host's multiplicities come from its dense
+    lo * base + hi, and the host's multiplicities come from its
     matrix.  Raises MalformedInput when the partition names a vertex
     outside the host."""
     n = host.n
@@ -713,7 +718,7 @@ def verify_certificate(host: Multigraph, partition: ClusterPartition,
         raise MalformedInput("the partition names a vertex outside the host")
     a_pr, b_pr = partition.A_prime, partition.B_prime
     a_mask, b_mask = vertex_mask(a_pr, n), vertex_mask(b_pr, n)
-    mat = host._matrix()
+    mat = host.matrix
     # an edge (u, v) is the key u * base + v; a base past every system's
     # vertex range keeps a system edge off the host from matching a slot
     base = max([n] + [es.graph.n for es in systems])

@@ -2,12 +2,16 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hamdec
 from hamdec import pipeline
 from hamdec.cli import _load_instance, main as cli_main
-from hamdec.core import Multigraph, canonical_json
+from hamdec.core import Host, Multigraph, canonical_json
 from hamdec.errors import (InvalidParameter, MalformedInput,
                            MatchingInfeasible, PipelineError)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
@@ -15,6 +19,11 @@ from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_two_cliques, generate_instance,
                              trim_instance, validate_hypotheses,
                              verify_certificate)
+
+
+def _pruned(host, graph):
+    """The host less the edges of a sparse graph."""
+    return Host(host.n, (Multigraph(host.n, host.edges()) - graph).edges())
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +152,8 @@ class TestVerifierSoundness:
 
     def test_wrong_host_rejected(self, small_two_cliques):
         cfg, host, P, systems, cert = small_two_cliques
-        pruned = host - Multigraph(
-            host.n, [tuple(cert.slots[0]["edges"][0])])
+        pruned = _pruned(host, Multigraph(
+            host.n, [tuple(cert.slots[0]["edges"][0])]))
         report = verify_certificate(pruned, P, systems, cert)
         assert not report["global"]["all_ok"]
 
@@ -397,6 +406,16 @@ INSTANCE_EDITS = {
                                float),
     "system-invalid": _edit(("exceptional_systems", 0, "paths"),
                             lambda paths: []),
+    # the host is an n x n uint8 matrix: n must be the partition's vertex
+    # count before anything is allocated, and a multiplicity must fit
+    "n-huge": _edit(("graph", "n"), lambda n: 1000000),
+    "multiplicity-256": _edit(("graph", "edges", -1, 2), lambda k: 256),
+    "multiplicity-0": _edit(("graph", "edges", -1, 2), lambda k: 0),
+    "duplicates-past-255": _edit(("graph", "edges"), lambda edges: edges + [
+        [*edges[-1][:2], 200], [*edges[-1][:2], 55]]),
+    "edge-loop": _edit(("graph", "edges", -1), lambda e: [e[0], e[0], 1]),
+    "edge-vertex-outside": _edit(("graph", "edges", -1, 1),
+                                 lambda v: 10 ** 6),
 }
 
 
@@ -502,14 +521,14 @@ class TestTrim:
     def test_trim_removes_uncovered_cross_edges(self, small_two_cliques):
         cfg, host, P, systems, cert = small_two_cliques
         a0 = P.a0[0]
-        extra = Multigraph(host.n, [(a0, P.b0[0])])
-        host2 = host + extra
+        host2 = Host(host.n, [*host.edges(), (a0, P.b0[0], 1)])
         trimmed = trim_instance(host2, P, systems)
-        assert trimmed == host  # the added cross edge is uncovered
+        # the added cross edge is uncovered
+        assert (trimmed.matrix == host.matrix).all()
 
     def test_trim_keeps_side_edges(self, small_two_cliques):
         cfg, host, P, systems, cert = small_two_cliques
-        assert trim_instance(host, P, systems) == host
+        assert (trim_instance(host, P, systems).matrix == host.matrix).all()
 
 
 class TestDeterminism:
@@ -595,6 +614,17 @@ class TestCli:
         assert cli_main(["export-dot", str(inst), "--out", str(dot)]) == 0
         assert dot.read_text().startswith("graph")
 
+    def test_import_loads_no_scipy(self):
+        # only the flow extraction needs scipy, and `hamdec verify` runs
+        # none, so it should not pay for the import
+        src = os.path.dirname(os.path.dirname(hamdec.__file__))
+        code = ("import sys, hamdec.cli; sys.exit(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy')[:3] or 0)")
+        out = subprocess.run([sys.executable, "-c", code], timeout=60,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+
 
 def _reversed_ids(obj):
     """The instance object with every vertex id v replaced by n - 1 - v,
@@ -667,7 +697,7 @@ class TestPipelineErrors:
                              b0_size=1, eps0=0.02, mu=0.0, rho=0.1,
                              gamma=0.18, hes_count=5, seed=2)
         host, P, systems = generate_instance(cfg)
-        bad_host = host - systems[0].graph
+        bad_host = _pruned(host, systems[0].graph)
         with pytest.raises(PipelineError) as exc:
             approx_decompose_two_cliques(bad_host, P, systems, cfg.mu,
                                          cfg.rho, cfg.gamma, seed=2)

@@ -1,6 +1,6 @@
-"""Differential tests of the array cycle kernel, the array verifier and
-the one-walk structure walkers against frozen copies of the versions
-they replaced.
+"""Differential tests of the array cycle kernel, the array verifier, the
+one-walk structure walkers and the matrix host (generator and trim)
+against frozen copies of the versions they replaced.
 
 The references below are the earlier ``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
@@ -8,27 +8,38 @@ The references below are the earlier ``core.verify_hamilton_cycle``,
 split), kept verbatim apart from inlining ``Multigraph.edges_inside``;
 and the earlier ``Multigraph.is_path_system``/``paths``,
 ``Digraph.is_path_sequence``/``directed_paths`` and
-``assembly._cycle_count``/``_hamilton_order``, as free functions.
+``assembly._cycle_count``/``_hamilton_order``, as free functions; and
+the dict-host generator and ``trim_instance``.  The reference verifier
+reads the host as a ``Multigraph`` of its edges.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
 unreadable.  The mutations here write pairs only.
 """
 
 import copy
+import importlib.util
 import json
+import math
+import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdec.assembly import _cycles
-from hamdec.core import (Digraph, Multigraph, cycle_to_perfect_matchings,
-                         cycle_vertex_order, verify_hamilton_cycle)
-from hamdec.errors import HamdecError, MalformedInput
+from hamdec.cli import _dump_instance, main as cli_main
+from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
+                         cycle_to_perfect_matchings, cycle_vertex_order,
+                         derive_seed, verify_hamilton_cycle)
+from hamdec.errors import HamdecError, InvalidParameter, MalformedInput
+from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
+                                ExceptionalSystem)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
-                             MODE_TWO_CLIQUES, _edge_hash,
-                             approx_decompose_bipartite,
+                             MODE_TWO_CLIQUES, _cluster_pools, _edge_hash,
+                             _generate_bipartite, _generate_two_cliques,
+                             _take, approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
-                             verify_certificate)
+                             trim_instance, verify_certificate)
 
 # -- frozen references --------------------------------------------------------
 
@@ -141,6 +152,7 @@ def _ref_splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:
 
 
 def ref_verify_certificate(host, partition, systems, cert) -> dict:
+    host = Multigraph(host.n, host.edges())
     all_vertices = set(partition.vertices())
     a_pr = set(partition.A_prime)
     b_pr = set(partition.B_prime)
@@ -588,3 +600,221 @@ class TestVerifierMatchesReference:
         report = verify_certificate(host, P, systems, cert)
         assert report == ref_verify_certificate(host, P, systems, cert)
         _assert_plain_types(report)
+
+
+# -- the host matrix: generator, trim and instance files -----------------------
+
+# frozen copies of the generator and of trim_instance from when the host
+# was a Multigraph of its edges; the generator's random draws are the same
+
+
+def ref_generate_two_cliques(cfg, partition, rng):
+    K, m = cfg.K, cfg.m
+    count = cfg.system_count
+    cells = [(t % K, (t % K + t // K) % K) for t in range(K * K)]
+    assignment = [cells[t % len(cells)] for t in range(count)]
+    kinds = [KIND_HES] * cfg.hes_count + [KIND_MES] * cfg.mes_count
+    rng.shuffle(kinds)
+    pools = _cluster_pools(partition, rng)
+    systems = []
+    j_edges_all = []
+    for t in range(count):
+        i, ip = assignment[t]
+        edges = []
+        for v0 in partition.a0:
+            x, y = _take(pools, "A", i, 2)
+            edges += [(x, v0), (v0, y)]
+        for v0 in partition.b0:
+            x, y = _take(pools, "B", ip, 2)
+            edges += [(x, v0), (v0, y)]
+        if kinds[t] == KIND_HES:
+            xa = _take(pools, "A", i, 2)
+            xb = _take(pools, "B", ip, 2)
+            edges += [(xa[0], xb[0]), (xa[1], xb[1])]
+        graph = Multigraph(partition.n, edges)
+        systems.append(ExceptionalSystem(partition, graph, eps0=cfg.eps0,
+                                         locality=(i, ip)))
+        j_edges_all += edges
+    host_edges = list(j_edges_all)
+    host_edges += ref_clique_side_edges(cfg, partition, "A", rng)
+    host_edges += ref_clique_side_edges(cfg, partition, "B", rng)
+    return Multigraph(partition.n, host_edges), systems
+
+
+def ref_clique_side_edges(cfg, partition, side, rng):
+    K, m = cfg.K, cfg.m
+    cluster = (partition.a_cluster if side == "A" else partition.b_cluster)
+    edges = []
+    for i in range(K):
+        for ip in range(i + 1, K):
+            edges += ref_thinned_pair_edges(cfg, cluster(i), cluster(ip), rng)
+    lo = (1 - 4 * cfg.mu - 4 / K) * m
+    d_inner = max(0, math.ceil(lo))
+    d_inner += d_inner % 2
+    if d_inner >= m:
+        raise InvalidParameter("inner-cluster degree demand exceeds m - 1")
+    for i in range(K):
+        ci = cluster(i)
+        for shift in range(1, d_inner // 2 + 1):
+            for x in range(m):
+                y = (x + shift) % m
+                if x < y:
+                    edges.append((ci[x], ci[y]))
+                else:
+                    edges.append((ci[y], ci[x]))
+    return edges
+
+
+def ref_generate_bipartite(cfg, partition, rng):
+    K = cfg.K
+    count = cfg.system_count
+    cells = []
+    for t in range(K * K):
+        i, ip = t % K, (t % K + t // K) % K
+        if t % 2 == 0:
+            cells.append((i, i, ip, ip))
+        else:
+            cells.append((i, (i + 1) % K, ip, (ip + 1) % K))
+    assignment = [cells[t % len(cells)] for t in range(count)]
+    pools = _cluster_pools(partition, rng)
+    systems = []
+    j_edges_all = []
+    for t in range(count):
+        i1, i2, i3, i4 = assignment[t]
+        edges = []
+        for v0 in partition.a0:
+            x, y = _take(pools, "A", i1, 1) + _take(pools, "A", i2, 1)
+            edges += [(x, v0), (v0, y)]
+        for v0 in partition.b0:
+            x, y = _take(pools, "B", i3, 1) + _take(pools, "B", i4, 1)
+            edges += [(x, v0), (v0, y)]
+        graph = Multigraph(partition.n, edges)
+        systems.append(BalancedExceptionalSystem(
+            partition, graph, eps0=cfg.eps0, locality=(i1, i2, i3, i4)))
+        j_edges_all += edges
+    host_edges = list(j_edges_all)
+    for i in range(K):
+        for ip in range(K):
+            host_edges += ref_thinned_pair_edges(
+                cfg, partition.a_cluster(i), partition.b_cluster(ip), rng)
+    return Multigraph(partition.n, host_edges), systems
+
+
+def ref_thinned_pair_edges(cfg, ci, cj, rng):
+    m = cfg.m
+    thin = round(4 * cfg.mu * m)
+    skips = set(rng.sample(range(m), thin)) if thin else set()
+    edges = []
+    for x in range(m):
+        for y in range(m):
+            if (y - x) % m not in skips:
+                edges.append((ci[x], cj[y]))
+    return edges
+
+
+def ref_trim_instance(host: Multigraph, partition, systems) -> Multigraph:
+    a, b = set(partition.A), set(partition.B)
+    if partition.mode == MODE_TWO_CLIQUES:
+        def is_core(u, v):
+            return (u in a and v in a) or (u in b and v in b)
+    else:
+        def is_core(u, v):
+            return (u in a and v in b) or (u in b and v in a)
+    covered: set[tuple[int, int]] = set()
+    for es in systems:
+        covered.update(es.graph.support())
+    edges = []
+    for (u, v, k) in host.edges():
+        if is_core(u, v) or (u, v) in covered:
+            edges.append((u, v, k))
+    return Multigraph(host.n, edges)
+
+
+def _generated(cfg, generate):
+    """(host, partition, systems) from ``generate`` on the partition and
+    random stream that ``generate_instance`` gives it, or the error it
+    raises."""
+    rng = random.Random(derive_seed(cfg.seed, "instance"))
+    K, m, base = cfg.K, cfg.m, cfg.a0_size + cfg.b0_size
+    a0 = list(range(cfg.a0_size))
+    b0 = list(range(cfg.a0_size, base))
+    a_clusters = [list(range(base + i * m, base + (i + 1) * m))
+                  for i in range(K)]
+    b_clusters = [list(range(base + (K + i) * m, base + (K + i + 1) * m))
+                  for i in range(K)]
+    ctor = (ClusterPartition.two_cliques if cfg.mode == MODE_TWO_CLIQUES
+            else ClusterPartition.bipartite)
+    partition = ctor(a0, a_clusters, b0, b_clusters, cfg.eps0)
+    try:
+        host, systems = generate(cfg, partition, rng)
+    except HamdecError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return host, partition, systems
+
+
+@st.composite
+def generator_configs(draw):
+    """Small configs of both modes; some exhaust a cluster's vertex pool
+    or give an invalid system, which both generators must report alike."""
+    mode = draw(st.sampled_from([MODE_TWO_CLIQUES, "bipartite"]))
+    two = mode == MODE_TWO_CLIQUES
+    count = draw(st.integers(0, 8))
+    mes = draw(st.integers(0, count)) if two else 0
+    a0 = draw(st.integers(0, 2))
+    # a balanced system covers as many A- as B-vertices
+    b0 = draw(st.integers(0, 2)) if two else a0
+    return InstanceConfig(
+        mode=mode, K=draw(st.sampled_from([3, 5] if two else [2, 4])),
+        m=draw(st.integers(4, 14)), a0_size=a0, b0_size=b0, eps0=0.3,
+        mu=draw(st.sampled_from([0.0, 0.0125, 0.05])),
+        hes_count=count - mes if two else 0, mes_count=mes,
+        bes_count=0 if two else count, seed=draw(st.integers(0, 2 ** 32)))
+
+
+def _bench_workloads() -> dict:
+    """``WORKLOADS`` of bench/run.py: the benchmark's configs, whose
+    instance files must keep their bytes."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench",
+                        "run.py")
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOAD_CONFIGS = _bench_workloads()
+
+
+class TestHostMatrixMatchesReference:
+    @given(generator_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_generator_and_trim(self, cfg):
+        new = _generated(cfg, _generate_two_cliques if cfg.mode ==
+                         MODE_TWO_CLIQUES else _generate_bipartite)
+        ref = _generated(cfg, ref_generate_two_cliques if cfg.mode ==
+                         MODE_TWO_CLIQUES else ref_generate_bipartite)
+        if isinstance(ref, str):
+            assert new == ref
+            return
+        (host, P, systems), (ref_host, _P, ref_systems) = new, ref
+        assert isinstance(host, Host) and host.n == ref_host.n
+        assert list(host.edges()) == list(ref_host.edges())
+        assert host.edge_count() == ref_host.edge_count()
+        assert [es.to_json_obj() for es in systems] == \
+            [es.to_json_obj() for es in ref_systems]
+        assert list(trim_instance(host, P, systems).edges()) == \
+            list(ref_trim_instance(ref_host, P, ref_systems).edges())
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
+    def test_gen_writes_the_same_instance_file(self, workload, tmp_path):
+        cfg = InstanceConfig(seed=11, **WORKLOAD_CONFIGS[workload])
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(WORKLOAD_CONFIGS[workload]))
+        out, ref = tmp_path / "new.json", tmp_path / "ref.json"
+        assert cli_main(["gen", "--params", str(params), "--seed", "11",
+                         "--out", str(out)]) == 0
+        generate = (ref_generate_two_cliques if cfg.mode == MODE_TWO_CLIQUES
+                    else ref_generate_bipartite)
+        ref_host, P, ref_systems = _generated(cfg, generate)
+        _dump_instance(str(ref), cfg, ref_host, P, ref_systems)
+        assert out.read_bytes() == ref.read_bytes()
