@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
 from .core import (Digraph, OrderedDirectedMatching, derive_seed,
@@ -244,7 +246,43 @@ def _local_search(arcset, seq: list[int], waypoint_set: set[int],
     return seq if cost == 0 else None
 
 
-# -- merging and reordering via the auxiliary digraph -------------------------
+# -- the reservoir ledger -------------------------------------------------
+
+
+class ReservoirLedger:
+    """The reservoir arcs of a slice that no slot has used yet: one boolean
+    block per cluster-cycle edge, aligned with ``CyclicSystem.pairs``
+    (rows the tail cluster, columns the head cluster, each in cluster
+    order).  Switch candidates and auxiliary digraphs are slices of a
+    block; taking an arc clears its entry and giving it back sets it."""
+
+    def __init__(self, system: CyclicSystem, blocks: list[np.ndarray]):
+        self._q = system.q
+        edges = system.cycle.edges()
+        self.head = dict(edges)
+        self._blocks = {ci: block for (ci, _cj), block in zip(edges, blocks)}
+        # pos[v]: the row or column of v in the blocks of its cluster
+        self.pos = np.full(system.n, -1, dtype=np.intp)
+        for cluster in self._q.clusters:
+            self.pos[list(cluster)] = np.arange(len(cluster))
+
+    def block(self, ci: int) -> np.ndarray:
+        """The block of the cycle edge leaving cluster ``ci``."""
+        return self._blocks[ci]
+
+    def has(self, u: int, v: int) -> bool:
+        ci = self._q.cluster_index(u)
+        return self.head.get(ci) == self._q.cluster_index(v) and \
+            bool(self._blocks[ci][self.pos[u], self.pos[v]])
+
+    def mark(self, arcs, unused: bool) -> None:
+        """Take (``unused`` False) or give back (True) the arcs ``arcs``."""
+        for (u, v) in arcs:
+            self._blocks[self._q.cluster_index(u)][
+                self.pos[u], self.pos[v]] = unused
+
+
+# -- merging by 2-switches, reordering via the auxiliary digraph --------------
 
 
 @dataclass
@@ -257,14 +295,14 @@ class PairSpec:
 
 
 def _replace_pair_matching(succ: list[int], spec: PairSpec,
-                           ledger: dict[int, set[int]],
-                           waypoints: list[int], rng: random.Random
+                           ledger: ReservoirLedger, waypoints: list[int],
+                           rng: random.Random
                            ) -> tuple[list[int], list[tuple[int, int]]]:
     """Replace the perfect matching F[V^1, V^2] of the 1-factor ``succ``
-    with one from the reservoir rows ``ledger`` so that all paths through
+    with unused reservoir arcs of ``ledger`` so that all paths through
     the pair close into a single cycle, visiting the paths ending at
     ``waypoints`` (subset of V^1) in order.  Returns the new successor
-    array and the arcs taken, which are removed from ``ledger``.
+    array and the arcs taken, which ``ledger`` marks used.
 
     Built on the auxiliary digraph whose vertices are V^2: identify each
     path (from y in V^2 to x in V^1, after deleting the pair matching)
@@ -295,8 +333,14 @@ def _replace_pair_matching(succ: list[int], spec: PairSpec,
         while cur not in v2:
             cur = pred[cur]
         start_of[x] = cur
-    aux = {(start_of[x], w) for x in v1 for w in ledger.get(x, set()) & v2
-           if w != start_of[x]}
+    # the auxiliary digraph is the pair's block, rows V^1, columns V^2
+    pos = ledger.pos
+    sub = ledger.block(spec.cluster_index)[pos[list(spec.v1)]][
+        :, pos[list(spec.v2)]]
+    rows, cols = np.nonzero(sub)
+    aux = {(start_of[spec.v1[i]], spec.v2[j])
+           for i, j in zip(rows.tolist(), cols.tolist())}
+    aux -= {(y, y) for y in spec.v2}
     aux_waypoints = [start_of[x] for x in waypoints]
     seq = find_ordered_hamilton(aux, aux_waypoints, v2, rng=rng)
     # translate the auxiliary cycle back into a replacement matching
@@ -305,7 +349,7 @@ def _replace_pair_matching(succ: list[int], spec: PairSpec,
     out = list(succ)
     for (x, y2) in new_arcs:
         out[x] = y2
-        ledger[x].discard(y2)
+    ledger.mark(new_arcs, False)
     return out, new_arcs
 
 
@@ -335,56 +379,153 @@ def _support(succ: list[int]) -> list[int]:
     return [v for v, w in enumerate(succ) if w >= 0]
 
 
-def merge_to_hamilton(succ: list[int], ledger: dict[int, set[int]],
+def _cycle_labels(cycles: list[list[int]], n: int) -> np.ndarray:
+    """label[v]: the index of the cycle through v, -1 off every cycle."""
+    label = np.full(n, -1, dtype=np.intp)
+    for k, cyc in enumerate(cycles):
+        label[cyc] = k
+    return label
+
+
+def _switch(succ: list[int], x1: int, x2: int) -> None:
+    """Swap the successors of x1 and x2; on two different cycles this
+    joins them into one."""
+    succ[x1], succ[x2] = succ[x2], succ[x1]
+
+
+def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
+                 ledger: ReservoirLedger, ci: int, cycles_left: int,
+                 rng: random.Random) -> list[tuple[int, int]]:
+    """Make 2-switches in ``succ`` at the pair leaving cluster ``ci``,
+    each drawn uniformly with ``rng``, until none is left or one cycle
+    remains of ``cycles_left``.  A 2-switch is x1, x2 in V^1 ``v1`` on
+    different cycles whose arcs x1 -> succ(x2) and x2 -> succ(x1) are
+    both unused.  Updates ``label`` and ``ledger``; returns the arcs
+    taken, two per switch."""
+    lab = label[v1]
+    if lab.size < 2 or (lab == lab[0]).all():
+        return []
+    # b[i, j]: the arc v1[i] -> succ(v1[j]) is unused
+    heads = ledger.pos[[succ[x] for x in v1.tolist()]]
+    b = ledger.block(ci)[ledger.pos[v1]][:, heads]
+    taken: list[tuple[int, int]] = []
+    while cycles_left > 1:
+        # symmetric, so every switch is drawn as (i, j) or (j, i)
+        flat = np.flatnonzero(b & b.T & (lab[:, None] != lab))
+        if not flat.size:
+            break
+        i, j = divmod(int(flat[rng.randrange(flat.size)]), len(v1))
+        x1, x2 = int(v1[i]), int(v1[j])
+        arcs = [(x1, succ[x2]), (x2, succ[x1])]
+        _switch(succ, x1, x2)
+        ledger.mark(arcs, False)
+        taken.extend(arcs)
+        # the successors swap columns; the arcs taken sit on the diagonal
+        b[:, [i, j]] = b[:, [j, i]]
+        b[i, i] = b[j, j] = False
+        old = lab[j]
+        label[label == old] = lab[i]
+        lab[lab == old] = lab[i]
+        cycles_left -= 1
+    return taken
+
+
+def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
                       pairs: list[PairSpec],
                       rng: random.Random | None = None
                       ) -> tuple[list[int], list[tuple[int, int]]]:
     """Merge the cycles of the 1-factor ``succ`` into a single directed
-    cycle by replacing F[V^1_i, V^2_{i+1}] with matchings of unused
-    reservoir arcs (``ledger[u]``: the heads still unused at tail u) at
-    (a subset of) the listed pairs.  Returns (cycle, arcs taken); the
-    arcs taken are removed from ``ledger``.
+    cycle with unused reservoir arcs of ``ledger``, at (a subset of) the
+    listed pairs.  Returns (cycle, reservoir arcs on it); the arcs are
+    marked used in ``ledger``.
 
-    A replacement happens at a pair only while the factor is still
-    disconnected and at least two current cycles pass through the pair;
-    every cycle must pass through some listed pair or the merge fails.
+    Karp's patching step: at each listed pair, while two or more current
+    cycles meet V^1, a 2-switch drawn with ``rng`` swaps the successors
+    of x1, x2 in V^1 on different cycles whose arcs x1 -> succ(x2) and
+    x2 -> succ(x1) are both unused, joining two cycles with two arcs.
+    Passes over the pairs repeat while one joins anything.  When no
+    2-switch is left, the whole matching F[V^1, V^2] at the first pair
+    two cycles meet is replaced through the auxiliary digraph.  A
+    reservoir arc that a later switch or replacement drops goes back to
+    the ledger.  A cycle that meets no listed V^1 breaks the
+    precondition (MalformedInput); cycles left after all that raise
+    HamiltonSearchExhausted.
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
     cycles = _cycles(succ, verts)
     if cycles is None:
         raise MalformedInput("merge requires a 1-factor")
-    used: list[tuple[int, int]] = []
-    current = succ
-    for spec in pairs:
-        if len(cycles) == 1:
-            break
-        v1 = set(spec.v1)
-        touching = sum(1 for cyc in cycles if not v1.isdisjoint(cyc))
-        if touching < 2:
+    label = _cycle_labels(cycles, len(succ))
+    v1s = [np.asarray(spec.v1, dtype=np.intp) for spec in pairs]
+    met: set[int] = set()
+    for v1 in v1s:
+        met.update(label[v1].tolist())
+    if len(cycles) > 1 and len(met) < len(cycles):
+        raise MalformedInput(
+            f"{len(cycles) - len(met)} of {len(cycles)} cycles avoid every "
+            f"listed pair (precondition violation)")
+    current = list(succ)
+    taken: list[tuple[int, int]] = []
+    count = len(cycles)
+
+    def exhausted(spec: PairSpec, why: str) -> HamiltonSearchExhausted:
+        ci = spec.cluster_index
+        return HamiltonSearchExhausted(
+            f"{count} cycles left at pair ({ci},{ledger.head[ci]}), "
+            f"{int(ledger.block(ci).sum())} unused reservoir arcs in its "
+            f"block: {why}")
+
+    while count > 1:
+        joined = 0
+        for spec, v1 in zip(pairs, v1s):
+            new_arcs = _switches_at(current, v1, label, ledger,
+                                    spec.cluster_index, count, rng)
+            taken.extend(new_arcs)
+            count -= len(new_arcs) // 2
+            joined += len(new_arcs)
+        if joined:
             continue
-        current, new_arcs = _replace_pair_matching(
-            current, spec, ledger, [], rng)
-        used.extend(new_arcs)
+        # no 2-switch left: replace the whole matching at the first pair
+        # that two cycles meet
+        spec = next((sp for sp, v1 in zip(pairs, v1s)
+                     if len(set(label[v1].tolist())) > 1), None)
+        if spec is None:
+            raise exhausted(pairs[0], "no listed pair meets two of them")
+        try:
+            current, new_arcs = _replace_pair_matching(current, spec, ledger,
+                                                       [], rng)
+        except HamiltonSearchExhausted as e:
+            raise exhausted(spec, str(e)) from None
+        taken.extend(new_arcs)
         cycles = _cycles(current, verts)
-        if cycles is None:
+        if cycles is None or len(cycles) >= count:
             raise AssemblyVerificationFailed(
                 "merged factor failed verification")
-    if len(cycles) != 1:
-        raise MalformedInput(
-            f"{len(cycles)} cycles remain after merging at all listed "
-            f"pairs; a cycle avoids every pair (precondition violation)")
-    return current, used
+        label = _cycle_labels(cycles, len(succ))
+        count = len(cycles)
+    cycles = _cycles(current, verts)
+    if cycles is None or len(cycles) != 1:
+        raise AssemblyVerificationFailed("merged factor failed verification")
+    return current, _settle(ledger, taken, current)
 
 
-def reorder_for_consistency(succ: list[int], ledger: dict[int, set[int]],
+def _settle(ledger: ReservoirLedger, taken: list[tuple[int, int]],
+            succ: list[int]) -> list[tuple[int, int]]:
+    """The arcs of ``taken`` still on ``succ``; the others go back to
+    ``ledger``."""
+    ledger.mark([(u, v) for (u, v) in taken if succ[u] != v], True)
+    return [(u, v) for (u, v) in taken if succ[u] == v]
+
+
+def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
                             spec: PairSpec, waypoints: list[int],
                             rng: random.Random | None = None
                             ) -> tuple[list[int], list[tuple[int, int]]]:
     """A Hamilton cycle on the same vertices as the cycle ``succ``,
     visiting ``waypoints`` in cyclic order and differing from the input
-    only inside the given pair; the reservoir arcs it takes are removed
-    from ``ledger``.
+    only inside the given pair; the reservoir arcs it takes are marked
+    used in ``ledger``.
 
     If the input already visits the waypoints in order it is returned
     unchanged (consuming no reservoir arcs).
@@ -419,25 +560,26 @@ class SliceAssembly:
 
 
 def assemble_slice(system: CyclicSystem, be: BalancedExtension,
-                   reservoir: dict[int, set[int]], seed: int = 0
+                   reservoir: list[np.ndarray], seed: int = 0
                    ) -> SliceAssembly:
     """Produce one consistent Hamilton cycle per balanced-extension slot.
 
-    ``reservoir`` holds the slice's reservoir arcs as out-rows
-    (``reservoir[u]``: the heads of the arcs at tail u).  Maintains the
+    ``reservoir`` holds the slice's reservoir arcs as one boolean block
+    per cluster-cycle edge, aligned with ``system.pairs``.  Maintains the
     depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'}) as one copy
-    of those rows, which merging and reordering deplete in place; per
+    of those blocks, which merging and reordering deplete in place; per
     slot: extend to 1-factors, merge through the touched cluster pairs,
     then reorder at the extension cluster so the cycle is consistent with
     its ordered matching.  Every output is re-verified: sequence
-    containment, consistency, Hamiltonicity, and the confinement of
-    C_s - F_s to the touched pairs.
+    containment, consistency, Hamiltonicity, the confinement of
+    C_s - F_s to the touched pairs, and that the slot is charged exactly
+    the reservoir arcs of C_s - F_s.
     """
     qp = system.q
     k = len(qp.clusters)
     factors = extend_to_one_factors(system, be.path_sequences)
     verts = sorted(v for c in qp.clusters for v in c)
-    unused = {u: set(row) for u, row in reservoir.items()}
+    unused = ReservoirLedger(system, [block.copy() for block in reservoir])
     out_cycles: list[Digraph] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
@@ -456,13 +598,19 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             v2 = tuple(v for v in qp.cluster(cj)
                        if ps.in_degree(v) == 0)
             specs.append(PairSpec(cluster_index=ci, v1=v1, v2=v2))
-        merged, used1 = merge_to_hamilton(factors[s], unused, specs, rng=rng)
         # reorder at the extension cluster
         ext_spec = next(sp for sp in specs if sp.cluster_index == i_s) \
             if any(sp.cluster_index == i_s for sp in specs) else specs[0]
         xs = _final_waypoints(ps, matching, i_s, qp)
-        final, used2 = reorder_for_consistency(merged, unused, ext_spec, xs,
-                                               rng=rng)
+        try:
+            merged, used1 = merge_to_hamilton(factors[s], unused, specs,
+                                              rng=rng)
+            final, used2 = reorder_for_consistency(merged, unused, ext_spec,
+                                                   xs, rng=rng)
+        except HamiltonSearchExhausted as e:
+            raise HamiltonSearchExhausted(f"slot {s}: {e}",
+                                          restarts=e.restarts) from None
+        used = _settle(unused, used1, final) + used2
         # full verification of the slot output
         if any(final[u] != v for (u, v) in ps._arcs):
             raise AssemblyVerificationFailed(
@@ -477,21 +625,25 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             raise AssemblyVerificationFailed(
                 f"slot {s}: output not consistent with its matching")
         allowed_clusters = {sp.cluster_index for sp in specs}
-        for u in verts:
-            if final[u] != factors[s][u] and \
-                    qp.cluster_index(u) not in allowed_clusters:
+        changed = [(u, final[u]) for u in verts if final[u] != factors[s][u]]
+        for (u, v) in changed:
+            if qp.cluster_index(u) not in allowed_clusters:
                 raise AssemblyVerificationFailed(
-                    f"slot {s}: replacement arc ({u},{final[u]}) outside "
-                    f"the touched pairs")
+                    f"slot {s}: replacement arc ({u},{v}) outside the "
+                    f"touched pairs")
+        if sorted(used) != changed:
+            raise AssemblyVerificationFailed(
+                f"slot {s}: the reservoir arcs charged are not C_s - F_s")
         out_cycles.append(Digraph(system.n, [(u, final[u]) for u in order]))
-        usage.append(used1 + used2)
+        usage.append(used)
     # conservation: all reservoir arcs charged exist in the reservoir and
     # are pairwise distinct across slots
     flat = [a for u in usage for a in u]
     if len(flat) != len(set(flat)):
         raise AssemblyVerificationFailed("reservoir arc charged twice")
+    original = ReservoirLedger(system, reservoir)
     for (u, v) in flat:
-        if v not in reservoir.get(u, ()):
+        if not original.has(u, v):
             raise AssemblyVerificationFailed(
                 f"replacement arc {(u, v)} not in the reservoir")
     return SliceAssembly(cycles=out_cycles, reservoir_usage=usage)

@@ -393,7 +393,8 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
                     mean_codeg + 5 * math.sqrt(mean_codeg) + 3)
     failures: dict[str, int] = {}
     for attempt in range(retries):
-        rng = random.Random(derive_seed(rng_seed, "reserve_regular", attempt))
+        rng = np.random.default_rng(
+            derive_seed(rng_seed, "reserve_regular", attempt))
         res = mat.copy()
         chosen = _random_regular_subgraph(res, degree, rng)
         if chosen is None:
@@ -421,16 +422,15 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
 
 
 def _random_regular_subgraph(res: np.ndarray, degree: int,
-                             rng: random.Random
+                             rng: np.random.Generator
                              ) -> list[tuple[int, int]] | None:
     """``degree`` random perfect matchings taken out of the residual
-    matrix ``res`` in place, as (row, column) pairs, or None."""
-    perm_l = list(range(len(res)))
-    perm_r = list(range(len(res)))
+    matrix ``res`` in place, as (row, column) pairs, or None.  Each
+    matching tries rows and columns in one fresh permutation each."""
     chosen: list[tuple[int, int]] = []
     for _ in range(degree):
-        rng.shuffle(perm_l)
-        rng.shuffle(perm_r)
+        perm_l = rng.permutation(len(res)).tolist()
+        perm_r = rng.permutation(len(res)).tolist()
         try:
             match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
@@ -552,7 +552,7 @@ def _equal_split(items: list, parts: int, offset: int) -> list[list]:
 
 
 def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
-                           degree: int, rng: random.Random
+                           degree: int, rng: np.random.Generator
                            ) -> list[list[tuple[int, int]]]:
     """``parts`` edge-disjoint exactly ``degree``-regular spanning
     subgraphs of a near-regular bipartite pair, taken out of its
@@ -567,10 +567,8 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
     pair = res.copy()
     pms: list[list[tuple[int, int]]] = []
     for _ in range(total):
-        perm_l = list(range(len(left)))
-        perm_r = list(range(len(right)))
-        rng.shuffle(perm_l)
-        rng.shuffle(perm_r)
+        perm_l = rng.permutation(len(left)).tolist()
+        perm_r = rng.permutation(len(right)).tolist()
         try:
             match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
@@ -692,9 +690,9 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
     residuals = {}
     for (i, ip, left, right) in pairs:
         res = pair_matrix(g, left, right)
-        rng = random.Random(derive_seed(seed, "reserve", side, i, ip))
-        parts = _extract_regular_parts(res, list(left), list(right),
-                                       n_slices, r_h, rng)
+        parts = _extract_regular_parts(
+            res, list(left), list(right), n_slices, r_h,
+            np.random.default_rng(derive_seed(seed, "reserve", side, i, ip)))
         for j, part in enumerate(parts):
             h_edges[j].extend(part)
         ci, cj = q.cluster_index(left[0]), q.cluster_index(right[0])

@@ -219,9 +219,10 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     if len(systems) != len(reductions):
         raise InvalidParameter("systems and reductions must align")
 
-    # split H into H' (inner) and H'' (outer) per cluster pair
+    # split H into H' (inner) and H'' (outer) per cluster pair; H'' stays
+    # as its perfect matchings, from which phase 2 carves its pools
     inner_edges: list[tuple[int, int]] = []
-    outer_edges: list[tuple[int, int]] = []
+    outer_pms: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
     for i in range(K):
         for ip in range(K):
             a_i, b_ip = P.a_cluster(i), P.b_cluster(ip)
@@ -236,10 +237,8 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
             pms = regular_bipartite_to_matchings(mat, a_i, b_ip)
             for pm in pms[:inner_degree]:
                 inner_edges.extend(pm)
-            for pm in pms[inner_degree:]:
-                outer_edges.extend(pm)
+            outer_pms[i, ip] = pms[inner_degree:]
     h_inner = Multigraph(n, inner_edges)
-    h_outer = Multigraph(n, outer_edges)
 
     # phase 1: A_{i1}-extensions PS_s = J*_dir + M_s,dir
     used_inner: set[tuple[int, int]] = set()
@@ -302,9 +301,7 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     assigned: dict[tuple[int, tuple[int, int]], list[tuple[int, int]]] = {}
     for key, slot_list in sorted(demand.items()):
         i, ip = key
-        pms = regular_bipartite_to_matchings(
-            pair_matrix(h_outer, P.a_cluster(i), P.b_cluster(ip)),
-            P.a_cluster(i), P.b_cluster(ip))
+        pms = outer_pms[key]
         count_needed = len(slot_list)
         sigma = max(1, min(sigma_formula, m,
                            (len(pms) * m) // max(1, count_needed)))

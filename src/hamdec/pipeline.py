@@ -9,6 +9,7 @@ lists.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
@@ -447,8 +448,20 @@ class DecompositionCertificate:
 def _edge_hash(edges: list) -> str:
     """Content hash of a slot's edge list; lets consumers compare slots
     for accidental duplication without shipping the lists around."""
-    import hashlib
     return hashlib.sha256(canonical_json(edges).encode()).hexdigest()
+
+
+def instance_sha256(host: Host, partition: ClusterPartition,
+                    systems: list) -> str:
+    """The digest that binds a certificate to its instance: sha256 over
+    the bytes of the host matrix (row-major, as ``matrix.tobytes()``
+    gives them), then the canonical JSON of the partition and of the
+    systems."""
+    digest = hashlib.sha256(np.ascontiguousarray(host.matrix).data)
+    digest.update(canonical_json({
+        "partition": partition.to_json_obj(),
+        "systems": [es.to_json_obj() for es in systems]}).encode())
+    return digest.hexdigest()
 
 
 def _reserve_degree_for(pair_min_degree: int, gamma: float, m: int,
@@ -549,19 +562,19 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     r_res = _reserve_degree_for(pair_min, gamma, m, q_count)
     last_error: HamdecError | None = None
     for attempt in range(SLICE_RETRIES):
-        # the reservoir as out-rows: reservoir[u] = heads of u's arcs
-        reservoir: dict[int, set[int]] = {}
+        # the reservoir as one boolean block per cycle edge: what
+        # reserve_regular takes out of the pair matrix
+        reservoir: list[np.ndarray] = []
         kept = []
         for (ci, _cj), (tails, heads, mat) in zip(slc.cycle.edges(),
                                                   slc.pairs):
-            mat = mat.copy()
-            chosen, _rep = reserve_regular(
-                mat, r_res, 0.5,
+            rest = mat.copy()
+            reserve_regular(
+                rest, r_res, 0.5,
                 rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,
                                           attempt))
-            for (a, b) in chosen:
-                reservoir.setdefault(tails[a], set()).add(heads[b])
-            kept.append((tails, heads, mat))
+            reservoir.append(mat > rest)
+            kept.append((tails, heads, rest))
         system = CyclicSystem(slc.n, kept, slc.q, slc.cycle, slc.mu, 1.0)
         try:
             asm = assemble_slice(
@@ -654,6 +667,7 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
         "n": partition.n, "mu": mu, "rho": rho, "gamma": gamma,
         "seed": seed, "eps0": partition.eps0,
         "quotas": quotas.to_json_obj(),
+        "instance_sha256": instance_sha256(host, partition, systems),
     }
     cert = DecompositionCertificate(mode=spec.mode, params=params,
                                     slots=slots)
@@ -703,7 +717,9 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     matching-pair decomposition, by the kind of the assigned system, which
     the slot must claim), containment of the assigned system, membership
     of every edge in the host, global pairwise edge-disjointness by
-    multiset accounting, and the coverage fraction.  A slot that cannot be
+    multiset accounting, the coverage fraction, and ``instance_match``:
+    the certificate's ``params.instance_sha256`` must be the
+    ``instance_sha256`` of the given instance.  A slot that cannot be
     read (not an object, an index that names no system, a missing key, an
     edge that is not a pair of distinct int vertices of the host) gets the
     verdict ``{"ok": false}``.
@@ -792,11 +808,15 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     else:
         denom = int(mat[np.ix_(a_side, b_side)].sum(dtype=np.int64))
     coverage = coverage_edges / denom if denom else 0.0
+    claimed = cert.params.get("instance_sha256") \
+        if isinstance(cert.params, dict) else None
+    instance_match = claimed == instance_sha256(host, partition, systems)
     global_report = {
         "edge_disjoint": edge_disjoint,
+        "instance_match": instance_match,
         "slot_failures": failures,
         "coverage_fraction": round(coverage, 6),
-        "all_ok": edge_disjoint and not failures,
+        "all_ok": edge_disjoint and instance_match and not failures,
     }
     return {"slots": slot_reports, "global": global_report}
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hamdec import assembly
-from hamdec.assembly import (PairSpec, assemble_slice, extend_to_one_factors,
-                             find_ordered_hamilton, merge_to_hamilton,
-                             reorder_for_consistency)
+from hamdec.assembly import (PairSpec, ReservoirLedger, assemble_slice,
+                             extend_to_one_factors, find_ordered_hamilton,
+                             merge_to_hamilton, reorder_for_consistency)
 from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_consistent_with,
                          verify_hamilton_cycle)
@@ -35,16 +35,20 @@ def succ_of(n, arcs):
     return succ
 
 
-def rows_of(arcs):
-    """Reservoir arcs as out-rows: tail -> set of heads."""
-    rows = {}
-    for (u, v) in arcs:
-        rows.setdefault(u, set()).add(v)
-    return rows
+def ledger_of(system, arcs):
+    """A reservoir ledger of ``system`` holding exactly ``arcs``."""
+    ledger = ReservoirLedger(system, [np.zeros(mat.shape, dtype=bool)
+                                      for (_t, _h, mat) in system.pairs])
+    ledger.mark(arcs, True)
+    return ledger
 
 
-def arcs_of(rows):
-    return {(u, v) for u, row in rows.items() for v in row}
+def arcs_of(ledger, system):
+    """The arcs a ledger of ``system`` still holds."""
+    return {(tails[a], heads[b])
+            for (ci, _cj), (tails, heads, _mat) in zip(system.cycle.edges(),
+                                                      system.pairs)
+            for a, b in zip(*np.nonzero(ledger.block(ci)))}
 
 
 def cycle_succ(verts, n):
@@ -144,44 +148,104 @@ class TestFindOrderedHamilton:
 
 
 class TestMergeAndReorder:
+    # the two clusters V_0 = 0..5 and V_1 = 6..11 of a 2-cluster cycle
+    system, _clusters = blowup_system(2, 6)
+    v1, v2 = tuple(range(6)), tuple(range(6, 12))
+    spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
+
     def build_two_cycle_factor(self):
-        """k=2-ish structure on 12 vertices: two disjoint 6-cycles winding
-        around clusters V_0 = 0..5, V_1 = 6..11."""
+        """Two disjoint 6-cycles winding around V_0 and V_1."""
         f = succ_of(12, [(0, 6), (6, 1), (1, 7), (7, 2), (2, 8), (8, 0),
                          (3, 9), (9, 4), (4, 10), (10, 5), (5, 11), (11, 3)])
         return f
 
     def test_merge_two_cycles(self):
         f = self.build_two_cycle_factor()
-        v1 = tuple(range(6))
-        v2 = tuple(range(6, 12))
-        reservoir = {(u, v) for u in v1 for v in v2}
-        spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
-        unused = rows_of(reservoir)
-        merged, used = merge_to_hamilton(f, unused, [spec],
+        reservoir = {(u, v) for u in self.v1 for v in self.v2}
+        unused = ledger_of(self.system, reservoir)
+        merged, used = merge_to_hamilton(f, unused, [self.spec],
                                          rng=random.Random(1))
         assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
-        assert used and all(a in reservoir for a in used)
-        assert arcs_of(unused) == reservoir - set(used)
+        # one 2-switch joins the two cycles
+        assert len(used) == 2 and all(a in reservoir for a in used)
+        assert arcs_of(unused, self.system) == reservoir - set(used)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merge_joins_c_cycles_with_2_arcs_per_switch(self, c, seed,
+                                                          monkeypatch):
+        # c disjoint 6-cycles winding around two clusters of size 3c
+        m = 3 * c
+        system, clusters = blowup_system(2, m)
+        arcs = []
+        for t in range(c):
+            xs, ys = clusters[0][3 * t:3 * t + 3], clusters[1][3 * t:3 * t + 3]
+            arcs += [(xs[i], ys[i]) for i in range(3)]
+            arcs += [(ys[i], xs[(i + 1) % 3]) for i in range(3)]
+        f = succ_of(2 * m, arcs)
+        reservoir = {(u, v) for u in clusters[0] for v in clusters[1]
+                     if f[u] != v}
+        switches = []
+        switch = assembly._switch
+        monkeypatch.setattr(assembly, "_switch", lambda succ, x1, x2: (
+            switches.append((x1, x2)), switch(succ, x1, x2)))
+        unused = ledger_of(system, reservoir)
+        spec = PairSpec(cluster_index=0, v1=clusters[0], v2=clusters[1])
+        merged, used = merge_to_hamilton(f, unused, [spec],
+                                         rng=random.Random(seed))
+        assert verify_hamilton_cycle(as_digraph(merged), set(range(2 * m)))
+        # c - 1 switches take 2(c - 1) arcs; an arc a later switch drops
+        # goes back, so the cycle keeps at most that many
+        assert len(switches) == c - 1
+        assert len(used) <= 2 * (c - 1)
+        assert sorted(used) == [(u, merged[u]) for u in range(2 * m)
+                                if merged[u] != f[u]]
+        assert arcs_of(unused, system) == reservoir - set(used)
+
+    def test_fallback_without_a_switch(self, monkeypatch):
+        # the reservoir is one replacement matching of F[V^1, V^2] that
+        # closes a single cycle but holds no 2-switch: each of its arcs
+        # x1 -> succ(x2) from one cycle lacks the partner x2 -> succ(x1)
+        f = self.build_two_cycle_factor()
+        reservoir = {(0, 10), (1, 8), (2, 9), (3, 6), (4, 11), (5, 7)}
+        replacements = []
+        replace = assembly._replace_pair_matching
+        monkeypatch.setattr(assembly, "_replace_pair_matching",
+                            lambda *args: replacements.append(args[1])
+                            or replace(*args))
+        unused = ledger_of(self.system, reservoir)
+        merged, used = merge_to_hamilton(f, unused, [self.spec],
+                                         rng=random.Random(1))
+        assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
+        assert replacements == [self.spec]
+        assert set(used) == reservoir
+        assert arcs_of(unused, self.system) == set()
+
+    def test_no_switch_and_no_replacement_is_retryable(self):
+        f = self.build_two_cycle_factor()
+        with pytest.raises(HamiltonSearchExhausted) as exc:
+            merge_to_hamilton(f, ledger_of(self.system, set()), [self.spec],
+                              rng=random.Random(1))
+        assert "2 cycles left at pair (0,1), 0 unused reservoir arcs" in \
+            str(exc.value)
 
     def test_non_factor_replacement_fails_verification(self, monkeypatch):
-        # a replacement that gives vertices 0 and 1 the same head
-        def doubled_head(succ, spec, ledger, waypoints, rng):
-            out = list(succ)
-            out[0] = out[1]
-            return out, []
+        # a switch that gives x1 the head of x2 without moving x2's
+        def doubled_head(succ, x1, x2):
+            succ[x1] = succ[x2]
 
-        monkeypatch.setattr(assembly, "_replace_pair_matching", doubled_head)
-        spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
-                        v2=tuple(range(6, 12)))
+        monkeypatch.setattr(assembly, "_switch", doubled_head)
+        reservoir = {(u, v) for u in self.v1 for v in self.v2}
         with pytest.raises(AssemblyVerificationFailed):
-            merge_to_hamilton(self.build_two_cycle_factor(), {}, [spec],
+            merge_to_hamilton(self.build_two_cycle_factor(),
+                              ledger_of(self.system, reservoir), [self.spec],
                               rng=random.Random(1))
 
     def test_identity_when_single_cycle(self):
         verts = list(range(8))
         f = cycle_succ(verts, 8)
-        merged, used = merge_to_hamilton(f, {}, [],
+        system, _ = blowup_system(2, 4)
+        merged, used = merge_to_hamilton(f, ledger_of(system, set()), [],
                                          rng=random.Random(1))
         assert merged == f and used == []
 
@@ -191,19 +255,17 @@ class TestMergeAndReorder:
         spec = PairSpec(cluster_index=0, v1=(0, 1, 2), v2=(6, 7, 8))
         reservoir = {(u, v) for u in (0, 1, 2) for v in (6, 7, 8)}
         with pytest.raises(MalformedInput):
-            merge_to_hamilton(f, rows_of(reservoir), [spec],
+            merge_to_hamilton(f, ledger_of(self.system, reservoir), [spec],
                               rng=random.Random(1))
 
     def test_reorder_square_blowup(self):
         # 12-vertex blow-up of a 2-cluster cycle; 3 waypoints forced
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
         cyc = cycle_succ(verts, 12)
-        v1 = tuple(range(6))
-        v2 = tuple(range(6, 12))
-        reservoir = {(u, v) for u in v1 for v in v2}
-        spec = PairSpec(cluster_index=0, v1=v1, v2=v2)
-        out, used = reorder_for_consistency(cyc, rows_of(reservoir), spec,
-                                            [0, 3, 1], rng=random.Random(4))
+        reservoir = {(u, v) for u in self.v1 for v in self.v2}
+        out, used = reorder_for_consistency(
+            cyc, ledger_of(self.system, reservoir), self.spec, [0, 3, 1],
+            rng=random.Random(4))
         assert verify_hamilton_cycle(as_digraph(out), set(range(12)))
         order = []
         cur = 0
@@ -215,35 +277,35 @@ class TestMergeAndReorder:
     def test_reorder_empty_waypoints_identity(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
         cyc = cycle_succ(verts, 12)
-        spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
-                        v2=tuple(range(6, 12)))
-        out, used = reorder_for_consistency(cyc, {}, spec, [],
-                                            rng=random.Random(4))
+        out, used = reorder_for_consistency(
+            cyc, ledger_of(self.system, set()), self.spec, [],
+            rng=random.Random(4))
         assert out == cyc and used == []
 
     def test_reorder_waypoints_outside_v1(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
         cyc = cycle_succ(verts, 12)
-        spec = PairSpec(cluster_index=0, v1=tuple(range(6)),
-                        v2=tuple(range(6, 12)))
         with pytest.raises(MalformedInput):
-            reorder_for_consistency(cyc, {}, spec, [6, 0, 1],
-                                    rng=random.Random(4))
+            reorder_for_consistency(
+                cyc, ledger_of(self.system, set()), self.spec, [6, 0, 1],
+                rng=random.Random(4))
 
 
 class TestAssembleSlice:
-    def test_full_slice(self):
+    def slice_inputs(self, degree=6):
+        """A 5 x 12 blow-up less a reservoir of the given degree per pair,
+        the reservoir's blocks, and a balanced extension of three slots."""
         k, m = 5, 12
         n = k * m
         system, clusters = blowup_system(k, m)
         # carve a reservoir out of the system
-        reservoir = set()
+        blocks = []
         kept = []
         for (tails, heads, mat) in system.pairs:
-            mat = mat.copy()
-            chosen, _ = reserve_regular(mat, 6, 0.5, rng_seed=17)
-            reservoir.update((tails[a], heads[b]) for (a, b) in chosen)
-            kept.append((tails, heads, mat))
+            rest = mat.copy()
+            reserve_regular(rest, degree, 0.5, rng_seed=17)
+            blocks.append(mat > rest)
+            kept.append((tails, heads, rest))
         sys2 = CyclicSystem(n, kept, system.q, system.cycle, mu=0.4, eps=0.5)
         m0 = OrderedDirectedMatching(((0, 1), (2, 3)))
         ps0 = Digraph(n, [(0, 1), (2, 3), (48, 12), (49, 13)])
@@ -254,16 +316,35 @@ class TestAssembleSlice:
                           (12, 36), (14, 37), (16, 38)])
         be = BalancedExtension([ps0, ps1, ps2], [m0, m1, m2], [0, 1, 2],
                                eps=0.5, ell=3)
-        asm = assemble_slice(sys2, be, rows_of(reservoir), seed=5)
+        return sys2, blocks, be
+
+    def test_full_slice(self):
+        sys2, blocks, be = self.slice_inputs()
+        n = sys2.n
+        reservoir = arcs_of(ReservoirLedger(sys2, blocks), sys2)
+        asm = assemble_slice(sys2, be, blocks, seed=5)
         assert reservoir.isdisjoint(
             (tails[a], heads[b]) for (tails, heads, mat) in sys2.pairs
             for a, b in zip(*np.nonzero(mat)))
+        # the caller's blocks are copied, not depleted
+        assert arcs_of(ReservoirLedger(sys2, blocks), sys2) == reservoir
         used_flat = set()
         for s, cyc in enumerate(asm.cycles):
             assert verify_hamilton_cycle(cyc, set(range(n)))
             assert is_consistent_with(cyc, be.matchings[s])
             assert set(be.path_sequences[s]._arcs) <= set(cyc._arcs)
+            # a slot is charged exactly the reservoir arcs of its cycle
+            assert set(asm.reservoir_usage[s]) == \
+                set(cyc._arcs) & reservoir
             for a in asm.reservoir_usage[s]:
                 assert a not in used_flat
                 used_flat.add(a)
                 assert a in reservoir
+
+    def test_empty_reservoir_names_the_slot(self):
+        sys2, blocks, be = self.slice_inputs()
+        empty = [np.zeros_like(block) for block in blocks]
+        with pytest.raises(HamiltonSearchExhausted,
+                           match=r"^slot \d+: \d+ cycles left at pair "
+                                 r"\(\d+,\d+\), 0 unused reservoir arcs"):
+            assemble_slice(sys2, be, empty, seed=5)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from hamdec import cyclic
 from hamdec.classic import pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
 from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
@@ -295,16 +296,22 @@ class TestReserveDegrees:
 
 
 class TestExtractRegularParts:
-    def test_starved_fallback(self):
+    def test_starved_fallback(self, monkeypatch):
         # random perfect-matching extraction starves on this pair at
-        # rng seed 2, so the flow + 1-factorization fallback runs
+        # rng seed 3, so the flow + 1-factorization fallback runs
         left, right = list(range(6)), list(range(6, 12))
         g = Multigraph(12, [(0, 7), (0, 8), (0, 10), (1, 6), (1, 9),
                             (2, 7), (2, 9), (3, 10), (3, 11), (4, 8),
                             (4, 11), (5, 6), (5, 7), (5, 11)])
+        flows = []
+        flow = cyclic.regular_spanning_subgraph
+        monkeypatch.setattr(cyclic, "regular_spanning_subgraph",
+                            lambda *args, **kwargs: flows.append(args)
+                            or flow(*args, **kwargs))
         parts = [Multigraph(12, part) for part in _extract_regular_parts(
             pair_matrix(g, left, right), left, right, 2, 1,
-            random.Random(2))]
+            np.random.default_rng(3))]
+        assert len(flows) == 1
         assert len(parts) == 2
         for part in parts:
             assert all(part.degree(v) == 1 for v in left + right)
@@ -319,7 +326,7 @@ class TestExtractRegularParts:
                                         for v in (5, 6, 7)])
         res = pair_matrix(g, left, right)
         parts = [Multigraph(8, part) for part in _extract_regular_parts(
-            res, left, right, 2, 1, random.Random(0))]
+            res, left, right, 2, 1, np.random.default_rng(0))]
         assert len(parts) == 2
         for part in parts:
             assert all(part.degree(v) == 1 for v in left + right)

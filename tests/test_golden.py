@@ -14,13 +14,13 @@ from hamdec.pipeline import (InstanceConfig, approx_decompose_bipartite,
 
 GOLDEN = [
     ("two-cliques-default", InstanceConfig.two_cliques_default(seed=7),
-     "417ce58dcd64f92b0d92a8ec52d3833bcf9c4ddd2871e3d8d95632f4aeba37e3"),
+     "219773614e4a63d78c0a74b8b89ca75cdfe7a9a04afe9141ed0a537ff8304da6"),
     ("bipartite-default", InstanceConfig.bipartite_default(seed=7),
-     "69846cd7aa2ba249687ab5e8d871c1d116958c79d39fce42376432fb421cfdb1"),
+     "8d16cdc5582368f164bb870c06ade066bc4b1ee41f62a7c086c3531f2e3ec018"),
     ("two-cliques-mixed",
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
-     "6cd006bb3d9ecbb5c05fa7d5df65f0fc22abf81ff7b7c35b7e2e0925b4ff9aac"),
+     "d38c16bd0697e2149da96f656d885ef1ff62ec959b3941085676b87181a19797"),
 ]
 
 

@@ -12,8 +12,8 @@ import hamdec
 from hamdec import pipeline
 from hamdec.cli import _load_instance, main as cli_main
 from hamdec.core import Host, Multigraph, canonical_json
-from hamdec.errors import (InvalidParameter, MalformedInput,
-                           MatchingInfeasible, PipelineError)
+from hamdec.errors import (HamiltonSearchExhausted, InvalidParameter,
+                           MalformedInput, MatchingInfeasible, PipelineError)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
@@ -721,3 +721,113 @@ class TestPipelineErrors:
         assert isinstance(exc.value.cause, MatchingInfeasible)
         assert exc.value.slice_index == "A0"
         assert "slice=A0" in str(exc.value)
+
+    def test_merge_exhaustion_is_retried(self, monkeypatch):
+        # a slice whose first assembly runs out of 2-switches and
+        # replacements re-rolls its reservoir and succeeds
+        calls = []
+        assemble = pipeline.assemble_slice
+
+        def exhausted_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise HamiltonSearchExhausted("slot 0: forced")
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "assemble_slice", exhausted_once)
+        cfg = InstanceConfig(mode="two-cliques", K=3, m=24, a0_size=1,
+                             b0_size=1, eps0=0.02, mu=0.0, rho=0.1,
+                             gamma=0.18, hes_count=5, seed=3)
+        host, P, systems = generate_instance(cfg)
+        cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                            cfg.rho, cfg.gamma, seed=3)
+        assert cert.global_report["all_ok"]
+        assert len(calls) == 3  # two slices, one of them twice
+
+
+TC_DENSE = dict(mode="two-cliques", K=5, m=80, hes_count=25)
+
+
+class TestInstanceBinding:
+    @pytest.fixture(scope="class")
+    def tc_dense_files(self, tmp_path_factory):
+        """Instance files of the tc-dense config at seeds 11 and 12, and
+        the certificate `hamdec decompose` writes for seed 11."""
+        tmp = tmp_path_factory.mktemp("binding")
+        params = tmp / "params.json"
+        params.write_text(json.dumps(InstanceConfig(**TC_DENSE).to_json_obj()))
+        insts = {}
+        for seed in (11, 12):
+            insts[seed] = tmp / f"inst{seed}.json"
+            assert cli_main(["gen", "--params", str(params), "--seed",
+                             str(seed), "--out", str(insts[seed])]) == 0
+        cert = tmp / "cert11.json"
+        assert cli_main(["decompose", str(insts[11]), "--out",
+                         str(cert)]) == 0
+        return insts, cert
+
+    def test_certificate_of_another_instance_fails(self, tc_dense_files,
+                                                   capsys):
+        insts, cert = tc_dense_files
+        obj = DecompositionCertificate.from_json_obj(
+            json.loads(cert.read_text()))
+        for seed, match in ((11, True), (12, False)):
+            _cfg, host, P, systems = _load_instance(str(insts[seed]))
+            report = verify_certificate(host, P, systems, obj)
+            assert report["global"]["instance_match"] is match
+            assert report["global"]["all_ok"] is match
+        capsys.readouterr()
+        assert cli_main(["verify", str(insts[12]), str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out.splitlines()[0])["instance_match"] is False
+        assert "Traceback" not in err
+
+    def test_only_the_instance_key_fails(self, small_two_cliques):
+        cfg, host, P, systems, cert = small_two_cliques
+        obj = cert.to_json_obj()
+        obj["params"] = {**obj["params"], "instance_sha256": "0" * 64}
+        report = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(obj))
+        assert report["global"]["instance_match"] is False
+        assert report["global"]["edge_disjoint"]
+        assert not report["global"]["slot_failures"]
+        assert not report["global"]["all_ok"]
+
+    def test_unbound_certificate_fails(self, small_two_cliques):
+        cfg, host, P, systems, cert = small_two_cliques
+        for params in ({}, "x"):
+            obj = {**cert.to_json_obj(), "params": params}
+            report = verify_certificate(
+                host, P, systems, DecompositionCertificate.from_json_obj(obj))
+            assert report["global"]["instance_match"] is False
+            assert not report["global"]["all_ok"]
+
+
+class TestHypothesisBound:
+    """Configs near the (1/4 - mu - rho)n bound, where replacing a whole
+    pair matching per merge ran the reservoir dry."""
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_k5_m40_with_40_systems(self, seed):
+        cfg = InstanceConfig(K=5, m=40, hes_count=40, seed=seed)
+        host, P, systems = generate_instance(cfg)
+        cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                            cfg.rho, cfg.gamma, seed=seed)
+        assert cert.global_report["all_ok"]
+
+    def test_crowded_needs_no_slice_retry(self, monkeypatch):
+        calls = []
+        assemble = pipeline.assemble_slice
+        monkeypatch.setattr(pipeline, "assemble_slice",
+                            lambda *args, **kwargs: calls.append(args)
+                            or assemble(*args, **kwargs))
+        cfg = InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2,
+                             b0_size=2, eps0=0.01, hes_count=14,
+                             mes_count=14, seed=5)
+        host, P, systems = generate_instance(cfg)
+        cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                            cfg.rho, cfg.gamma, seed=5)
+        assert cert.global_report["all_ok"]
+        # (K - 1)/2 = 2 slices per side, each assembled once; replacing
+        # whole pair matchings, this seed took 6 assemblies
+        assert len(calls) == 4

@@ -10,13 +10,15 @@ and the earlier ``Multigraph.is_path_system``/``paths``,
 ``Digraph.is_path_sequence``/``directed_paths`` and
 ``assembly._cycle_count``/``_hamilton_order``, as free functions; and
 the dict-host generator and ``trim_instance``.  The reference verifier
-reads the host as a ``Multigraph`` of its edges.
+reads the host as a ``Multigraph`` of its edges, and computes the
+instance digest it checks from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
 unreadable.  The mutations here write pairs only.
 """
 
 import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -29,8 +31,9 @@ from hypothesis import given, settings, strategies as st
 from hamdec.assembly import _cycles
 from hamdec.cli import _dump_instance, main as cli_main
 from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
-                         cycle_to_perfect_matchings, cycle_vertex_order,
-                         derive_seed, verify_hamilton_cycle)
+                         canonical_json, cycle_to_perfect_matchings,
+                         cycle_vertex_order, derive_seed,
+                         verify_hamilton_cycle)
 from hamdec.errors import HamdecError, InvalidParameter, MalformedInput
 from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
                                 ExceptionalSystem)
@@ -210,11 +213,23 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
     else:
         denom = host.edges_between(partition.A, partition.B)
     coverage = coverage_edges / denom if denom else 0.0
+    # the instance digest from the host's edges: its n x n byte matrix,
+    # row-major, then the canonical JSON of the partition and systems
+    n = host.n
+    matrix = bytearray(n * n)
+    for (u, v, k) in host.edges():
+        matrix[u * n + v] = matrix[v * n + u] = k
+    digest = hashlib.sha256(bytes(matrix) + canonical_json({
+        "partition": partition.to_json_obj(),
+        "systems": [es.to_json_obj() for es in systems]}).encode())
+    params = cert.params if isinstance(cert.params, dict) else {}
+    instance_match = params.get("instance_sha256") == digest.hexdigest()
     global_report = {
         "edge_disjoint": edge_disjoint,
+        "instance_match": instance_match,
         "slot_failures": failures,
         "coverage_fraction": round(coverage, 6),
-        "all_ok": edge_disjoint and not failures,
+        "all_ok": edge_disjoint and instance_match and not failures,
     }
     return {"slots": slot_reports, "global": global_report}
 
@@ -558,6 +573,7 @@ def _assert_plain_types(report: dict) -> None:
         assert all(type(v) is bool for v in verdicts.values())
     g = report["global"]
     assert type(g["edge_disjoint"]) is bool and type(g["all_ok"]) is bool
+    assert type(g["instance_match"]) is bool
     assert type(g["coverage_fraction"]) is float
     assert all(type(idx) is int for idx in g["slot_failures"])
 
