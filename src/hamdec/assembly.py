@@ -259,6 +259,11 @@ class ReservoirLedger:
     def __init__(self, system: CyclicSystem, blocks: list[np.ndarray]):
         self._q = system.q
         edges = system.cycle.edges()
+        if len(blocks) != len(edges) or any(
+                block.shape != mat.shape
+                for block, (_t, _h, mat) in zip(blocks, system.pairs)):
+            raise MalformedInput("the reservoir needs one block per cycle "
+                                 "edge, shaped like its arc matrix")
         self.head = dict(edges)
         self._blocks = {ci: block for (ci, _cj), block in zip(edges, blocks)}
         # pos[v]: the row or column of v in the blocks of its cluster

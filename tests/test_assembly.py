@@ -348,3 +348,9 @@ class TestAssembleSlice:
                            match=r"^slot \d+: \d+ cycles left at pair "
                                  r"\(\d+,\d+\), 0 unused reservoir arcs"):
             assemble_slice(sys2, be, empty, seed=5)
+
+    def test_misaligned_reservoir_rejected(self):
+        sys2, blocks, be = self.slice_inputs()
+        for bad in (blocks[:-1], [block[:, :-1] for block in blocks]):
+            with pytest.raises(MalformedInput):
+                assemble_slice(sys2, be, bad, seed=5)
