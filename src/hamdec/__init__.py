@@ -31,7 +31,7 @@ from .assembly import (assemble_slice, extend_to_one_factors,
 from .pipeline import (DecompositionCertificate, InstanceConfig,
                        approx_decompose_bipartite,
                        approx_decompose_two_cliques, generate_instance,
-                       trim_instance, verify_certificate)
+                       verify_certificate)
 from . import errors
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __all__ = [
     "merge_to_hamilton", "pair_matrix", "regular_bipartite_to_matchings",
     "regular_spanning_subgraph", "reorder_for_consistency", "reserve_regular",
     "reserve_sparse", "splice_bipartite", "splice_two_cliques",
-    "sysdecom", "sysdecombip", "trim_instance",
+    "sysdecom", "sysdecombip",
     "validate_balanced_extension", "verify_certificate",
     "verify_hamilton_cycle", "walecki_decompose", "winds_around",
 ]

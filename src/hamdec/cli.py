@@ -14,11 +14,11 @@ import sys
 from itertools import chain
 
 from . import pipeline
-from .core import ClusterPartition, Host, Multigraph, canonical_json
+from .core import ClusterPartition, Host, canonical_json
 from .errors import HamdecError, MalformedInput
 from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
                        MODE_BIPARTITE, MODE_TWO_CLIQUES, generate_instance,
-                       trim_instance, verify_certificate)
+                       verify_certificate)
 
 
 INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
@@ -109,7 +109,11 @@ def cmd_gen(args) -> int:
     seed = _effective_seed(args)
     if args.params:
         with open(args.params) as fh:
-            cfg = InstanceConfig.from_json_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise MalformedInput(f"config is not JSON: {exc}") from None
+        cfg = InstanceConfig.from_json_obj(obj)
         cfg.seed = seed
     elif args.mode == MODE_BIPARTITE:
         cfg = InstanceConfig.bipartite_default(seed=seed)
@@ -131,8 +135,6 @@ def cmd_decompose(args) -> int:
     seed = _effective_seed(args) if (args.seed is not None or
                                      os.environ.get("HAMDEC_SEED")) \
         else cfg.seed
-    if args.trim:
-        host = trim_instance(host, partition, systems)
     cert = _decomposer(cfg.mode)(host, partition, systems, cfg.mu, cfg.rho,
                                  cfg.gamma, seed, jobs=args.jobs)
     with open(args.out, "w") as fh:
@@ -218,17 +220,14 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    with open(args.input) as fh:
-        obj = json.load(fh)
-    if "graph" in obj:
-        obj = obj["graph"]
-    if "arcs" in obj:
-        from .core import Digraph
-        text = Digraph.from_json_obj(obj).to_dot()
-    else:
-        text = Multigraph.from_json_obj(obj).to_dot()
+    """Write the host of a checked instance file as a DOT graph, one
+    ``u -- v;`` line per unit of multiplicity."""
+    _cfg, host, _partition, _systems = _load_instance(args.input)
     with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+        fh.write("graph G {\n")
+        for (u, v, k) in host.edges():
+            fh.write(f"  {u} -- {v};\n" * k)
+        fh.write("}\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -253,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance JSON -> certificate JSON")
     d.add_argument("instance")
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--trim", action="store_true",
-                   help="drop host edges outside the clique sides not "
-                        "covered by any exceptional system")
     d.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent slices")
     d.add_argument("--out", default="certificate.json")
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_selftest)
 
-    e = sub.add_parser("export-dot", help="graph JSON -> DOT")
+    e = sub.add_parser("export-dot", help="instance JSON -> DOT of its host")
     e.add_argument("input")
     e.add_argument("--out", default="graph.dot")
     e.set_defaults(fn=cmd_export_dot)

@@ -68,11 +68,6 @@ class Multigraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def multiplicity(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return self._mult.get(_norm_pair(u, v), 0)
-
     def edge_count(self) -> int:
         """e(G): number of edges counted with multiplicity."""
         return sum(self._mult.values())
@@ -221,30 +216,9 @@ class Multigraph:
             raise MalformedInput("not a path system")
         return out
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "n": self.n,
-                "edges": [[u, v, k] for (u, v, k) in self.edges()]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Multigraph":
-        return cls(obj["n"], obj["edges"])
-
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for (u, v, k) in self.edges():
-            for _ in range(k):
-                lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Multigraph) and self.n == other.n
                 and self._mult == other._mult)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self._mult.items()))))
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, e={self.edge_count()})"
@@ -259,8 +233,8 @@ class Host:
 
     G is within eps*n^2 edges of two cliques or of a complete balanced
     bipartite graph, so the dense matrix is its natural container; a
-    multiplicity is at most MAX_HOST_MULTIPLICITY.  The JSON form is the
-    edge list of ``Multigraph.to_json_obj``.
+    multiplicity is at most MAX_HOST_MULTIPLICITY.  The JSON form is its
+    edge list of (u, v, multiplicity) triples.
     """
 
     __slots__ = ("n", "matrix")
@@ -386,9 +360,6 @@ class Digraph:
     def edge_count(self) -> int:
         return len(self._arcs)
 
-    def out_neighbors(self, v: int) -> set[int]:
-        return self._out.get(v, set())
-
     def out_degree(self, v: int) -> int:
         return len(self._out.get(v, ()))
 
@@ -442,27 +413,9 @@ class Digraph:
             raise MalformedInput("not a path sequence")
         return paths
 
-    def to_json_obj(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "n": self.n,
-                "arcs": [[u, v] for (u, v) in self.arcs()]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Digraph":
-        return cls(obj["n"], [tuple(a) for a in obj["arcs"]])
-
-    def to_dot(self, name: str = "D") -> str:
-        lines = [f"digraph {name} {{"]
-        for (u, v) in self.arcs():
-            lines.append(f"  {u} -> {v};")
-        lines.append("}")
-        return "\n".join(lines)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Digraph) and self.n == other.n
                 and self._arcs == other._arcs)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self._arcs))))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, e={len(self._arcs)})"

@@ -565,22 +565,18 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
     """
     total = parts * degree
     pair = res.copy()
-    pms: list[list[tuple[int, int]]] = []
-    for _ in range(total):
-        perm_l = rng.permutation(len(left)).tolist()
-        perm_r = rng.permutation(len(right)).tolist()
-        try:
-            match = take_matching(res, perm_l, perm_r)
-        except MatchingInfeasible:
-            sub = regular_spanning_subgraph(pair, left, right, 0.0, 0.0,
-                                            degree=total)
-            res[:] = pair - sub
-            pms = regular_bipartite_to_matchings(sub, left, right)
-            break
-        pms.append([(left[perm_l[p]], right[perm_r[q]])
-                    for p, q in enumerate(match)])
-    return [[e for pm in pms[p * degree:(p + 1) * degree] for e in pm]
-            for p in range(parts)]
+    picks = _random_regular_subgraph(res, total, rng)
+    if picks is not None:
+        edges = [(left[p], right[q]) for p, q in picks]
+    else:
+        sub = regular_spanning_subgraph(pair, left, right, 0.0, 0.0,
+                                        degree=total)
+        res[:] = pair - sub
+        edges = [e for pm in regular_bipartite_to_matchings(sub, left, right)
+                 for e in pm]
+    # each perfect matching has one edge per left vertex
+    size = degree * len(left)
+    return [edges[p * size:(p + 1) * size] for p in range(parts)]
 
 
 def sysdecom(g: Multigraph, partition: ClusterPartition,

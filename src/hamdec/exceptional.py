@@ -44,9 +44,13 @@ class _ExceptionalSystemBase:
 
     def _validate(self):
         v0 = set(self.partition.V0)
-        if not self.graph.is_path_system():
+        # the one walk of J: its maximal paths, read by every later use
+        try:
+            self.paths = self.graph.paths()
+        except MalformedInput:
             raise InvalidExceptionalSystem(
-                f"{self.what}: underlying graph is not a path system")
+                f"{self.what}: underlying graph is not a path system") \
+                from None
         if not self.graph.covered_vertices() <= self.vertices:
             raise InvalidExceptionalSystem(
                 f"{self.what}: edge endpoints outside V(J)")
@@ -66,15 +70,12 @@ class _ExceptionalSystemBase:
     def _validate_mode(self):
         raise NotImplementedError
 
-    def nontrivial_paths(self) -> list[list[int]]:
-        return self.graph.paths()
-
     def edge_count(self) -> int:
         return self.graph.edge_count()
 
     def to_json_obj(self) -> dict:
         return {"schema": 1, "kind": self.kind,
-                "paths": [p for p in self.graph.paths()],
+                "paths": [list(p) for p in self.paths],
                 "isolated": sorted(self.vertices
                                    - self.graph.covered_vertices()),
                 "locality": list(self.locality) if self.locality else None,
@@ -141,7 +142,7 @@ class ExceptionalSystem(_ExceptionalSystemBase):
     def count_ab_paths(self) -> int:
         a, b = set(self.partition.A), set(self.partition.B)
         count = 0
-        for path in self.graph.paths():
+        for path in self.paths:
             ends = {path[0], path[-1]}
             if len(ends & a) == 1 and len(ends & b) == 1:
                 count += 1
@@ -218,11 +219,8 @@ class FictiveReduction:
 
 def induce_jab(system) -> Multigraph:
     """The matching joining the endpoints of each nontrivial path of J."""
-    n = system.partition.n
-    edges = []
-    for path in system.nontrivial_paths():
-        edges.append((path[0], path[-1]))
-    jab = Multigraph(n, edges)
+    jab = Multigraph(system.partition.n,
+                     [(path[0], path[-1]) for path in system.paths])
     if not jab.is_matching():
         raise InvalidExceptionalSystem("induced endpoint graph is not a "
                                        "matching (axiom violation upstream)")

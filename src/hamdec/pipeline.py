@@ -121,6 +121,17 @@ class InstanceConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InstanceConfig":
+        """The config of a JSON object; raises MalformedInput on a
+        non-object or a field of the wrong type: a mode that is not a
+        string, a size, count or seed that is not an exact int, a rate
+        that is neither int nor float, or a boolean anywhere."""
+        if not isinstance(obj, dict):
+            raise MalformedInput("an instance config must be a JSON object")
+        accepted = {"str": (str,), "int": (int,), "float": (int, float)}
+        for f in fields(cls):
+            if f.name in obj and type(obj[f.name]) not in accepted[f.type]:
+                raise MalformedInput(f"config field {f.name!r} must be of "
+                                     f"type {f.type}, not {obj[f.name]!r}")
         return cls(**{f.name: obj[f.name] for f in fields(cls)
                       if f.name in obj})
 
@@ -390,24 +401,6 @@ def _degree_window(host: Host, partition: ClusterPartition) -> float:
             f"cluster-degree deviation {dev:.1f} exceeds the window "
             f"half-width 4m/K = {4 * m / K:.1f}")
     return 1 - mean / m
-
-
-def trim_instance(host: Host, partition: ClusterPartition,
-                  systems: list) -> Host:
-    """Drop host edges outside G[A] + G[B] (two-cliques) or G[A, B]
-    (bipartite) that no exceptional system covers, so the family is an
-    exact edge-decomposition of the remainder.  Opt-in policy; the
-    pipelines run fine without it."""
-    a = vertex_mask(partition.A, host.n)
-    b = vertex_mask(partition.B, host.n)
-    if partition.mode == MODE_TWO_CLIQUES:
-        keep = np.outer(a, a) | np.outer(b, b)
-    else:
-        keep = np.outer(a, b) | np.outer(b, a)
-    for es in systems:
-        us, vs, _ks = es.graph._key_arrays()
-        keep[us, vs] = keep[vs, us] = True
-    return Host.from_matrix(np.where(keep, host.matrix, np.uint8(0)))
 
 
 # -- certificates ------------------------------------------------------------

@@ -18,7 +18,7 @@ class TestMultigraph:
     def test_sum_multiplicity(self):
         g = Multigraph(2, [(0, 1)])
         h = Multigraph(2, [(0, 1)])
-        assert (g + h).multiplicity(0, 1) == 2
+        assert g + h == Multigraph(2, [(0, 1, 2)])
 
     def test_sum_minus_roundtrip_disjoint_support(self):
         g = Multigraph(4, [(0, 1), (2, 3)])
@@ -28,7 +28,7 @@ class TestMultigraph:
     def test_minus_multiplicity_arithmetic(self):
         g = Multigraph(2, [(0, 1, 2)])
         h = Multigraph(2, [(0, 1)])
-        assert (g - h).multiplicity(0, 1) == 1
+        assert g - h == Multigraph(2, [(0, 1)])
 
     def test_minus_never_below_zero(self):
         g = Multigraph(2, [(0, 1)])
@@ -38,10 +38,6 @@ class TestMultigraph:
     def test_no_loops(self):
         with pytest.raises(MalformedInput):
             Multigraph(3, [(1, 1)])
-
-    def test_json_roundtrip(self):
-        g = Multigraph(5, [(0, 1), (1, 2, 3), (3, 4)])
-        assert Multigraph.from_json_obj(g.to_json_obj()) == g
 
     def test_path_system_detection(self):
         assert Multigraph(5, [(0, 1), (1, 2), (3, 4)]).is_path_system()
@@ -79,10 +75,6 @@ class TestDigraph:
     def test_directed_paths(self):
         d = Digraph(5, [(0, 1), (1, 2), (3, 4)])
         assert d.directed_paths() == [[0, 1, 2], [3, 4]]
-
-    def test_json_roundtrip(self):
-        d = Digraph(4, [(0, 1), (2, 3)])
-        assert Digraph.from_json_obj(d.to_json_obj()) == d
 
 
 class TestVerifyHamiltonCycle:

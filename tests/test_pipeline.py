@@ -17,8 +17,7 @@ from hamdec.errors import (HamiltonSearchExhausted, InvalidParameter,
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
-                             trim_instance, validate_hypotheses,
-                             verify_certificate)
+                             validate_hypotheses, verify_certificate)
 
 
 def _pruned(host, graph):
@@ -112,6 +111,17 @@ class TestGenerator:
         host, P, systems = generate_instance(cfg)
         kinds = sorted(es.kind for es in systems)
         assert kinds.count("HES") == 4 and kinds.count("MES") == 5
+
+    @pytest.mark.parametrize("obj", [
+        [1], {"mode": 1}, {"K": "five"}, {"K": 5.0}, {"m": True},
+        {"seed": False}, {"gamma": "0.15"}, {"rho": None}, {"mu": True}])
+    def test_mistyped_config_rejected(self, obj):
+        with pytest.raises(MalformedInput):
+            InstanceConfig.from_json_obj(obj)
+
+    def test_config_roundtrip(self):
+        cfg = InstanceConfig(mode="bipartite", gamma=1, seed=3)
+        assert InstanceConfig.from_json_obj(cfg.to_json_obj()) == cfg
 
 
 class TestVerifierSoundness:
@@ -225,8 +235,9 @@ def _swap_in_host_non_edge(obj, host, systems):
     the slot's hash consistent so only the edge itself is wrong."""
     slot = obj["slots"][0]
     edges = slot["edges"]
+    in_system = set(systems[0].graph.support())
     j = next(j for j, (u, v) in enumerate(edges)
-             if systems[0].graph.multiplicity(u, v) == 0)
+             if (min(u, v), max(u, v)) not in in_system)
     edges[j] = next([u, v] for u in range(host.n) for v in range(u + 1, host.n)
                     if host.multiplicity(u, v) == 0 and [u, v] not in edges)
     slot["edges_sha256"] = hashlib.sha256(
@@ -399,6 +410,8 @@ def _edit(path, value):
 INSTANCE_EDITS = {
     "partition-vertex-float": _edit(("partition", "A", 0, 0), float),
     "n-float": _edit(("graph", "n"), float),
+    "n-missing": lambda obj: obj["graph"].pop("n"),
+    "config-gamma-string": _edit(("config", "gamma"), str),
     "edge-vertex-half": _edit(("graph", "edges", -1, 0), lambda u: u + 0.5),
     "multiplicity-true": _edit(("graph", "edges", -1, 2), lambda k: True),
     "multiplicity-float": _edit(("graph", "edges", -1, 2), lambda k: 1.5),
@@ -517,20 +530,6 @@ class TestCertificates:
         assert back.to_json() == cert.to_json()
 
 
-class TestTrim:
-    def test_trim_removes_uncovered_cross_edges(self, small_two_cliques):
-        cfg, host, P, systems, cert = small_two_cliques
-        a0 = P.a0[0]
-        host2 = Host(host.n, [*host.edges(), (a0, P.b0[0], 1)])
-        trimmed = trim_instance(host2, P, systems)
-        # the added cross edge is uncovered
-        assert (trimmed.matrix == host.matrix).all()
-
-    def test_trim_keeps_side_edges(self, small_two_cliques):
-        cfg, host, P, systems, cert = small_two_cliques
-        assert (trim_instance(host, P, systems).matrix == host.matrix).all()
-
-
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
         out = []
@@ -609,10 +608,33 @@ class TestCli:
     def test_export_dot(self, tmp_path):
         inst = tmp_path / "inst.json"
         dot = tmp_path / "g.dot"
-        cli_main(["gen", "--mode", "two-cliques", "--seed", "1",
-                  "--out", str(inst)])
+        assert cli_main(["gen", "--seed", "4", "--out", str(inst)]) == 0
         assert cli_main(["export-dot", str(inst), "--out", str(dot)]) == 0
-        assert dot.read_text().startswith("graph")
+        # one "u -- v;" line per unit of multiplicity of the host
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == \
+            "166cec0b8ca5dd5358f6fc2452f42f1040c6c108c822e4f263438ad7efe11833"
+
+    @pytest.mark.parametrize("name", ["partition-vertex-float",
+                                      "edge-vertex-half", "n-missing"])
+    def test_export_dot_rejects_a_malformed_instance(self, name, seed4_files,
+                                                     tmp_path, capsys):
+        inst, _obj, _ = seed4_files
+        obj = json.loads(inst.read_text())
+        INSTANCE_EDITS[name](obj)
+        bad, dot = tmp_path / "inst.json", tmp_path / "g.dot"
+        bad.write_text(json.dumps(obj))
+        assert cli_main(["export-dot", str(bad), "--out", str(dot)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not dot.exists()
+
+    @pytest.mark.parametrize("text", ['{"K": ', '{"K": "five"}'])
+    def test_gen_rejects_a_malformed_config(self, text, tmp_path, capsys):
+        params, inst = tmp_path / "p.json", tmp_path / "inst.json"
+        params.write_text(text)
+        assert cli_main(["gen", "--params", str(params), "--out",
+                         str(inst)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not inst.exists()
 
     def test_import_loads_no_scipy(self):
         # only the flow extraction needs scipy, and `hamdec verify` runs
@@ -801,6 +823,26 @@ class TestInstanceBinding:
                 host, P, systems, DecompositionCertificate.from_json_obj(obj))
             assert report["global"]["instance_match"] is False
             assert not report["global"]["all_ok"]
+
+
+class TestOneWalkPerSystem:
+    def test_generate_and_decompose_walk_each_system_once(self,
+                                                          monkeypatch):
+        # validation walks J once and keeps its paths; the AB-path count,
+        # J*_AB and the instance digest read them
+        calls = []
+        walk = Multigraph._walk_paths
+        monkeypatch.setattr(Multigraph, "_walk_paths",
+                            lambda g: calls.append(g) or walk(g))
+        cfg = InstanceConfig(mode="two-cliques", K=3, m=24, a0_size=2,
+                             b0_size=2, eps0=0.03, mu=0.0, rho=0.1,
+                             gamma=0.18, hes_count=4, mes_count=5, seed=3)
+        host, P, systems = generate_instance(cfg)
+        assert len(calls) == len(systems)
+        cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                            cfg.rho, cfg.gamma, seed=3)
+        assert cert.global_report["all_ok"]
+        assert len(calls) == len(systems)
 
 
 class TestHypothesisBound:
