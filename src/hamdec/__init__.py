@@ -26,8 +26,7 @@ from .cyclic import (CyclicSystem, SuperregularityReport,
 from .extension import (BalancedExtension, balance_extend_bipartite,
                         balance_extend_cliques, validate_balanced_extension)
 from .assembly import (assemble_slice, extend_to_one_factors,
-                       find_ordered_hamilton, merge_to_hamilton,
-                       reorder_for_consistency)
+                       merge_to_hamilton, reorder_for_consistency)
 from .pipeline import (DecompositionCertificate, InstanceConfig,
                        approx_decompose_bipartite,
                        approx_decompose_two_cliques, generate_instance,
@@ -46,7 +45,7 @@ __all__ = [
     "bipartite_hamilton_decompose", "build_fictive_bipartite",
     "build_fictive_two_cliques", "check_robust_outexpander",
     "check_superregular", "cycle_to_perfect_matchings", "errors",
-    "extend_to_one_factors", "find_ordered_hamilton", "generate_instance",
+    "extend_to_one_factors", "generate_instance",
     "induce_jab", "is_consistent_with", "is_locally_balanced",
     "merge_to_hamilton", "pair_matrix", "regular_bipartite_to_matchings",
     "regular_spanning_subgraph", "reorder_for_consistency", "reserve_regular",

@@ -1,8 +1,12 @@
 """Turn balanced extensions into Hamilton cycles inside a cyclic system:
-1-factor completion, cycle merging through reserved superregular pairs,
-waypoint reordering, and the per-slice pipeline.
+1-factor completion, cycle merging and waypoint reordering by small
+moves on the reservoir arcs of one superregular pair, and the per-slice
+pipeline.
 
-Every operation re-verifies its own output structurally before returning
+After the 1-factor completion every vertex of V^1 has its successor in
+V^2, and every move keeps it so: it only gives V^1 vertices new
+successors in V^2, so the paths of the slot's sequence stay whole.  Every
+operation re-verifies its own output structurally before returning
 (1-regularity, Hamiltonicity, waypoint order, containment); nothing
 trusts its own construction.
 """
@@ -120,132 +124,6 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
     return factors
 
 
-# -- ordered Hamilton cycle search -------------------------------------------
-
-
-DEFAULT_RESTARTS = 80
-WAYPOINT_FRACTION = 0.5
-
-
-def find_ordered_hamilton(arcs: set[tuple[int, int]], waypoints: list[int],
-                          vertices, restarts: int = DEFAULT_RESTARTS,
-                          rng: random.Random | None = None) -> list[int]:
-    """A directed Hamilton cycle on ``vertices`` using only ``arcs``
-    (a set of pairs) and visiting ``waypoints`` in cyclic order, as its
-    vertex sequence; found by randomized greedy insertion plus local
-    reinsertion search with restarts.  The output is always verified
-    (every step an arc, every vertex once, waypoint order) before
-    returning; a correct answer never depends on the heuristic.
-    """
-    rng = rng or random.Random(0)
-    verts = sorted(vertices)
-    nv = len(verts)
-    if nv < 2:
-        raise HamiltonSearchExhausted("fewer than two vertices", restarts=0)
-    if len(set(waypoints)) != len(waypoints) or \
-            not set(waypoints) <= set(verts):
-        raise MalformedInput("waypoints must be distinct vertices")
-    if len(waypoints) > max(1, WAYPOINT_FRACTION * nv):
-        raise MalformedInput(
-            f"{len(waypoints)} waypoints exceed the supported fraction "
-            f"{WAYPOINT_FRACTION} of {nv} vertices")
-    others = [v for v in verts if v not in set(waypoints)]
-    moves_budget = 30 * nv
-
-    for attempt in range(restarts):
-        seq = _greedy_insertion(arcs, list(waypoints), others, rng)
-        seq = _local_search(arcs, seq, set(waypoints), moves_budget, rng)
-        if seq is not None and sorted(seq) == verts and \
-                all((seq[i - 1], seq[i]) in arcs for i in range(nv)) and \
-                visits_in_order(seq, waypoints):
-            return seq
-    raise HamiltonSearchExhausted(
-        f"no ordered Hamilton cycle found on {nv} vertices with "
-        f"{len(waypoints)} waypoints", restarts=restarts)
-
-
-def _greedy_insertion(arcset, waypoints: list[int], others: list[int],
-                      rng: random.Random) -> list[int]:
-    seq = list(waypoints)
-    if not seq:
-        seq = [others[rng.randrange(len(others))]]
-        others = [v for v in others if v != seq[0]]
-    else:
-        others = list(others)
-    rng.shuffle(others)
-    for v in others:
-        best_cost, best_pos = None, 0
-        ln = len(seq)
-        for i in range(ln):
-            a, b = seq[i], seq[(i + 1) % ln]
-            old = 0 if (a, b) in arcset else 1
-            new = (0 if (a, v) in arcset else 1) + \
-                  (0 if (v, b) in arcset else 1)
-            delta = new - old
-            if best_cost is None or delta < best_cost:
-                best_cost, best_pos = delta, i + 1
-        seq.insert(best_pos, v)
-    return seq
-
-
-def _local_search(arcset, seq: list[int], waypoint_set: set[int],
-                  budget: int, rng: random.Random) -> list[int] | None:
-    nv = len(seq)
-
-    def pair_cost(a, b):
-        return 0 if (a, b) in arcset else 1
-
-    def total_cost(s):
-        return sum(pair_cost(s[i], s[(i + 1) % nv]) for i in range(nv))
-
-    cost = total_cost(seq)
-    stall = 0
-    for _ in range(budget):
-        if cost == 0:
-            return seq
-        # pick a vertex adjacent to a breakpoint if possible
-        breakpoints = [i for i in range(nv)
-                       if pair_cost(seq[i], seq[(i + 1) % nv])]
-        cands = []
-        for i in breakpoints:
-            for j in (i, (i + 1) % nv):
-                if seq[j] not in waypoint_set:
-                    cands.append(j)
-        if not cands:
-            movable = [i for i in range(nv) if seq[i] not in waypoint_set]
-            if not movable:
-                return None
-            cands = movable
-        j = cands[rng.randrange(len(cands))]
-        v = seq[j]
-        prev_i, next_i = (j - 1) % nv, (j + 1) % nv
-        removed_delta = (pair_cost(seq[prev_i], seq[next_i])
-                         - pair_cost(seq[prev_i], v)
-                         - pair_cost(v, seq[next_i]))
-        work = seq[:j] + seq[j + 1:]
-        ln = len(work)
-        best_delta, best_positions = None, []
-        for i in range(ln):
-            a, b = work[i], work[(i + 1) % ln]
-            delta = (pair_cost(a, v) + pair_cost(v, b) - pair_cost(a, b))
-            if best_delta is None or delta < best_delta:
-                best_delta, best_positions = delta, [i + 1]
-            elif delta == best_delta:
-                best_positions.append(i + 1)
-        change = removed_delta + best_delta
-        if change <= 0:
-            pos = best_positions[rng.randrange(len(best_positions))]
-            work.insert(pos, v)
-            seq = work
-            cost += change
-            stall = stall + 1 if change == 0 else 0
-        else:
-            stall += 1
-        if stall > 6 * nv:
-            return None  # plateau; let the caller restart
-    return seq if cost == 0 else None
-
-
 # -- the reservoir ledger -------------------------------------------------
 
 
@@ -253,7 +131,7 @@ class ReservoirLedger:
     """The reservoir arcs of a slice that no slot has used yet: one boolean
     block per cluster-cycle edge, aligned with ``CyclicSystem.pairs``
     (rows the tail cluster, columns the head cluster, each in cluster
-    order).  Switch candidates and auxiliary digraphs are slices of a
+    order).  The candidates of every merge and reorder move are slices of a
     block; taking an arc clears its entry and giving it back sets it."""
 
     def __init__(self, system: CyclicSystem, blocks: list[np.ndarray]):
@@ -287,7 +165,7 @@ class ReservoirLedger:
                 self.pos[u], self.pos[v]] = unused
 
 
-# -- merging by 2-switches, reordering via the auxiliary digraph --------------
+# -- merging and reordering by reservoir moves ---------------------------
 
 
 @dataclass
@@ -297,65 +175,6 @@ class PairSpec:
     cluster_index: int
     v1: tuple[int, ...]
     v2: tuple[int, ...]
-
-
-def _replace_pair_matching(succ: list[int], spec: PairSpec,
-                           ledger: ReservoirLedger, waypoints: list[int],
-                           rng: random.Random
-                           ) -> tuple[list[int], list[tuple[int, int]]]:
-    """Replace the perfect matching F[V^1, V^2] of the 1-factor ``succ``
-    with unused reservoir arcs of ``ledger`` so that all paths through
-    the pair close into a single cycle, visiting the paths ending at
-    ``waypoints`` (subset of V^1) in order.  Returns the new successor
-    array and the arcs taken, which ``ledger`` marks used.
-
-    Built on the auxiliary digraph whose vertices are V^2: identify each
-    path (from y in V^2 to x in V^1, after deleting the pair matching)
-    with its start y, and put an arc y -> y' when the reservoir joins x
-    to y'.  A Hamilton cycle there is exactly a valid replacement
-    matching.
-    """
-    v1, v2 = set(spec.v1), set(spec.v2)
-    for x in v1:
-        if succ[x] not in v2:
-            raise MalformedInput(
-                f"F[V1,V2] at cluster {spec.cluster_index} is not a perfect "
-                f"matching (vertex {x})")
-    if len({succ[x] for x in v1}) != len(v2):
-        raise MalformedInput(
-            f"F[V1,V2] at cluster {spec.cluster_index} is not a perfect "
-            f"matching (heads not exactly V^2)")
-    # f(x): walk backwards from x in V^1 to the first vertex in V^2.
-    # Every V^2 vertex has its in-arc inside the pair matching, so the
-    # first V^2 vertex met is exactly the start of the path ending at x.
-    pred = [-1] * len(succ)
-    for v, w in enumerate(succ):
-        if w >= 0:
-            pred[w] = v
-    start_of: dict[int, int] = {}
-    for x in v1:
-        cur = pred[x]
-        while cur not in v2:
-            cur = pred[cur]
-        start_of[x] = cur
-    # the auxiliary digraph is the pair's block, rows V^1, columns V^2
-    pos = ledger.pos
-    sub = ledger.block(spec.cluster_index)[pos[list(spec.v1)]][
-        :, pos[list(spec.v2)]]
-    rows, cols = np.nonzero(sub)
-    aux = {(start_of[spec.v1[i]], spec.v2[j])
-           for i, j in zip(rows.tolist(), cols.tolist())}
-    aux -= {(y, y) for y in spec.v2}
-    aux_waypoints = [start_of[x] for x in waypoints]
-    seq = find_ordered_hamilton(aux, aux_waypoints, v2, rng=rng)
-    # translate the auxiliary cycle back into a replacement matching
-    inv_start = {y: x for x, y in start_of.items()}
-    new_arcs = [(inv_start[y], y2) for y, y2 in zip(seq, seq[1:] + seq[:1])]
-    out = list(succ)
-    for (x, y2) in new_arcs:
-        out[x] = y2
-    ledger.mark(new_arcs, False)
-    return out, new_arcs
 
 
 def _cycles(succ: list[int], verts: list[int]) -> list[list[int]] | None:
@@ -392,10 +211,22 @@ def _cycle_labels(cycles: list[list[int]], n: int) -> np.ndarray:
     return label
 
 
-def _switch(succ: list[int], x1: int, x2: int) -> None:
-    """Swap the successors of x1 and x2; on two different cycles this
-    joins them into one."""
-    succ[x1], succ[x2] = succ[x2], succ[x1]
+def _arc_matrix(succ: list[int], xs, ledger: ReservoirLedger,
+                ci: int) -> np.ndarray:
+    """w[i, j]: the arc xs[i] -> succ(xs[j]) is unused, for vertices
+    ``xs`` of the tail cluster ``ci`` (a copy of part of its block)."""
+    heads = ledger.pos[[succ[x] for x in xs]]
+    return ledger.block(ci)[ledger.pos[xs]][:, heads]
+
+
+def _apply(succ: list[int], ledger: ReservoirLedger,
+           arcs: list[tuple[int, int]], taken: list) -> None:
+    """Make the move ``arcs`` (each replaces its tail's out-arc) and take
+    them from ``ledger``; ``_settle`` gives back those a later move drops."""
+    for (u, v) in arcs:
+        succ[u] = v
+    ledger.mark(arcs, False)
+    taken.extend(arcs)
 
 
 def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
@@ -410,9 +241,7 @@ def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
     lab = label[v1]
     if lab.size < 2 or (lab == lab[0]).all():
         return []
-    # b[i, j]: the arc v1[i] -> succ(v1[j]) is unused
-    heads = ledger.pos[[succ[x] for x in v1.tolist()]]
-    b = ledger.block(ci)[ledger.pos[v1]][:, heads]
+    b = _arc_matrix(succ, v1.tolist(), ledger, ci)
     taken: list[tuple[int, int]] = []
     while cycles_left > 1:
         # symmetric, so every switch is drawn as (i, j) or (j, i)
@@ -421,10 +250,7 @@ def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
             break
         i, j = divmod(int(flat[rng.randrange(flat.size)]), len(v1))
         x1, x2 = int(v1[i]), int(v1[j])
-        arcs = [(x1, succ[x2]), (x2, succ[x1])]
-        _switch(succ, x1, x2)
-        ledger.mark(arcs, False)
-        taken.extend(arcs)
+        _apply(succ, ledger, [(x1, succ[x2]), (x2, succ[x1])], taken)
         # the successors swap columns; the arcs taken sit on the diagonal
         b[:, [i, j]] = b[:, [j, i]]
         b[i, i] = b[j, j] = False
@@ -433,6 +259,36 @@ def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
         lab[lab == old] = lab[i]
         cycles_left -= 1
     return taken
+
+
+def _join_at(succ: list[int], v1: np.ndarray, ledger: ReservoirLedger,
+             ci: int, rng: random.Random) -> list[tuple[int, int]] | None:
+    """The arcs of a 4-arc join at the pair leaving cluster ``ci``, or
+    None: x1 in V^1 ``v1`` on one cycle and x2, b, q in V^1 in that cyclic
+    order on another, with x2 -> succ(x1), x1 -> succ(b), q -> succ(x2)
+    and b -> succ(q) all unused.  It is the 2-switch of x1 and x2 followed
+    by the block move of x1, b, q, which drops x1 -> succ(x2)."""
+    w = _arc_matrix(succ, v1.tolist(), ledger, ci)
+    at = {int(x): i for i, x in enumerate(v1)}
+    for cyc in _cycles(succ, _support(succ)):
+        ys = [at[y] for y in cyc if y in at]
+        xs = np.setdiff1d(np.arange(len(v1)), ys)
+        to_x, from_x = w[np.ix_(ys, xs)], w[np.ix_(xs, ys)]
+        on = w[np.ix_(ys, ys)]
+        for t in range(len(ys)):
+            # [i, j]: x2 = ys[t], then b = ys[i], then q = ys[j]
+            ahead = (np.arange(len(ys)) - t) % len(ys)
+            flat = np.flatnonzero(
+                (to_x[t][:, None] & from_x).any(0)[:, None] & on & on[:, t]
+                & (ahead > 0)[:, None] & (ahead[:, None] < ahead))
+            if flat.size:
+                i, j = divmod(int(flat[rng.randrange(flat.size)]), len(ys))
+                x1s = xs[np.flatnonzero(to_x[t] & from_x[:, i])]
+                x1 = int(v1[x1s[rng.randrange(x1s.size)]])
+                x2, b, q = (int(v1[ys[k]]) for k in (t, i, j))
+                return [(x2, succ[x1]), (x1, succ[b]), (q, succ[x2]),
+                        (b, succ[q])]
+    return None
 
 
 def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
@@ -449,12 +305,12 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
     of x1, x2 in V^1 on different cycles whose arcs x1 -> succ(x2) and
     x2 -> succ(x1) are both unused, joining two cycles with two arcs.
     Passes over the pairs repeat while one joins anything.  When no
-    2-switch is left, the whole matching F[V^1, V^2] at the first pair
-    two cycles meet is replaced through the auxiliary digraph.  A
-    reservoir arc that a later switch or replacement drops goes back to
-    the ledger.  A cycle that meets no listed V^1 breaks the
-    precondition (MalformedInput); cycles left after all that raise
-    HamiltonSearchExhausted.
+    2-switch is left, one 4-arc join (``_join_at``) at the first pair
+    that has one joins two cycles, and the passes resume.  A reservoir
+    arc that a later move drops goes back to the ledger.  A cycle that
+    meets no listed V^1 breaks the precondition (MalformedInput); when
+    neither move is left, HamiltonSearchExhausted names the pair, the
+    cycles left and the unused arcs of its block.
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
@@ -473,14 +329,6 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
     current = list(succ)
     taken: list[tuple[int, int]] = []
     count = len(cycles)
-
-    def exhausted(spec: PairSpec, why: str) -> HamiltonSearchExhausted:
-        ci = spec.cluster_index
-        return HamiltonSearchExhausted(
-            f"{count} cycles left at pair ({ci},{ledger.head[ci]}), "
-            f"{int(ledger.block(ci).sum())} unused reservoir arcs in its "
-            f"block: {why}")
-
     while count > 1:
         joined = 0
         for spec, v1 in zip(pairs, v1s):
@@ -491,24 +339,22 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
             joined += len(new_arcs)
         if joined:
             continue
-        # no 2-switch left: replace the whole matching at the first pair
-        # that two cycles meet
-        spec = next((sp for sp, v1 in zip(pairs, v1s)
-                     if len(set(label[v1].tolist())) > 1), None)
-        if spec is None:
-            raise exhausted(pairs[0], "no listed pair meets two of them")
-        try:
-            current, new_arcs = _replace_pair_matching(current, spec, ledger,
-                                                       [], rng)
-        except HamiltonSearchExhausted as e:
-            raise exhausted(spec, str(e)) from None
-        taken.extend(new_arcs)
-        cycles = _cycles(current, verts)
-        if cycles is None or len(cycles) >= count:
-            raise AssemblyVerificationFailed(
-                "merged factor failed verification")
-        label = _cycle_labels(cycles, len(succ))
-        count = len(cycles)
+        for spec, v1 in zip(pairs, v1s):
+            arcs = _join_at(current, v1, ledger, spec.cluster_index, rng)
+            if arcs:
+                break
+        else:
+            spec = next((sp for sp, v1 in zip(pairs, v1s)
+                         if len(set(label[v1].tolist())) > 1), pairs[0])
+            ci = spec.cluster_index
+            raise HamiltonSearchExhausted(
+                f"{count} cycles left at pair ({ci},{ledger.head[ci]}), "
+                f"{int(ledger.block(ci).sum())} unused reservoir arcs in its "
+                f"block: no 2-switch or 4-arc join left")
+        (x2, _), (x1, _) = arcs[:2]
+        label[label == label[x1]] = label[x2]
+        _apply(current, ledger, arcs, taken)
+        count -= 1
     cycles = _cycles(current, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("merged factor failed verification")
@@ -523,17 +369,67 @@ def _settle(ledger: ReservoirLedger, taken: list[tuple[int, int]],
     return [(u, v) for (u, v) in taken if succ[u] == v]
 
 
+def _waypoint_move(succ: list[int], seq: list[int], active: list[int],
+                   ledger: ReservoirLedger, ci: int, rng: random.Random
+                   ) -> tuple[int, int, int] | None:
+    """The cuts p, b, q of a block move towards visiting ``active`` in
+    order, or None.  ``seq`` holds the V^1 vertices of the cycle ``succ``
+    in cycle order from ``active[0]``, and ``active[:-1]`` is in order.
+
+    The waypoints cut ``seq`` into gaps, each from a waypoint up to the
+    next.  A fixing move cuts once in the gap before w = ``active[-1]``,
+    once in w's own and once in that of the waypoint w must follow.  When
+    no fixing move is unused, mostly because one of those gaps is a single
+    vertex, a neutral move keeps the waypoints' cyclic order: it moves a
+    waypoint-free stretch to just after the owner of the smallest of the
+    three gaps if it can, else after any waypoint.  Each kind is drawn
+    uniformly with ``rng``."""
+    n = len(seq)
+    at = {x: i for i, x in enumerate(seq)}
+    bounds = sorted(at[x] for x in active) + [n]
+    sizes = np.diff(bounds)
+    gap = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    g2 = bounds.index(at[active[-1]])
+    gaps = (g2 - 1, g2, int(gap[at[active[-2]]]))
+    w = _arc_matrix(succ, seq, ledger, ci)
+    ps, bs, qs = (np.arange(bounds[g], bounds[g + 1]) for g in gaps)
+    fix = (w[np.ix_(ps, bs)][:, :, None] & w[np.ix_(qs, ps)].T[:, None, :]
+           & w[np.ix_(bs, qs)][None])
+    flat = np.flatnonzero(fix)
+    if flat.size:
+        i, j, k = np.unravel_index(flat[rng.randrange(flat.size)], fix.shape)
+        return seq[ps[i]], seq[bs[j]], seq[qs[k]]
+    idx = np.arange(n)
+    stretch = (gap[:, None] == gap) & (idx[:, None] < idx) & w
+    small = min(sizes[g] for g in gaps)
+    for ws in ([bounds[g] for g in gaps if sizes[g] == small], bounds[:-1]):
+        neutral = stretch[None] & w[ws][:, :, None] & w[:, ws].T[:, None, :]
+        flat = np.flatnonzero(neutral)
+        if flat.size:
+            k, i, j = np.unravel_index(flat[rng.randrange(flat.size)],
+                                       neutral.shape)
+            return seq[i], seq[j], seq[ws[k]]
+    return None
+
+
 def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
                             spec: PairSpec, waypoints: list[int],
                             rng: random.Random | None = None
                             ) -> tuple[list[int], list[tuple[int, int]]]:
     """A Hamilton cycle on the same vertices as the cycle ``succ``,
-    visiting ``waypoints`` in cyclic order and differing from the input
-    only inside the given pair; the reservoir arcs it takes are marked
-    used in ``ledger``.
+    visiting ``waypoints`` (in V^1 of ``spec``) in cyclic order and
+    differing from the input only in out-arcs of V^1; returns (cycle,
+    reservoir arcs on it that the input lacks), and those arcs are marked
+    used in ``ledger``, which must hold no arc of ``succ``.
 
-    If the input already visits the waypoints in order it is returned
-    unchanged (consuming no reservoir arcs).
+    A block move cuts the out-arcs of p, b, q in V^1, in cyclic order, and
+    adds p -> succ(b), q -> succ(p) and b -> succ(q): it moves the stretch
+    succ(p)..b to just after q, the direction-preserving segment insertion
+    of 3-opt.  Block moves (``_waypoint_move``) put ``waypoints[:j + 1]``
+    in order for j = 2, 3, ..., so k waypoints need at most k - 2 fixing
+    moves.  An input that visits the waypoints in order is returned
+    unchanged.  HamiltonSearchExhausted when no move is left, or when
+    |V^1| moves have not put a waypoint in place.
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
@@ -542,17 +438,39 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
         raise MalformedInput("reorder requires a Hamilton cycle")
     if not set(waypoints) <= set(spec.v1):
         raise MalformedInput("waypoints must lie inside V^1 of the pair")
-    # any rotation realizes the cyclic order of at most two waypoints
-    if len(waypoints) <= 2 or visits_in_order(cycles[0], waypoints):
+    if sorted(succ[x] for x in spec.v1) != sorted(spec.v2):
+        raise MalformedInput(
+            f"F[V1,V2] at cluster {spec.cluster_index} is not a perfect "
+            f"matching")
+    ci, v1 = spec.cluster_index, set(spec.v1)
+    out = list(succ)
+    taken: list[tuple[int, int]] = []
+    for j in range(2, len(waypoints)):
+        for moves in range(len(v1) + 1):
+            seq = [v for v in _cycles(out, verts)[0] if v in v1]
+            k = seq.index(waypoints[0])
+            seq = seq[k:] + seq[:k]
+            if visits_in_order(seq, waypoints[:j + 1]):
+                break
+            cut = moves < len(v1) and _waypoint_move(
+                out, seq, waypoints[:j + 1], ledger, ci, rng)
+            if not cut:
+                raise HamiltonSearchExhausted(
+                    f"no block move puts waypoint {waypoints[j]} in order "
+                    f"at pair ({ci},{ledger.head[ci]}), "
+                    f"{int(ledger.block(ci).sum())} unused reservoir arcs "
+                    f"in its block")
+            p, b, q = cut
+            _apply(out, ledger, [(p, out[b]), (q, out[p]), (b, out[q])],
+                   taken)
+    if not taken:
         return succ, []
-    out, new_arcs = _replace_pair_matching(succ, spec, ledger,
-                                           list(waypoints), rng)
     cycles = _cycles(out, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("reordered cycle failed verification")
     if not visits_in_order(cycles[0], waypoints):
         raise AssemblyVerificationFailed("reordered cycle ignores waypoints")
-    return out, new_arcs
+    return out, _settle(ledger, taken, out)
 
 
 # -- the per-slice pipeline ----------------------------------------------
@@ -606,15 +524,14 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         # reorder at the extension cluster
         ext_spec = next(sp for sp in specs if sp.cluster_index == i_s) \
             if any(sp.cluster_index == i_s for sp in specs) else specs[0]
-        xs = _final_waypoints(ps, matching, i_s, qp)
+        xs = _final_waypoints(ps, matching)
         try:
             merged, used1 = merge_to_hamilton(factors[s], unused, specs,
                                               rng=rng)
             final, used2 = reorder_for_consistency(merged, unused, ext_spec,
                                                    xs, rng=rng)
         except HamiltonSearchExhausted as e:
-            raise HamiltonSearchExhausted(f"slot {s}: {e}",
-                                          restarts=e.restarts) from None
+            raise HamiltonSearchExhausted(f"slot {s}: {e}") from None
         used = _settle(unused, used1, final) + used2
         # full verification of the slot output
         if any(final[u] != v for (u, v) in ps._arcs):
@@ -669,22 +586,24 @@ def _pair_order(touched: list[int], i_s: int, system: CyclicSystem,
     return ordered
 
 
-def _final_waypoints(ps: Digraph, matching: OrderedDirectedMatching,
-                     i_s: int, qp) -> list[int]:
+def _final_waypoints(ps: Digraph, matching: OrderedDirectedMatching
+                     ) -> list[int]:
     """Final vertices of the paths containing the matching arcs, in
-    matching order; these drive the consistency reordering."""
-    if not matching.arcs:
-        return []
-    paths = ps.directed_paths()
-    arc_to_end: dict[tuple[int, int], int] = {}
-    for path in paths:
-        for t in range(len(path) - 1):
-            arc_to_end[(path[t], path[t + 1])] = path[-1]
+    matching order; these drive the consistency reordering.  Each is
+    found by following the sequence's out-arcs from the matching arc's
+    head, for at most as many steps as the sequence has arcs."""
+    nxt = dict(ps._arcs)  # a path sequence has out-degree at most 1
     xs = []
-    for arc in matching.arcs:
-        end = arc_to_end.get(arc)
-        if end is None:
-            raise MalformedInput(f"matching arc {arc} missing from its "
+    for (u, v) in matching.arcs:
+        if nxt.get(u) != v:
+            raise MalformedInput(f"matching arc {(u, v)} missing from its "
                                  "path sequence")
-        xs.append(end)
+        for _ in range(len(nxt)):
+            if v not in nxt:
+                break
+            v = nxt[v]
+        else:
+            raise MalformedInput(f"matching arc {(u, nxt[u])} lies on a "
+                                 "cycle of its path sequence")
+        xs.append(v)
     return xs

@@ -15,7 +15,7 @@ from itertools import chain
 
 from . import pipeline
 from .core import ClusterPartition, Host, canonical_json
-from .errors import HamdecError, MalformedInput
+from .errors import HamdecError, InvalidParameter, MalformedInput
 from .pipeline import (MODES, DecompositionCertificate, InstanceConfig,
                        MODE_BIPARTITE, MODE_TWO_CLIQUES, generate_instance,
                        verify_certificate)
@@ -32,19 +32,27 @@ def _require_ints(values, what: str) -> None:
                              f"an int")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file ``path``; raises MalformedInput when the
+    file cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read the {what} file: {exc}") from None
+    except ValueError as exc:
+        raise MalformedInput(f"{what} file is not JSON: {exc}") from None
+
+
 def _load_instance(path: str):
     """(config, host, partition, systems) of an instance file; raises
-    MalformedInput when the file is not JSON, not an object, lacks one of
-    INSTANCE_KEYS or holds a part that cannot be read: among them a
-    vertex count, vertex id or multiplicity that is not an exact int, a
-    multiplicity outside 1..255, and a partition whose vertices are not
-    exactly the host's 0..n-1 (checked before the n x n host matrix is
-    allocated)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise MalformedInput(f"instance file is not JSON: {exc}") from None
+    MalformedInput when the file cannot be read, is not JSON, is not an
+    object, lacks one of INSTANCE_KEYS or holds a part that cannot be
+    read: among them a vertex count, vertex id or multiplicity that is not
+    an exact int, a multiplicity outside 1..255, and a partition whose
+    vertices are not exactly the host's 0..n-1 (checked before the n x n
+    host matrix is allocated)."""
+    obj = _read_json(path, "instance")
     if not isinstance(obj, dict):
         raise MalformedInput("an instance must be a JSON object")
     for key in INSTANCE_KEYS:
@@ -100,20 +108,17 @@ def _decomposer(mode: str):
 
 def _effective_seed(args) -> int:
     env = os.environ.get("HAMDEC_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        return args.seed if env is None else int(env)
+    except ValueError:
+        raise InvalidParameter(
+            f"HAMDEC_SEED must be an integer, not {env!r}") from None
 
 
 def cmd_gen(args) -> int:
     seed = _effective_seed(args)
     if args.params:
-        with open(args.params) as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:
-                raise MalformedInput(f"config is not JSON: {exc}") from None
-        cfg = InstanceConfig.from_json_obj(obj)
+        cfg = InstanceConfig.from_json_obj(_read_json(args.params, "config"))
         cfg.seed = seed
     elif args.mode == MODE_BIPARTITE:
         cfg = InstanceConfig.bipartite_default(seed=seed)
@@ -148,10 +153,10 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg, host, partition, systems = _load_instance(args.instance)
-        with open(args.certificate) as fh:
-            cert = DecompositionCertificate.from_json_obj(json.load(fh))
+        cert = DecompositionCertificate.from_json_obj(
+            _read_json(args.certificate, "certificate"))
         report = verify_certificate(host, partition, systems, cert)
-    except (MalformedInput, json.JSONDecodeError) as exc:
+    except MalformedInput as exc:
         print(canonical_json({"all_ok": False, "malformed": str(exc)}))
         print(f"input unreadable: {exc}", file=sys.stderr)
         return 1

@@ -76,14 +76,10 @@ class MatchingInfeasible(HamdecError):
 
 
 class HamiltonSearchExhausted(HamdecError):
-    """The ordered Hamilton cycle search ran out of budget.
-
-    ``restarts`` records how many restarts were attempted.
-    """
-
-    def __init__(self, msg: str, restarts: int = 0):
-        super().__init__(msg)
-        self.restarts = restarts
+    """No reservoir move is left: the cycle merge found neither a 2-switch
+    nor a 4-arc join, or the waypoint reorder no block move.  The message
+    names the pair, and the slice assembly adds the slot; the pipeline
+    retries the slice with a fresh reservoir."""
 
 
 class AssemblyVerificationFailed(HamdecError):

@@ -1,15 +1,17 @@
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamdec import assembly
 from hamdec.assembly import (PairSpec, ReservoirLedger, assemble_slice,
-                             extend_to_one_factors, find_ordered_hamilton,
-                             merge_to_hamilton, reorder_for_consistency)
+                             extend_to_one_factors, merge_to_hamilton,
+                             reorder_for_consistency)
 from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_consistent_with,
-                         verify_hamilton_cycle)
+                         verify_hamilton_cycle, visits_in_order)
 from hamdec.cyclic import CyclicSystem, reserve_regular
 from hamdec.errors import (AssemblyVerificationFailed,
                            HamiltonSearchExhausted, MalformedInput)
@@ -97,56 +99,6 @@ class TestExtendToOneFactors:
         assert is_permutation(f)
 
 
-class TestFindOrderedHamilton:
-    def test_complete_digraph_with_waypoints(self):
-        n = 8
-        arcs = {(u, v) for u in range(n) for v in range(n) if u != v}
-        seq = find_ordered_hamilton(arcs, [3, 5, 1], range(n),
-                                    rng=random.Random(0))
-        cyc = cycle_succ(seq, n)
-        assert verify_hamilton_cycle(as_digraph(cyc), set(range(n)))
-        order = []
-        cur = 3
-        for _ in range(n):
-            order.append(cur)
-            cur = cyc[cur]
-        assert order.index(5) < order.index(1)
-
-    def test_dense_random_no_waypoints(self):
-        n = 30
-        rng = random.Random(2)
-        arcs = {(u, v) for u in range(n) for v in range(n)
-                if u != v and rng.random() < 0.75}
-        seq = find_ordered_hamilton(arcs, [], range(n), rng=random.Random(3))
-        assert verify_hamilton_cycle(as_digraph(cycle_succ(seq, n)),
-                                     set(range(n)))
-        assert all((seq[i - 1], seq[i]) in arcs for i in range(n))
-
-    def test_path_has_no_hamilton_cycle(self):
-        arcs = {(0, 1), (1, 2), (2, 3), (3, 4)}
-        with pytest.raises(HamiltonSearchExhausted) as exc:
-            find_ordered_hamilton(arcs, [], range(5), restarts=5,
-                                  rng=random.Random(0))
-        assert exc.value.restarts == 5
-
-    def test_output_arcs_are_checked(self, monkeypatch):
-        # with a search that returns its greedy start unchanged, two
-        # disjoint triangles give sequences with non-arcs; none may pass
-        monkeypatch.setattr(assembly, "_local_search",
-                            lambda arcset, seq, wps, budget, rng: seq)
-        arcs = {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}
-        with pytest.raises(HamiltonSearchExhausted):
-            find_ordered_hamilton(arcs, [], range(6), restarts=5,
-                                  rng=random.Random(0))
-
-    def test_waypoint_fraction_guard(self):
-        n = 10
-        arcs = {(u, v) for u in range(n) for v in range(n) if u != v}
-        with pytest.raises(MalformedInput):
-            find_ordered_hamilton(arcs, [0, 1, 2, 3, 4, 5], range(n),
-                                  rng=random.Random(0))
-
-
 class TestMergeAndReorder:
     # the two clusters V_0 = 0..5 and V_1 = 6..11 of a 2-cluster cycle
     system, _clusters = blowup_system(2, 6)
@@ -185,10 +137,11 @@ class TestMergeAndReorder:
         f = succ_of(2 * m, arcs)
         reservoir = {(u, v) for u in clusters[0] for v in clusters[1]
                      if f[u] != v}
-        switches = []
-        switch = assembly._switch
-        monkeypatch.setattr(assembly, "_switch", lambda succ, x1, x2: (
-            switches.append((x1, x2)), switch(succ, x1, x2)))
+        moves = []
+        apply = assembly._apply
+        monkeypatch.setattr(assembly, "_apply", lambda succ, ledger, arcs,
+                            taken: (moves.append(arcs),
+                                    apply(succ, ledger, arcs, taken)))
         unused = ledger_of(system, reservoir)
         spec = PairSpec(cluster_index=0, v1=clusters[0], v2=clusters[1])
         merged, used = merge_to_hamilton(f, unused, [spec],
@@ -196,29 +149,25 @@ class TestMergeAndReorder:
         assert verify_hamilton_cycle(as_digraph(merged), set(range(2 * m)))
         # c - 1 switches take 2(c - 1) arcs; an arc a later switch drops
         # goes back, so the cycle keeps at most that many
-        assert len(switches) == c - 1
+        assert [len(arcs) for arcs in moves] == [2] * (c - 1)
         assert len(used) <= 2 * (c - 1)
         assert sorted(used) == [(u, merged[u]) for u in range(2 * m)
                                 if merged[u] != f[u]]
         assert arcs_of(unused, system) == reservoir - set(used)
 
-    def test_fallback_without_a_switch(self, monkeypatch):
-        # the reservoir is one replacement matching of F[V^1, V^2] that
-        # closes a single cycle but holds no 2-switch: each of its arcs
-        # x1 -> succ(x2) from one cycle lacks the partner x2 -> succ(x1)
+    def test_four_arc_join_without_a_switch(self):
+        # no reservoir arc x1 -> succ(x2) from one cycle has its partner
+        # x2 -> succ(x1), but x1 = 0 and x2, b, q = 3, 4, 5 on the other
+        # cycle have x2 -> succ(x1), x1 -> succ(b), q -> succ(x2) and
+        # b -> succ(q)
         f = self.build_two_cycle_factor()
-        reservoir = {(0, 10), (1, 8), (2, 9), (3, 6), (4, 11), (5, 7)}
-        replacements = []
-        replace = assembly._replace_pair_matching
-        monkeypatch.setattr(assembly, "_replace_pair_matching",
-                            lambda *args: replacements.append(args[1])
-                            or replace(*args))
+        reservoir = {(3, 6), (0, 10), (5, 9), (4, 11)}
         unused = ledger_of(self.system, reservoir)
         merged, used = merge_to_hamilton(f, unused, [self.spec],
                                          rng=random.Random(1))
         assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
-        assert replacements == [self.spec]
-        assert set(used) == reservoir
+        assert sorted(used) == sorted(reservoir) == \
+            [(u, merged[u]) for u in range(12) if merged[u] != f[u]]
         assert arcs_of(unused, self.system) == set()
 
     def test_no_switch_and_no_replacement_is_retryable(self):
@@ -231,10 +180,12 @@ class TestMergeAndReorder:
 
     def test_non_factor_replacement_fails_verification(self, monkeypatch):
         # a switch that gives x1 the head of x2 without moving x2's
-        def doubled_head(succ, x1, x2):
-            succ[x1] = succ[x2]
+        def doubled_head(succ, ledger, arcs, taken):
+            (x1, head), _ = arcs
+            succ[x1] = head
+            taken.extend(arcs)
 
-        monkeypatch.setattr(assembly, "_switch", doubled_head)
+        monkeypatch.setattr(assembly, "_apply", doubled_head)
         reservoir = {(u, v) for u in self.v1 for v in self.v2}
         with pytest.raises(AssemblyVerificationFailed):
             merge_to_hamilton(self.build_two_cycle_factor(),
@@ -289,6 +240,53 @@ class TestMergeAndReorder:
             reorder_for_consistency(
                 cyc, ledger_of(self.system, set()), self.spec, [6, 0, 1],
                 rng=random.Random(4))
+
+
+@st.composite
+def reorder_cases(draw):
+    """A random winding Hamilton cycle of the 2-cluster blow-up with
+    clusters of size m, a random V^1 inside V_0 with V^2 its successors,
+    3 to 5 waypoints of V^1 in random order, random ledger blocks that
+    hold no arc of the cycle, and a seed for the moves."""
+    m = draw(st.integers(5, 12))
+    system, (c0, c1) = blowup_system(2, m)
+    xs, ys = draw(st.permutations(c0)), draw(st.permutations(c1))
+    succ = cycle_succ([v for pair in zip(xs, ys) for v in pair], 2 * m)
+    v1 = tuple(sorted(draw(st.permutations(c0))[:draw(st.integers(3, m))]))
+    k = draw(st.integers(3, min(5, len(v1))))
+    waypoints = list(draw(st.permutations(v1))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.floats(0.2, 1.0))
+    ledger = ReservoirLedger(system, [rng.random((m, m)) < density
+                                      for _ in range(2)])
+    ledger.mark(list(enumerate(succ)), False)
+    spec = PairSpec(cluster_index=0, v1=v1,
+                    v2=tuple(sorted(succ[x] for x in v1)))
+    return system, succ, ledger, spec, waypoints, draw(st.integers(0, 99))
+
+
+class TestReorderByBlockMoves:
+    @given(reorder_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_in_order_and_charged_exactly_or_exhausted(self, case):
+        system, succ, ledger, spec, waypoints, seed = case
+        before = arcs_of(ledger, system)
+        try:
+            out, used = reorder_for_consistency(succ, ledger, spec, waypoints,
+                                                rng=random.Random(seed))
+        except HamiltonSearchExhausted:
+            return
+        n = len(succ)
+        assert verify_hamilton_cycle(as_digraph(out), set(range(n)))
+        order, cur = [], waypoints[0]
+        for _ in range(n):
+            order.append(cur)
+            cur = out[cur]
+        assert visits_in_order(order, waypoints)
+        changed = [(u, out[u]) for u in range(n) if out[u] != succ[u]]
+        assert all(u in spec.v1 for (u, _v) in changed)
+        assert sorted(used) == changed
+        assert arcs_of(ledger, system) == before - set(used)
 
 
 class TestAssembleSlice:
@@ -348,6 +346,30 @@ class TestAssembleSlice:
                            match=r"^slot \d+: \d+ cycles left at pair "
                                  r"\(\d+,\d+\), 0 unused reservoir arcs"):
             assemble_slice(sys2, be, empty, seed=5)
+
+    def test_no_move_left_names_the_slot_and_pair_fast(self):
+        # a reservoir of arcs x -> succ(y) with x and y on the same cycle
+        # of slot 0's 1-factor holds neither a 2-switch nor a 4-arc join
+        sys2, blocks, be = self.slice_inputs()
+        f = extend_to_one_factors(sys2, be.path_sequences)[0]
+        cycle_of = {v: k for k, cyc in enumerate(assembly._cycles(
+            f, assembly._support(f))) for v in cyc}
+        ps = be.path_sequences[0]
+        blocks = [np.zeros_like(block) for block in blocks]
+        for block, (tails, heads, _mat) in zip(blocks, sys2.pairs):
+            for a, x in enumerate(tails):
+                for y in tails:
+                    if (cycle_of[x] == cycle_of[y] and x != y
+                            and ps.out_degree(y) == 0):
+                        block[a, heads.index(f[y])] = True
+        t0 = time.perf_counter()
+        with pytest.raises(HamiltonSearchExhausted,
+                           match=r"^slot 0: 4 cycles left at pair "
+                                 r"\(\d+,\d+\), [1-9]\d* unused reservoir "
+                                 r"arcs in its block: no 2-switch or 4-arc "
+                                 r"join left$"):
+            assemble_slice(sys2, be, blocks, seed=5)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_misaligned_reservoir_rejected(self):
         sys2, blocks, be = self.slice_inputs()

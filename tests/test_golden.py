@@ -20,7 +20,7 @@ GOLDEN = [
     ("two-cliques-mixed",
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
-     "d38c16bd0697e2149da96f656d885ef1ff62ec959b3941085676b87181a19797"),
+     "e4e4a341cfcfa6fb59034520ff5e3acb875149495d0d4237285e5fb4bbbe8f0b"),
 ]
 
 

@@ -636,6 +636,40 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not inst.exists()
 
+    @pytest.mark.parametrize("missing", ["instance", "certificate"])
+    def test_verify_answers_a_missing_file(self, missing, seed4_files,
+                                           tmp_path, capsys):
+        inst, obj, _ = seed4_files
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(obj))
+        args = {"instance": str(inst), "certificate": str(cert)}
+        args[missing] = str(tmp_path / "nope.json")
+        assert cli_main(["verify", args["instance"],
+                         args["certificate"]]) == 1
+        verdict = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert verdict["all_ok"] is False
+        assert "nope.json" in verdict["malformed"]
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "{nope}", "--out", "{out}"],
+        ["export-dot", "{nope}", "--out", "{out}"],
+        ["gen", "--params", "{nope}", "--out", "{out}"]],
+        ids=["decompose", "export-dot", "gen-params"])
+    def test_a_missing_file_exits_2(self, argv, tmp_path, capsys):
+        paths = {"nope": tmp_path / "nope.json", "out": tmp_path / "out"}
+        assert cli_main([a.format(**paths) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    def test_a_non_integer_env_seed_exits_2(self, seed4_files, tmp_path,
+                                            monkeypatch, capsys):
+        inst, _obj, _ = seed4_files
+        out = tmp_path / "cert.json"
+        monkeypatch.setenv("HAMDEC_SEED", "abc")
+        assert cli_main(["decompose", str(inst), "--out", str(out)]) == 2
+        assert "error: HAMDEC_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_import_loads_no_scipy(self):
         # only the flow extraction needs scipy, and `hamdec verify` runs
         # none, so it should not pay for the import
@@ -846,8 +880,9 @@ class TestOneWalkPerSystem:
 
 
 class TestHypothesisBound:
-    """Configs near the (1/4 - mu - rho)n bound, where replacing a whole
-    pair matching per merge ran the reservoir dry."""
+    """Configs near the (1/4 - mu - rho)n bound, where the later slots of
+    a slice find few unused reservoir arcs for their merge and reorder
+    moves."""
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_k5_m40_with_40_systems(self, seed):
@@ -870,6 +905,5 @@ class TestHypothesisBound:
         cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
                                             cfg.rho, cfg.gamma, seed=5)
         assert cert.global_report["all_ok"]
-        # (K - 1)/2 = 2 slices per side, each assembled once; replacing
-        # whole pair matchings, this seed took 6 assemblies
+        # (K - 1)/2 = 2 slices per side, each assembled once
         assert len(calls) == 4
