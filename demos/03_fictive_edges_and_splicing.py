@@ -9,7 +9,7 @@ paths back.
 Run:  python demos/03_fictive_edges_and_splicing.py
 """
 
-from hamdec import (ClusterPartition, Digraph, ExceptionalSystem, Multigraph,
+from hamdec import (ClusterPartition, ExceptionalSystem, Multigraph,
                     build_fictive_two_cliques, splice_two_cliques,
                     verify_hamilton_cycle)
 
@@ -26,9 +26,10 @@ print(f"fictive edges on the A side: {sorted(red.ja.support())} "
 print(f"fictive edges on the B side: {sorted(red.jb.support())} "
       f"(ordered arcs {red.jb_dir.arcs})")
 
-# Hamilton cycles on A and B consistent with the ordered fictive arcs
-C_A = Digraph(8, [(0, 1), (1, 2), (2, 0)])
-C_B = Digraph(8, [(4, 3), (3, 5), (5, 4)])
+# Hamilton cycles on A and B consistent with the ordered fictive arcs,
+# each given as its vertex order: C_A is 0 -> 1 -> 2 -> 0
+C_A = [0, 1, 2]
+C_B = [4, 3, 5]
 
 result = splice_two_cliques(C_A, C_B, J, red)
 print(f"spliced: {sorted(result.support())}")

@@ -22,7 +22,7 @@ import numpy as np
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
 from .core import (Digraph, OrderedDirectedMatching, derive_seed,
-                   visits_in_order)
+                   order_is_consistent, visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
                      HamiltonSearchExhausted, MalformedInput,
@@ -478,7 +478,13 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
 
 @dataclass
 class SliceAssembly:
-    cycles: list[Digraph]
+    """One verified Hamilton cycle of the slice per balanced-extension
+    slot, as its vertex order (the cycle's arcs join consecutive entries,
+    the last back to the first), and the reservoir arcs each slot was
+    charged.  Plain lists, so a slice result that crosses the process pool
+    pickles small."""
+
+    cycles: list[list[int]]
     reservoir_usage: list[list[tuple[int, int]]]
 
 
@@ -496,14 +502,16 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     its ordered matching.  Every output is re-verified: sequence
     containment, consistency, Hamiltonicity, the confinement of
     C_s - F_s to the touched pairs, and that the slot is charged exactly
-    the reservoir arcs of C_s - F_s.
+    the reservoir arcs of C_s - F_s.  Each cycle is returned as the
+    vertex order that the Hamiltonicity check walked, from the slice's
+    smallest vertex; no graph object is built for it.
     """
     qp = system.q
     k = len(qp.clusters)
     factors = extend_to_one_factors(system, be.path_sequences)
     verts = sorted(v for c in qp.clusters for v in c)
     unused = ReservoirLedger(system, [block.copy() for block in reservoir])
-    out_cycles: list[Digraph] = []
+    out_cycles: list[list[int]] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
             be.path_sequences, be.matchings, be.extension_cluster)):
@@ -542,8 +550,7 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             raise AssemblyVerificationFailed(
                 f"slot {s}: output is not a Hamilton cycle of the slice")
         order = cycles[0]
-        if any(final[u] != v for (u, v) in matching.arcs) or \
-                not visits_in_order(order, [u for (u, _v) in matching.arcs]):
+        if not order_is_consistent(order, matching):
             raise AssemblyVerificationFailed(
                 f"slot {s}: output not consistent with its matching")
         allowed_clusters = {sp.cluster_index for sp in specs}
@@ -556,7 +563,7 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         if sorted(used) != changed:
             raise AssemblyVerificationFailed(
                 f"slot {s}: the reservoir arcs charged are not C_s - F_s")
-        out_cycles.append(Digraph(system.n, [(u, final[u]) for u in order]))
+        out_cycles.append(order)
         usage.append(used)
     # conservation: all reservoir arcs charged exist in the reservoir and
     # are pairwise distinct across slots

@@ -354,9 +354,6 @@ class Digraph:
     def arcs(self) -> list[tuple[int, int]]:
         return sorted(self._arcs)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcs
-
     def edge_count(self) -> int:
         return len(self._arcs)
 
@@ -761,9 +758,20 @@ def is_consistent_with(cycle: Digraph, matching: OrderedDirectedMatching) -> boo
     """True iff the cycle contains every arc of the matching and traversing
     once from the first arc encounters the arcs in the given cyclic order."""
     # raises MalformedInput on a non-cycle, whatever the matching
-    order = cycle_vertex_order(cycle, cycle.vertices_with_arcs())
+    return order_is_consistent(
+        cycle_vertex_order(cycle, cycle.vertices_with_arcs()), matching)
+
+
+def order_is_consistent(order: Sequence[int],
+                        matching: OrderedDirectedMatching) -> bool:
+    """True iff the directed cycle that visits the distinct vertices
+    ``order`` in turn (and returns to ``order[0]``) has every arc (u, v) of
+    the matching, v right after u, and meets the arcs in their cyclic
+    order."""
+    pos = {v: i for i, v in enumerate(order)}
     for (u, v) in matching.arcs:
-        if not cycle.has_arc(u, v):
+        i = pos.get(u)
+        if i is None or order[(i + 1) % len(order)] != v:
             return False
     # arc (u,v) sits where the cycle leaves u
     return visits_in_order(order, [u for (u, _v) in matching.arcs])

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterator, Sequence
 
-from .core import (ClusterPartition, Digraph, Multigraph,
-                   OrderedDirectedMatching, is_consistent_with,
-                   verify_hamilton_cycle)
+from .core import (ClusterPartition, Multigraph, OrderedDirectedMatching,
+                   order_is_consistent, verify_hamilton_cycle)
 from .errors import (InvalidExceptionalSystem, MalformedInput, NotConsistent,
                      SpliceVerificationFailed)
 
@@ -310,37 +310,41 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
                             jstar_dir=OrderedDirectedMatching(arcs))
 
 
-def _check_input_cycle(cycle: Digraph, vertices: set[int],
+def _check_input_cycle(order: Sequence[int], vertices: set[int],
                        matching: OrderedDirectedMatching, name: str) -> None:
-    """Raise NotConsistent unless ``cycle`` is a directed Hamilton cycle
-    on exactly ``vertices`` and consistent with ``matching``.  One walk
-    checks both: ``is_consistent_with`` raises MalformedInput unless the
-    arcs form one cycle through every vertex they touch."""
-    if cycle.vertices_with_arcs() != vertices:
-        raise NotConsistent(f"{name} has arcs off its vertex set or misses "
-                            f"one of its vertices")
-    try:
-        consistent = is_consistent_with(cycle, matching)
-    except MalformedInput:
-        raise NotConsistent(f"{name} is not a directed Hamilton cycle") \
-            from None
-    if not consistent:
+    """Raise NotConsistent unless the vertex order ``order`` is a directed
+    Hamilton cycle on exactly ``vertices`` (each once, at least two of
+    them) and consistent with ``matching``."""
+    if set(order) != vertices:
+        raise NotConsistent(f"{name} has a vertex off its vertex set or "
+                            f"misses one of its vertices")
+    if len(order) != len(vertices) or len(order) < 2:
+        raise NotConsistent(f"{name} is not a directed Hamilton cycle")
+    if not order_is_consistent(order, matching):
         raise NotConsistent(f"{name} is not consistent with its ordered "
                             f"matching")
 
 
-def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
+def _cycle_edges(order: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The edges of the cycle that visits ``order`` in turn."""
+    return zip(order, chain(order[1:], order[:1]))
+
+
+def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
                        system: ExceptionalSystem,
                        reduction: FictiveReduction) -> Multigraph:
     """C_A + C_B - J* + J, with pre- and post-verification.
 
-    For an HES the result is a Hamilton cycle on all of V; for an MES it
-    is the vertex-disjoint union of a Hamilton cycle on A' and one on B'.
+    C_A and C_B are directed Hamilton cycles on A and on B, each given as
+    its vertex order, consistent with the ordered matchings J*_A and
+    J*_B.  For an HES the result is a Hamilton cycle on all of V; for an
+    MES it is the vertex-disjoint union of a Hamilton cycle on A' and one
+    on B'.
     """
     P = system.partition
-    _check_input_cycle(c_a_dir, set(P.A), reduction.ja_dir, "C_A")
-    _check_input_cycle(c_b_dir, set(P.B), reduction.jb_dir, "C_B")
-    result = (Multigraph(P.n, chain(c_a_dir._arcs, c_b_dir._arcs))
+    _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
+    _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
+    result = (Multigraph(P.n, chain(_cycle_edges(c_a), _cycle_edges(c_b)))
               - reduction.jstar + system.graph)
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
@@ -355,12 +359,14 @@ def splice_two_cliques(c_a_dir: Digraph, c_b_dir: Digraph,
     return result
 
 
-def splice_bipartite(d_dir: Digraph, system: BalancedExceptionalSystem,
+def splice_bipartite(d: Sequence[int], system: BalancedExceptionalSystem,
                      reduction: FictiveReduction) -> Multigraph:
-    """D - J* + J for the bipartite case; output verified Hamiltonian."""
+    """D - J* + J for the bipartite case, where D is a directed Hamilton
+    cycle on A u B, given as its vertex order and consistent with the
+    ordered matching J*; output verified Hamiltonian."""
     P = system.partition
-    _check_input_cycle(d_dir, set(P.A) | set(P.B), reduction.jstar_dir, "D")
-    result = Multigraph(P.n, d_dir._arcs) - reduction.jstar + system.graph
+    _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
+    result = Multigraph(P.n, _cycle_edges(d)) - reduction.jstar + system.graph
     if not verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")

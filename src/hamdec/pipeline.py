@@ -21,9 +21,9 @@ import numpy as np
 from . import core
 from .assembly import assemble_slice
 from .classic import pair_matrix
-from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterPartition,
-                   Digraph, Host, Multigraph, canonical_json,
-                   undirected_cycle_order, vertex_mask)
+from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterPartition, Host,
+                   Multigraph, canonical_json, undirected_cycle_order,
+                   vertex_mask)
 # the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
 from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
@@ -537,10 +537,11 @@ MODES = {
 def _slice_hamilton_cycles(mode: str, slc: SliceSide,
                            partition: ClusterPartition, systems, reductions,
                            quotas: DecompositionQuotas, gamma: float,
-                           seed: int) -> dict[int, Digraph]:
+                           seed: int) -> dict[int, list[int]]:
     """Run balanced extension + reservoir split + assembly for one slice;
     returns {es_index: directed Hamilton cycle consistent with its
-    fictive matching}."""
+    fictive matching, as its vertex order}.  Orders are plain int lists,
+    so a result that comes back from a pool worker pickles small."""
     m = slc.q.m
     q_count = len(slc.slots)
     if q_count == 0:
@@ -577,7 +578,7 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
                 SamplingFailed) as e:
             last_error = e
             continue
-        out: dict[int, Digraph] = {}
+        out: dict[int, list[int]] = {}
         for be_pos, cyc in enumerate(asm.cycles):
             slot = slc.slots[be_to_slot[be_pos]]
             out[slot.es_index] = cyc
@@ -637,7 +638,7 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
               seed) for (_k, slc) in owners]
     results = _run_slice_tasks(tasks, jobs, seed)
     # cycles[k][es_index]: the cycle from slice list k
-    cycles: list[dict[int, Digraph]] = [{} for _ in slice_lists]
+    cycles: list[dict[int, list[int]]] = [{} for _ in slice_lists]
     for (k, _slc), result in zip(owners, results):
         cycles[k].update(result)
     splice = globals()[spec.splice]

@@ -205,7 +205,8 @@ def _search_consistent_cycle(n, verts, matching, rng):
 
     Pruning: when standing on a matching tail the next vertex is forced,
     and matching tails may only be entered in rank order starting from
-    the first arc (whose tail is the traversal root).
+    the first arc (whose tail is the traversal root).  Returns the cycle
+    as its vertex order.
     """
     verts = list(verts)
     if not verts:
@@ -252,7 +253,7 @@ def _search_consistent_cycle(n, verts, matching, rng):
                       for i in range(len(path))])
     if arcs and not is_consistent_with(cyc, matching):
         return None
-    return cyc
+    return path
 
 
 def test_criterion_04_splice_correctness():

@@ -327,7 +327,11 @@ class TestAssembleSlice:
         # the caller's blocks are copied, not depleted
         assert arcs_of(ReservoirLedger(sys2, blocks), sys2) == reservoir
         used_flat = set()
-        for s, cyc in enumerate(asm.cycles):
+        for s, order in enumerate(asm.cycles):
+            # each cycle comes as a plain vertex order
+            assert type(order) is list
+            assert all(type(v) is int for v in order)
+            cyc = Digraph(n, zip(order, order[1:] + order[:1]))
             assert verify_hamilton_cycle(cyc, set(range(n)))
             assert is_consistent_with(cyc, be.matchings[s])
             assert set(be.path_sequences[s]._arcs) <= set(cyc._arcs)

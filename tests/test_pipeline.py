@@ -564,6 +564,36 @@ class TestJobs:
                                              jobs=2)
         assert cert2.to_json() == cert.to_json()
 
+    @pytest.mark.parametrize("fixture", ["small_two_cliques",
+                                         "small_bipartite"])
+    def test_slice_results_are_vertex_orders(self, fixture, request,
+                                             monkeypatch):
+        # what the slice tasks return is what crosses the pool at jobs=2:
+        # {es_index: vertex order}, plain ints in plain lists, no Digraph
+        cfg, host, P, systems, cert = request.getfixturevalue(fixture)
+        run = pipeline._run_slice_tasks
+        returned = {}
+
+        def recording(tasks, jobs, seed):
+            assert len(tasks) > 1  # so jobs=2 really runs the pool
+            returned[jobs] = run(tasks, jobs, seed)
+            return returned[jobs]
+
+        monkeypatch.setattr(pipeline, "_run_slice_tasks", recording)
+        decompose = (approx_decompose_bipartite if cfg.mode == "bipartite"
+                     else approx_decompose_two_cliques)
+        for jobs in (1, 2):
+            cert_j = decompose(host, P, systems, cfg.mu, cfg.rho, cfg.gamma,
+                               seed=9, jobs=jobs)
+            assert cert_j.to_json() == cert.to_json()
+        assert returned[1] == returned[2]
+        for result in returned[2]:
+            assert type(result) is dict
+            for es_index, order in result.items():
+                assert type(es_index) is int
+                assert type(order) is list
+                assert all(type(v) is int for v in order)
+
 
 class TestCli:
     def test_gen_decompose_verify(self, tmp_path):

@@ -9,7 +9,9 @@ split), kept verbatim apart from inlining ``Multigraph.edges_inside``;
 and the earlier ``Multigraph.is_path_system``/``paths``,
 ``Digraph.is_path_sequence``/``directed_paths`` and
 ``assembly._cycle_count``/``_hamilton_order``, as free functions; and
-the dict-host generator.  The reference verifier
+the dict-host generator; and the Digraph-based input check of the
+splices (``exceptional._check_input_cycle`` with the
+``core.is_consistent_with`` walk it made).  The reference verifier
 reads the host as a ``Multigraph`` of its edges, and computes the
 instance digest it checks from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
@@ -31,12 +33,14 @@ from hypothesis import given, settings, strategies as st
 from hamdec.assembly import _cycles
 from hamdec.cli import _dump_instance, main as cli_main
 from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
-                         canonical_json, cycle_to_perfect_matchings,
-                         cycle_vertex_order, derive_seed,
+                         OrderedDirectedMatching, canonical_json,
+                         cycle_to_perfect_matchings, cycle_vertex_order,
+                         derive_seed, is_consistent_with,
                          verify_hamilton_cycle)
-from hamdec.errors import HamdecError, InvalidParameter, MalformedInput
+from hamdec.errors import (HamdecError, InvalidParameter, MalformedInput,
+                           NotConsistent)
 from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
-                                ExceptionalSystem)
+                                ExceptionalSystem, _check_input_cycle)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              MODE_TWO_CLIQUES, _cluster_pools, _edge_hash,
                              _generate_bipartite, _generate_two_cliques,
@@ -98,7 +102,7 @@ def ref_cycle_vertex_order(cycle: Digraph, vertex_set) -> list[int]:
     order = [start]
     cur = start
     while True:
-        nxts = [w for w in vs if cycle.has_arc(cur, w)]
+        nxts = [w for w in vs if (cur, w) in cycle._arcs]
         cur = nxts[0]
         if cur == start:
             break
@@ -348,6 +352,57 @@ def ref_hamilton_order(succ: list[int], verts: list[int]) -> list[int] | None:
     return order if len(order) == len(verts) else None
 
 
+def ref_directed_cycle_order(d: Digraph, vs: set) -> list[int] | None:
+    if not vs:
+        return None
+    start = min(vs)
+    order, cur = [], start
+    out, none = d._out, frozenset()
+    for _ in range(len(vs)):
+        heads = out.get(cur, none) & vs
+        if len(heads) != 1:
+            return None
+        order.append(cur)
+        (cur,) = heads
+        if cur == start:
+            return order if len(order) == len(vs) else None
+    return None
+
+
+def ref_visits_in_order(order, targets) -> bool:
+    if not targets:
+        return True
+    pos = {v: i for i, v in enumerate(order)}
+    base = pos[targets[0]]
+    rel = [(pos[t] - base) % len(order) for t in targets]
+    return all(a < b for a, b in zip(rel, rel[1:]))
+
+
+def ref_is_consistent_with(cycle: Digraph, matching) -> bool:
+    order = ref_directed_cycle_order(cycle, cycle.vertices_with_arcs())
+    if order is None:
+        raise MalformedInput("not a directed Hamilton cycle on the given set")
+    for (u, v) in matching.arcs:
+        if (u, v) not in cycle._arcs:
+            return False
+    return ref_visits_in_order(order, [u for (u, _v) in matching.arcs])
+
+
+def ref_check_input_cycle(cycle: Digraph, vertices: set[int], matching,
+                          name: str) -> None:
+    if cycle.vertices_with_arcs() != vertices:
+        raise NotConsistent(f"{name} has arcs off its vertex set or misses "
+                            f"one of its vertices")
+    try:
+        consistent = ref_is_consistent_with(cycle, matching)
+    except MalformedInput:
+        raise NotConsistent(f"{name} is not a directed Hamilton cycle") \
+            from None
+    if not consistent:
+        raise NotConsistent(f"{name} is not consistent with its ordered "
+                            f"matching")
+
+
 # -- the cycle kernel ---------------------------------------------------------
 
 
@@ -416,6 +471,120 @@ class TestCycleKernelMatchesReference:
         g = Multigraph(5, edges)
         assert verify_hamilton_cycle(g, vs) is expected
         assert ref_verify_hamilton_cycle(g, vs) is expected
+
+
+# -- the splices' input check -------------------------------------------------
+
+
+ORDER_MUTATIONS = ("none", "repeat", "drop", "foreign", "reverse-arc",
+                   "swap-arcs", "truncate")
+
+
+@st.composite
+def input_cycle_cases(draw):
+    """(n, side, matching, order): a side inside 0..n-1 (possibly empty,
+    often all of it), an ordered matching on it (often a perfect one), and a vertex order of the side, either
+    random or laid out consistent with the matching (the arcs in order,
+    the other vertices between them, then rotated), under one mutation:
+    a repeated vertex, a dropped one, a vertex off the side (perhaps
+    outside 0..n-1), a reversed matching arc, two matching arcs swapped
+    (out of cyclic order from three arcs on), or a cut to length 0-2."""
+    n = draw(st.integers(1, 10))
+    side = list(range(n)) if draw(st.booleans()) \
+        else sorted(draw(st.sets(st.integers(0, n - 1))))
+    perm = draw(st.permutations(side))
+    k = draw(st.sampled_from([len(side) // 2,
+                              draw(st.integers(0, len(side) // 2))]))
+    arcs = list(zip(perm[0:2 * k:2], perm[1:2 * k:2]))
+    if draw(st.booleans()):
+        gaps = [[] for _ in range(k + 1)]
+        for x in perm[2 * k:]:
+            gaps[draw(st.integers(0, k))].append(x)
+        order = gaps[0] + [x for arc, gap in zip(arcs, gaps[1:])
+                           for x in (*arc, *gap)]
+        turn = draw(st.integers(0, max(len(order) - 1, 0)))
+        order = order[turn:] + order[:turn]
+    else:
+        order = list(draw(st.permutations(side)))
+    op = draw(st.sampled_from(ORDER_MUTATIONS))
+    index = st.integers(0, max(len(order) - 1, 0))
+    if op == "repeat" and order:
+        order.insert(draw(index), order[draw(index)])
+    elif op == "drop" and order:
+        del order[draw(index)]
+    elif op == "foreign":
+        off = draw(st.sampled_from(
+            [v for v in range(n + 2) if v not in side]))
+        order.insert(draw(st.integers(0, len(order))), off)
+    elif op == "reverse-arc" and arcs:
+        u, v = arcs[draw(st.integers(0, k - 1))]
+        i, j = order.index(u), order.index(v)
+        order[i], order[j] = v, u
+    elif op == "swap-arcs" and k >= 2:
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        swap = dict(zip(arcs[a] + arcs[b], arcs[b] + arcs[a]))
+        order = [swap.get(x, x) for x in order]
+    elif op == "truncate":
+        order = order[:draw(st.integers(0, 2))]
+    return n, set(side), OrderedDirectedMatching(tuple(arcs)), order
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except NotConsistent:
+        return False
+    return True
+
+
+def _ref_accepts_order(n, side, matching, order) -> bool:
+    """The reference check on the order's Digraph; an order that has no
+    Digraph (a loop, a repeated arc, a vertex outside 0..n-1) is
+    rejected."""
+    try:
+        d = Digraph(n, zip(order, order[1:] + order[:1]))
+    except MalformedInput:
+        return False
+    return _accepts(ref_check_input_cycle, d, side, matching, "C")
+
+
+class TestInputCheckMatchesReference:
+    @given(input_cycle_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_order_check(self, case):
+        n, side, matching, order = case
+        # any exception other than NotConsistent fails the test
+        assert _accepts(_check_input_cycle, order, side, matching, "C") is \
+            _ref_accepts_order(n, side, matching, order)
+
+    @given(input_cycle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_is_consistent_with(self, case):
+        n, _side, matching, order = case
+        try:
+            d = Digraph(n, zip(order, order[1:] + order[:1]))
+        except MalformedInput:
+            return
+        assert _outcome(is_consistent_with, d, matching) == \
+            _outcome(ref_is_consistent_with, d, matching)
+
+    @pytest.mark.parametrize("order,side,arcs,accepted", [
+        ([], set(), (), False),
+        ([], {0, 1}, (), False),
+        ([0], {0}, (), False),               # a loop: no cycle, no Digraph
+        ([0, 1], {0, 1}, (), True),          # a 2-cycle
+        ([0, 1], {0, 1}, ((1, 0),), True),
+        ([0, 1, 2], {0, 1, 2}, ((2, 0),), True),
+        ([0, 1, 2], {0, 1, 2}, ((0, 2),), False),
+        ([0, 1, 2, 3, 4, 5], set(range(6)), ((0, 1), (2, 3), (4, 5)), True),
+        ([0, 1, 4, 5, 2, 3], set(range(6)), ((0, 1), (2, 3), (4, 5)), False),
+    ])
+    def test_named_cases(self, order, side, arcs, accepted):
+        matching = OrderedDirectedMatching(arcs)
+        assert _accepts(_check_input_cycle, order, side, matching,
+                        "C") is accepted
+        assert _ref_accepts_order(6, side, matching, order) is accepted
 
 
 # -- the structure walkers ---------------------------------------------------
