@@ -3,7 +3,7 @@ the zig-zag Hamilton decomposition of complete graphs on an odd number
 of clusters, the Hamilton decomposition of complete balanced bipartite
 graphs on an even number of clusters per side, flow-based extraction of
 regular spanning subgraphs, and exact 1-factorization of regular
-bipartite multigraphs by repeated Euler splits.
+bipartite multigraphs by peeling off one perfect matching at a time.
 """
 
 from __future__ import annotations
@@ -340,9 +340,12 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
                                    ) -> list[list[tuple[int, int]]]:
     """Decompose an r-regular bipartite multigraph, given as its
     multiplicity matrix ``mat`` between ``left`` (rows) and ``right``
-    (columns), exactly into r perfect matchings (Euler splits down to
-    matchings, peeling one matching via augmenting paths whenever the
-    degree is odd).
+    (columns), exactly into r perfect matchings.
+
+    By König's theorem an r-regular bipartite multigraph has a perfect
+    matching, and removing it leaves an (r-1)-regular one, so r calls of
+    ``take_matching`` on a copy of ``mat``, rows and columns in index
+    order, peel the matchings off one by one.
 
     Each matching lists its (left vertex, right vertex) pairs ordered by
     (smaller id, larger id).
@@ -351,76 +354,15 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
     if len(degs) != 1:
         raise InvalidParameter(f"graph is not regular: degrees {sorted(degs)}")
     r = degs.pop()
-    if r == 0:
-        return []
-    parts = _factorize(mat.copy(), np.array([*left, *right]), r)
+    m = len(mat)
+    res = mat.copy()
+    parts = [take_matching(res, range(m), range(m)) for _ in range(r)]
     # exactness check: perfect matchings that sum to the input
     total = np.zeros_like(mat)
     for cols in parts:
-        total[np.arange(len(mat)), cols] += 1
+        total[np.arange(m), cols] += 1
     if not (all(len(set(cols)) == len(cols) for cols in parts)
             and (total == mat).all()):
         raise InvalidParameter("internal: factorization does not sum to input")
     return [sorted(zip(left, [right[j] for j in cols]),
                    key=lambda e: (min(e), max(e))) for cols in parts]
-
-
-def _factorize(mat: np.ndarray, ids: np.ndarray, r: int) -> list[list[int]]:
-    """r perfect matchings of the r-regular ``mat``, each as the column
-    matched to every row; the odd-degree step decrements ``mat`` in
-    place.  ``ids`` holds the vertex ids of the rows, then of the
-    columns."""
-    if r == 1:
-        return [mat.argmax(axis=1).tolist()]
-    if r % 2 == 1:
-        m = len(mat)
-        return [take_matching(mat, range(m), range(m))] + \
-            _factorize(mat, ids, r - 1)
-    g1, g2 = _euler_split(mat, ids)
-    return _factorize(g1, ids, r // 2) + _factorize(g2, ids, r // 2)
-
-
-def _euler_split(mat: np.ndarray, ids: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split an even-degree bipartite multigraph into two halves by
-    alternately colouring the edges of Eulerian circuits.
-
-    Walk order: edges by (smaller id, larger id), parallel copies one
-    after another; circuits start at the vertices in id order.
-    """
-    m = len(mat)
-    ii, jj = np.nonzero(mat)
-    lo = np.minimum(ids[ii], ids[m + jj])
-    hi = np.maximum(ids[ii], ids[m + jj])
-    order = np.lexsort((hi, lo))
-    # explicit edge copies with ids so parallel edges are distinct; end
-    # a is the row vertex i, end b the column vertex m + j
-    counts = mat[ii[order], jj[order]]
-    ends_a = np.repeat(ii[order], counts).tolist()
-    ends_b = np.repeat(jj[order] + m, counts).tolist()
-    adj: list[list[int]] = [[] for _ in range(2 * m)]
-    for eid, (a, b) in enumerate(zip(ends_a, ends_b)):
-        adj[a].append(eid)
-        adj[b].append(eid)
-    used = [False] * len(ends_a)
-    ptr = [0] * (2 * m)
-    color = np.zeros(len(ends_a), dtype=bool)
-    for start in np.argsort(ids).tolist():
-        # Hierholzer walk from start; in an even-degree graph the walk can
-        # only get stuck back at start, once all of its edges are used
-        cur, odd = start, False
-        while True:
-            row = adj[cur]
-            while ptr[cur] < len(row) and used[row[ptr[cur]]]:
-                ptr[cur] += 1
-            if ptr[cur] == len(row):
-                break
-            eid = row[ptr[cur]]
-            used[eid] = True
-            color[eid] = odd
-            odd = not odd
-            a = ends_a[eid]
-            cur = ends_b[eid] if cur == a else a
-    flat = np.asarray(ends_a) * m + np.asarray(ends_b) - m
-    return tuple(np.bincount(flat[side], minlength=m * m).reshape(m, m)
-                 for side in (~color, color))

@@ -220,7 +220,7 @@ def cmd_selftest(args) -> int:
                         hes_count=5, mes_count=0))
     check("bipartite-pipeline",
           tiny_pipeline(mode=MODE_BIPARTITE, K=4, m=32, gamma=0.12,
-                        bes_count=8))
+                        hes_count=0, bes_count=8))
     return 1 if failures else 0
 
 

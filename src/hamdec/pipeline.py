@@ -90,6 +90,16 @@ class InstanceConfig:
             raise InvalidParameter("bipartite mode needs even K")
         if self.K < 2 or self.m < 4:
             raise InvalidParameter("K or m too small")
+        if self.mode == MODE_BIPARTITE and (self.hes_count or self.mes_count):
+            raise InvalidParameter(
+                f"bipartite mode takes no Hamilton or matching systems, got "
+                f"hes_count={self.hes_count}, mes_count={self.mes_count}",
+                hint="set hes_count and mes_count to 0 and use bes_count")
+        if self.mode == MODE_TWO_CLIQUES and self.bes_count:
+            raise InvalidParameter(
+                f"two-cliques mode takes no bipartite systems, got "
+                f"bes_count={self.bes_count}",
+                hint="set bes_count to 0 and use hes_count and mes_count")
         limit = (0.25 - self.mu - self.rho) * self.n
         if self.system_count > limit:
             raise InvalidParameter(

@@ -285,59 +285,46 @@ class TestFactorization:
                                              left, right)
         assert got == expected
 
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.lists(st.permutations(range(m)), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), max_size=7), st.permutations(range(m)),
+        st.booleans())))
+    @settings(max_examples=150, deadline=None)
+    def test_peels_exactly_r_perfect_matchings(self, drawn):
+        # r permutations drawn from a pool of at most three, so a cell's
+        # multiplicity reaches r when every pick is the same permutation
+        pool, picks, order, flip = drawn
+        m, r = len(order), len(picks)
+        mat = np.zeros((m, m), dtype=np.int64)
+        for k in picks:
+            mat[np.arange(m), pool[k % len(pool)]] += 1
+        # left and right ids interleaved, in a drawn order
+        left = [2 * i + flip for i in order]
+        right = [2 * i + 1 - flip for i in range(m)]
+        got = regular_bipartite_to_matchings(mat, left, right)
+        assert len(got) == r
+        total = np.zeros_like(mat)
+        for pm in got:
+            assert sorted(u for u, _ in pm) == sorted(left)
+            assert sorted(v for _, v in pm) == sorted(right)
+            for u, v in pm:
+                total[left.index(u), right.index(v)] += 1
+        assert (total == mat).all()
+
 
 def reference_factorization(graph, left, right):
-    """The 1-factorization as it was when it took and returned Multigraphs,
-    kept frozen here so that the matrix form must keep every matching."""
-    def factorize_rec(graph, r):
-        if r == 1:
-            return [graph]
-        if r % 2 == 1:
-            mat = pair_matrix(graph, left, right)
-            match = take_matching(mat, range(len(left)), range(len(right)))
-            pm = Multigraph(graph.n, [(left[i], right[j])
-                                      for i, j in enumerate(match)])
-            return [pm] + factorize_rec(graph - pm, r - 1)
-        g1, g2 = euler_split(graph)
-        return factorize_rec(g1, r // 2) + factorize_rec(g2, r // 2)
-
-    def euler_split(graph):
-        edge_list = []
-        adj = {}
-        for (u, v, k) in graph.edges():
-            for _ in range(k):
-                eid = len(edge_list)
-                edge_list.append((u, v))
-                adj.setdefault(u, []).append(eid)
-                adj.setdefault(v, []).append(eid)
-        used = [False] * len(edge_list)
-        ptr = {v: 0 for v in adj}
-        color = [0] * len(edge_list)
-        for start in sorted(adj):
-            while ptr[start] < len(adj[start]):
-                if used[adj[start][ptr[start]]]:
-                    ptr[start] += 1
-                    continue
-                circuit = []
-                cur = start
-                while True:
-                    row = adj[cur]
-                    while ptr.get(cur, 0) < len(row) and used[row[ptr[cur]]]:
-                        ptr[cur] += 1
-                    if ptr.get(cur, 0) >= len(row):
-                        break
-                    eid = row[ptr[cur]]
-                    used[eid] = True
-                    circuit.append(eid)
-                    a, b = edge_list[eid]
-                    cur = b if cur == a else a
-                for i, eid in enumerate(circuit):
-                    color[eid] = i % 2
-        e0 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 0]
-        e1 = [edge_list[i] for i in range(len(edge_list)) if color[i] == 1]
-        return Multigraph(graph.n, e0), Multigraph(graph.n, e1)
-
-    return factorize_rec(graph, graph.degree(left[0]))
+    """The 1-factorization as a frozen peeling on Multigraphs: take a
+    perfect matching of the pair, rows and columns in index order, subtract
+    it from the graph, and repeat once per unit of degree."""
+    factors = []
+    for _ in range(graph.degree(left[0])):
+        match = take_matching(pair_matrix(graph, left, right),
+                              range(len(left)), range(len(right)))
+        pm = Multigraph(graph.n, [(left[i], right[j])
+                                  for i, j in enumerate(match)])
+        factors.append(pm)
+        graph = graph - pm
+    return factors
 
 
 class TestPerfectMatching:

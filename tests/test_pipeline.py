@@ -40,7 +40,7 @@ def small_two_cliques():
 def small_bipartite():
     cfg = InstanceConfig(mode="bipartite", K=4, m=32, a0_size=1, b0_size=1,
                          eps0=0.02, mu=0.0, rho=0.1, gamma=0.12,
-                         bes_count=8, seed=9)
+                         hes_count=0, bes_count=8, seed=9)
     host, P, systems = generate_instance(cfg)
     cert = approx_decompose_bipartite(host, P, systems, cfg.mu, cfg.rho,
                                       cfg.gamma, seed=9)
@@ -96,6 +96,16 @@ class TestGenerator:
                              b0_size=1, eps0=0.1, hes_count=0, mes_count=2,
                              seed=1)
         with pytest.raises(InvalidParameter):
+            cfg.validate()
+
+    @pytest.mark.parametrize("counts", [
+        dict(mode="bipartite", K=4, hes_count=25, bes_count=8),
+        dict(mode="bipartite", K=4, hes_count=0, mes_count=2, bes_count=8),
+        dict(mode="two-cliques", K=5, hes_count=5, bes_count=1)],
+        ids=["bipartite-hes", "bipartite-mes", "two-cliques-bes"])
+    def test_other_modes_system_counts_rejected(self, counts):
+        cfg = InstanceConfig(m=40, eps0=0.015, seed=1, **counts)
+        with pytest.raises(InvalidParameter, match="hint: set"):
             cfg.validate()
 
     def test_exceptional_budget_rejected(self):
@@ -691,6 +701,20 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not paths["out"].exists()
 
+    def test_gen_rejects_the_other_modes_system_count(self, tmp_path,
+                                                      capsys):
+        # bipartite mode with the two-cliques default of 25 Hamilton
+        # systems once wrote an instance with no systems at all
+        params, out = tmp_path / "params.json", tmp_path / "inst.json"
+        params.write_text(json.dumps({"mode": "bipartite", "K": 4, "m": 40,
+                                      "eps0": 0.015}))
+        assert cli_main(["gen", "--params", str(params),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bipartite mode takes no Hamilton")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_a_non_integer_env_seed_exits_2(self, seed4_files, tmp_path,
                                             monkeypatch, capsys):
         inst, _obj, _ = seed4_files
@@ -735,7 +759,8 @@ def _reversed_ids(obj):
 class TestReversedVertexIds:
     @pytest.mark.parametrize("config", [
         dict(mode="two-cliques", K=3, m=24, gamma=0.18, hes_count=5),
-        dict(mode="bipartite", K=4, m=32, gamma=0.12, bes_count=8),
+        dict(mode="bipartite", K=4, m=32, gamma=0.12, hes_count=0,
+             bes_count=8),
     ], ids=["two-cliques", "bipartite"])
     def test_decompose_and_verify(self, tmp_path, config):
         # the selftest configurations with every vertex id reversed
@@ -769,7 +794,7 @@ class TestLargerClusterCounts:
     def test_bipartite_k6(self):
         cfg = InstanceConfig(mode="bipartite", K=6, m=48, a0_size=1,
                              b0_size=1, eps0=0.01, mu=0.0125, rho=0.1,
-                             gamma=0.1, bes_count=18, seed=5)
+                             gamma=0.1, hes_count=0, bes_count=18, seed=5)
         host, P, systems = generate_instance(cfg)
         cert = approx_decompose_bipartite(host, P, systems, cfg.mu,
                                           cfg.rho, cfg.gamma, seed=5)

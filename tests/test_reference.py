@@ -684,7 +684,7 @@ VERIFIER_CONFIGS = {
         mu=0.0, rho=0.1, gamma=0.18, hes_count=4, mes_count=5, seed=3),
     "bipartite": InstanceConfig(
         mode="bipartite", K=4, m=32, a0_size=1, b0_size=1, eps0=0.02,
-        mu=0.0, rho=0.1, gamma=0.12, bes_count=8, seed=9),
+        mu=0.0, rho=0.1, gamma=0.12, hes_count=0, bes_count=8, seed=9),
 }
 
 
