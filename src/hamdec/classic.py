@@ -4,6 +4,12 @@ of clusters, the Hamilton decomposition of complete balanced bipartite
 graphs on an even number of clusters per side, flow-based extraction of
 regular spanning subgraphs, and exact 1-factorization of regular
 bipartite multigraphs by peeling off one perfect matching at a time.
+
+Perfect matchings run on bit-packed rows: ``pack_rows`` packs a boolean
+matrix into little-endian uint64 words (``cyclic`` counts codegrees and
+edges between sets on those words), and the matching kernels join each
+row's words into one Python int, on which the greedy phase and
+Hopcroft-Karp work as bitset operations.
 """
 
 from __future__ import annotations
@@ -253,6 +259,25 @@ def pair_matrix(graph: Host | Multigraph, left: Sequence[int],
     return mat
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """The rows of the boolean matrix ``bits`` as little-endian uint64
+    words, zero-padded to at least one word: bit q of word w of row p is
+    ``bits[p, 64 * w + q]``."""
+    n, m = bits.shape
+    packed = np.zeros((n, max(1, -(-m // 64)) * 8), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _row_ints(words: np.ndarray) -> list[int]:
+    """One Python int per row of ``pack_rows`` words, bit q set iff bit q
+    of the row was."""
+    bits = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        bits = [b << 64 | low for b, low in zip(bits, words[:, w].tolist())]
+    return bits
+
+
 def take_matching(res: np.ndarray, rows: Sequence[int],
                   cols: Sequence[int]) -> list[int]:
     """A perfect matching of ``rows`` to ``cols`` on the positive entries
@@ -262,33 +287,40 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     MatchingInfeasible with a Hall violator ``S`` and its neighbourhood
     ``N(S)``, plus the rows a maximum matching leaves ``unmatched``, all
     given as indices of ``res``.
+
+    The block ``res[rows][:, cols]`` is gathered once and packed into
+    one Python int per row, bit q set iff the row reaches ``cols[q]``;
+    the greedy first phase and Hopcroft-Karp run on those ints, and the
+    decrement goes through the same index arrays.
     """
-    sub = res[np.ix_(rows, cols)] > 0
-    # one Python int per row, bit q set iff sub[p, q]
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    bits = [int.from_bytes(buf[i * width:(i + 1) * width], "little")
-            for i in range(len(sub))]
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    sub = res.take(rows, 0).take(cols, 1) > 0
+    bits = _row_ints(pack_rows(sub))
     match_l = _greedy_matching(bits, len(cols))
     if -1 in match_l:
         match_l = hopcroft_karp(bits, len(cols), match_l)
         if -1 in match_l:
-            # row-major nonzero: each row's columns, ascending
-            flat = np.nonzero(sub)[1].tolist()
-            ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
-            adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
-            violator = _hall_violator(adj, match_l, len(cols))
-            raise MatchingInfeasible(
-                f"no perfect matching between classes of size {len(rows)}",
-                witness={"S": [rows[p] for p in violator],
-                         "N(S)": sorted({cols[q] for p in violator
-                                         for q in adj[p]}),
-                         "unmatched": [rows[p] for p, q in enumerate(match_l)
-                                       if q == -1]})
-    res[np.asarray(rows, dtype=np.intp),
-        np.asarray(cols, dtype=np.intp)[match_l]] -= 1
+            _raise_infeasible(sub, match_l, rows.tolist(), cols.tolist())
+    res[rows, cols[match_l]] -= 1
     return match_l
+
+
+def _raise_infeasible(sub: np.ndarray, match_l: list[int], rows: list[int],
+                      cols: list[int]):
+    """MatchingInfeasible for the maximum matching ``match_l`` of the
+    boolean block ``sub`` of ``rows`` x ``cols``."""
+    # row-major nonzero: each row's columns, ascending
+    flat = np.nonzero(sub)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
+    adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    violator = _hall_violator(adj, match_l, len(cols))
+    raise MatchingInfeasible(
+        f"no perfect matching between classes of size {len(rows)}",
+        witness={"S": [rows[p] for p in violator],
+                 "N(S)": sorted({cols[q] for p in violator for q in adj[p]}),
+                 "unmatched": [rows[p] for p, q in enumerate(match_l)
+                               if q == -1]})
 
 
 def _greedy_matching(rows: list[int], n_right: int) -> list[int]:
@@ -343,9 +375,12 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
     (columns), exactly into r perfect matchings.
 
     By König's theorem an r-regular bipartite multigraph has a perfect
-    matching, and removing it leaves an (r-1)-regular one, so r calls of
-    ``take_matching`` on a copy of ``mat``, rows and columns in index
-    order, peel the matchings off one by one.
+    matching, and removing it leaves an (r-1)-regular one, so r perfect
+    matchings, rows and columns in index order, peel the matchings off one
+    by one: the same ones as r calls of ``take_matching(res, range(m),
+    range(m))`` on a copy ``res`` of ``mat``.  The rows are packed once;
+    after each peel, a row's bit of its matched column is cleared when
+    that entry of ``res`` reaches 0.
 
     Each matching lists its (left vertex, right vertex) pairs ordered by
     (smaller id, larger id).
@@ -356,13 +391,28 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
     r = degs.pop()
     m = len(mat)
     res = mat.copy()
-    parts = [take_matching(res, range(m), range(m)) for _ in range(r)]
+    bits = _row_ints(pack_rows(res > 0))
+    idx = np.arange(m)
+    parts = np.empty((r, m), dtype=np.intp)
+    for k in range(r):
+        match_l = _greedy_matching(bits, m)
+        if -1 in match_l:
+            match_l = hopcroft_karp(bits, m, match_l)
+            if -1 in match_l:
+                _raise_infeasible(res > 0, match_l, list(range(m)),
+                                  list(range(m)))
+        parts[k] = match_l
+        res[idx, parts[k]] -= 1
+        for p in np.flatnonzero(res[idx, parts[k]] == 0).tolist():
+            bits[p] ^= 1 << match_l[p]
     # exactness check: perfect matchings that sum to the input
-    total = np.zeros_like(mat)
-    for cols in parts:
-        total[np.arange(m), cols] += 1
-    if not (all(len(set(cols)) == len(cols) for cols in parts)
-            and (total == mat).all()):
+    total = np.bincount((idx * m + parts).ravel(), minlength=m * m)
+    if not ((np.sort(parts, axis=1) == idx).all()
+            and (total.reshape(m, m) == mat).all()):
         raise InvalidParameter("internal: factorization does not sum to input")
-    return [sorted(zip(left, [right[j] for j in cols]),
-                   key=lambda e: (min(e), max(e))) for cols in parts]
+    us = np.broadcast_to(np.asarray(left), parts.shape)
+    vs = np.asarray(right)[parts]
+    order = np.lexsort((np.maximum(us, vs), np.minimum(us, vs)))
+    us = np.take_along_axis(us, order, axis=1).tolist()
+    vs = np.take_along_axis(vs, order, axis=1).tolist()
+    return [list(zip(u, v)) for u, v in zip(us, vs)]

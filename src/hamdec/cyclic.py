@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classic import (bipartite_hamilton_decompose, pair_matrix,
+from .classic import (bipartite_hamilton_decompose, pack_rows, pair_matrix,
                       regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching,
                       walecki_decompose)
@@ -41,8 +41,8 @@ class CyclicSystem:
 
     The arcs are held per cycle edge: ``pairs[p]`` is (tails, heads,
     matrix) for the p-th edge (ci, cj) of ``cycle.edges()``, with tails
-    and heads the clusters ci and cj and matrix the int64 0/1 arc matrix
-    tails x heads.
+    and heads the clusters ci and cj and matrix the 0/1 arc matrix
+    tails x heads (uint8 as ``sysdecom`` and ``sysdecombip`` build it).
     """
 
     n: int
@@ -160,12 +160,9 @@ def _superregular_report(mat: np.ndarray, eps: float, d: float,
     reg4 = min_deg >= d_star * m
 
     # codegrees on both sides (adjacency is 0/1 for codegree purposes)
-    amat = (mat > 0).astype(np.int64)
-    co_l = amat @ amat.T
-    np.fill_diagonal(co_l, 0)
-    co_r = amat.T @ amat
-    np.fill_diagonal(co_r, 0)
-    max_codeg = int(max(co_l.max(initial=0), co_r.max(initial=0)))
+    adj = mat > 0
+    max_codeg = max(int(_codegrees(pack_rows(side)).max(initial=0))
+                    for side in (adj, adj.T))
     reg2 = max_codeg <= c * c * m
 
     thresh = min(m, max(1, math.ceil(eps * m)))
@@ -202,11 +199,9 @@ def _superregular_report(mat: np.ndarray, eps: float, d: float,
         size_a = rng.integers(thresh, m, size=trials, endpoint=True)
         size_b = rng.integers(thresh, m, size=trials, endpoint=True)
         ranks = rng.permuted(np.tile(np.arange(m), (2 * trials, 1)), axis=1)
-        ind_a = (ranks[:trials] < size_a[:, None]).astype(np.int64)
+        ind_a = ranks[:trials] < size_a[:, None]
         ind_b = ranks[trials:] < size_b[:, None]
-        # an integer product: a float64 one goes to OpenBLAS, whose threads
-        # oversubscribe the cores under a jobs=2 process pool
-        e_ab = ((ind_a @ mat) * ind_b).sum(axis=1)
+        e_ab = _edge_counts(mat, ind_a, ind_b)
         dens = e_ab / (size_a * size_b)
         if d > 0:
             ratios = dens / d
@@ -220,6 +215,37 @@ def _superregular_report(mat: np.ndarray, eps: float, d: float,
         reg3_ok=reg3, reg4_ok=reg4, reg1_mode=reg1_mode,
         pairs_tested=pairs_tested, worst_density_ratio=worst_ratio,
         max_codegree=max_codeg, max_degree=max_deg, min_degree=min_deg)
+
+
+def _codegrees(words: np.ndarray) -> np.ndarray:
+    """The int64 codegree matrix of the rows packed in ``pack_rows``
+    words: entry (i, j), i != j, is the number of bits rows i and j share,
+    and the diagonal is 0.  Popcounts of the rows ANDed together, summed
+    one word at a time."""
+    co = np.zeros((len(words), len(words)), dtype=np.int64)
+    for w in range(words.shape[1]):
+        col = words[:, w]
+        co += np.bitwise_count(col[:, None] & col)
+    np.fill_diagonal(co, 0)
+    return co
+
+
+def _edge_counts(mat: np.ndarray, ind_a: np.ndarray, ind_b: np.ndarray
+                 ) -> np.ndarray:
+    """e(A_t, B_t) = 1_{A_t}^T mat 1_{B_t} for each row t of the boolean
+    set indicators ``ind_a`` (rows of ``mat``) and ``ind_b`` (columns),
+    as int64.  Over the bit planes mat = sum_k 2^k P_k, each term is
+    sum over a in A_t of |N_k(a) & B_t|, a popcount of packed rows; no
+    float product, so no BLAS threads under a jobs=2 process pool."""
+    sets = pack_rows(ind_b)
+    e_ab = np.zeros(len(ind_a), dtype=np.int64)
+    for k in range(int(mat.max(initial=0)).bit_length()):
+        plane = pack_rows(((mat >> k) & 1).astype(bool))
+        hits = np.zeros((len(sets), len(plane)), dtype=np.int64)
+        for w in range(plane.shape[1]):
+            hits += np.bitwise_count(sets[:, w, None] & plane[:, w])
+        e_ab += (hits * ind_a).sum(axis=1) << k
+    return e_ab
 
 
 EXHAUSTIVE_EXPANDER_LIMIT = 18
@@ -429,13 +455,13 @@ def _random_regular_subgraph(res: np.ndarray, degree: int,
     matching tries rows and columns in one fresh permutation each."""
     chosen: list[tuple[int, int]] = []
     for _ in range(degree):
-        perm_l = rng.permutation(len(res)).tolist()
-        perm_r = rng.permutation(len(res)).tolist()
+        perm_l = rng.permutation(len(res))
+        perm_r = rng.permutation(len(res))
         try:
             match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
             return None
-        chosen.extend(zip(perm_l, [perm_r[q] for q in match]))
+        chosen.extend(zip(perm_l.tolist(), perm_r[match].tolist()))
     return chosen
 
 
@@ -701,7 +727,7 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
         for (ci, cj) in cyc.edges():
             tails, heads, res = residuals[ci, cj]
             arc_pairs.append((tails, heads, np.ascontiguousarray(
-                res > 0, dtype=np.int64)))
+                res > 0, dtype=np.uint8)))
         slots = []
         for cell, parts in sorted(cell_split.items()):
             for es_idx in parts[j]:

@@ -534,3 +534,99 @@ class TestHopcroftKarp:
         assert exc.value.witness["unmatched"] == \
             [rows[p] for p, q in enumerate(left) if q == -1] == [1]
         assert sorted(exc.value.witness["S"]) == [1, 2]
+
+
+def frozen_take_matching(res, rows, cols):
+    """take_matching as it was before it gathered with ``take`` and packed
+    rows into uint64 words (np.ix_ on the index sequences, one
+    int.from_bytes per row), kept frozen here so that the packed kernel
+    must keep every matching, residual and witness."""
+    sub = res[np.ix_(rows, cols)] > 0
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    bits = [int.from_bytes(buf[i * width:(i + 1) * width], "little")
+            for i in range(len(sub))]
+    match_l = classic._greedy_matching(bits, len(cols))
+    if -1 in match_l:
+        match_l = hopcroft_karp(bits, len(cols), match_l)
+        if -1 in match_l:
+            flat = np.nonzero(sub)[1].tolist()
+            ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
+            adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
+            violator = classic._hall_violator(adj, match_l, len(cols))
+            raise MatchingInfeasible(
+                "no perfect matching",
+                witness={"S": [rows[p] for p in violator],
+                         "N(S)": sorted({cols[q] for p in violator
+                                         for q in adj[p]}),
+                         "unmatched": [rows[p] for p, q in enumerate(match_l)
+                                       if q == -1]})
+    res[np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp)[match_l]] -= 1
+    return match_l
+
+
+class TestPackedKernels:
+    @pytest.mark.parametrize("m", [0, 1, 7, 63, 64, 65, 130])
+    def test_pack_rows_words_and_ints(self, m):
+        bits = np.random.default_rng(m).random((5, m)) < 0.5
+        words = classic.pack_rows(bits)
+        assert words.dtype == np.dtype("<u8")
+        assert words.shape == (5, max(1, -(-m // 64)))
+        q = np.arange(m)
+        assert ((words[:, q // 64] >> (q % 64).astype(np.uint64)) & 1
+                == bits).all()
+        assert classic._row_ints(words) == [
+            sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits]
+
+    @given(st.integers(0, 70), st.integers(0, 6), st.floats(0.02, 1.0),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from([list, lambda xs: np.array(xs, dtype=np.intp)]),
+           st.sampled_from([np.int64, np.uint8]))
+    @settings(max_examples=60, deadline=None)
+    def test_take_matching_matches_the_frozen_kernel(self, k, extra, density,
+                                                     seed, kind, dtype):
+        # rows and columns: k of n indices each, in random order, so the
+        # gathered block crosses the 64-column word boundary
+        gen = np.random.default_rng(seed)
+        n = k + extra
+        res = ((gen.random((n, n)) < density)
+               * gen.integers(1, 3, (n, n))).astype(dtype)
+        rows = kind(gen.permutation(n)[:k].tolist())
+        cols = kind(gen.permutation(n)[:k].tolist())
+        ref = res.copy()
+        try:
+            expected = frozen_take_matching(ref, rows, cols)
+        except MatchingInfeasible as frozen:
+            with pytest.raises(MatchingInfeasible) as exc:
+                take_matching(res, rows, cols)
+            assert exc.value.witness == frozen.witness
+            assert all(type(x) is int
+                       for xs in exc.value.witness.values() for x in xs)
+            assert (res == ref).all()
+            return
+        assert take_matching(res, rows, cols) == expected
+        assert res.dtype == dtype and (res == ref).all()
+
+    @given(st.integers(1, 70), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_factorization_matches_peeling_the_frozen_kernel(self, m, r,
+                                                             seed):
+        # r random permutation matrices summed: the greedy phase often
+        # leaves rows unmatched, so Hopcroft-Karp runs too
+        gen = np.random.default_rng(seed)
+        mat = np.zeros((m, m), dtype=np.int64)
+        for _ in range(r):
+            mat[np.arange(m), gen.permutation(m)] += 1
+        ids = gen.permutation(3 * m).tolist()
+        left, right = ids[:m], ids[m:2 * m]
+        res = mat.copy()
+        peeled = [frozen_take_matching(res, range(m), range(m))
+                  for _ in range(r)]
+        expected = [sorted(zip(left, [right[j] for j in cols]),
+                           key=lambda e: (min(e), max(e))) for cols in peeled]
+        got = regular_bipartite_to_matchings(mat, left, right)
+        assert got == expected
+        assert all(type(u) is int and type(v) is int
+                   for pm in got for (u, v) in pm)

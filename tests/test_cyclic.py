@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamdec import cyclic
-from hamdec.classic import pair_matrix
+from hamdec.classic import pack_rows, pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
 from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
                            check_robust_outexpander, check_superregular,
@@ -154,6 +155,61 @@ class TestSuperregular:
         with pytest.raises(InvalidParameter):
             check_superregular(g, left, right, eps=0.5, d=1.0, d_star=1.0,
                                c=1.0, mode="exhaustive")
+
+
+
+# one word, a partial word, exactly one and two words, and several
+WORD_SIZES = [1, 40, 63, 64, 65, 80, 130]
+
+
+def multiplicity_matrix(gen, m, top):
+    """An m x m matrix whose nonzero entries, about half, lie in 1..top."""
+    return (gen.random((m, m)) < gen.random()) * gen.integers(1, top + 1,
+                                                              (m, m))
+
+
+class TestPackedKernels:
+    """The popcount kernels of _superregular_report against the int64
+    products they replaced."""
+
+    @given(st.sampled_from(WORD_SIZES), st.sampled_from([1, 2, 3, 7, 255]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_codegrees_equal_the_int64_product(self, m, top, seed):
+        mat = multiplicity_matrix(np.random.default_rng(seed), m, top)
+        amat = (mat > 0).astype(np.int64)
+        for side, prod in ((mat > 0, amat @ amat.T),
+                           ((mat > 0).T, amat.T @ amat)):
+            np.fill_diagonal(prod, 0)
+            co = cyclic._codegrees(pack_rows(side))
+            assert co.dtype == np.int64 and (co == prod).all()
+
+    @given(st.sampled_from(WORD_SIZES), st.sampled_from([1, 2, 3, 7, 255]),
+           st.integers(0, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_edge_counts_equal_the_int64_product(self, m, top, trials, seed):
+        gen = np.random.default_rng(seed)
+        mat = multiplicity_matrix(gen, m, top)
+        ind_a = gen.random((trials, m)) < gen.random((trials, 1))
+        ind_b = gen.random((trials, m)) < gen.random((trials, 1))
+        expected = ((ind_a.astype(np.int64) @ mat) * ind_b).sum(axis=1)
+        for dtype in (np.int64, np.uint8):
+            e_ab = cyclic._edge_counts(mat.astype(dtype), ind_a, ind_b)
+            assert e_ab.dtype == np.int64 and (e_ab == expected).all()
+
+    def test_uint8_pair_gives_the_int64_report(self):
+        # the slices' pair matrices are uint8; reports must not notice
+        mat = (np.random.default_rng(3).random((80, 80)) < 0.6).astype(
+            np.int64)
+        reports = [_superregular_report(mat.astype(dtype), 0.2, 0.6, 0.3,
+                                        0.9, "sampled", 200,
+                                        np.random.default_rng(8)).to_json_obj()
+                   for dtype in (np.int64, np.uint8)]
+        assert reports[0] == reports[1]
+        co_l, co_r = mat @ mat.T, mat.T @ mat
+        np.fill_diagonal(co_l, 0)
+        np.fill_diagonal(co_r, 0)
+        assert reports[0]["max_codegree"] == max(co_l.max(), co_r.max())
 
 
 class TestRobustOutexpander:

@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hamdec
@@ -603,6 +605,31 @@ class TestJobs:
                 assert type(es_index) is int
                 assert type(order) is list
                 assert all(type(v) is int for v in order)
+
+    def test_dense_slice_tasks_pickle_small(self, monkeypatch):
+        # bench/run.py's tc-dense config: each task ships its slice's five
+        # 80 x 80 pair matrices to a pool worker, as uint8 (about 80 KB a
+        # task; as int64 they made it about 300 KB)
+        cfg = InstanceConfig(mode="two-cliques", K=5, m=80, hes_count=25,
+                             seed=11)
+        host, P, systems = generate_instance(cfg)
+        run = pipeline._run_slice_tasks
+        sizes = []
+
+        def recording(tasks, jobs, seed):
+            sizes.extend(len(pickle.dumps(task)) for task in tasks)
+            for task in tasks:
+                assert all(mat.dtype == np.uint8
+                           for (_t, _h, mat) in task[1].pairs)
+            return run(tasks, jobs, seed)
+
+        monkeypatch.setattr(pipeline, "_run_slice_tasks", recording)
+        certs = [approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                              cfg.rho, cfg.gamma,
+                                              seed=cfg.seed, jobs=jobs)
+                 for jobs in (1, 2)]
+        assert certs[0].to_json() == certs[1].to_json()
+        assert len(sizes) == 8 and max(sizes) < 100_000
 
 
 class TestCli:
