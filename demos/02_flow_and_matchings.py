@@ -1,11 +1,12 @@
 """Flow-based regular spanning subgraphs and exact 1-factorization.
 
 A near-regular bipartite pair always contains a spanning regular
-subgraph of slightly smaller degree; the extraction is an integral
-max-flow, and infeasibility comes back as a checkable cut witness.  Both
-steps take the pair as its multiplicity matrix (rows one class, columns
-the other), and the 1-factorization returns each perfect matching as a
-list of (left, right) vertex pairs.
+subgraph of slightly smaller degree; the extraction is an r-factor, an
+integral maximum flow found by a greedy fill and augmenting paths on
+the pair's rows packed into bitsets, and infeasibility comes back as a
+checkable cut witness.  Both steps take the pair as its multiplicity
+matrix (rows one class, columns the other), and the 1-factorization
+returns each perfect matching as a list of (left, right) vertex pairs.
 
 Run:  python demos/02_flow_and_matchings.py
 """

@@ -1,30 +1,28 @@
 """Classical decomposition primitives used as black boxes elsewhere:
 the zig-zag Hamilton decomposition of complete graphs on an odd number
 of clusters, the Hamilton decomposition of complete balanced bipartite
-graphs on an even number of clusters per side, flow-based extraction of
-regular spanning subgraphs, and exact 1-factorization of regular
+graphs on an even number of clusters per side, extraction of regular
+spanning subgraphs as r-factors, and exact 1-factorization of regular
 bipartite multigraphs by peeling off one perfect matching at a time.
 
-Perfect matchings run on bit-packed rows: ``pack_rows`` packs a boolean
-matrix into little-endian uint64 words (``cyclic`` counts codegrees and
-edges between sets on those words), and the matching kernels join each
-row's words into one Python int, on which the greedy phase and
-Hopcroft-Karp work as bitset operations.
+Perfect matchings and r-factors run on bit-packed rows: ``pack_rows``
+packs a boolean matrix into little-endian uint64 words (``cyclic``
+counts codegrees and edges between sets on those words), and the
+kernels join each row's words into one Python int, on which the greedy
+phases, Hopcroft-Karp and the r-factor's augmenting paths work as
+bitset operations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ClusterCycle, Host, Multigraph
 from .errors import (DegreeHypothesisViolated, InvalidParameter,
                      MatchingInfeasible)
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 
 def walecki_decompose(K: int) -> list[ClusterCycle]:
@@ -72,7 +70,7 @@ def bipartite_hamilton_decompose(K: int) -> list[ClusterCycle]:
     return cycles
 
 
-# -- flow-based regular spanning subgraphs -----------------------------------
+# -- regular spanning subgraphs as r-factors on packed rows -------------------
 
 
 def regular_spanning_subgraph(mat: np.ndarray, left: Sequence[int],
@@ -84,10 +82,14 @@ def regular_spanning_subgraph(mat: np.ndarray, left: Sequence[int],
     r = floor((1 - mu - rho) * m) unless ``degree`` overrides it; returns
     the subgraph's multiplicity matrix.
 
-    Realized as an integral max-flow on the source/sink network with unit
-    (multiplicity) capacities on the graph edges.  If the flow value falls
-    short, raises DegreeHypothesisViolated carrying a cut witness (S1, S2)
-    of vertex ids with e(S1, right \\ S2) < r * (|S1| - |S2|).
+    The subgraph is an r-factor, a maximum flow of value r * m on the
+    network source -> row (capacity r) -> column (capacity ``mat``) ->
+    sink (capacity r), found by ``_r_factor`` on the rows of ``mat``
+    packed into Python ints.  If the flow value falls short, raises
+    DegreeHypothesisViolated carrying a cut witness (S1, S2) of vertex ids
+    with e(S1, right \\ S2) < r * (|S1| - |S2|): the rows and columns
+    that the source reaches in the residual network, the same sets for
+    every maximum flow.
     """
     m = len(left)
     if m != len(right) or m == 0:
@@ -99,57 +101,159 @@ def regular_spanning_subgraph(mat: np.ndarray, left: Sequence[int],
     r = int((1 - mu - rho) * m) if degree is None else degree
     if r < 0 or r > m:
         raise InvalidParameter(f"target degree {r} outside 0..{m}")
-    if r == 0:
-        return np.zeros((m, m), dtype=np.int64)
-
-    # imported here: `hamdec verify`, which never runs a flow, loads no scipy
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-    ii, jj = np.nonzero(mat)
-    # network nodes: 0 = source, 1..m = left, m+1..2m = right, 2m+1 = sink
-    src, snk = 0, 2 * m + 1
-    rows = np.concatenate([ii + 1, np.full(m, src), np.arange(m + 1, snk)])
-    cols = np.concatenate([jj + m + 1, np.arange(1, m + 1), np.full(m, snk)])
-    caps = np.concatenate([mat[ii, jj], np.full(2 * m, r)]).astype(np.int32)
-    graph = csr_matrix((caps, (rows, cols)), shape=(2 * m + 2, 2 * m + 2))
-    result = maximum_flow(graph, src, snk)
-    if result.flow_value == r * m:
-        return result.flow[1:m + 1, m + 1:2 * m + 1].toarray().astype(
-            np.int64)
-
-    # short flow: extract the min cut from residual reachability and
-    # translate it into the degree-hypothesis witness
-    s1, s2 = _min_cut_witness(graph, result.flow, src, m)
+    sub, s1, s2 = _r_factor(mat, r)
+    flow = int(sub.sum())
+    if flow == r * m:
+        if not ((sub.sum(axis=0) == r).all() and (sub.sum(axis=1) == r).all()
+                and (sub >= 0).all() and (sub <= mat).all()):
+            raise InvalidParameter("internal: r-factor check failed")
+        return sub
     rbar = [j for j in range(m) if j not in set(s2)]
     e_val = int(mat[np.ix_(s1, rbar)].sum())
     raise DegreeHypothesisViolated(
-        f"max flow {result.flow_value} < r*m = {r * m}; cut witness "
+        f"max flow {flow} < r*m = {r * m}; cut witness "
         f"violates e(S1, ~S2) >= r(|S1|-|S2|): {e_val} < "
         f"{r * (len(s1) - len(s2))}",
         witness={"S1": [left[i] for i in s1], "S2": [right[j] for j in s2],
                  "r": r, "e(S1,~S2)": e_val})
 
 
-def _min_cut_witness(graph: csr_matrix, flow: csr_matrix, src: int, m: int):
-    """Residual BFS from the source; returns (S1, S2) as index sets into
-    the left/right classes."""
-    # the flow matrix is antisymmetric, so graph - flow has positive
-    # entries exactly on usable forward and backward residual arcs
-    residual = (graph - flow).tocsr()
-    n = graph.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[src] = True
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        row = residual[x]
-        for y, c in zip(row.indices, row.data):
-            if c > 0 and not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    s1 = [i for i in range(m) if seen[i + 1]]
-    s2 = [i for i in range(m) if seen[m + 1 + i]]
-    return s1, s2
+def _r_factor(mat: np.ndarray, r: int
+              ) -> tuple[np.ndarray, list[int], list[int]]:
+    """A maximum flow X of the r-factor network of ``mat`` as an int64
+    matrix, and the rows and columns that the source reaches in its
+    residual network (both empty when every row of X sums to r).
+
+    First a greedy fill: each row in turn takes one unit of each of its
+    first r columns still short of r, counting cyclically from column
+    p * r for row p, so the load spreads over the columns.  The column
+    counters are bit planes of Python ints, so a row is added a word at a
+    time: each counter starts at 2^K - r, with K planes, and a column
+    closes when adding a row carries out of the top plane.  The rows
+    left short then augment as in ``_augment``.
+    """
+    m = len(mat)
+    every = (1 << m) - 1
+    start = (1 << r.bit_length()) - r
+    planes = [every if start >> k & 1 else 0
+              for k in range(r.bit_length())]
+    open_cols, held, short = every, [], False
+    for p, row in enumerate(_row_ints(pack_rows(mat > 0))):
+        avail = row & open_cols
+        count = avail.bit_count()
+        if count > r:
+            shift = p * r % m
+            avail = (avail >> shift | avail << (m - shift)) & every
+            avail = _lowest_bits(avail, count, r)
+            avail = (avail << shift | avail >> (m - shift)) & every
+        else:
+            short |= count < r
+        held.append(avail)
+        carry = avail
+        for k, plane in enumerate(planes):
+            planes[k], carry = plane ^ carry, plane & carry
+        open_cols ^= carry
+    sub = _int_rows(held, m).astype(np.int64)
+    if not short:
+        return sub, [], []
+    return _augment(mat, sub, r, held)
+
+
+def _lowest_bits(bits: int, count: int, keep: int) -> int:
+    """The ``keep`` lowest set bits of ``bits``, which has ``count``."""
+    if keep <= count - keep:
+        out = 0
+        for _ in range(keep):
+            low = bits & -bits
+            out |= low
+            bits ^= low
+        return out
+    for _ in range(count - keep):
+        bits ^= 1 << (bits.bit_length() - 1)
+    return bits
+
+
+def _augment(mat: np.ndarray, sub: np.ndarray, r: int, held: list[int]
+             ) -> tuple[np.ndarray, list[int], list[int]]:
+    """Complete the flow ``sub`` of ``_r_factor`` to a maximum one by
+    augmenting paths, in place; ``held[p]`` has bit q set iff
+    ``sub[p, q] > 0``.
+
+    Each phase is a BFS from every row still short of r.  A column layer
+    is the OR of the frontier's residual rows (bit q of ``fwd[p]`` is set
+    iff ``sub[p, q] < mat[p, q]``), and the next row layer is the unseen
+    rows that hold a unit of a column in it.  The BFS stops at the first
+    layer with columns still short of r.  From each such column a path
+    is traced back through the layers, taking the first row that can add
+    a unit and the first column that row holds, and is augmented when it
+    reaches a short row.  A phase that finds no such column leaves a
+    maximum flow, and its layers are the residual-reachable rows and
+    columns.  Multiplicities above 1 are counted in ``sub``.
+    """
+    m = len(sub)
+    fwd = _row_ints(pack_rows(sub < mat))
+    row_short = (r - sub.sum(axis=1)).tolist()
+    col_short = (r - sub.sum(axis=0)).tolist()
+    open_cols = sum(1 << q for q in range(m) if col_short[q])
+    while True:
+        frontier = [p for p in range(m) if row_short[p]]
+        unseen = [p for p in range(m) if not row_short[p]]
+        rows_at, cols_at, seen, hit = [frontier], [], 0, 0
+        while frontier:
+            reach = 0
+            for p in frontier:
+                reach |= fwd[p]
+            reach &= ~seen
+            if not reach:
+                break
+            seen |= reach
+            cols_at.append(reach)
+            hit = reach & open_cols
+            if hit:
+                break
+            frontier = [p for p in unseen if held[p] & reach]
+            unseen = [p for p in unseen if not held[p] & reach]
+            rows_at.append(frontier)
+        if not hit:
+            return (sub, sorted(p for layer in rows_at for p in layer),
+                    [q for q in range(m) if seen >> q & 1])
+        depth = len(cols_at) - 1
+        while hit:
+            end = (hit & -hit).bit_length() - 1
+            hit ^= 1 << end
+            # the path alternates (row, column it adds) steps, back from
+            # the end column; the row at layer t drops the column it
+            # reached through, which the next step adds
+            path, q = [], end
+            for t in range(depth, -1, -1):
+                p = next((p for p in rows_at[t] if fwd[p] >> q & 1
+                          and (t or row_short[p])), -1)
+                if p < 0:
+                    break
+                path.append((p, q))
+                if not t:
+                    break
+                drop = held[p] & cols_at[t - 1]
+                if not drop:
+                    break
+                q = (drop & -drop).bit_length() - 1
+            if len(path) <= depth:
+                continue
+            for k, (p, q) in enumerate(path):
+                sub[p, q] += 1
+                held[p] |= 1 << q
+                if sub[p, q] == mat[p, q]:
+                    fwd[p] ^= 1 << q
+                if k < depth:
+                    q = path[k + 1][1]
+                    sub[p, q] -= 1
+                    fwd[p] |= 1 << q
+                    if not sub[p, q]:
+                        held[p] ^= 1 << q
+            row_short[path[-1][0]] -= 1
+            col_short[end] -= 1
+            if not col_short[end]:
+                open_cols ^= 1 << end
 
 
 # -- Hopcroft-Karp maximum matching ------------------------------------------
@@ -276,6 +380,15 @@ def _row_ints(words: np.ndarray) -> list[int]:
     for w in range(words.shape[1] - 2, -1, -1):
         bits = [b << 64 | low for b, low in zip(bits, words[:, w].tolist())]
     return bits
+
+
+def _int_rows(ints: list[int], m: int) -> np.ndarray:
+    """The boolean matrix with m columns whose row p has the bits of
+    ``ints[p]``: the inverse of ``_row_ints(pack_rows(...))``."""
+    width = -(-m // 8)
+    buf = b"".join(v.to_bytes(width, "little") for v in ints)
+    return np.unpackbits(np.frombuffer(buf, np.uint8).reshape(-1, width),
+                         axis=1, count=m, bitorder="little").view(bool)
 
 
 def take_matching(res: np.ndarray, rows: Sequence[int],

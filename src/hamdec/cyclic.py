@@ -493,10 +493,6 @@ class SliceSide:
     mu: float
     eps: float
 
-    def cyclic_system(self) -> CyclicSystem:
-        return CyclicSystem(self.n, self.pairs, self.q, self.cycle, self.mu,
-                            self.eps)
-
 
 @dataclass
 class DecompositionQuotas:
@@ -585,9 +581,11 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
     multiplicity matrix ``res`` in place, each as its (left, right) edges.
 
     Random perfect-matching extraction keeps the remainder unstructured
-    (a deterministic flow pattern leaves a remainder on which later Hall
+    (a deterministic r-factor leaves a remainder on which later Hall
     matchings fail persistently); if the randomized route starves, fall
-    back to flow extraction plus an exact 1-factorization.
+    back to one r-factor of the pair
+    (``classic.regular_spanning_subgraph``) plus an exact
+    1-factorization.
     """
     total = parts * degree
     pair = res.copy()

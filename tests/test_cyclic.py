@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from hamdec import cyclic
 from hamdec.classic import pack_rows, pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
-from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
-                           check_robust_outexpander, check_superregular,
-                           reserve_regular, reserve_sparse, sysdecom,
-                           sysdecombip, two_cliques_reserve_degree,
+from hamdec.cyclic import (CyclicSystem, _extract_regular_parts,
+                           _superregular_report, check_robust_outexpander,
+                           check_superregular, reserve_regular,
+                           reserve_sparse, sysdecom, sysdecombip,
+                           two_cliques_reserve_degree,
                            bipartite_reserve_degree)
 from hamdec.errors import InvalidParameter, SamplingFailed
 from hamdec.pipeline import InstanceConfig, generate_instance
@@ -468,7 +469,8 @@ class TestSysdecom:
         cfg, host, P, systems, a_slices, b_slices, quotas = \
             two_cliques_decomposed
         for slc in a_slices + b_slices:
-            slc.cyclic_system().validate()
+            CyclicSystem(slc.n, slc.pairs, slc.q, slc.cycle, slc.mu,
+                         slc.eps).validate()
 
 
 class TestSysdecomUnclamped:
@@ -506,7 +508,8 @@ class TestSysdecombip:
         for slc in slices:
             assert winds_around(Digraph(slc.n, system_arcs(slc)), slc.q,
                                 slc.cycle)
-            slc.cyclic_system().validate()
+            CyclicSystem(slc.n, slc.pairs, slc.q, slc.cycle, slc.mu,
+                         slc.eps).validate()
             for i in range(cfg.K):
                 for ip in range(cfg.K):
                     assert reserve_degrees(slc, P.a_cluster(i),

@@ -4,11 +4,11 @@ The sha256 of the canonical certificate JSON for fixed (config, seed)
 pairs.  A refactor that keeps every random draw must keep these bytes;
 a change that alters the draws on purpose re-pins them and says why.
 
-Last re-pin: `classic.regular_bipartite_to_matchings` now peels r
-Hopcroft-Karp perfect matchings off an r-regular pair instead of
-splitting it along Euler circuits.  The random streams are the same, but
-the 1-factors they choose among differ, so every certificate's bytes
-change while its verdict does not.
+Last re-pin: `classic.regular_spanning_subgraph` now finds its r-factor
+by a greedy fill and augmenting paths on packed rows instead of a
+max-flow library call.  The random streams are the same, but the bulk
+slots' 1-factors come from a different, equally valid r-factor, so every
+certificate's bytes change while its verdict does not.
 """
 
 import hashlib
@@ -20,13 +20,13 @@ from hamdec.pipeline import (InstanceConfig, approx_decompose_bipartite,
 
 GOLDEN = [
     ("two-cliques-default", InstanceConfig.two_cliques_default(seed=7),
-     "50075efa35e85d6a65a23e0aa96d2b57ef16533a36ccaceb4d7f89a2937ed224"),
+     "cd135888540d9fede32141f4ade78e930570b604afe9c7f90ccaee88c442959d"),
     ("bipartite-default", InstanceConfig.bipartite_default(seed=7),
-     "abf2c53e05dcafbda37c869dd95e2d567b2a7552f91c759b70559a31a798773f"),
+     "f8f4c685fbb646c57b9f1c5062db45fcad2cf60a8380ceeaa3eab148beb31a46"),
     ("two-cliques-mixed",
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
-     "f4b566b9960c6350ba0c6edf50d5f6674efd82a1be188d40714dc4bc3db7e89e"),
+     "71dd0db9b7c81fe85a0c094abac365ecf05ec378cea2befd9991e87b9b7df9b3"),
 ]
 
 

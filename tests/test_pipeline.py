@@ -752,8 +752,7 @@ class TestCli:
         assert not out.exists()
 
     def test_import_loads_no_scipy(self):
-        # only the flow extraction needs scipy, and `hamdec verify` runs
-        # none, so it should not pay for the import
+        # hamdec needs no scipy, so importing it should not pay for one
         src = os.path.dirname(os.path.dirname(hamdec.__file__))
         code = ("import sys, hamdec.cli; sys.exit(sorted(m for m in "
                 "sys.modules if m.split('.')[0] == 'scipy')[:3] or 0)")
@@ -761,6 +760,34 @@ class TestCli:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
+
+    def test_gen_decompose_verify_load_no_scipy(self, tmp_path):
+        # both modes, decomposed on one and on two workers; a `scipy`
+        # package that fails to import shadows any installed one, so a
+        # worker process that imports it fails the run too
+        poison = tmp_path / "poison" / "scipy"
+        poison.mkdir(parents=True)
+        (poison / "__init__.py").write_text(
+            "raise ImportError('scipy is imported')\n")
+        src = os.path.dirname(os.path.dirname(hamdec.__file__))
+        code = (
+            "import sys\n"
+            "from hamdec.cli import main\n"
+            "for mode in ('two-cliques', 'bipartite'):\n"
+            "    assert main(['gen', '--mode', mode, '--seed', '4', "
+            "'--out', 'inst.json']) == 0\n"
+            "    for jobs in ('1', '2'):\n"
+            "        assert main(['decompose', 'inst.json', '--jobs', jobs, "
+            "'--out', 'cert.json']) == 0\n"
+            "        assert main(['verify', 'inst.json', 'cert.json']) == 0\n"
+            "sys.exit(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')[:3] or 0)\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, timeout=120,
+            capture_output=True, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([str(poison.parent), src])})
+        assert out.returncode == 0, out.stdout + out.stderr
 
 
 def _reversed_ids(obj):

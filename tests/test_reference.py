@@ -11,9 +11,11 @@ and the earlier ``Multigraph.is_path_system``/``paths``,
 ``assembly._cycle_count``/``_hamilton_order``, as free functions; and
 the dict-host generator; and the Digraph-based input check of the
 splices (``exceptional._check_input_cycle`` with the
-``core.is_consistent_with`` walk it made).  The reference verifier
-reads the host as a ``Multigraph`` of its edges, and computes the
-instance digest it checks from those edges in pure Python.
+``core.is_consistent_with`` walk it made); and a pure-Python max-flow
+for ``classic.regular_spanning_subgraph``, which once ran on a max-flow
+library.  The reference verifier reads the host as a ``Multigraph`` of
+its edges, and computes the instance digest it checks from those edges
+in pure Python.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
 unreadable.  The mutations here write pairs only.
@@ -26,19 +28,23 @@ import json
 import math
 import os
 import random
+from collections import deque
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamdec.assembly import _cycles
+from hamdec.classic import (_augment, _row_ints, pack_rows,
+                            regular_spanning_subgraph)
 from hamdec.cli import _dump_instance, main as cli_main
 from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
                          OrderedDirectedMatching, canonical_json,
                          cycle_to_perfect_matchings, cycle_vertex_order,
                          derive_seed, is_consistent_with,
                          verify_hamilton_cycle)
-from hamdec.errors import (HamdecError, InvalidParameter, MalformedInput,
-                           NotConsistent)
+from hamdec.errors import (DegreeHypothesisViolated, HamdecError,
+                           InvalidParameter, MalformedInput, NotConsistent)
 from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
                                 ExceptionalSystem, _check_input_cycle)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
@@ -984,3 +990,129 @@ class TestHostMatrixMatchesReference:
         _dump_instance(str(ref), cfg, Host(ref_host.n, ref_host.edges()), P,
                        ref_systems)
         assert out.read_bytes() == ref.read_bytes()
+
+
+# -- the r-factor against a frozen max-flow ----------------------------------
+
+
+def ref_r_factor_flow(mat, r: int) -> tuple[int, list[int], list[int]]:
+    """Maximum flow on source -> row p (capacity r) -> column q (capacity
+    ``mat[p][q]``) -> sink (capacity r), by BFS augmenting paths over a
+    dict of residual capacities.  Returns the flow value and the rows
+    and columns that the source reaches in the final residual network."""
+    m = len(mat)
+    cap: dict = {}
+    adj: dict = {}
+
+    def arc(u, v, c):
+        for a, b in ((u, v), (v, u)):
+            if (a, b) not in cap:
+                cap[a, b] = 0
+                adj.setdefault(a, []).append(b)
+        cap[u, v] += c
+
+    for p in range(m):
+        arc("s", ("row", p), r)
+        arc(("col", p), "t", r)
+        for q in range(m):
+            if mat[p][q]:
+                arc(("row", p), ("col", q), int(mat[p][q]))
+
+    def reach():
+        parent = {"s": None}
+        queue = deque(["s"])
+        while queue:
+            u = queue.popleft()
+            for v in adj.get(u, []):
+                if v not in parent and cap[u, v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    flow = 0
+    while True:
+        parent = reach()
+        if "t" not in parent:
+            break
+        path, v = [], "t"
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[a] for a in path)
+        for u, v in path:
+            cap[u, v] -= push
+            cap[v, u] += push
+        flow += push
+    nodes = [v for v in parent if v != "s"]
+    return (flow, sorted(p for side, p in nodes if side == "row"),
+            sorted(q for side, q in nodes if side == "col"))
+
+
+@st.composite
+def r_factor_cases(draw):
+    """A pair matrix of multiplicities 0-3: a sum of random permutations,
+    so high degrees occur, with some cells overwritten; and a target
+    degree r in 0..m."""
+    m = draw(st.integers(1, 12))
+    mat = np.zeros((m, m), dtype=np.int64)
+    for perm in draw(st.lists(st.permutations(range(m)), max_size=m)):
+        mat[np.arange(m), perm] += 1
+    mat = np.minimum(mat, 3)
+    for p, q, k in draw(st.lists(st.tuples(
+            st.integers(0, m - 1), st.integers(0, m - 1),
+            st.integers(0, 3)), max_size=2 * m)):
+        mat[p, q] = k
+    dtype = draw(st.sampled_from([np.int64, np.uint8]))
+    return mat.astype(dtype), draw(st.integers(0, m))
+
+
+class TestRFactorMatchesReference:
+    @given(r_factor_cases())
+    @example((np.array([[0]]), 1))
+    @example((np.array([[2]], dtype=np.uint8), 1))
+    @settings(max_examples=400, deadline=None)
+    def test_against_the_frozen_max_flow(self, case):
+        mat, r = case
+        m = len(mat)
+        # vertex ids: rows 0..m-1, columns m..2m-1
+        left, right = list(range(m)), list(range(m, 2 * m))
+        flow, s1, s2 = ref_r_factor_flow(mat.tolist(), r)
+        if flow == r * m:
+            sub = regular_spanning_subgraph(mat, left, right, 0.0, 0.0,
+                                            degree=r)
+            assert sub.dtype == np.int64
+            assert (sub.sum(axis=0) == r).all()
+            assert (sub.sum(axis=1) == r).all()
+            assert (sub >= 0).all() and (sub <= mat).all()
+            return
+        with pytest.raises(DegreeHypothesisViolated) as exc:
+            regular_spanning_subgraph(mat, left, right, 0.0, 0.0, degree=r)
+        assert str(exc.value).startswith(f"max flow {flow} < r*m = {r * m};")
+        w = exc.value.witness
+        assert w["S1"] == s1 and w["S2"] == [m + q for q in s2]
+        rbar = [q for q in range(m) if q not in s2]
+        assert w["e(S1,~S2)"] == int(mat[np.ix_(s1, rbar)].sum())
+        assert w["r"] == r
+
+    @given(r_factor_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_augmenting_from_any_partial_flow(self, case, rnd):
+        # the greedy fill leaves few rows short on small pairs, so start
+        # the augmenting paths from a random flow instead
+        mat, r = case
+        m = len(mat)
+        sub = np.zeros((m, m), dtype=np.int64)
+        cells = [(p, q) for p in range(m) for q in range(m)
+                 for _ in range(int(mat[p, q]))]
+        for p, q in rnd.sample(cells, rnd.randint(0, len(cells))):
+            if sub[p].sum() < r and sub[:, q].sum() < r:
+                sub[p, q] += 1
+        held = _row_ints(pack_rows(sub > 0))
+        sub, s1, s2 = _augment(mat, sub, r, held)
+        flow, ref_s1, ref_s2 = ref_r_factor_flow(mat.tolist(), r)
+        assert int(sub.sum()) == flow
+        assert (sub >= 0).all() and (sub <= mat).all()
+        assert (sub.sum(axis=0) <= r).all() and (sub.sum(axis=1) <= r).all()
+        assert held == _row_ints(pack_rows(sub > 0))
+        if flow < r * m:
+            assert (s1, s2) == (ref_s1, ref_s2)
