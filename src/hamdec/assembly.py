@@ -1,14 +1,14 @@
 """Turn balanced extensions into Hamilton cycles inside a cyclic system:
-1-factor completion, cycle merging and waypoint reordering by small
-moves on the reservoir arcs of one superregular pair, and the per-slice
-pipeline.
+1-factor completion, cycle merging and waypoint reordering by successor
+rotations on the reservoir arcs of one superregular pair, and the
+per-slice pipeline.
 
 After the 1-factor completion every vertex of V^1 has its successor in
 V^2, and every move keeps it so: it only gives V^1 vertices new
-successors in V^2, so the paths of the slot's sequence stay whole.  Every
-operation re-verifies its own output structurally before returning
-(1-regularity, Hamiltonicity, waypoint order, containment); nothing
-trusts its own construction.
+successors in V^2, so the paths of the slot's sequence stay whole.  The
+moves only read the reservoir ledger.  Every operation re-verifies its
+own output structurally before returning (1-regularity, Hamiltonicity,
+waypoint order, containment); nothing trusts its own construction.
 """
 
 from __future__ import annotations
@@ -128,14 +128,15 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
 
 
 class ReservoirLedger:
-    """The reservoir arcs of a slice that no slot has used yet: one boolean
-    block per cluster-cycle edge, aligned with ``CyclicSystem.pairs``
-    (rows the tail cluster, columns the head cluster, each in cluster
-    order).  The candidates of every merge and reorder move are slices of a
-    block; taking an arc clears its entry and giving it back sets it."""
+    """The reservoir arcs of a slice that no earlier slot has used: one
+    boolean block per cluster-cycle edge, aligned with
+    ``CyclicSystem.pairs`` (rows the tail cluster, columns the head
+    cluster, each in cluster order).  The candidates of every merge and
+    reorder move are slices of a block, which the moves only read; a slot
+    is charged its reservoir arcs C_s - F_s in one ``take`` once its cycle
+    is verified, so the blocks change only between slots."""
 
     def __init__(self, system: CyclicSystem, blocks: list[np.ndarray]):
-        self._q = system.q
         edges = system.cycle.edges()
         if len(blocks) != len(edges) or any(
                 block.shape != mat.shape
@@ -146,23 +147,31 @@ class ReservoirLedger:
         self._blocks = {ci: block for (ci, _cj), block in zip(edges, blocks)}
         # pos[v]: the row or column of v in the blocks of its cluster
         self.pos = np.full(system.n, -1, dtype=np.intp)
-        for cluster in self._q.clusters:
+        self._cluster = np.full(system.n, -1, dtype=np.intp)
+        for ci, cluster in enumerate(system.q.clusters):
             self.pos[list(cluster)] = np.arange(len(cluster))
+            self._cluster[list(cluster)] = ci
 
     def block(self, ci: int) -> np.ndarray:
         """The block of the cycle edge leaving cluster ``ci``."""
         return self._blocks[ci]
 
-    def has(self, u: int, v: int) -> bool:
-        ci = self._q.cluster_index(u)
-        return self.head.get(ci) == self._q.cluster_index(v) and \
-            bool(self._blocks[ci][self.pos[u], self.pos[v]])
-
-    def mark(self, arcs, unused: bool) -> None:
-        """Take (``unused`` False) or give back (True) the arcs ``arcs``."""
-        for (u, v) in arcs:
-            self._blocks[self._q.cluster_index(u)][
-                self.pos[u], self.pos[v]] = unused
+    def take(self, arcs: list[tuple[int, int]]) -> tuple[int, int] | None:
+        """Clear the entries of ``arcs`` if every one is unused, and return
+        None; else clear nothing and return the first arc that is not."""
+        uv = np.array(arcs, dtype=np.intp).reshape(-1, 2)
+        tail, head = self._cluster[uv].T
+        rows, cols = self.pos[uv].T
+        unused = np.zeros(len(arcs), dtype=bool)
+        tails = set(tail.tolist())
+        for ci in tails & self._blocks.keys():
+            at = (tail == ci) & (head == self.head[ci])
+            unused[at] = self._blocks[ci][rows[at], cols[at]]
+        if not unused.all():
+            return arcs[int(np.argmin(unused))]
+        for ci in tails:
+            self._blocks[ci][rows[tail == ci], cols[tail == ci]] = False
+        return None
 
 
 # -- merging and reordering by reservoir moves ---------------------------
@@ -214,60 +223,73 @@ def _cycle_labels(cycles: list[list[int]], n: int) -> np.ndarray:
 def _arc_matrix(succ: list[int], xs, ledger: ReservoirLedger,
                 ci: int) -> np.ndarray:
     """w[i, j]: the arc xs[i] -> succ(xs[j]) is unused, for vertices
-    ``xs`` of the tail cluster ``ci`` (a copy of part of its block)."""
+    ``xs`` of the tail cluster ``ci`` (a copy of part of its block).  The
+    diagonal, the arcs on ``succ``, is False; an arc off it is never on
+    ``succ``, which is injective, so the block alone says it is unused."""
     heads = ledger.pos[[succ[x] for x in xs]]
-    return ledger.block(ci)[ledger.pos[xs]][:, heads]
+    w = ledger.block(ci)[ledger.pos[xs]][:, heads]
+    np.fill_diagonal(w, False)
+    return w
 
 
-def _apply(succ: list[int], ledger: ReservoirLedger,
-           arcs: list[tuple[int, int]], taken: list) -> None:
-    """Make the move ``arcs`` (each replaces its tail's out-arc) and take
-    them from ``ledger``; ``_settle`` gives back those a later move drops."""
-    for (u, v) in arcs:
-        succ[u] = v
-    ledger.mark(arcs, False)
-    taken.extend(arcs)
+def _at_pair(succ: list[int], spec: PairSpec, ledger: ReservoirLedger) -> str:
+    """Name the pair of ``spec`` and count the unused reservoir arcs of its
+    block: those that are not out-arcs of its V^1 on ``succ``."""
+    ci, xs = spec.cluster_index, list(spec.v1)
+    block = ledger.block(ci)
+    on = block[ledger.pos[xs], ledger.pos[[succ[x] for x in xs]]]
+    return (f"at pair ({ci},{ledger.head[ci]}), {int(block.sum() - on.sum())}"
+            f" unused reservoir arcs in its block")
+
+
+def _rotate(succ: list[int], xs) -> None:
+    """Rotate successors along ``xs``: xs[t] takes the old successor of
+    xs[t + 1], the last that of xs[0].  Every merge and reorder move is
+    one, along a cycle of the ``_arc_matrix`` digraph (Karp's patching)."""
+    heads = [succ[x] for x in xs]
+    for x, head in zip(xs, heads[1:] + heads[:1]):
+        succ[x] = head
 
 
 def _switches_at(succ: list[int], v1: np.ndarray, label: np.ndarray,
                  ledger: ReservoirLedger, ci: int, cycles_left: int,
-                 rng: random.Random) -> list[tuple[int, int]]:
+                 rng: random.Random) -> int:
     """Make 2-switches in ``succ`` at the pair leaving cluster ``ci``,
     each drawn uniformly with ``rng``, until none is left or one cycle
-    remains of ``cycles_left``.  A 2-switch is x1, x2 in V^1 ``v1`` on
-    different cycles whose arcs x1 -> succ(x2) and x2 -> succ(x1) are
-    both unused.  Updates ``label`` and ``ledger``; returns the arcs
-    taken, two per switch."""
+    remains of ``cycles_left``.  A 2-switch is the rotation of x1, x2 in
+    V^1 ``v1`` on different cycles whose arcs x1 -> succ(x2) and
+    x2 -> succ(x1) are both unused.  Updates ``label``; returns the
+    number of switches."""
     lab = label[v1]
     if lab.size < 2 or (lab == lab[0]).all():
-        return []
+        return 0
     b = _arc_matrix(succ, v1.tolist(), ledger, ci)
-    taken: list[tuple[int, int]] = []
-    while cycles_left > 1:
+    switches = 0
+    while switches < cycles_left - 1:
         # symmetric, so every switch is drawn as (i, j) or (j, i)
         flat = np.flatnonzero(b & b.T & (lab[:, None] != lab))
         if not flat.size:
             break
         i, j = divmod(int(flat[rng.randrange(flat.size)]), len(v1))
-        x1, x2 = int(v1[i]), int(v1[j])
-        _apply(succ, ledger, [(x1, succ[x2]), (x2, succ[x1])], taken)
-        # the successors swap columns; the arcs taken sit on the diagonal
+        _rotate(succ, [int(v1[i]), int(v1[j])])
+        # the successors swap columns; the entries this leaves stale all
+        # join two vertices of one cycle, which are never drawn
         b[:, [i, j]] = b[:, [j, i]]
-        b[i, i] = b[j, j] = False
         old = lab[j]
         label[label == old] = lab[i]
         lab[lab == old] = lab[i]
-        cycles_left -= 1
-    return taken
+        switches += 1
+    return switches
 
 
 def _join_at(succ: list[int], v1: np.ndarray, ledger: ReservoirLedger,
-             ci: int, rng: random.Random) -> list[tuple[int, int]] | None:
-    """The arcs of a 4-arc join at the pair leaving cluster ``ci``, or
-    None: x1 in V^1 ``v1`` on one cycle and x2, b, q in V^1 in that cyclic
-    order on another, with x2 -> succ(x1), x1 -> succ(b), q -> succ(x2)
-    and b -> succ(q) all unused.  It is the 2-switch of x1 and x2 followed
-    by the block move of x1, b, q, which drops x1 -> succ(x2)."""
+             ci: int, rng: random.Random) -> tuple[int, ...] | None:
+    """A 4-arc join at the pair leaving cluster ``ci`` as the rotation
+    (x2, x1, b, q), or None: x1 in V^1 ``v1`` on one cycle and x2, b, q
+    in V^1 in that cyclic order on another, with x2 -> succ(x1),
+    x1 -> succ(b), q -> succ(x2) and b -> succ(q) all unused.  It is the
+    2-switch of x1 and x2 followed by the block move of x1, b, q, which
+    drops x1 -> succ(x2)."""
     w = _arc_matrix(succ, v1.tolist(), ledger, ci)
     at = {int(x): i for i, x in enumerate(v1)}
     for cyc in _cycles(succ, _support(succ)):
@@ -286,19 +308,17 @@ def _join_at(succ: list[int], v1: np.ndarray, ledger: ReservoirLedger,
                 x1s = xs[np.flatnonzero(to_x[t] & from_x[:, i])]
                 x1 = int(v1[x1s[rng.randrange(x1s.size)]])
                 x2, b, q = (int(v1[ys[k]]) for k in (t, i, j))
-                return [(x2, succ[x1]), (x1, succ[b]), (q, succ[x2]),
-                        (b, succ[q])]
+                return x2, x1, b, q
     return None
 
 
 def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
                       pairs: list[PairSpec],
-                      rng: random.Random | None = None
-                      ) -> tuple[list[int], list[tuple[int, int]]]:
+                      rng: random.Random | None = None) -> list[int]:
     """Merge the cycles of the 1-factor ``succ`` into a single directed
     cycle with unused reservoir arcs of ``ledger``, at (a subset of) the
-    listed pairs.  Returns (cycle, reservoir arcs on it); the arcs are
-    marked used in ``ledger``.
+    listed pairs, and return it.  ``ledger`` is only read: the caller
+    charges the arcs of the result that ``succ`` lacks.
 
     Karp's patching step: at each listed pair, while two or more current
     cycles meet V^1, a 2-switch drawn with ``rng`` swaps the successors
@@ -307,10 +327,10 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
     Passes over the pairs repeat while one joins anything.  When no
     2-switch is left, one 4-arc join (``_join_at``) at the first pair
     that has one joins two cycles, and the passes resume.  A reservoir
-    arc that a later move drops goes back to the ledger.  A cycle that
-    meets no listed V^1 breaks the precondition (MalformedInput); when
-    neither move is left, HamiltonSearchExhausted names the pair, the
-    cycles left and the unused arcs of its block.
+    arc that a move drops is unused again for the next move.  A cycle
+    that meets no listed V^1 breaks the precondition (MalformedInput);
+    when neither move is left, HamiltonSearchExhausted names the pair,
+    the cycles left and the unused arcs of its block.
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
@@ -327,46 +347,32 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
             f"{len(cycles) - len(met)} of {len(cycles)} cycles avoid every "
             f"listed pair (precondition violation)")
     current = list(succ)
-    taken: list[tuple[int, int]] = []
     count = len(cycles)
     while count > 1:
-        joined = 0
+        before = count
         for spec, v1 in zip(pairs, v1s):
-            new_arcs = _switches_at(current, v1, label, ledger,
-                                    spec.cluster_index, count, rng)
-            taken.extend(new_arcs)
-            count -= len(new_arcs) // 2
-            joined += len(new_arcs)
-        if joined:
+            count -= _switches_at(current, v1, label, ledger,
+                                  spec.cluster_index, count, rng)
+        if count < before:
             continue
         for spec, v1 in zip(pairs, v1s):
-            arcs = _join_at(current, v1, ledger, spec.cluster_index, rng)
-            if arcs:
+            join = _join_at(current, v1, ledger, spec.cluster_index, rng)
+            if join:
                 break
         else:
             spec = next((sp for sp, v1 in zip(pairs, v1s)
                          if len(set(label[v1].tolist())) > 1), pairs[0])
-            ci = spec.cluster_index
             raise HamiltonSearchExhausted(
-                f"{count} cycles left at pair ({ci},{ledger.head[ci]}), "
-                f"{int(ledger.block(ci).sum())} unused reservoir arcs in its "
-                f"block: no 2-switch or 4-arc join left")
-        (x2, _), (x1, _) = arcs[:2]
+                f"{count} cycles left {_at_pair(current, spec, ledger)}: no "
+                f"2-switch or 4-arc join left")
+        x2, x1 = join[:2]
         label[label == label[x1]] = label[x2]
-        _apply(current, ledger, arcs, taken)
+        _rotate(current, join)
         count -= 1
     cycles = _cycles(current, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("merged factor failed verification")
-    return current, _settle(ledger, taken, current)
-
-
-def _settle(ledger: ReservoirLedger, taken: list[tuple[int, int]],
-            succ: list[int]) -> list[tuple[int, int]]:
-    """The arcs of ``taken`` still on ``succ``; the others go back to
-    ``ledger``."""
-    ledger.mark([(u, v) for (u, v) in taken if succ[u] != v], True)
-    return [(u, v) for (u, v) in taken if succ[u] == v]
+    return current
 
 
 def _waypoint_move(succ: list[int], seq: list[int], active: list[int],
@@ -414,22 +420,23 @@ def _waypoint_move(succ: list[int], seq: list[int], active: list[int],
 
 def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
                             spec: PairSpec, waypoints: list[int],
-                            rng: random.Random | None = None
-                            ) -> tuple[list[int], list[tuple[int, int]]]:
+                            rng: random.Random | None = None) -> list[int]:
     """A Hamilton cycle on the same vertices as the cycle ``succ``,
     visiting ``waypoints`` (in V^1 of ``spec``) in cyclic order and
-    differing from the input only in out-arcs of V^1; returns (cycle,
-    reservoir arcs on it that the input lacks), and those arcs are marked
-    used in ``ledger``, which must hold no arc of ``succ``.
+    differing from the input only in out-arcs of V^1, with unused
+    reservoir arcs of ``ledger``.  ``ledger`` is only read: the caller
+    charges the arcs of the result that ``succ`` lacks.
 
-    A block move cuts the out-arcs of p, b, q in V^1, in cyclic order, and
-    adds p -> succ(b), q -> succ(p) and b -> succ(q): it moves the stretch
-    succ(p)..b to just after q, the direction-preserving segment insertion
-    of 3-opt.  Block moves (``_waypoint_move``) put ``waypoints[:j + 1]``
-    in order for j = 2, 3, ..., so k waypoints need at most k - 2 fixing
-    moves.  An input that visits the waypoints in order is returned
-    unchanged.  HamiltonSearchExhausted when no move is left, or when
-    |V^1| moves have not put a waypoint in place.
+    A block move is the rotation of p, b, q in V^1, in cyclic order: it
+    cuts their out-arcs and adds p -> succ(b), b -> succ(q) and
+    q -> succ(p), which moves the stretch succ(p)..b to just after q, the
+    direction-preserving segment insertion of 3-opt.  Block moves
+    (``_waypoint_move``) put ``waypoints[:j + 1]`` in order for
+    j = 2, 3, ..., so k waypoints need at most k - 2 fixing moves; an arc
+    that one drops is unused again for the next.  An input that visits
+    the waypoints in order is returned unchanged.
+    HamiltonSearchExhausted when no move is left, or when |V^1| moves
+    have not put a waypoint in place.
     """
     rng = rng or random.Random(0)
     verts = _support(succ)
@@ -444,7 +451,6 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
             f"matching")
     ci, v1 = spec.cluster_index, set(spec.v1)
     out = list(succ)
-    taken: list[tuple[int, int]] = []
     for j in range(2, len(waypoints)):
         for moves in range(len(v1) + 1):
             seq = [v for v in _cycles(out, verts)[0] if v in v1]
@@ -457,20 +463,16 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
             if not cut:
                 raise HamiltonSearchExhausted(
                     f"no block move puts waypoint {waypoints[j]} in order "
-                    f"at pair ({ci},{ledger.head[ci]}), "
-                    f"{int(ledger.block(ci).sum())} unused reservoir arcs "
-                    f"in its block")
-            p, b, q = cut
-            _apply(out, ledger, [(p, out[b]), (q, out[p]), (b, out[q])],
-                   taken)
-    if not taken:
-        return succ, []
+                    f"{_at_pair(out, spec, ledger)}")
+            _rotate(out, cut)
+    if out == succ:
+        return succ
     cycles = _cycles(out, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("reordered cycle failed verification")
     if not visits_in_order(cycles[0], waypoints):
         raise AssemblyVerificationFailed("reordered cycle ignores waypoints")
-    return out, _settle(ledger, taken, out)
+    return out
 
 
 # -- the per-slice pipeline ----------------------------------------------
@@ -496,15 +498,16 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     ``reservoir`` holds the slice's reservoir arcs as one boolean block
     per cluster-cycle edge, aligned with ``system.pairs``.  Maintains the
     depleting reservoir ledger H_s = H - sum(C_{s'} - F_{s'}) as one copy
-    of those blocks, which merging and reordering deplete in place; per
-    slot: extend to 1-factors, merge through the touched cluster pairs,
-    then reorder at the extension cluster so the cycle is consistent with
-    its ordered matching.  Every output is re-verified: sequence
-    containment, consistency, Hamiltonicity, the confinement of
-    C_s - F_s to the touched pairs, and that the slot is charged exactly
-    the reservoir arcs of C_s - F_s.  Each cycle is returned as the
-    vertex order that the Hamiltonicity check walked, from the slice's
-    smallest vertex; no graph object is built for it.
+    of those blocks; per slot: extend to 1-factors, merge through the
+    touched cluster pairs, then reorder at the extension cluster so the
+    cycle is consistent with its ordered matching.  Every output is
+    re-verified: sequence containment, consistency, Hamiltonicity, and
+    the confinement of C_s - F_s to the touched pairs.  The slot is then
+    charged C_s - F_s in one write, which checks that every arc of it is
+    still in the ledger; as the ledger only loses arcs, the charges are
+    reservoir arcs, pairwise distinct across slots.  Each cycle is
+    returned as the vertex order that the Hamiltonicity check walked,
+    from the slice's smallest vertex; no graph object is built for it.
     """
     qp = system.q
     k = len(qp.clusters)
@@ -534,13 +537,11 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             if any(sp.cluster_index == i_s for sp in specs) else specs[0]
         xs = _final_waypoints(ps, matching)
         try:
-            merged, used1 = merge_to_hamilton(factors[s], unused, specs,
-                                              rng=rng)
-            final, used2 = reorder_for_consistency(merged, unused, ext_spec,
-                                                   xs, rng=rng)
+            merged = merge_to_hamilton(factors[s], unused, specs, rng=rng)
+            final = reorder_for_consistency(merged, unused, ext_spec, xs,
+                                            rng=rng)
         except HamiltonSearchExhausted as e:
             raise HamiltonSearchExhausted(f"slot {s}: {e}") from None
-        used = _settle(unused, used1, final) + used2
         # full verification of the slot output
         if any(final[u] != v for (u, v) in ps._arcs):
             raise AssemblyVerificationFailed(
@@ -560,21 +561,13 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
                 raise AssemblyVerificationFailed(
                     f"slot {s}: replacement arc ({u},{v}) outside the "
                     f"touched pairs")
-        if sorted(used) != changed:
+        bad = unused.take(changed)
+        if bad is not None:
             raise AssemblyVerificationFailed(
-                f"slot {s}: the reservoir arcs charged are not C_s - F_s")
+                f"slot {s}: replacement arc {bad} is not an unused "
+                f"reservoir arc")
         out_cycles.append(order)
-        usage.append(used)
-    # conservation: all reservoir arcs charged exist in the reservoir and
-    # are pairwise distinct across slots
-    flat = [a for u in usage for a in u]
-    if len(flat) != len(set(flat)):
-        raise AssemblyVerificationFailed("reservoir arc charged twice")
-    original = ReservoirLedger(system, reservoir)
-    for (u, v) in flat:
-        if not original.has(u, v):
-            raise AssemblyVerificationFailed(
-                f"replacement arc {(u, v)} not in the reservoir")
+        usage.append(changed)
     return SliceAssembly(cycles=out_cycles, reservoir_usage=usage)
 
 

@@ -259,10 +259,6 @@ class ExpanderVerdict:
     sets_tested: int
     violating_set: list[int] | None = None
 
-    def to_json_obj(self) -> dict:
-        return {"schema": 1, **asdict(self)}
-
-
 def check_robust_outexpander(d: Digraph, nu: float, tau: float,
                              mode: str = "auto", trials: int = 500,
                              rng: random.Random | None = None,
@@ -330,10 +326,13 @@ def check_robust_outexpander(d: Digraph, nu: float, tau: float,
 
 # -- sparse reservoir (random split of a near-regular pair) -------------------
 
+# sampled Reg1 set pairs per reservoir check, and sparse reservoir draws
+REG1_TRIALS = 200
+SPARSE_RETRIES = 20
+
 
 def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
-                   eps: float, rng_seed: int, retries: int = 20,
-                   reg1_trials: int = 200
+                   eps: float, rng_seed: int
                    ) -> tuple[Multigraph, Multigraph, SuperregularityReport]:
     """Split a near-regular bipartite pair G into (H, G') by including each
     edge of G in H independently with probability 2*gamma.
@@ -341,7 +340,7 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
     H must pass (eps, 2*gamma, gamma, 3*gamma)-superregularity with exact
     codegree/degree checks and sampled density uniformity, and G' = G - H
     must have all degrees in (1 - mu +- 4*gamma) * m.  Resamples up to
-    ``retries`` times, then raises SamplingFailed naming the condition
+    SPARSE_RETRIES times, then raises SamplingFailed naming the condition
     that kept failing.
     """
     left = list(left)
@@ -355,16 +354,16 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
         raise SamplingFailed(
             f"3*gamma*m = {3 * gamma * m:.3f} < 1: an empty H cannot reach "
             f"minimum degree gamma*m = {gamma * m:.3f}",
-            failures={"degenerate": retries})
+            failures={"degenerate": SPARSE_RETRIES})
     support = list(graph.support())
     failures: dict[str, int] = {}
-    for attempt in range(retries):
+    for attempt in range(SPARSE_RETRIES):
         rng = random.Random(derive_seed(rng_seed, "sample", attempt))
         h_edges = [e for e in support if rng.random() < 2 * gamma]
         h = Multigraph(graph.n, h_edges)
         report = check_superregular(h, left, right, eps, 2 * gamma, gamma,
                                     3 * gamma, mode="sampled",
-                                    trials=reg1_trials,
+                                    trials=REG1_TRIALS,
                                     rng=random.Random(derive_seed(rng_seed, "reg1", attempt)))
         if not report.reg4_ok:
             failures["Reg4"] = failures.get("Reg4", 0) + 1
@@ -387,13 +386,13 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
             continue
         return h, g_rest, report
     raise SamplingFailed(
-        f"no valid sparse reservoir after {retries} attempts "
+        f"no valid sparse reservoir after {SPARSE_RETRIES} attempts "
         f"(improbable under the binomial tail bound at sound parameters; "
         f"check the parameterization)", failures=failures)
 
 
 def reserve_regular(mat: np.ndarray, degree: int, eps: float,
-                    rng_seed: int, retries: int = 8, reg1_trials: int = 200
+                    rng_seed: int, retries: int = 8
                     ) -> tuple[list[tuple[int, int]], SuperregularityReport]:
     """Exact-degree variant of the sparse reservoir used inside the
     pipeline, on a pair's m x m multiplicity matrix ``mat`` (rows one
@@ -428,7 +427,7 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
                 f"cannot extract {degree} edge-disjoint perfect matchings",
                 failures={"matching": attempt + 1})
         report = _superregular_report(
-            mat - res, eps, d, d / 2, 1.5 * d, "sampled", reg1_trials,
+            mat - res, eps, d, d / 2, 1.5 * d, "sampled", REG1_TRIALS,
             np.random.default_rng(
                 derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
         if not (report.reg3_ok and report.reg4_ok):

@@ -78,8 +78,9 @@ class MatchingInfeasible(HamdecError):
 class HamiltonSearchExhausted(HamdecError):
     """No reservoir move is left: the cycle merge found neither a 2-switch
     nor a 4-arc join, or the waypoint reorder no block move.  The message
-    names the pair, and the slice assembly adds the slot; the pipeline
-    retries the slice with a fresh reservoir."""
+    names the pair and the unused reservoir arcs of its block, leaving out
+    the arcs on the slot's current cycle, and the slice assembly adds the
+    slot; the pipeline retries the slice with a fresh reservoir."""
 
 
 class AssemblyVerificationFailed(HamdecError):

@@ -39,10 +39,9 @@ def succ_of(n, arcs):
 
 def ledger_of(system, arcs):
     """A reservoir ledger of ``system`` holding exactly ``arcs``."""
-    ledger = ReservoirLedger(system, [np.zeros(mat.shape, dtype=bool)
-                                      for (_t, _h, mat) in system.pairs])
-    ledger.mark(arcs, True)
-    return ledger
+    return ReservoirLedger(system, [
+        np.array([[(u, v) in arcs for v in heads] for u in tails], dtype=bool)
+        for (tails, heads, _mat) in system.pairs])
 
 
 def arcs_of(ledger, system):
@@ -51,6 +50,11 @@ def arcs_of(ledger, system):
             for (ci, _cj), (tails, heads, _mat) in zip(system.cycle.edges(),
                                                       system.pairs)
             for a, b in zip(*np.nonzero(ledger.block(ci)))}
+
+
+def charge(before, after):
+    """The arcs of ``after`` that ``before`` lacks, C - F, by tail."""
+    return [(u, v) for u, v in enumerate(after) if v != before[u]]
 
 
 def cycle_succ(verts, n):
@@ -99,6 +103,22 @@ class TestExtendToOneFactors:
         assert is_permutation(f)
 
 
+class TestReservoirLedger:
+    def test_take_clears_every_arc_or_none(self):
+        # clusters 0..3, 4..7 and 8..11 on the cycle 0 -> 1 -> 2 -> 0
+        system, _ = blowup_system(3, 4)
+        arcs = {(0, 4), (1, 5), (4, 8), (9, 2)}
+        ledger = ledger_of(system, arcs)
+        # (0, 8) skips a cluster of the cycle; (2, 6) is not held
+        for bad in ((0, 8), (2, 6)):
+            assert ledger.take([(4, 8), bad]) == bad
+            assert arcs_of(ledger, system) == arcs
+        assert ledger.take([(0, 4), (9, 2)]) is None
+        assert arcs_of(ledger, system) == {(1, 5), (4, 8)}
+        assert ledger.take([(0, 4)]) == (0, 4)
+        assert ledger.take([]) is None
+
+
 class TestMergeAndReorder:
     # the two clusters V_0 = 0..5 and V_1 = 6..11 of a 2-cluster cycle
     system, _clusters = blowup_system(2, 6)
@@ -115,12 +135,13 @@ class TestMergeAndReorder:
         f = self.build_two_cycle_factor()
         reservoir = {(u, v) for u in self.v1 for v in self.v2}
         unused = ledger_of(self.system, reservoir)
-        merged, used = merge_to_hamilton(f, unused, [self.spec],
-                                         rng=random.Random(1))
+        merged = merge_to_hamilton(f, unused, [self.spec],
+                                   rng=random.Random(1))
         assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
-        # one 2-switch joins the two cycles
-        assert len(used) == 2 and all(a in reservoir for a in used)
-        assert arcs_of(unused, self.system) == reservoir - set(used)
+        # one 2-switch joins the two cycles; the merge only reads the ledger
+        used = charge(f, merged)
+        assert len(used) == 2 and set(used) <= reservoir
+        assert arcs_of(unused, self.system) == reservoir
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -138,22 +159,19 @@ class TestMergeAndReorder:
         reservoir = {(u, v) for u in clusters[0] for v in clusters[1]
                      if f[u] != v}
         moves = []
-        apply = assembly._apply
-        monkeypatch.setattr(assembly, "_apply", lambda succ, ledger, arcs,
-                            taken: (moves.append(arcs),
-                                    apply(succ, ledger, arcs, taken)))
+        rotate = assembly._rotate
+        monkeypatch.setattr(assembly, "_rotate", lambda succ, xs: (
+            moves.append(xs), rotate(succ, xs)))
         unused = ledger_of(system, reservoir)
         spec = PairSpec(cluster_index=0, v1=clusters[0], v2=clusters[1])
-        merged, used = merge_to_hamilton(f, unused, [spec],
-                                         rng=random.Random(seed))
+        merged = merge_to_hamilton(f, unused, [spec], rng=random.Random(seed))
         assert verify_hamilton_cycle(as_digraph(merged), set(range(2 * m)))
         # c - 1 switches take 2(c - 1) arcs; an arc a later switch drops
-        # goes back, so the cycle keeps at most that many
-        assert [len(arcs) for arcs in moves] == [2] * (c - 1)
-        assert len(used) <= 2 * (c - 1)
-        assert sorted(used) == [(u, merged[u]) for u in range(2 * m)
-                                if merged[u] != f[u]]
-        assert arcs_of(unused, system) == reservoir - set(used)
+        # is off the cycle, so the cycle keeps at most that many
+        assert [len(xs) for xs in moves] == [2] * (c - 1)
+        used = charge(f, merged)
+        assert len(used) <= 2 * (c - 1) and set(used) <= reservoir
+        assert arcs_of(unused, system) == reservoir
 
     def test_four_arc_join_without_a_switch(self):
         # no reservoir arc x1 -> succ(x2) from one cycle has its partner
@@ -163,12 +181,11 @@ class TestMergeAndReorder:
         f = self.build_two_cycle_factor()
         reservoir = {(3, 6), (0, 10), (5, 9), (4, 11)}
         unused = ledger_of(self.system, reservoir)
-        merged, used = merge_to_hamilton(f, unused, [self.spec],
-                                         rng=random.Random(1))
+        merged = merge_to_hamilton(f, unused, [self.spec],
+                                   rng=random.Random(1))
         assert verify_hamilton_cycle(as_digraph(merged), set(range(12)))
-        assert sorted(used) == sorted(reservoir) == \
-            [(u, merged[u]) for u in range(12) if merged[u] != f[u]]
-        assert arcs_of(unused, self.system) == set()
+        assert charge(f, merged) == sorted(reservoir)
+        assert arcs_of(unused, self.system) == reservoir
 
     def test_no_switch_and_no_replacement_is_retryable(self):
         f = self.build_two_cycle_factor()
@@ -178,14 +195,31 @@ class TestMergeAndReorder:
         assert "2 cycles left at pair (0,1), 0 unused reservoir arcs" in \
             str(exc.value)
 
+    def test_exhausted_count_leaves_out_the_arcs_on_the_cycle(self):
+        # three 6-cycles and a reservoir of one 2-switch between the first
+        # two: after it, 2 cycles are left, and the ledger's two arcs are
+        # on the merged cycle, so none is unused
+        system, clusters = blowup_system(2, 9)
+        arcs = []
+        for t in range(3):
+            xs, ys = clusters[0][3 * t:3 * t + 3], clusters[1][3 * t:3 * t + 3]
+            arcs += [(xs[i], ys[i]) for i in range(3)]
+            arcs += [(ys[i], xs[(i + 1) % 3]) for i in range(3)]
+        f = succ_of(18, arcs)
+        spec = PairSpec(cluster_index=0, v1=clusters[0], v2=clusters[1])
+        with pytest.raises(HamiltonSearchExhausted,
+                           match=r"^2 cycles left at pair \(0,1\), 0 unused "
+                                 r"reservoir arcs in its block"):
+            merge_to_hamilton(f, ledger_of(system, {(0, f[3]), (3, f[0])}),
+                              [spec], rng=random.Random(1))
+
     def test_non_factor_replacement_fails_verification(self, monkeypatch):
         # a switch that gives x1 the head of x2 without moving x2's
-        def doubled_head(succ, ledger, arcs, taken):
-            (x1, head), _ = arcs
-            succ[x1] = head
-            taken.extend(arcs)
+        def doubled_head(succ, xs):
+            x1, x2 = xs[:2]
+            succ[x1] = succ[x2]
 
-        monkeypatch.setattr(assembly, "_apply", doubled_head)
+        monkeypatch.setattr(assembly, "_rotate", doubled_head)
         reservoir = {(u, v) for u in self.v1 for v in self.v2}
         with pytest.raises(AssemblyVerificationFailed):
             merge_to_hamilton(self.build_two_cycle_factor(),
@@ -196,9 +230,9 @@ class TestMergeAndReorder:
         verts = list(range(8))
         f = cycle_succ(verts, 8)
         system, _ = blowup_system(2, 4)
-        merged, used = merge_to_hamilton(f, ledger_of(system, set()), [],
-                                         rng=random.Random(1))
-        assert merged == f and used == []
+        merged = merge_to_hamilton(f, ledger_of(system, set()), [],
+                                   rng=random.Random(1))
+        assert merged == f
 
     def test_unreachable_cycle_reported(self):
         f = self.build_two_cycle_factor()
@@ -213,11 +247,14 @@ class TestMergeAndReorder:
         # 12-vertex blow-up of a 2-cluster cycle; 3 waypoints forced
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
         cyc = cycle_succ(verts, 12)
-        reservoir = {(u, v) for u in self.v1 for v in self.v2}
-        out, used = reorder_for_consistency(
-            cyc, ledger_of(self.system, reservoir), self.spec, [0, 3, 1],
-            rng=random.Random(4))
+        reservoir = {(u, v) for u in self.v1 for v in self.v2
+                     if cyc[u] != v}
+        unused = ledger_of(self.system, reservoir)
+        out = reorder_for_consistency(cyc, unused, self.spec, [0, 3, 1],
+                                      rng=random.Random(4))
         assert verify_hamilton_cycle(as_digraph(out), set(range(12)))
+        assert set(charge(cyc, out)) <= reservoir
+        assert arcs_of(unused, self.system) == reservoir
         order = []
         cur = 0
         for _ in range(12):
@@ -228,10 +265,10 @@ class TestMergeAndReorder:
     def test_reorder_empty_waypoints_identity(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
         cyc = cycle_succ(verts, 12)
-        out, used = reorder_for_consistency(
+        out = reorder_for_consistency(
             cyc, ledger_of(self.system, set()), self.spec, [],
             rng=random.Random(4))
-        assert out == cyc and used == []
+        assert out is cyc
 
     def test_reorder_waypoints_outside_v1(self):
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
@@ -257,9 +294,11 @@ def reorder_cases(draw):
     waypoints = list(draw(st.permutations(v1))[:k])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     density = draw(st.floats(0.2, 1.0))
-    ledger = ReservoirLedger(system, [rng.random((m, m)) < density
-                                      for _ in range(2)])
-    ledger.mark(list(enumerate(succ)), False)
+    on_cycle = np.array([[succ[u] == v for v in heads]
+                         for (tails, heads, _mat) in system.pairs
+                         for u in tails]).reshape(2, m, m)
+    ledger = ReservoirLedger(system, list((rng.random((2, m, m)) < density)
+                                          & ~on_cycle))
     spec = PairSpec(cluster_index=0, v1=v1,
                     v2=tuple(sorted(succ[x] for x in v1)))
     return system, succ, ledger, spec, waypoints, draw(st.integers(0, 99))
@@ -272,9 +311,10 @@ class TestReorderByBlockMoves:
         system, succ, ledger, spec, waypoints, seed = case
         before = arcs_of(ledger, system)
         try:
-            out, used = reorder_for_consistency(succ, ledger, spec, waypoints,
-                                                rng=random.Random(seed))
+            out = reorder_for_consistency(succ, ledger, spec, waypoints,
+                                          rng=random.Random(seed))
         except HamiltonSearchExhausted:
+            assert arcs_of(ledger, system) == before
             return
         n = len(succ)
         assert verify_hamilton_cycle(as_digraph(out), set(range(n)))
@@ -283,10 +323,39 @@ class TestReorderByBlockMoves:
             order.append(cur)
             cur = out[cur]
         assert visits_in_order(order, waypoints)
-        changed = [(u, out[u]) for u in range(n) if out[u] != succ[u]]
+        changed = charge(succ, out)
         assert all(u in spec.v1 for (u, _v) in changed)
-        assert sorted(used) == changed
-        assert arcs_of(ledger, system) == before - set(used)
+        assert set(changed) <= before
+        assert arcs_of(ledger, system) == before
+
+
+    def test_an_arc_a_move_drops_is_free_for_the_next(self, monkeypatch):
+        # every arc off the cycle is in the ledger; the block moves drop
+        # the reservoir arc (1, 6) that an earlier one took, and a later
+        # move takes it again.  With the arcs a move drops kept out of
+        # reach until the reorder ends, no move is left after the second
+        system, _ = blowup_system(2, 5)
+        succ = cycle_succ([0, 5, 4, 8, 2, 7, 1, 9, 3, 6], 10)
+        reservoir = {(u, v) for u in range(5) for v in range(5, 10)
+                     if succ[u] != v}
+        ledger = ledger_of(system, reservoir)
+        spec = PairSpec(cluster_index=0, v1=tuple(range(5)),
+                        v2=tuple(range(5, 10)))
+        dropped = []
+        rotate = assembly._rotate
+        monkeypatch.setattr(assembly, "_rotate", lambda succ, xs: (
+            dropped.append([(x, succ[x]) for x in xs]), rotate(succ, xs)))
+        waypoints = [0, 3, 2, 4, 1]
+        out = reorder_for_consistency(succ, ledger, spec, waypoints,
+                                      rng=random.Random(79))
+        order, cur = [], 0
+        for _ in range(10):
+            order.append(cur)
+            cur = out[cur]
+        assert visits_in_order(order, waypoints)
+        assert (1, 6) in charge(succ, out)
+        assert any((1, 6) in arcs for arcs in dropped[1:-1])
+        assert arcs_of(ledger, system) == reservoir
 
 
 class TestAssembleSlice:
@@ -374,6 +443,17 @@ class TestAssembleSlice:
                                  r"join left$"):
             assemble_slice(sys2, be, blocks, seed=5)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_a_charge_off_the_ledger_fails_verification(self, monkeypatch):
+        # moves that take any arc of the pair, held by the ledger or not
+        sys2, blocks, be = self.slice_inputs()
+        monkeypatch.setattr(assembly, "_arc_matrix", lambda succ, xs, ledger,
+                            ci: ~np.eye(len(xs), dtype=bool))
+        with pytest.raises(AssemblyVerificationFailed,
+                           match=r"^slot \d+: replacement arc \(\d+, \d+\) "
+                                 r"is not an unused reservoir arc$"):
+            assemble_slice(sys2, be, [np.zeros_like(b) for b in blocks],
+                           seed=5)
 
     def test_misaligned_reservoir_rejected(self):
         sys2, blocks, be = self.slice_inputs()
