@@ -6,7 +6,7 @@ integral maximum flow found by a greedy fill and augmenting paths on
 the pair's rows packed into bitsets, and infeasibility comes back as a
 checkable cut witness.  Both steps take the pair as its multiplicity
 matrix (rows one class, columns the other), and the 1-factorization
-returns each perfect matching as a list of (left, right) vertex pairs.
+returns each perfect matching as the column matched to each row.
 
 Run:  python demos/02_flow_and_matchings.py
 """
@@ -36,16 +36,17 @@ r = int(sub[0].sum())
 print(f"extracted a spanning {r}-regular subgraph "
       f"(target floor((1-mu-rho)m) = {int(0.8 * m)})")
 
-matchings = regular_bipartite_to_matchings(sub, left, right)
+# matchings[k, p]: the column matched to row p by the k-th matching
+matchings = regular_bipartite_to_matchings(sub)
 union = np.zeros_like(sub)
-for pm in matchings:
-    for (u, v) in pm:
-        union[left.index(u), right.index(v)] += 1
+for cols in matchings:
+    union[np.arange(m), cols] += 1
 print(f"1-factorized into {len(matchings)} perfect matchings; "
       f"union reproduces the subgraph exactly: {(union == sub).all()}")
 
 # an infeasible demand produces a cut certificate
-starved = host - Multigraph(host.n, [(0, w) for w in host.neighbors(0)[:20]])
+starved = host - Multigraph(host.n,
+                            [e for e in host.support() if e[0] == 0][:20])
 try:
     regular_spanning_subgraph(pair_matrix(starved, left, right), left, right,
                               mu=0.1, rho=0.1)

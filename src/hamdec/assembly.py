@@ -99,9 +99,8 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
                     f"cannot extract {len(bulk)} edge-disjoint perfect "
                     f"matchings at pair ({ci},{cj})", witness=e.witness
                 ) from e
-            for s, pm in zip(bulk, regular_bipartite_to_matchings(
-                    sub, tails, heads)):
-                add_arcs[s].extend(pm)
+            for s, cols in zip(bulk, regular_bipartite_to_matchings(sub)):
+                add_arcs[s].extend(zip(tails, np.take(heads, cols).tolist()))
 
     factors = []
     verts = [v for c in qp.clusters for v in c]

@@ -480,12 +480,11 @@ def _hall_violator(adj, match_l, n_right) -> list[int]:
 # -- exact 1-factorization of regular bipartite multigraphs ------------------
 
 
-def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
-                                   right: Sequence[int]
-                                   ) -> list[list[tuple[int, int]]]:
-    """Decompose an r-regular bipartite multigraph, given as its
-    multiplicity matrix ``mat`` between ``left`` (rows) and ``right``
-    (columns), exactly into r perfect matchings.
+def regular_bipartite_to_matchings(mat: np.ndarray) -> np.ndarray:
+    """Decompose an r-regular bipartite multigraph, given as its m x m
+    multiplicity matrix ``mat`` (rows one class, columns the other),
+    exactly into r perfect matchings, returned as the r x m array whose
+    entry [k, p] is the column matched to row p by the k-th.
 
     By König's theorem an r-regular bipartite multigraph has a perfect
     matching, and removing it leaves an (r-1)-regular one, so r perfect
@@ -494,9 +493,6 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
     range(m))`` on a copy ``res`` of ``mat``.  The rows are packed once;
     after each peel, a row's bit of its matched column is cleared when
     that entry of ``res`` reaches 0.
-
-    Each matching lists its (left vertex, right vertex) pairs ordered by
-    (smaller id, larger id).
     """
     degs = set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
     if len(degs) != 1:
@@ -523,9 +519,4 @@ def regular_bipartite_to_matchings(mat: np.ndarray, left: Sequence[int],
     if not ((np.sort(parts, axis=1) == idx).all()
             and (total.reshape(m, m) == mat).all()):
         raise InvalidParameter("internal: factorization does not sum to input")
-    us = np.broadcast_to(np.asarray(left), parts.shape)
-    vs = np.asarray(right)[parts]
-    order = np.lexsort((np.maximum(us, vs), np.minimum(us, vs)))
-    us = np.take_along_axis(us, order, axis=1).tolist()
-    vs = np.take_along_axis(vs, order, axis=1).tolist()
-    return [list(zip(u, v)) for u, v in zip(us, vs)]
+    return parts

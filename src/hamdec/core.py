@@ -110,9 +110,6 @@ class Multigraph:
         us, vs, ks = self._key_arrays()
         return np.repeat(us, ks), np.repeat(vs, ks)
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adjacency().get(v, ()))
-
     def degree(self, v: int) -> int:
         return sum(self._adjacency().get(v, {}).values())
 

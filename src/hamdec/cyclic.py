@@ -393,7 +393,7 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
 
 def reserve_regular(mat: np.ndarray, degree: int, eps: float,
                     rng_seed: int, retries: int = 8
-                    ) -> tuple[list[tuple[int, int]], SuperregularityReport]:
+                    ) -> tuple[np.ndarray, SuperregularityReport]:
     """Exact-degree variant of the sparse reservoir used inside the
     pipeline, on a pair's m x m multiplicity matrix ``mat`` (rows one
     class, columns the other): H is the union of ``degree`` randomly
@@ -401,8 +401,8 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
     with certainty and only the codegree and density checks are
     randomized.
 
-    Returns (chosen, report): ``chosen`` lists the (row, column) pairs of
-    H, one per unit of multiplicity, and on success they are taken out of
+    Returns (chosen, report): ``chosen[k, p]`` is the column matched to
+    row p by H's k-th matching, and on success they are taken out of
     ``mat`` in place; on SamplingFailed ``mat`` is left untouched.  The
     report carries the verdicts at the literal parameters (eps, d, d/2,
     3d/2) with d = degree/m.  The acceptance gate for the codegree uses a
@@ -447,20 +447,22 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
 
 
 def _random_regular_subgraph(res: np.ndarray, degree: int,
-                             rng: np.random.Generator
-                             ) -> list[tuple[int, int]] | None:
+                             rng: np.random.Generator) -> np.ndarray | None:
     """``degree`` random perfect matchings taken out of the residual
-    matrix ``res`` in place, as (row, column) pairs, or None.  Each
-    matching tries rows and columns in one fresh permutation each."""
-    chosen: list[tuple[int, int]] = []
-    for _ in range(degree):
+    matrix ``res`` in place, as the degree x m array (of the smallest type
+    that holds a column, so it pickles small) whose entry [k, p] is the
+    column matched to row p by the k-th, or None.  Each matching tries
+    rows and columns in one fresh permutation each."""
+    chosen = np.empty((degree, len(res)),
+                      dtype=np.min_scalar_type(len(res) - 1))
+    for k in range(degree):
         perm_l = rng.permutation(len(res))
         perm_r = rng.permutation(len(res))
         try:
             match = take_matching(res, perm_l, perm_r)
         except MatchingInfeasible:
             return None
-        chosen.extend(zip(perm_l.tolist(), perm_r[match].tolist()))
+        chosen[k, perm_l] = perm_r[match]
     return chosen
 
 
@@ -478,7 +480,10 @@ class SlotInfo:
 
 @dataclass
 class SliceSide:
-    """One cyclic system plus its reserve graph and assigned slots."""
+    """One cyclic system plus its reserve graph and assigned slots;
+    ``reserve[ci, cj]``, ci < cj clusters of q, keeps H[V_ci, V_cj] as the
+    r_h perfect matchings drawn for it: entry [k, p] is the position in
+    V_cj matched to position p of V_ci by the k-th."""
 
     side: str                      # "A", "B", or "AB"
     j: int
@@ -487,7 +492,7 @@ class SliceSide:
     n: int
     # (tails, heads, 0/1 arc matrix) per edge of cycle.edges()
     pairs: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]
-    h_reserve: Multigraph
+    reserve: dict[tuple[int, int], np.ndarray]
     slots: list[SlotInfo]
     mu: float
     eps: float
@@ -574,10 +579,11 @@ def _equal_split(items: list, parts: int, offset: int) -> list[list]:
 
 def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
                            degree: int, rng: np.random.Generator
-                           ) -> list[list[tuple[int, int]]]:
+                           ) -> list[np.ndarray]:
     """``parts`` edge-disjoint exactly ``degree``-regular spanning
     subgraphs of a near-regular bipartite pair, taken out of its
-    multiplicity matrix ``res`` in place, each as its (left, right) edges.
+    multiplicity matrix ``res`` in place, each as its perfect matchings
+    in the layout of ``SliceSide.reserve`` (left class first).
 
     Random perfect-matching extraction keeps the remainder unstructured
     (a deterministic r-factor leaves a remainder on which later Hall
@@ -588,18 +594,13 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
     """
     total = parts * degree
     pair = res.copy()
-    picks = _random_regular_subgraph(res, total, rng)
-    if picks is not None:
-        edges = [(left[p], right[q]) for p, q in picks]
-    else:
+    cols = _random_regular_subgraph(res, total, rng)
+    if cols is None:
         sub = regular_spanning_subgraph(pair, left, right, 0.0, 0.0,
                                         degree=total)
         res[:] = pair - sub
-        edges = [e for pm in regular_bipartite_to_matchings(sub, left, right)
-                 for e in pm]
-    # each perfect matching has one edge per left vertex
-    size = degree * len(left)
-    return [edges[p * size:(p + 1) * size] for p in range(parts)]
+        cols = regular_bipartite_to_matchings(sub)
+    return [cols[p * degree:(p + 1) * degree] for p in range(parts)]
 
 
 def sysdecom(g: Multigraph, partition: ClusterPartition,
@@ -694,17 +695,17 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
                    ) -> list[SliceSide]:
     """One SliceSide per cluster cycle, shared by both modes.
 
-    Every cluster pair (i, i', X, Y) in ``pairs`` gives up an exactly
-    (len(cycles) * r_h)-regular subgraph of G[X, Y], split into one
-    r_h-regular reserve per slice.  What each pair keeps after its
-    reserves are removed is oriented along the cluster cycle through it
-    (the oriented blow-up) and kept as the slice's 0/1 arc matrix of that
-    cycle edge.  Slice j gets one slot per system of part j
+    Every cluster pair (i, i', X, Y) in ``pairs``, i < i', gives up
+    len(cycles) * r_h perfect matchings of G[X, Y], r_h of them the
+    reserve of each slice.  What each pair keeps after its reserves are
+    removed is oriented along the cluster cycle through it (the oriented
+    blow-up) and kept as the slice's 0/1 arc matrix of that cycle edge.
+    Slice j gets one slot per system of part j
     of each cell, carrying the reduction's ``matching`` attribute and
     localized at cluster ``cell[cell_pos]``.
     """
     n_slices = len(cycles)
-    h_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_slices)]
+    reserves: list[dict] = [{} for _ in range(n_slices)]
     # (tail cluster, head cluster) -> (tails, heads, residual tails x heads)
     residuals = {}
     for (i, ip, left, right) in pairs:
@@ -712,9 +713,9 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
         parts = _extract_regular_parts(
             res, list(left), list(right), n_slices, r_h,
             np.random.default_rng(derive_seed(seed, "reserve", side, i, ip)))
-        for j, part in enumerate(parts):
-            h_edges[j].extend(part)
         ci, cj = q.cluster_index(left[0]), q.cluster_index(right[0])
+        for j, part in enumerate(parts):
+            reserves[j][ci, cj] = part
         residuals[ci, cj] = (left, right, res)
         residuals[cj, ci] = (right, left, res.T)
 
@@ -733,8 +734,7 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
                     matching=getattr(reductions[es_idx], matching),
                     cluster_index=cell[cell_pos]))
         slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc, n=g.n,
-                                pairs=arc_pairs,
-                                h_reserve=Multigraph(g.n, h_edges[j]),
+                                pairs=arc_pairs, reserve=reserves[j],
                                 slots=slots,
                                 mu=4 * mu, eps=5 / K))
     return slices

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classic import pair_matrix, regular_bipartite_to_matchings
-from .core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
+import numpy as np
+
+from .core import (ClusterCycle, ClusterPartition, Digraph,
                    OrderedDirectedMatching, is_locally_balanced)
 from .errors import InvalidParameter, MalformedInput, ReservoirExhausted
 from .exceptional import BalancedExceptionalSystem, FictiveReduction
@@ -106,37 +107,51 @@ def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
                 f"quota ell*m/k = {quota:.2f}")
 
 
+def _reserve_pool(reserve: dict[tuple[int, int], np.ndarray], ci: int,
+                  cj: int, degree: int, m: int) -> np.ndarray:
+    """The perfect matchings of H[V_ci, V_cj] in the layout of
+    ``SliceSide.reserve``, oriented V_ci -> V_cj (argsort inverts a
+    matching stored as (cj, ci)); InvalidParameter unless there are
+    exactly ``degree``, each a perfect matching of positions 0..m-1."""
+    cols = np.asarray(reserve.get((min(ci, cj), max(ci, cj)), ()))
+    if cols.ndim != 2 or len(cols) != degree:
+        raise InvalidParameter(f"H[V_{ci},V_{cj}] must hold exactly "
+                               f"{degree} perfect matchings")
+    if cols.dtype.kind not in "iu" or cols.shape[1] != m or \
+            not (np.sort(cols, axis=1) == np.arange(m)).all():
+        raise InvalidParameter(
+            f"H[V_{ci},V_{cj}] holds a matching that is not a perfect "
+            f"matching of the positions 0..{m - 1} of its clusters")
+    return cols if ci < cj else np.argsort(cols, axis=1)
+
+
 # -- two-cliques builder -------------------------------------------------
 
 
 def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]],
                            q: ClusterPartition, cycle: ClusterCycle,
-                           h: Multigraph, eps: float, n_vertices: int
+                           reserve: dict[tuple[int, int], np.ndarray],
+                           eps: float, n_vertices: int
                            ) -> tuple[BalancedExtension,
                                       list[tuple[int, int]]]:
     """Extend each matching M in m_partition[i] (vertices inside V_i) by an
     equal-sized matching from H[V_{i-1}, V_{i+1}] oriented V_{i-1}->V_{i+1}.
 
-    Requires |m_partition[i]| <= m/k, e(M) <= eps*m, and every pair
-    H[V_{i-1}, V_{i+1}] exactly 2*eps*m-regular.  Returns the balanced
-    extension with parameters (2*eps, 3) and the slot order as (cluster,
-    index-within-cluster) pairs.
+    H is given as its perfect matchings (``SliceSide.reserve``), and M
+    takes a slice of one.  Requires |m_partition[i]| <= m/k,
+    e(M) <= eps*m, and exactly 2*eps*m perfect matchings in every pair
+    H[V_{i-1}, V_{i+1}].  Returns the balanced extension with parameters
+    (2*eps, 3) and the slot order as (cluster, index-within-cluster)
+    pairs.
     """
     k, m = len(q.clusters), q.m
     if k < 3:
         raise InvalidParameter("need at least 3 clusters")
     target = round(2 * eps * m)
-    pair_mats = []
-    for pos in range(k):
-        prev_c = cycle.order[(pos - 1) % k]
-        next_c = cycle.order[(pos + 1) % k]
-        mat = pair_matrix(h, q.cluster(prev_c), q.cluster(next_c))
-        degs = set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
-        if degs != {target}:
-            raise InvalidParameter(
-                f"H[V_{prev_c},V_{next_c}] must be exactly {target}-regular, "
-                f"degrees seen: {sorted(degs)}")
-        pair_mats.append(mat)
+    # pools[pos]: H[V_{i-1}, V_{i+1}] for V_i at cycle position pos
+    pools = [_reserve_pool(reserve, cycle.order[(pos - 1) % k],
+                           cycle.order[(pos + 1) % k], target, m)
+             for pos in range(k)]
     for ci, group in m_partition.items():
         if len(group) > m / k:
             raise InvalidParameter(f"{len(group)} matchings at cluster {ci} "
@@ -161,24 +176,22 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
             continue
         prev_c = cycle.order[(pos - 1) % k]
         next_c = cycle.order[(pos + 1) % k]
-        # each pool matching is oriented V_{i-1} -> V_{i+1}
-        pool_arcs = regular_bipartite_to_matchings(
-            pair_mats[pos], q.cluster(prev_c), q.cluster(next_c))
         pm_idx = 0
         offset = 0
         for gi, mm in enumerate(group):
             need = len(mm.arcs)
             # take the slice from a single pool matching so vertex
             # disjointness is automatic
-            while pm_idx < len(pool_arcs) and \
-                    offset + need > len(pool_arcs[pm_idx]):
+            while pm_idx < target and offset + need > m:
                 pm_idx += 1
                 offset = 0
-            if pm_idx >= len(pool_arcs):
+            if pm_idx >= target:
                 raise ReservoirExhausted(
                     f"H[V_{prev_c},V_{next_c}] cannot supply {need} more "
                     f"edges for cluster {ci}")
-            extra = pool_arcs[pm_idx][offset:offset + need]
+            cols = pools[pos][pm_idx, offset:offset + need]
+            extra = list(zip(q.cluster(prev_c)[offset:offset + need],
+                             np.take(q.cluster(next_c), cols).tolist()))
             offset += need
             sequences.append(Digraph(n_vertices, list(mm.arcs) + extra))
             matchings.append(mm)
@@ -196,21 +209,25 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
 def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
                              reductions: list[FictiveReduction],
                              partition: ClusterPartition,
-                             cycle: ClusterCycle, h: Multigraph,
+                             cycle: ClusterCycle,
+                             reserve: dict[tuple[int, int], np.ndarray],
                              eps: float, inner_degree: int,
                              outer_degree: int) -> BalancedExtension:
     """Two-phase bipartite balanced extension.
 
+    H is given as its perfect matchings (``SliceSide.reserve`` on the
+    clusters A_1..A_K, B_1..B_K): exactly inner_degree + outer_degree per
+    (A_i, B_i') pair, the first inner_degree of which are H'.
+
     Phase 1 extends each J*_dir into an A_{i1}-extension by adding a
-    greedy matching from H' (the inner_degree-regular part of H) oriented
-    B -> A_{i1}, giving one vertex-disjoint directed path of length two
-    per fictive edge.  Phase 2 balances each sequence: every arc e_r gets
-    a companion arc f_r from a per-slot reservoir matching carved out of
-    H'' (the rest of H), by the reflection rules "an A_i B_i'-arc is
-    balanced by an A_i' B_i-arc" and "a B_i A_i'-arc by a
-    B_{i'-1} A_{i+1}-arc", keeping all f_r vertex-disjoint from the
-    sequence.  The output passes (BE1)-(BE3) with parameters
-    (12*eps*K, 12).
+    greedy matching from H' oriented B -> A_{i1}, giving one
+    vertex-disjoint directed path of length two per fictive edge.  Phase
+    2 balances each sequence: every arc e_r gets a companion arc f_r from
+    a per-slot slice of one matching of H'' (the rest of H), by the
+    reflection rules "an A_i B_i'-arc is balanced by an A_i' B_i-arc" and
+    "a B_i A_i'-arc by a B_{i'-1} A_{i+1}-arc", keeping all f_r
+    vertex-disjoint from the sequence.  The output passes (BE1)-(BE3)
+    with parameters (12*eps*K, 12).
     """
     P = partition
     K, m = P.K, P.m
@@ -218,27 +235,10 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     n = max(v for c in P.clusters for v in c) + 1
     if len(systems) != len(reductions):
         raise InvalidParameter("systems and reductions must align")
-
-    # split H into H' (inner) and H'' (outer) per cluster pair; H'' stays
-    # as its perfect matchings, from which phase 2 carves its pools
-    inner_edges: list[tuple[int, int]] = []
-    outer_pms: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
-    for i in range(K):
-        for ip in range(K):
-            a_i, b_ip = P.a_cluster(i), P.b_cluster(ip)
-            mat = pair_matrix(h, a_i, b_ip)
-            degs = set(mat.sum(axis=1).tolist()) | \
-                set(mat.sum(axis=0).tolist())
-            if degs != {inner_degree + outer_degree}:
-                raise InvalidParameter(
-                    f"H[A_{i},B_{ip}] must be exactly "
-                    f"{inner_degree + outer_degree}-regular, got "
-                    f"{sorted(degs)}")
-            pms = regular_bipartite_to_matchings(mat, a_i, b_ip)
-            for pm in pms[:inner_degree]:
-                inner_edges.extend(pm)
-            outer_pms[i, ip] = pms[inner_degree:]
-    h_inner = Multigraph(n, inner_edges)
+    # pools[i, K + ip]: the matchings of H[A_i, B_ip], H' first
+    pools = {(i, K + ip): _reserve_pool(reserve, i, K + ip,
+                                        inner_degree + outer_degree, m)
+             for i in range(K) for ip in range(K)}
 
     # phase 1: A_{i1}-extensions PS_s = J*_dir + M_s,dir
     used_inner: set[tuple[int, int]] = set()
@@ -247,13 +247,19 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     for idx, (es, red) in enumerate(zip(systems, reductions)):
         i1 = es.locality[0]
         jstar = red.jstar_dir
-        a_i1 = set(P.a_cluster(i1))
+        a_i1 = P.a_cluster(i1)
         jstar_vs = jstar.vertices()
         taken_a: set[int] = set()
         extra: list[tuple[int, int]] = []
         for (_u, bvert) in jstar.arcs:
-            cands = [w for w in h_inner.neighbors(bvert)
-                     if w in a_i1 and w not in jstar_vs and w not in taken_a
+            # the H' neighbours of a B-vertex in A_{i1}, one per draw
+            cb = P.cluster_index(bvert)
+            nbrs = []
+            if cb >= K:
+                b = P.cluster(cb).index(bvert)
+                nbrs = np.nonzero(pools[i1, cb][:inner_degree] == b)[1]
+            cands = [w for w in (a_i1[p] for p in nbrs)
+                     if w not in jstar_vs and w not in taken_a
                      and (bvert, w) not in used_inner]
             if not cands:
                 raise ReservoirExhausted(
@@ -278,7 +284,7 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     # this is exactly "A_i B_i'-edge -> A_i' B_i-edge" and
     # "B_i A_i'-edge -> B_{i'-1} A_{i+1}-edge"
     demand: dict[tuple[int, int], list[int]] = {}
-    slot_needs: list[list[tuple[str, tuple[int, int], tuple[int, int]]]] = []
+    slot_needs: list[list[tuple[str, tuple[int, int]]]] = []
     for idx, ps in enumerate(phase1):
         needs = []
         for (u, v) in ps.arcs():
@@ -287,12 +293,12 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
             f_end = cycle.successor(cu)
             if cu < K:  # e is an A -> B arc, so f goes A -> B as well
                 key = (f_start, f_end - K)          # A x B pool pair
-                needs.append(("AB", key, (u, v)))
+                needs.append(("AB", key))
             else:       # e is a B -> A arc, so f goes B -> A
                 key = (f_end, f_start - K)
-                needs.append(("BA", key, (u, v)))
+                needs.append(("BA", key))
         slot_needs.append(needs)
-        for key in {k2 for (_kind, k2, _arc) in needs}:
+        for key in {k2 for (_kind, k2) in needs}:
             demand.setdefault(key, []).append(idx)
 
     # carve per-pair pools of edge-disjoint reservoir matchings; sizes
@@ -301,14 +307,15 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     assigned: dict[tuple[int, tuple[int, int]], list[tuple[int, int]]] = {}
     for key, slot_list in sorted(demand.items()):
         i, ip = key
-        pms = outer_pms[key]
         count_needed = len(slot_list)
         sigma = max(1, min(sigma_formula, m,
-                           (len(pms) * m) // max(1, count_needed)))
+                           (outer_degree * m) // max(1, count_needed)))
         # (A, B) edges, so a pick is oriented whatever the id layout
+        a_i, b_ip = P.a_cluster(i), P.b_cluster(ip)
         chunks: list[list[tuple[int, int]]] = []
-        for pm in pms:
-            for start in range(0, len(pm) - sigma + 1, sigma):
+        for cols in pools[i, K + ip][inner_degree:]:
+            pm = list(zip(a_i, np.take(b_ip, cols).tolist()))
+            for start in range(0, m - sigma + 1, sigma):
                 chunks.append(pm[start:start + sigma])
         if len(chunks) < count_needed:
             raise ReservoirExhausted(
@@ -321,14 +328,9 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     for idx, ps in enumerate(phase1):
         blocked = set(ps.vertices_with_arcs())
         f_arcs: list[tuple[int, int]] = []
-        for (kind, key, _arc) in slot_needs[idx]:
-            pool = assigned[(idx, key)]
-            pick = None
-            for (x, y) in pool:
-                if x in blocked or y in blocked:
-                    continue
-                pick = (x, y)
-                break
+        for (kind, key) in slot_needs[idx]:
+            pick = next(((x, y) for (x, y) in assigned[(idx, key)]
+                         if x not in blocked and y not in blocked), None)
             if pick is None:
                 raise ReservoirExhausted(
                     f"phase 2: reservoir matching for system {idx} at pair "

@@ -436,12 +436,15 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionCertificate":
-        """Raises MalformedInput on a missing key or non-list slots."""
+        """Raises MalformedInput on a missing key, a ``schema`` other than
+        the int 1, or non-list slots."""
         if not isinstance(obj, dict):
             raise MalformedInput("a certificate must be a JSON object")
-        for key in ("mode", "params", "slots", "global"):
+        for key in ("schema", "mode", "params", "slots", "global"):
             if key not in obj:
                 raise MalformedInput(f"certificate lacks the key {key!r}")
+        if type(obj["schema"]) is not int or obj["schema"] != 1:
+            raise MalformedInput(f"certificate schema {obj['schema']!r} != 1")
         if not isinstance(obj["slots"], list):
             raise MalformedInput("certificate slots must be a list")
         return cls(mode=obj["mode"], params=obj["params"],
@@ -516,7 +519,7 @@ def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
         group_slots.setdefault(slot.cluster_index, []).append(t)
     eps_be = quotas.reserve_degree_used / (2 * partition.m)
     be, order = balance_extend_cliques(
-        groups, slc.q, slc.cycle, slc.h_reserve, eps_be, slc.n)
+        groups, slc.q, slc.cycle, slc.reserve, eps_be, slc.n)
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
 
@@ -527,7 +530,7 @@ def _extend_bipartite(slc: SliceSide, partition: ClusterPartition, systems,
     idxs = [slot.es_index for slot in slc.slots]
     be = balance_extend_bipartite(
         [systems[i] for i in idxs], [reductions[i] for i in idxs],
-        partition, slc.cycle, slc.h_reserve, partition.eps0,
+        partition, slc.cycle, slc.reserve, partition.eps0,
         quotas.reserve_inner, quotas.reserve_outer)
     return be, list(range(len(slc.slots)))
 
@@ -723,7 +726,9 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     of every edge in the host, global pairwise edge-disjointness by
     multiset accounting, the coverage fraction, and ``instance_match``:
     the certificate's ``params.instance_sha256`` must be the
-    ``instance_sha256`` of the given instance.  A slot that cannot be
+    ``instance_sha256`` of the given instance, and its ``mode``,
+    ``params.mode``, ``.K``, ``.m`` and ``.n`` the partition's.  Embedded
+    verdicts are never read.  A slot that cannot be
     read (not an object, an index that names no system, a missing key, an
     edge that is not a pair of distinct int vertices of the host) gets the
     verdict ``{"ok": false}``.
@@ -812,9 +817,14 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     else:
         denom = int(mat[np.ix_(a_side, b_side)].sum(dtype=np.int64))
     coverage = coverage_edges / denom if denom else 0.0
-    claimed = cert.params.get("instance_sha256") \
-        if isinstance(cert.params, dict) else None
-    instance_match = claimed == instance_sha256(host, partition, systems)
+    params = cert.params if isinstance(cert.params, dict) else {}
+    claims = [cert.mode] + [params.get(key) for key in (
+        "mode", "K", "m", "n", "instance_sha256")]
+    truth = [partition.mode, partition.mode, partition.K, partition.m,
+             partition.n, instance_sha256(host, partition, systems)]
+    # exact types: JSON true and 5.0 would equal the ints 1 and 5
+    instance_match = [(type(c), c) for c in claims] == \
+        [(type(t), t) for t in truth]
     global_report = {
         "edge_disjoint": edge_disjoint,
         "instance_match": instance_match,

@@ -7,6 +7,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from hamdec.classic import (bipartite_hamilton_decompose, pair_matrix,
                             regular_spanning_subgraph, walecki_decompose)
 from hamdec.core import (ClusterPartition, Digraph, Multigraph,
@@ -98,7 +100,9 @@ def test_criterion_03_regular_subgraph_flow():
         g, left, right = _window_regular(m, target, rng)
         # strip most edges at one left vertex, breaking the hypothesis
         victim = left[seed % m]
-        doomed = [(victim, w) for w in g.neighbors(victim)[: target - 10]]
+        # left ids sit below right ids, so the victim's edges start with it
+        doomed = [(victim, w) for (u, w) in g.support()
+                  if u == victim][: target - 10]
         g = g - Multigraph(g.n, doomed)
         try:
             regular_spanning_subgraph(pair_matrix(g, left, right), left,
@@ -311,16 +315,16 @@ def test_criterion_05_balanced_extension_validators():
     eps = 2 / m
     for seed in range(50):
         rng = random.Random(seed)
-        edges = []
+        # H[V_{i-1}, V_{i+1}] as 2 eps m shifted circulant matchings,
+        # stored lower cluster first as sysdecom stores them
+        h = {}
         for pos in range(k):
             prev_c = cycle.order[(pos - 1) % k]
             next_c = cycle.order[(pos + 1) % k]
-            pa = list(qp.cluster(prev_c))
-            pb = list(qp.cluster(next_c))
             shifts = rng.sample(range(m), round(2 * eps * m))
-            edges += [(pa[x], pb[(x + s) % m]) for x in range(m)
-                      for s in shifts]
-        h = Multigraph(n, edges)
+            cols = np.array([(np.arange(m) + s) % m for s in shifts])
+            h[min(prev_c, next_c), max(prev_c, next_c)] = \
+                cols if prev_c < next_c else np.argsort(cols, axis=1)
         groups = {}
         for ci in range(k):
             cluster = list(qp.cluster(ci))
@@ -349,7 +353,7 @@ def test_criterion_05_balanced_extension_validators():
             idxs = [slot.es_index for slot in slc.slots]
             be = balance_extend_bipartite(
                 [systems[i] for i in idxs], [reductions[i] for i in idxs],
-                P, slc.cycle, slc.h_reserve, P.eps0,
+                P, slc.cycle, slc.reserve, P.eps0,
                 quotas.reserve_inner, quotas.reserve_outer)
             assert be.eps == 12 * P.eps0 * P.K and be.ell == 12
             validate_balanced_extension(be, P.ab_equipartition(), slc.cycle)

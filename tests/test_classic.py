@@ -153,7 +153,7 @@ class TestPairMatrix:
         g, left, right = complete_bipartite(30)
         size = len(pickle.dumps(g))
         pair_matrix(g, left, right)
-        g.neighbors(0)
+        g.degree(0)
         blob = pickle.dumps(g)
         assert len(blob) == size
         back = pickle.loads(blob)
@@ -199,12 +199,20 @@ class TestRegularSpanningSubgraph:
         assert (sub.sum(axis=0) == 3).all() and (sub.sum(axis=1) == 3).all()
 
 
+def as_pairs(parts, left, right):
+    """The matchings ``parts`` (entry [k, p] the column matched to row p
+    by the k-th) as lists of (left vertex, right vertex) pairs ordered by
+    (smaller id, larger id)."""
+    return [sorted(zip(left, [right[c] for c in cols.tolist()]),
+                   key=lambda e: (min(e), max(e))) for cols in parts]
+
+
 def factorize(g, left, right):
     """regular_bipartite_to_matchings on g's pair matrix; each matching
     is checked to be a list of (left, right) pairs and returned as a
     Multigraph."""
-    ms = regular_bipartite_to_matchings(pair_matrix(g, left, right), left,
-                                        right)
+    ms = as_pairs(regular_bipartite_to_matchings(
+        pair_matrix(g, left, right)), left, right)
     for pm in ms:
         assert all(u in left and v in right for (u, v) in pm)
     return [Multigraph(g.n, pm) for pm in ms]
@@ -281,8 +289,8 @@ class TestFactorization:
         expected = [[(u, v) if u in set(left) else (v, u)
                      for (u, v) in sorted(pm.support())]
                     for pm in reference_factorization(g, left, right)]
-        got = regular_bipartite_to_matchings(pair_matrix(g, left, right),
-                                             left, right)
+        got = as_pairs(regular_bipartite_to_matchings(
+            pair_matrix(g, left, right)), left, right)
         assert got == expected
 
     @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
@@ -301,7 +309,7 @@ class TestFactorization:
         # left and right ids interleaved, in a drawn order
         left = [2 * i + flip for i in order]
         right = [2 * i + 1 - flip for i in range(m)]
-        got = regular_bipartite_to_matchings(mat, left, right)
+        got = as_pairs(regular_bipartite_to_matchings(mat), left, right)
         assert len(got) == r
         total = np.zeros_like(mat)
         for pm in got:
@@ -619,14 +627,9 @@ class TestPackedKernels:
         mat = np.zeros((m, m), dtype=np.int64)
         for _ in range(r):
             mat[np.arange(m), gen.permutation(m)] += 1
-        ids = gen.permutation(3 * m).tolist()
-        left, right = ids[:m], ids[m:2 * m]
         res = mat.copy()
         peeled = [frozen_take_matching(res, range(m), range(m))
                   for _ in range(r)]
-        expected = [sorted(zip(left, [right[j] for j in cols]),
-                           key=lambda e: (min(e), max(e))) for cols in peeled]
-        got = regular_bipartite_to_matchings(mat, left, right)
-        assert got == expected
-        assert all(type(u) is int and type(v) is int
-                   for pm in got for (u, v) in pm)
+        got = regular_bipartite_to_matchings(mat)
+        assert got.shape == (r, m)
+        assert got.tolist() == peeled

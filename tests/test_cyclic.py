@@ -298,11 +298,8 @@ class TestReserveSparse:
         mat = pair_matrix(g, left, right)
         before = mat.copy()
         chosen, rep = reserve_regular(mat, degree=10, eps=0.5, rng_seed=6)
-        assert len(chosen) == 10 * m
-        taken = np.zeros_like(before)
-        for (i, j) in chosen:
-            taken[i, j] += 1
-        assert (before - mat == taken).all()
+        assert chosen.shape == (10, m)
+        assert (before - mat == matchings_matrix(chosen)).all()
 
     def test_reserve_regular_multiplicity_two(self):
         # a doubled pair edge can be taken by two matchings, not by three
@@ -312,8 +309,9 @@ class TestReserveSparse:
         mat = pair_matrix(g, left, right)
         assert mat[0, 0] == 2
         chosen, rep = reserve_regular(mat, degree=10, eps=0.5, rng_seed=6)
-        assert chosen.count((0, 0)) <= 2
-        assert mat[0, 0] == 2 - chosen.count((0, 0))
+        taken = int((chosen[:, 0] == 0).sum())
+        assert taken <= 2
+        assert mat[0, 0] == 2 - taken
 
     @pytest.mark.parametrize("case", ["no-matching", "gate"])
     def test_reserve_regular_failure_leaves_matrix(self, case):
@@ -365,15 +363,14 @@ class TestExtractRegularParts:
         monkeypatch.setattr(cyclic, "regular_spanning_subgraph",
                             lambda *args, **kwargs: flows.append(args)
                             or flow(*args, **kwargs))
-        parts = [Multigraph(12, part) for part in _extract_regular_parts(
-            pair_matrix(g, left, right), left, right, 2, 1,
-            np.random.default_rng(3))]
+        res = pair_matrix(g, left, right)
+        parts = _extract_regular_parts(res, left, right, 2, 1,
+                                       np.random.default_rng(3))
         assert len(flows) == 1
-        assert len(parts) == 2
-        for part in parts:
-            assert all(part.degree(v) == 1 for v in left + right)
-        assert (parts[0] + parts[1]).is_simple()
-        assert (parts[0] + parts[1]).is_submultigraph_of(g)
+        assert [part.shape for part in parts] == [(1, 6), (1, 6)]
+        total = sum(matchings_matrix(part) for part in parts)
+        assert (total <= 1).all()
+        assert (total + res == pair_matrix(g, left, right)).all()
 
     def test_multiplicity_two_edge(self):
         # left 0 reaches right 4 only, by a doubled edge, so both
@@ -382,16 +379,12 @@ class TestExtractRegularParts:
         g = Multigraph(8, [(0, 4, 2)] + [(u, v) for u in (1, 2, 3)
                                         for v in (5, 6, 7)])
         res = pair_matrix(g, left, right)
-        parts = [Multigraph(8, part) for part in _extract_regular_parts(
-            res, left, right, 2, 1, np.random.default_rng(0))]
-        assert len(parts) == 2
-        for part in parts:
-            assert all(part.degree(v) == 1 for v in left + right)
-        total = parts[0] + parts[1]
-        assert (0, 4, 2) in total.edges()
-        assert total.is_submultigraph_of(g)
-        assert (res == pair_matrix(g, left, right)
-                - pair_matrix(total, left, right)).all()
+        parts = _extract_regular_parts(res, left, right, 2, 1,
+                                       np.random.default_rng(0))
+        assert [part.shape for part in parts] == [(1, 4), (1, 4)]
+        total = sum(matchings_matrix(part) for part in parts)
+        assert total[0, 0] == 2
+        assert (res == pair_matrix(g, left, right) - total).all()
 
 
 def system_arcs(slc):
@@ -400,10 +393,38 @@ def system_arcs(slc):
             for a, b in zip(*np.nonzero(mat))]
 
 
-def reserve_degrees(slc, left, right):
-    """The degrees of the slice's reserve graph between two clusters."""
-    mat = pair_matrix(slc.h_reserve, left, right)
-    return set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
+def matchings_matrix(cols):
+    """The multiplicity matrix of the perfect matchings ``cols`` (entry
+    [k, p] the column matched to row p by the k-th), after checking that
+    each is a perfect matching."""
+    k, m = cols.shape
+    assert (np.sort(cols, axis=1) == np.arange(m)).all()
+    mat = np.zeros((m, m), dtype=np.int64)
+    np.add.at(mat, (np.broadcast_to(np.arange(m), cols.shape), cols), 1)
+    return mat
+
+
+def reserve_matrix(slc, ci, cj, r):
+    """The slice's reserve between clusters ci and cj, after checking that
+    it holds exactly r perfect matchings."""
+    assert slc.reserve[ci, cj].shape == (r, slc.q.m)
+    return matchings_matrix(slc.reserve[ci, cj])
+
+
+def assert_pairs_sum_to_host(slices, host, pairs, r):
+    """For each cluster pair (ci, cj), every slice's reserve holds r
+    perfect matchings, and the reserves of all slices plus the residual
+    that one slice keeps as a cycle edge sum to the host's pair matrix."""
+    q = slices[0].q
+    for (ci, cj) in pairs:
+        total = sum(reserve_matrix(slc, ci, cj, r) for slc in slices)
+        kept = [mat if edge == (ci, cj) else mat.T
+                for slc in slices
+                for edge, (_t, _h, mat) in zip(slc.cycle.edges(), slc.pairs)
+                if set(edge) == {ci, cj}]
+        assert len(kept) == 1
+        assert (total + kept[0]
+                == pair_matrix(host, q.cluster(ci), q.cluster(cj))).all()
 
 
 @pytest.fixture(scope="module")
@@ -440,19 +461,18 @@ class TestSysdecom:
         for slc in a_slices:
             for i in range(cfg.K):
                 for ip in range(i + 1, cfg.K):
-                    assert reserve_degrees(slc, P.a_cluster(i),
-                                           P.a_cluster(ip)) == {r}
+                    mat = reserve_matrix(slc, i, ip, r)
+                    assert (mat.sum(axis=0) == r).all()
+                    assert (mat.sum(axis=1) == r).all()
 
     def test_edge_disjointness_ledger(self, two_cliques_decomposed):
         cfg, host, P, systems, a_slices, b_slices, quotas = \
             two_cliques_decomposed
-        total = Multigraph(host.n)
-        for slc in a_slices:
-            total = total + Multigraph(host.n, system_arcs(slc))
-            total = total + slc.h_reserve
-        assert total.is_simple()
-        assert total.is_submultigraph_of(
-            Multigraph(host.n, host.edges()).restrict(P.A))
+        for slices in (a_slices, b_slices):
+            assert_pairs_sum_to_host(
+                slices, host, [(i, ip) for i in range(cfg.K)
+                               for ip in range(i + 1, cfg.K)],
+                quotas.reserve_degree_used)
 
     def test_winding_and_slot_bounds(self, two_cliques_decomposed):
         cfg, host, P, systems, a_slices, b_slices, quotas = \
@@ -489,8 +509,7 @@ class TestSysdecomUnclamped:
         assert quotas.reserve_degree_used == formula == 50
         assert not quotas.notes
         for slc in a_slices:
-            assert reserve_degrees(slc, P.a_cluster(0),
-                                   P.a_cluster(1)) == {formula}
+            reserve_matrix(slc, 0, 1, formula)
 
 
 class TestSysdecombip:
@@ -504,20 +523,18 @@ class TestSysdecombip:
         assert sorted(idx) == list(range(len(systems)))
         r = quotas.reserve_degree_used
         assert quotas.reserve_inner + quotas.reserve_outer == r
-        total = Multigraph(host.n)
+        a_side = set(P.A)
         for slc in slices:
             assert winds_around(Digraph(slc.n, system_arcs(slc)), slc.q,
                                 slc.cycle)
             CyclicSystem(slc.n, slc.pairs, slc.q, slc.cycle, slc.mu,
                          slc.eps).validate()
-            for i in range(cfg.K):
-                for ip in range(cfg.K):
-                    assert reserve_degrees(slc, P.a_cluster(i),
-                                           P.b_cluster(ip)) == {r}
-            total = (total + Multigraph(host.n, system_arcs(slc))
-                     + slc.h_reserve)
-        assert total.is_simple()
-        assert total.is_submultigraph_of(Multigraph(host.n, host.edges()))
-        a_side = set(P.A)
-        assert all((u in a_side) != (v in a_side)
-                   for (u, v) in total.support())
+            assert all((u in a_side) != (v in a_side)
+                       for (u, v) in system_arcs(slc))
+            # reserves only between an A-cluster and a B-cluster
+            assert sorted(slc.reserve) == [(i, cfg.K + ip)
+                                           for i in range(cfg.K)
+                                           for ip in range(cfg.K)]
+        assert_pairs_sum_to_host(
+            slices, host, [(i, cfg.K + ip) for i in range(cfg.K)
+                           for ip in range(cfg.K)], r)

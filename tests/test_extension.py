@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
-from hamdec.core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
+from hamdec import classic, cyclic, extension, pipeline
+from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, is_locally_balanced)
-from hamdec.cyclic import sysdecombip
+from hamdec.cyclic import sysdecom, sysdecombip
 from hamdec.errors import InvalidParameter, MalformedInput
-from hamdec.exceptional import build_fictive_bipartite
+from hamdec.exceptional import (build_fictive_bipartite,
+                                build_fictive_two_cliques)
 from hamdec.extension import (BalancedExtension, balance_extend_bipartite,
                               balance_extend_cliques,
                               validate_balanced_extension)
@@ -18,23 +21,39 @@ def equipartition(k, m):
         [list(range(i * m, (i + 1) * m)) for i in range(k)])
 
 
-def shifted_pair_edges(cluster_a, cluster_b, shifts):
-    m = len(cluster_a)
-    return [(cluster_a[x], cluster_b[(x + s) % m]) for x in range(m)
-            for s in shifts]
-
-
-def reservoir_graph(qp, cycle, degree, n):
-    """H with H[V_{i-1}, V_{i+1}] exactly degree-regular for every i."""
-    k = len(qp.clusters)
-    edges = []
+def reservoir_graph(qp, cycle, degree):
+    """H as its perfect matchings, with H[V_{i-1}, V_{i+1}] the shifted
+    circulants x -> x + s for s < degree, keyed as sysdecom keys a pair:
+    its lower cluster index first."""
+    k, m = len(qp.clusters), qp.m
+    reserve = {}
     for pos in range(k):
         prev_c = cycle.order[(pos - 1) % k]
         next_c = cycle.order[(pos + 1) % k]
-        edges += shifted_pair_edges(list(qp.cluster(prev_c)),
-                                    list(qp.cluster(next_c)),
-                                    list(range(degree)))
-    return Multigraph(n, edges)
+        sign = 1 if prev_c < next_c else -1
+        reserve[min(prev_c, next_c), max(prev_c, next_c)] = np.array(
+            [(np.arange(m) + sign * s) % m for s in range(degree)],
+            dtype=np.intp).reshape(degree, m)
+    return reserve
+
+
+def malformed(reserve, key, kind):
+    """A copy of ``reserve`` whose pair ``key`` is broken as ``kind``
+    says: one matching too few, a position matched twice, or a position
+    outside the cluster."""
+    bad = {k: v.copy() for k, v in reserve.items()}
+    cols = bad[key]
+    if kind == "count":
+        bad[key] = cols[1:]
+    elif kind == "not-perfect":
+        cols[0, 1] = cols[0, 0]
+    else:
+        cols[0, 0] = cols.shape[1]
+    return bad
+
+
+MALFORMED_POOLS = {"count": "exactly", "not-perfect": "not a perfect",
+                   "outside": "not a perfect"}
 
 
 class TestCliquesBuilder:
@@ -44,7 +63,7 @@ class TestCliquesBuilder:
         self.qp = equipartition(self.k, self.m)
         self.cycle = ClusterCycle((0, 1, 2, 3, 4))
         self.eps = 1 / self.m  # 2*eps*m = 2-regular reservoir
-        self.h = reservoir_graph(self.qp, self.cycle, 2, self.n)
+        self.h = reservoir_graph(self.qp, self.cycle, 2)
 
     def test_simple_extension(self):
         m0 = OrderedDirectedMatching(((12, 13),))  # inside V_1
@@ -82,17 +101,36 @@ class TestCliquesBuilder:
                                    self.eps, self.n)
 
     def test_irregular_reservoir_rejected(self):
-        bad = self.h - Multigraph(self.n, [next(iter(self.h.support()))])
-        with pytest.raises(InvalidParameter):
-            balance_extend_cliques({}, self.qp, self.cycle, bad,
+        # one case per malformed-pool kind, on the pair stored as (0, 2)
+        # and on the pair stored against the orientation V_3 -> V_0
+        for key in ((0, 2), (0, 3)):
+            for kind, message in MALFORMED_POOLS.items():
+                bad = malformed(self.h, key, kind)
+                with pytest.raises(InvalidParameter, match=message):
+                    balance_extend_cliques({}, self.qp, self.cycle, bad,
+                                           self.eps, self.n)
+        del self.h[0, 3]
+        with pytest.raises(InvalidParameter, match="exactly 2"):
+            balance_extend_cliques({}, self.qp, self.cycle, self.h,
                                    self.eps, self.n)
+
+    def test_pool_orientation(self):
+        # H[V_3, V_0] is stored as (0, 3), position x of V_0 matched to
+        # x - 1 and to x - 2 of V_3; the extension of a matching in V_4
+        # runs V_3 -> V_0, along the first of them read backwards
+        self.h[0, 3] = (np.arange(self.m) - np.array([[1], [2]])) % self.m
+        m0 = OrderedDirectedMatching(((48, 49),))
+        be, _ = balance_extend_cliques(
+            {4: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
+        (ps,) = be.path_sequences
+        assert set(ps._arcs) - set(m0.arcs) == {(36, 1)}
 
     def test_many_seeded_inputs(self):
         # 20 seeds x several matchings; validator with parameters (2eps, 3)
         for seed in range(20):
             rng = random.Random(seed)
             eps = 2 / self.m
-            h = reservoir_graph(self.qp, self.cycle, 4, self.n)
+            h = reservoir_graph(self.qp, self.cycle, 4)
             groups = {}
             for ci in range(self.k):
                 cluster = list(self.qp.cluster(ci))
@@ -155,19 +193,19 @@ def built():
     idxs = [slot.es_index for slot in slc.slots]
     be = balance_extend_bipartite(
         [systems[i] for i in idxs], [reductions[i] for i in idxs],
-        P, slc.cycle, slc.h_reserve, P.eps0,
+        P, slc.cycle, slc.reserve, P.eps0,
         quotas.reserve_inner, quotas.reserve_outer)
-    return P, slc, [reductions[i] for i in idxs], be
+    return P, slc, [reductions[i] for i in idxs], be, systems, quotas
 
 
 class TestBipartiteBuilder:
     def test_validator_passes(self, built):
-        P, slc, reds, be = built
+        P, slc, reds, be, *_ = built
         validate_balanced_extension(be, P.ab_equipartition(), slc.cycle)
         assert be.eps == 12 * P.eps0 * P.K and be.ell == 12
 
     def test_sequence_size_identity(self, built):
-        P, slc, reds, be = built
+        P, slc, reds, be, *_ = built
         for ps, red in zip(be.path_sequences, reds):
             assert ps.edge_count() == 4 * len(red.jstar_dir)
 
@@ -175,7 +213,7 @@ class TestBipartiteBuilder:
         # on the canonical cycle A1 B1 A2 B2 ..., a sequence localized at
         # (i1,i2,i3,i4) touches A-clusters only in {i1,i2,i3,i4,i3+1,i4+1}
         # and B-clusters only in {i1-1,i1,i2,i3,i4}
-        P, slc, reds, be = built
+        P, slc, reds, be, *_ = built
         if slc.j != 0:
             pytest.skip("canonical cycle is slice 0")
         q = P.ab_equipartition()
@@ -195,7 +233,7 @@ class TestBipartiteBuilder:
                     assert ci - K in b_ok, (ci - K, (i1, i2, i3, i4))
 
     def test_extension_into_a_i1(self, built):
-        P, slc, reds, be = built
+        P, slc, reds, be, *_ = built
         q = P.ab_equipartition()
         for ps, matching, i_s in zip(be.path_sequences, be.matchings,
                                      be.extension_cluster):
@@ -207,3 +245,49 @@ class TestBipartiteBuilder:
                     ends_of_matching_paths.append(path[-1])
             target = set(q.cluster(i_s))
             assert all(v in target for v in ends_of_matching_paths)
+
+    def test_malformed_pool_rejected(self, built):
+        P, slc, reds, be, systems, quotas = built
+        idxs = [slot.es_index for slot in slc.slots]
+        for kind, message in MALFORMED_POOLS.items():
+            bad = malformed(slc.reserve, (1, P.K + 2), kind)
+            with pytest.raises(InvalidParameter, match=message):
+                balance_extend_bipartite(
+                    [systems[i] for i in idxs], reds, P, slc.cycle, bad,
+                    P.eps0, quotas.reserve_inner, quotas.reserve_outer)
+
+
+MATCHING_KERNELS = ("take_matching", "hopcroft_karp",
+                    "regular_bipartite_to_matchings", "pair_matrix")
+
+
+@pytest.mark.parametrize("mode", ["two-cliques", "bipartite"])
+def test_extensions_compute_no_matching(mode, monkeypatch):
+    # the builders read the reserve's matchings as sysdecom drew them:
+    # with every matching kernel raising, both extensions still run
+    if mode == "two-cliques":
+        cfg = InstanceConfig.two_cliques_default(seed=12)
+        fictive, decompose = build_fictive_two_cliques, sysdecom
+        extend = pipeline._extend_cliques
+    else:
+        cfg = InstanceConfig.bipartite_default(seed=31)
+        fictive, decompose = build_fictive_bipartite, sysdecombip
+        extend = pipeline._extend_bipartite
+    host, P, systems = generate_instance(cfg)
+    reductions = [fictive(es) for es in systems]
+    *slice_lists, quotas = decompose(host, P, systems, reductions,
+                                     mu=cfg.mu, rho=cfg.rho, seed=cfg.seed)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a balanced extension computed a matching")
+
+    for module in (classic, cyclic, extension, pipeline):
+        for name in MATCHING_KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    extended = 0
+    for slc in (slc for slices in slice_lists for slc in slices):
+        if slc.slots:
+            be, _ = extend(slc, P, systems, reductions, quotas)
+            extended += len(be)
+    assert extended == len(systems) * len(slice_lists)

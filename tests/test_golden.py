@@ -4,11 +4,12 @@ The sha256 of the canonical certificate JSON for fixed (config, seed)
 pairs.  A refactor that keeps every random draw must keep these bytes;
 a change that alters the draws on purpose re-pins them and says why.
 
-Last re-pin: `classic.regular_spanning_subgraph` now finds its r-factor
-by a greedy fill and augmenting paths on packed rows instead of a
-max-flow library call.  The random streams are the same, but the bulk
-slots' 1-factors come from a different, equally valid r-factor, so every
-certificate's bytes change while its verdict does not.
+Last re-pin: each slice keeps its reserve graph as the perfect matchings
+sysdecom drew for it, and the balanced extensions take their pools from
+those matchings instead of re-factorizing the reserve.  The random
+streams are the same, but the extensions use different, equally valid
+reserve matchings, so every certificate's bytes change while its verdict
+does not.
 """
 
 import hashlib
@@ -20,13 +21,13 @@ from hamdec.pipeline import (InstanceConfig, approx_decompose_bipartite,
 
 GOLDEN = [
     ("two-cliques-default", InstanceConfig.two_cliques_default(seed=7),
-     "cd135888540d9fede32141f4ade78e930570b604afe9c7f90ccaee88c442959d"),
+     "73f456a1d1c74e3b948e559fe991a82987b4e91d93f5c20328bed0fe3a4d27ae"),
     ("bipartite-default", InstanceConfig.bipartite_default(seed=7),
-     "f8f4c685fbb646c57b9f1c5062db45fcad2cf60a8380ceeaa3eab148beb31a46"),
+     "a1a092f14095539f83c9b3347a112caea89ed105ef4b757bd5e4eb19844be731"),
     ("two-cliques-mixed",
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
-     "71dd0db9b7c81fe85a0c094abac365ecf05ec378cea2befd9991e87b9b7df9b3"),
+     "5191aeff49122777674a893f9c78997213f25cb2efec800b6148c9d50e8f17e0"),
 ]
 
 

@@ -376,6 +376,11 @@ MALFORMED_OBJECTS = {
     "no-global": _without("global"),
     "slots-not-a-list": lambda obj: {**obj, "slots": "x"},
     "not-an-object": lambda obj: [obj],
+    "no-schema": _without("schema"),
+    "schema-2": lambda obj: {**obj, "schema": 2},
+    "schema-string": lambda obj: {**obj, "schema": "1"},
+    "schema-float": lambda obj: {**obj, "schema": 1.0},
+    "schema-true": lambda obj: {**obj, "schema": True},
 }
 
 
@@ -400,6 +405,78 @@ class TestMalformedCertificate:
         bad.write_text('{"schema": 1, "slots": [')
         assert cli_main(["verify", str(inst), str(bad)]) == 1
         assert json.loads(capsys.readouterr().out)["all_ok"] is False
+
+
+def _claim(key, value):
+    """Set the certificate's claim ``key`` (a top-level key, or
+    ``params.<key>``) to ``value(old value)``; a value of None deletes
+    it."""
+    def mutate(obj):
+        *parent, last = key.split(".")
+        target = obj[parent[0]] if parent else obj
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value(target[last])
+    return mutate
+
+
+# certificate claims about the instance that disagree with it; each must
+# clear instance_match while every slot still verifies
+WRONG_CLAIMS = {
+    "mode": _claim("mode", lambda v: "bipartite"),
+    "params-mode": _claim("params.mode", lambda v: "bipartite"),
+    "params-K": _claim("params.K", lambda v: v + 2),
+    "params-m": _claim("params.m", lambda v: v + 1),
+    "params-n": _claim("params.n", lambda v: v - 1),
+    "params-K-float": _claim("params.K", float),
+    "params-m-true": _claim("params.m", lambda v: True),
+    "params-n-missing": _claim("params.n", None),
+}
+
+
+class TestCertificateClaims:
+    @pytest.mark.parametrize("name", sorted(WRONG_CLAIMS))
+    def test_wrong_claim_fails_instance_match(self, name, seed4_files,
+                                              tmp_path, capsys):
+        inst, obj, (host, P, systems) = seed4_files
+        obj = copy.deepcopy(obj)
+        WRONG_CLAIMS[name](obj)
+        report = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(obj))
+        assert report["global"]["instance_match"] is False
+        assert report["global"]["all_ok"] is False
+        assert report["global"]["slot_failures"] == []
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli_main(["verify", str(inst), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["instance_match"] is False
+        assert "Traceback" not in captured.err
+
+    def test_embedded_verdicts_are_advisory(self, seed4_files):
+        # verify recomputes every verdict: embedded ones that say the
+        # opposite change nothing, either way round
+        inst, obj, (host, P, systems) = seed4_files
+        truth = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(obj))
+        assert truth["global"]["all_ok"]
+        lying = copy.deepcopy(obj)
+        lying["global"] = {"all_ok": False, "instance_match": False,
+                           "slot_failures": [0], "coverage_fraction": 0.0}
+        for slot in lying["slots"]:
+            slot["verdicts"] = {"ok": False}
+        assert verify_certificate(
+            host, P, systems,
+            DecompositionCertificate.from_json_obj(lying)) == truth
+        tampered = copy.deepcopy(obj)
+        tampered["slots"].pop(0)
+        assert tampered["global"]["all_ok"] is True
+        assert tampered["slots"][0]["verdicts"]["ok"] is True
+        report = verify_certificate(
+            host, P, systems, DecompositionCertificate.from_json_obj(tampered))
+        assert report["global"]["all_ok"] is False
 
 
 INSTANCE_KEYS = ("config", "graph", "partition", "exceptional_systems")
