@@ -104,6 +104,19 @@ class Multigraph:
             self._keys = us, vs, ks
         return self._keys
 
+    @classmethod
+    def _from_key_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray,
+                         ks: np.ndarray) -> "Multigraph":
+        """The multigraph of the distinct edges (us[i], vs[i]), us < vs,
+        of multiplicity ks[i] >= 1: int64 arrays that become its key
+        arrays, in their order."""
+        g = cls(n)
+        g._mult = dict(zip(zip(us.tolist(), vs.tolist()), ks.tolist()))
+        for arr in (us, vs, ks):
+            arr.flags.writeable = False
+        g._keys = us, vs, ks
+        return g
+
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 arrays (lo, hi), lo < hi, with one entry per edge counted
         with multiplicity."""
@@ -625,8 +638,11 @@ class OrderedDirectedMatching:
 def vertex_mask(vertices: Iterable[int], n: int) -> np.ndarray | None:
     """Boolean mask of ``vertices`` over 0..n-1, or None when one of them
     lies outside that range, where no edge of an n-vertex graph reaches."""
-    ids = list(vertices)
-    if not all(0 <= v < n for v in ids):
+    try:
+        ids = np.fromiter(vertices, dtype=np.int64)
+    except OverflowError:
+        return None
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
         return None
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
@@ -649,23 +665,19 @@ def undirected_cycle_order(lo: np.ndarray, hi: np.ndarray,
     ends = np.concatenate((lo, hi))
     if (np.bincount(ends, minlength=inside.size)[inside] != 2).any():
         return None
-    # every vertex of the set now has exactly two neighbour entries; sort
-    # them by vertex so that rows 2i and 2i+1 hold the same vertex
-    by_end = np.argsort(ends, kind="stable")
-    owner = ends[by_end[0::2]]
-    other = np.concatenate((hi, lo))[by_end].reshape(-1, 2)
-    first = np.zeros(inside.size, dtype=np.int64)
-    second = np.zeros(inside.size, dtype=np.int64)
-    first[owner] = other.min(axis=1)
-    second[owner] = other.max(axis=1)
-    first, second = first.tolist(), second.tolist()
-    start = int(owner[0])
+    # every vertex of the set now has exactly two neighbours, so the XOR of
+    # the two gives the one that the walk did not come from
+    others = np.concatenate((hi, lo))
+    link = np.zeros(inside.size, dtype=np.int64)
+    np.bitwise_xor.at(link, ends, others)
+    start = int(inside.argmax())
+    cur = int(others[ends == start].min())
+    link = link.tolist()
     order = [start]
-    prev, cur = start, first[start]
+    prev = start
     while cur != start:
         order.append(cur)
-        nxt = first[cur]
-        prev, cur = cur, (nxt if nxt != prev else second[cur])
+        prev, cur = cur, link[cur] ^ prev
     return order if len(order) == count else None
 
 
@@ -766,12 +778,16 @@ def order_is_consistent(order: Sequence[int],
     the matching, v right after u, and meets the arcs in their cyclic
     order."""
     pos = {v: i for i, v in enumerate(order)}
+    tails = []
     for (u, v) in matching.arcs:
         i = pos.get(u)
         if i is None or order[(i + 1) % len(order)] != v:
             return False
-    # arc (u,v) sits where the cycle leaves u
-    return visits_in_order(order, [u for (u, _v) in matching.arcs])
+        tails.append(i)
+    # arc (u,v) sits where the cycle leaves u: the tails' positions,
+    # counted from the first tail, must increase
+    rel = [(i - tails[0]) % len(order) for i in tails]
+    return all(a < b for a, b in zip(rel, rel[1:]))
 
 
 def visits_in_order(order: Sequence[int], targets: Sequence[int]) -> bool:
@@ -799,7 +815,8 @@ def cycle_to_perfect_matchings(g: Multigraph, vertex_set: Iterable[int]
 
 def canonical_json(obj) -> str:
     """Canonical JSON used for all serialized artifacts (byte-stable)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def derive_seed(*parts) -> int:

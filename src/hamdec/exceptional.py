@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import (ClusterPartition, Multigraph, OrderedDirectedMatching,
-                   order_is_consistent, verify_hamilton_cycle)
+                   order_is_consistent, verify_hamilton_cycle, vertex_mask)
 from .errors import (InvalidExceptionalSystem, MalformedInput, NotConsistent,
                      SpliceVerificationFailed)
 
@@ -325,9 +326,31 @@ def _check_input_cycle(order: Sequence[int], vertices: set[int],
                             f"matching")
 
 
-def _cycle_edges(order: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The edges of the cycle that visits ``order`` in turn."""
-    return zip(order, chain(order[1:], order[:1]))
+def _spliced(orders: Sequence[Sequence[int]], system, reduction
+             ) -> Multigraph:
+    """C - J* + J, where C is the sum of the cycles that visit each of
+    ``orders`` in turn and the subtraction floors at 0, counted on int64
+    edge keys lo * n + hi.  Its key arrays list its edges in sorted
+    order."""
+    P = system.partition
+    n = max(P.n, system.graph.n)
+    rings = [np.asarray(order, dtype=np.int64) for order in orders]
+    tails = np.concatenate(rings)
+    heads = np.concatenate([np.roll(ring, -1) for ring in rings])
+    if tails.min() < 0 or tails.max() >= P.n:
+        raise MalformedInput(f"cycle vertex outside 0..{P.n - 1}")
+    parts = [np.minimum(tails, heads) * n + np.maximum(tails, heads)]
+    for g in (reduction.jstar, system.graph):
+        us, vs, ks = g._key_arrays()
+        parts.append(np.repeat(us * n + vs, ks))
+    keys, where = np.unique(np.concatenate(parts), return_inverse=True)
+    bounds = np.cumsum([part.size for part in parts[:2]])
+    cycle, cut, join = (np.bincount(w, minlength=keys.size)
+                        for w in np.split(where, bounds))
+    total = np.maximum(cycle - cut, 0) + join
+    keep = total > 0
+    return Multigraph._from_key_arrays(n, keys[keep] // n, keys[keep] % n,
+                                       total[keep])
 
 
 def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
@@ -339,20 +362,24 @@ def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
     its vertex order, consistent with the ordered matchings J*_A and
     J*_B.  For an HES the result is a Hamilton cycle on all of V; for an
     MES it is the vertex-disjoint union of a Hamilton cycle on A' and one
-    on B'.
+    on B'.  The result's key arrays list its edges in sorted order.
     """
     P = system.partition
     _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
     _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
-    result = (Multigraph(P.n, chain(_cycle_edges(c_a), _cycle_edges(c_b)))
-              - reduction.jstar + system.graph)
+    result = _spliced((c_a, c_b), system, reduction)
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
         ok = verify_hamilton_cycle(result, a_pr + b_pr)
     else:
+        us, vs, _ks = result._key_arrays()
+        a_mask = vertex_mask(a_pr, result.n)
+        b_mask = vertex_mask(b_pr, result.n)
+        # both masks exist once both cycles check out
         ok = (verify_hamilton_cycle(result, a_pr)
               and verify_hamilton_cycle(result, b_pr)
-              and result.edges_between(a_pr, b_pr) == 0)
+              and not ((a_mask[us] & b_mask[vs])
+                       | (b_mask[us] & a_mask[vs])).any())
     if not ok:
         raise SpliceVerificationFailed(
             f"splice output failed {system.kind} verification")
@@ -363,10 +390,11 @@ def splice_bipartite(d: Sequence[int], system: BalancedExceptionalSystem,
                      reduction: FictiveReduction) -> Multigraph:
     """D - J* + J for the bipartite case, where D is a directed Hamilton
     cycle on A u B, given as its vertex order and consistent with the
-    ordered matching J*; output verified Hamiltonian."""
+    ordered matching J*; output verified Hamiltonian.  The result's key
+    arrays list its edges in sorted order."""
     P = system.partition
     _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
-    result = Multigraph(P.n, _cycle_edges(d)) - reduction.jstar + system.graph
+    result = _spliced((d,), system, reduction)
     if not verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")

@@ -13,7 +13,6 @@ import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -416,6 +415,21 @@ def _degree_window(host: Host, partition: ClusterPartition) -> float:
 # -- certificates ------------------------------------------------------------
 
 
+def _is_rate(value) -> bool:
+    return type(value) is int or (type(value) is float
+                                  and math.isfinite(value))
+
+
+# the certificate params that the instance does not determine, with the
+# type each must have
+_PARAM_TYPES = (
+    ("seed", lambda v: type(v) is int and v >= 0, "a non-negative int"),
+    *((key, _is_rate, "a finite int or float")
+      for key in ("mu", "rho", "gamma")),
+    ("quotas", lambda v: isinstance(v, dict), "an object"),
+)
+
+
 @dataclass
 class DecompositionCertificate:
     """The output bundle: per-slot spanning subgraph plus verifier
@@ -437,7 +451,10 @@ class DecompositionCertificate:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionCertificate":
         """Raises MalformedInput on a missing key, a ``schema`` other than
-        the int 1, or non-list slots."""
+        the int 1, non-list slots, or params of the wrong type: a
+        ``seed`` that is not a non-negative int, a ``mu``, ``rho`` or
+        ``gamma`` that is not a finite int or float, or ``quotas`` that
+        are not an object (a boolean is none of these)."""
         if not isinstance(obj, dict):
             raise MalformedInput("a certificate must be a JSON object")
         for key in ("schema", "mode", "params", "slots", "global"):
@@ -447,6 +464,11 @@ class DecompositionCertificate:
             raise MalformedInput(f"certificate schema {obj['schema']!r} != 1")
         if not isinstance(obj["slots"], list):
             raise MalformedInput("certificate slots must be a list")
+        params = obj["params"] if isinstance(obj["params"], dict) else {}
+        for key, ok, what in _PARAM_TYPES:
+            if key in params and not ok(params[key]):
+                raise MalformedInput(f"certificate params.{key} "
+                                     f"{params[key]!r} is not {what}")
         return cls(mode=obj["mode"], params=obj["params"],
                    slots=obj["slots"], global_report=obj["global"])
 
@@ -655,6 +677,8 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
     for (k, _slc), result in zip(owners, results):
         cycles[k].update(result)
     splice = globals()[spec.splice]
+    # one int object per vertex, shared by the edge lists of all slots
+    vertex = np.arange(host.n, dtype=object)
     slots = []
     for idx, es in enumerate(systems):
         try:
@@ -662,7 +686,9 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
                               reductions[idx])
         except HamdecError as e:
             raise PipelineError("splice", e, slot=idx, seed=seed) from e
-        edges = sorted([u, v] for (u, v) in spanning.support())
+        # the splice lists the distinct edges in sorted order
+        us, vs, _ks = spanning._key_arrays()
+        edges = vertex[np.stack((us, vs), axis=1)].tolist()
         slots.append({
             "es_index": idx,
             "kind": es.kind,
@@ -727,16 +753,17 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     multiset accounting, the coverage fraction, and ``instance_match``:
     the certificate's ``params.instance_sha256`` must be the
     ``instance_sha256`` of the given instance, and its ``mode``,
-    ``params.mode``, ``.K``, ``.m`` and ``.n`` the partition's.  Embedded
-    verdicts are never read.  A slot that cannot be
-    read (not an object, an index that names no system, a missing key, an
-    edge that is not a pair of distinct int vertices of the host) gets the
-    verdict ``{"ok": false}``.
+    ``params.mode``, ``.K``, ``.m``, ``.n`` and ``.eps0`` the
+    partition's (exact types).  Embedded verdicts are never read.  A slot
+    that cannot be read (not an object, an index that names no system, a
+    missing key, an edge that is not a pair of distinct int vertices of
+    the host) gets the verdict ``{"ok": false}``.
 
-    Each slot is read once into int64 (lo, hi) arrays; an edge is the key
-    lo * base + hi, and the host's multiplicities come from its
-    matrix.  Raises MalformedInput when the partition names a vertex
-    outside the host."""
+    Each slot's edge list is serialized once to canonical JSON; that text
+    is type-checked, parsed into int64 (lo, hi) arrays and hashed for
+    ``hash_ok``.  An edge is the key lo * base + hi, and the host's
+    multiplicities come from its matrix.  Raises MalformedInput when the
+    partition names a vertex outside the host."""
     n = host.n
     everything = vertex_mask(partition.vertices(), n)
     if everything is None:
@@ -763,7 +790,7 @@ def verify_certificate(host: Host, partition: ClusterPartition,
             slot_reports.append({"ok": False})
             failures.append(idx)
             continue
-        kind, lo, hi = read
+        kind, lo, hi, text = read
         es = systems[idx]
         slot_keys = lo * base + hi
         keys, counts = np.unique(slot_keys, return_counts=True)
@@ -777,8 +804,8 @@ def verify_certificate(host: Host, partition: ClusterPartition,
         verdicts["contains_system"] = bool(
             (pos < keys.size).all() and (keys[pos] == want).all())
         if "edges_sha256" in slot:
-            verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
-                slot["edges"])
+            verdicts["hash_ok"] = slot["edges_sha256"] == \
+                hashlib.sha256(text.encode()).hexdigest()
         if es.kind == KIND_MES:
             cyc_a = undirected_cycle_order(lo, hi, a_mask) is not None
             cyc_b = undirected_cycle_order(lo, hi, b_mask) is not None
@@ -819,9 +846,10 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     coverage = coverage_edges / denom if denom else 0.0
     params = cert.params if isinstance(cert.params, dict) else {}
     claims = [cert.mode] + [params.get(key) for key in (
-        "mode", "K", "m", "n", "instance_sha256")]
+        "mode", "K", "m", "n", "eps0", "instance_sha256")]
     truth = [partition.mode, partition.mode, partition.K, partition.m,
-             partition.n, instance_sha256(host, partition, systems)]
+             partition.n, partition.eps0,
+             instance_sha256(host, partition, systems)]
     # exact types: JSON true and 5.0 would equal the ints 1 and 5
     instance_match = [(type(c), c) for c in claims] == \
         [(type(t), t) for t in truth]
@@ -835,25 +863,38 @@ def verify_certificate(host: Host, partition: ClusterPartition,
     return {"slots": slot_reports, "global": global_report}
 
 
+_DIGITS = str.maketrans("", "", "0123456789")
+_BRACKETS = str.maketrans("", "", "[]")
+
+
 def _read_slot(slot: dict, n: int):
-    """(claimed kind, lo, hi) of a certificate slot, with one int64 entry
-    per listed edge and lo < hi, or None when the slot cannot be read: a
-    missing key, or an edge that is not a pair of distinct ints in
-    0..n-1."""
+    """(claimed kind, lo, hi, text) of a certificate slot: one int64 entry
+    of lo and hi per listed edge, lo < hi, and the canonical JSON text of
+    its edge list; or None when the slot cannot be read: a missing key,
+    an edge list that cannot be serialized or has no length, or an edge
+    that is not a pair of distinct ints in 0..n-1.  An empty list, string
+    or object is an empty edge list."""
     try:
         kind, edges = slot["kind"], slot["edges"]
-        if not set(map(len, edges)) <= {2}:
-            return None
-        flat = list(chain.from_iterable(edges))
+        text = canonical_json(edges)
+        count = len(edges)
     except (KeyError, TypeError):
         return None
-    # exact types: JSON true and 1.0 would pass as the vertex 1; the range
-    # check runs on Python ints, before any int64 conversion
-    if not set(map(type, flat)) <= {int} or \
-            (flat and not (0 <= min(flat) and max(flat) < n)):
+    if not count:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    # a list of pairs of non-negative ints prints as digits between
+    # exactly these brackets and commas; JSON true, 1.0, -1, "1", null and
+    # nested lists each print some other character or bracket
+    elif text.translate(_DIGITS) != "[[,]" + ",[,]" * (count - 1) + "]":
         return None
-    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    else:
+        # the parse saturates at 2**63 - 1, so a larger vertex is out of
+        # range too
+        pairs = np.fromstring(text.translate(_BRACKETS), dtype=np.int64,
+                              sep=",").reshape(-1, 2)
+        if pairs.max() >= n:
+            return None
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     if (lo == hi).any():
         return None
-    return kind, lo, hi
+    return kind, lo, hi, text

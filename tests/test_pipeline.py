@@ -318,6 +318,11 @@ MALFORMED = {
     "triple-edge-true": _triple_edge(True),
     "huge-vertex": _first_edge([2 ** 70, 3]),
     "negative-vertex": _first_edge([-1, 3]),
+    "string-vertex": _first_edge(["1", 3]),
+    "null-vertex": _first_edge([None, 3]),
+    "nested-vertex": _first_edge([[1], 3]),
+    "one-vertex-edge": _first_edge([1]),
+    "loop-edge": _first_edge([3, 3]),
 }
 TAMPERED = {
     "drop-slot": lambda obj, host, systems: obj["slots"].pop(0),
@@ -367,6 +372,10 @@ def _without(key):
     return lambda obj: {k: v for k, v in obj.items() if k != key}
 
 
+def _params(**values):
+    return lambda obj: {**obj, "params": {**obj["params"], **values}}
+
+
 # certificate objects that are no certificate; each gets a failed verdict
 MALFORMED_OBJECTS = {
     "schema-only": lambda obj: {"schema": 1},
@@ -381,6 +390,17 @@ MALFORMED_OBJECTS = {
     "schema-string": lambda obj: {**obj, "schema": "1"},
     "schema-float": lambda obj: {**obj, "schema": 1.0},
     "schema-true": lambda obj: {**obj, "schema": True},
+    # the params that the instance does not fix must still have their types
+    "params-seed-string": _params(seed="x"),
+    "params-seed-negative": _params(seed=-1),
+    "params-seed-true": _params(seed=True),
+    "params-seed-float": _params(seed=4.0),
+    "params-mu-string": _params(mu="0"),
+    "params-rho-nan": _params(rho=math.nan),
+    "params-gamma-infinite": _params(gamma=math.inf),
+    "params-gamma-true": _params(gamma=True),
+    "params-quotas-null": _params(quotas=None),
+    "params-quotas-list": _params(quotas=[]),
 }
 
 
@@ -432,6 +452,10 @@ WRONG_CLAIMS = {
     "params-K-float": _claim("params.K", float),
     "params-m-true": _claim("params.m", lambda v: True),
     "params-n-missing": _claim("params.n", None),
+    "params-eps0": _claim("params.eps0", lambda v: -1),
+    "params-eps0-string": _claim("params.eps0", str),
+    "params-eps0-off-by-an-ulp": _claim("params.eps0",
+                                        lambda v: math.nextafter(v, 1)),
 }
 
 

@@ -1,6 +1,7 @@
-"""Differential tests of the array cycle kernel, the array verifier, the
-one-walk structure walkers and the matrix host (generator and instance
-files) against frozen copies of the versions they replaced.
+"""Differential tests of the array cycle kernel, the array verifier and
+its one-text slot reader, the array splices, the one-walk structure
+walkers, the matrix host (generator and instance files) and the row join
+against frozen copies of the versions they replaced.
 
 The references below are the earlier ``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
@@ -13,22 +14,29 @@ the dict-host generator; and the Digraph-based input check of the
 splices (``exceptional._check_input_cycle`` with the
 ``core.is_consistent_with`` walk it made); and a pure-Python max-flow
 for ``classic.regular_spanning_subgraph``, which once ran on a max-flow
-library.  The reference verifier reads the host as a ``Multigraph`` of
-its edges, and computes the instance digest it checks from those edges
-in pure Python.
+library; and the ``Multigraph`` sums of the two splices, the slot reader
+that scanned edge lists for types, and the shift join of
+``classic._row_ints``.  The reference verifier reads the host as a
+``Multigraph`` of its edges, and computes the instance digest it checks
+from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
-unreadable.  The mutations here write pairs only.
+unreadable.  The mutations here write pairs only.  The reference
+verifier also leaves ``params.eps0`` out of ``instance_match``, so the
+mutations leave the params alone.
 """
 
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import os
 import random
+import types
 from collections import deque
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -44,13 +52,17 @@ from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
                          derive_seed, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.errors import (DegreeHypothesisViolated, HamdecError,
-                           InvalidParameter, MalformedInput, NotConsistent)
+                           InvalidParameter, MalformedInput, NotConsistent,
+                           SpliceVerificationFailed)
 from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
-                                ExceptionalSystem, _check_input_cycle)
+                                ExceptionalSystem, _check_input_cycle,
+                                _spliced, build_fictive_bipartite,
+                                build_fictive_two_cliques, splice_bipartite,
+                                splice_two_cliques)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              MODE_TWO_CLIQUES, _cluster_pools, _edge_hash,
                              _generate_bipartite, _generate_two_cliques,
-                             _take, approx_decompose_bipartite,
+                             _read_slot, _take, approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
                              verify_certificate)
 
@@ -593,6 +605,250 @@ class TestInputCheckMatchesReference:
         assert _ref_accepts_order(6, side, matching, order) is accepted
 
 
+# -- the splices on arrays ---------------------------------------------------
+
+# frozen copies of the splices that summed Multigraphs edge by edge
+
+
+def ref_cycle_edges(order):
+    return zip(order, chain(order[1:], order[:1]))
+
+
+def ref_splice_two_cliques(c_a, c_b, system, reduction) -> Multigraph:
+    P = system.partition
+    _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
+    _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
+    result = (Multigraph(P.n, chain(ref_cycle_edges(c_a),
+                                    ref_cycle_edges(c_b)))
+              - reduction.jstar + system.graph)
+    a_pr, b_pr = P.A_prime, P.B_prime
+    if system.kind == KIND_HES:
+        ok = ref_verify_hamilton_cycle(result, a_pr + b_pr)
+    else:
+        ok = (ref_verify_hamilton_cycle(result, a_pr)
+              and ref_verify_hamilton_cycle(result, b_pr)
+              and result.edges_between(a_pr, b_pr) == 0)
+    if not ok:
+        raise SpliceVerificationFailed(
+            f"splice output failed {system.kind} verification")
+    return result
+
+
+def ref_splice_bipartite(d, system, reduction) -> Multigraph:
+    P = system.partition
+    _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
+    result = Multigraph(P.n, ref_cycle_edges(d)) - reduction.jstar \
+        + system.graph
+    if not ref_verify_hamilton_cycle(result, P.vertices()):
+        raise SpliceVerificationFailed("splice output is not a Hamilton "
+                                       "cycle on V")
+    return result
+
+
+def _consistent_order(draw, side, arcs) -> list[int]:
+    """A vertex order of ``side`` that the ordered ``arcs`` are consistent
+    with: the arcs in their order, the other vertices spread over the gaps
+    between them, then rotated."""
+    on_arcs = {v for arc in arcs for v in arc}
+    gaps = [[] for _ in range(len(arcs) + 1)]
+    for x in draw(st.permutations([v for v in side if v not in on_arcs])):
+        gaps[draw(st.integers(0, len(arcs)))].append(x)
+    order = gaps[0] + [x for arc, gap in zip(arcs, gaps[1:])
+                       for x in (*arc, *gap)]
+    turn = draw(st.integers(0, len(order) - 1))
+    return order[turn:] + order[:turn]
+
+
+def _spliced_partition(draw, ctor, a0_size, b0_size, need):
+    """A partition by ``ctor`` with 1 or 2 clusters a side, each of at
+    least ``need`` vertices, and vertex ids 0..n-1."""
+    k = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(need, need + 3))
+    base = a0_size + b0_size
+    a = [list(range(base + i * m, base + (i + 1) * m)) for i in range(k)]
+    b = [list(range(base + (k + i) * m, base + (k + i + 1) * m))
+         for i in range(k)]
+    return ctor(list(range(a0_size)), a, list(range(a0_size, base)), b,
+                None)
+
+
+def _order_mutation(draw, order, others) -> list[int]:
+    """The order as drawn, or (less often) with two vertices swapped,
+    reversed, or with a vertex of ``others`` in place of one of its
+    own."""
+    op = draw(st.sampled_from(["none", "none", "none", "swap", "reverse",
+                               "foreign"]))
+    order = list(order)
+    if op == "swap" and len(order) > 2:
+        i, j = draw(st.lists(st.integers(0, len(order) - 1), min_size=2,
+                             max_size=2, unique=True))
+        order[i], order[j] = order[j], order[i]
+    elif op == "reverse":
+        order.reverse()
+    elif op == "foreign" and others:
+        order[draw(st.integers(0, len(order) - 1))] = \
+            draw(st.sampled_from(others))
+    return order
+
+
+@st.composite
+def two_cliques_splices(draw):
+    """(c_a, c_b, system, reduction): a two-cliques exceptional system with
+    0-2 vertices in each of A0 and B0, each on a path between two fresh
+    vertices of its side; an HES adds 2 or 4 AB-edges, and an MES may be
+    empty.  C_A and C_B are drawn
+    consistent with J*_A and J*_B, and then perhaps mutated; and the
+    system may claim the other kind.  A side of one vertex has no cycle."""
+    a0, b0 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    cross = draw(st.sampled_from([0, 2, 4]))
+    P = _spliced_partition(draw, ClusterPartition.two_cliques, a0, b0,
+                           max(1, 2 * a0 + cross, 2 * b0 + cross))
+    pool_a = list(draw(st.permutations(P.A)))
+    pool_b = list(draw(st.permutations(P.B)))
+    edges = []
+    for v0, pool in chain(((v, pool_a) for v in P.a0),
+                          ((v, pool_b) for v in P.b0)):
+        edges += [(pool.pop(), v0), (v0, pool.pop())]
+    edges += [(pool_a.pop(), pool_b.pop()) for _ in range(cross)]
+    system = ExceptionalSystem(P, Multigraph(P.n, edges))
+    reduction = build_fictive_two_cliques(system)
+    if draw(st.integers(0, 5)) == 0:
+        system.kind = KIND_MES if system.kind == KIND_HES else KIND_HES
+    c_a = _order_mutation(draw, _consistent_order(
+        draw, P.A, reduction.ja_dir.arcs), P.B + P.V0)
+    c_b = _order_mutation(draw, _consistent_order(
+        draw, P.B, reduction.jb_dir.arcs), P.A + P.V0)
+    return c_a, c_b, system, reduction
+
+
+@st.composite
+def bipartite_splices(draw):
+    """(d, system, reduction): a balanced exceptional system localized at
+    (0, 0, 0, 0), with 0-2 vertices in each of A0 and B0, as many in
+    both, each on a path between two fresh vertices of its side, and 0-2
+    A-edges with as many B-edges; possibly empty, and a side may be one
+    vertex.  D is drawn consistent with J*, and then perhaps mutated."""
+    v0 = draw(st.integers(0, 2))
+    inner = draw(st.integers(0, 2))
+    P = _spliced_partition(draw, ClusterPartition.bipartite, v0, v0,
+                           max(1, 2 * v0 + 2 * inner))
+    pool_a = list(draw(st.permutations(P.a_cluster(0))))
+    pool_b = list(draw(st.permutations(P.b_cluster(0))))
+    edges = []
+    for v, pool in chain(((v, pool_a) for v in P.a0),
+                         ((v, pool_b) for v in P.b0)):
+        edges += [(pool.pop(), v), (v, pool.pop())]
+    for _ in range(inner):
+        edges += [(pool_a.pop(), pool_a.pop()), (pool_b.pop(), pool_b.pop())]
+    system = BalancedExceptionalSystem(P, Multigraph(P.n, edges),
+                                       locality=(0, 0, 0, 0))
+    reduction = build_fictive_bipartite(system)
+    d = _order_mutation(draw, _consistent_order(
+        draw, P.A + P.B, reduction.jstar_dir.arcs), P.V0)
+    return d, system, reduction
+
+
+@st.composite
+def splice_sums(draw):
+    """(orders, system, reduction) with only what ``_spliced`` reads: 1 or
+    2 vertex-disjoint orders of at least 2 vertices on 0..n-1, and J* and
+    J as random multigraphs with multiplicities up to 3, so that J* may
+    hold edges off the cycles or more copies than they have."""
+    n = draw(st.integers(2, 9))
+    perm = draw(st.permutations(range(n)))
+    cut = draw(st.sampled_from([n] + list(range(2, n - 1))))
+    orders = [perm[:cut]] + ([perm[cut:]] if cut < n else [])
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(1, 3)).filter(lambda e: e[0] != e[1])
+    cycle_edges = [e for order in orders for e in ref_cycle_edges(order)]
+    some_cycle_edge = st.sampled_from(cycle_edges).map(lambda e: (*e, 1))
+    graphs = [Multigraph(n, draw(st.lists(pairs | some_cycle_edge,
+                                          max_size=5)))
+              for _ in range(2)]
+    system = types.SimpleNamespace(partition=types.SimpleNamespace(n=n),
+                                   graph=graphs[1])
+    return orders, system, types.SimpleNamespace(jstar=graphs[0])
+
+
+def _splice_outcome(splice, *args):
+    try:
+        return splice(*args)
+    except HamdecError as exc:
+        return type(exc).__name__
+
+
+def _assert_same_splice(out, ref) -> None:
+    assert out == ref
+    if isinstance(ref, Multigraph):
+        # the key arrays list the edges sorted, as _decompose reads them
+        us, vs, ks = out._key_arrays()
+        assert list(zip(us.tolist(), vs.tolist(), ks.tolist())) == \
+            list(ref.edges())
+
+
+class TestSpliceMatchesReference:
+    @given(two_cliques_splices())
+    @settings(max_examples=150, deadline=None)
+    def test_two_cliques(self, case):
+        _assert_same_splice(_splice_outcome(splice_two_cliques, *case),
+                            _splice_outcome(ref_splice_two_cliques, *case))
+
+    @given(bipartite_splices())
+    @settings(max_examples=100, deadline=None)
+    def test_bipartite(self, case):
+        _assert_same_splice(_splice_outcome(splice_bipartite, *case),
+                            _splice_outcome(ref_splice_bipartite, *case))
+
+    @given(splice_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_multiset_sum(self, case):
+        orders, system, reduction = case
+        ref = Multigraph(system.partition.n, chain.from_iterable(
+            ref_cycle_edges(order) for order in orders)) \
+            - reduction.jstar + system.graph
+        _assert_same_splice(_spliced(orders, system, reduction), ref)
+
+    @pytest.mark.parametrize("mode,a,b,orders,expected", [
+        # empty systems on 2-vertex sides: each cycle is a double edge
+        ("two-cliques", [0, 1], [2, 3], ([0, 1], [2, 3]), Multigraph),
+        ("bipartite", [0], [1], ([0, 1],), Multigraph),
+        # a partition vertex past n cannot be an edge end
+        ("two-cliques", [0, 1], [2, 9], ([0, 1], [2, 9]), "MalformedInput"),
+        ("two-cliques", [0, 1], [2, 3], ([0, 1], [2]), "NotConsistent"),
+    ])
+    def test_named_cases(self, mode, a, b, orders, expected):
+        if mode == "two-cliques":
+            P = ClusterPartition.two_cliques([], [a], [], [b], None)
+            system = ExceptionalSystem(P, Multigraph(P.n))
+            splices = splice_two_cliques, ref_splice_two_cliques
+            reduction = build_fictive_two_cliques(system)
+        else:
+            P = ClusterPartition.bipartite([], [a], [], [b], None)
+            system = BalancedExceptionalSystem(P, Multigraph(P.n),
+                                               locality=(0, 0, 0, 0))
+            splices = splice_bipartite, ref_splice_bipartite
+            reduction = build_fictive_bipartite(system)
+        out, ref = (_splice_outcome(splice, *orders, system, reduction)
+                    for splice in splices)
+        _assert_same_splice(out, ref)
+        assert (type(out) if expected is Multigraph else out) == expected
+
+
+    def test_cross_edge_fails_a_matching_system(self):
+        # no valid matching system has an A'B'-edge, so only a stand-in
+        # can show that the cross-edge test still rejects one
+        P = ClusterPartition.two_cliques([], [[0, 1, 2]], [], [[3, 4, 5]],
+                                         None)
+        system = types.SimpleNamespace(partition=P, kind=KIND_MES,
+                                       graph=Multigraph(6, [(0, 3)]))
+        none = OrderedDirectedMatching(())
+        reduction = types.SimpleNamespace(ja_dir=none, jb_dir=none,
+                                          jstar=Multigraph(6))
+        for splice in (splice_two_cliques, ref_splice_two_cliques):
+            with pytest.raises(SpliceVerificationFailed):
+                splice([0, 1, 2], [3, 4, 5], system, reduction)
+
+
 # -- the structure walkers ---------------------------------------------------
 
 
@@ -696,38 +952,90 @@ VERIFIER_CONFIGS = {
 
 @pytest.fixture(scope="module", params=sorted(VERIFIER_CONFIGS))
 def certified(request):
-    cfg = VERIFIER_CONFIGS[request.param]
-    host, P, systems = generate_instance(cfg)
-    decompose = (approx_decompose_bipartite if cfg.mode == "bipartite"
-                 else approx_decompose_two_cliques)
-    cert = decompose(host, P, systems, cfg.mu, cfg.rho, cfg.gamma,
-                     seed=cfg.seed)
-    return host, P, systems, json.loads(cert.to_json())
+    """The instance and certificate of a config, and the slots' edge lists
+    of the certificate of another instance of the same config."""
+    certs = []
+    for seed in (VERIFIER_CONFIGS[request.param].seed,
+                 VERIFIER_CONFIGS[request.param].seed + 1):
+        cfg = dataclasses.replace(VERIFIER_CONFIGS[request.param], seed=seed)
+        host, P, systems = generate_instance(cfg)
+        decompose = (approx_decompose_bipartite if cfg.mode == "bipartite"
+                     else approx_decompose_two_cliques)
+        cert = decompose(host, P, systems, cfg.mu, cfg.rho, cfg.gamma,
+                         seed=cfg.seed)
+        certs.append((host, P, systems, json.loads(cert.to_json())))
+    foreign = [slot["edges"] for slot in certs[1][3]["slots"]]
+    return (*certs[0], foreign)
 
 
-def _mutate(obj: dict, op: str, data, n: int) -> None:
+def _retyped(n: int, v: int) -> list:
+    """Values that no vertex of an n-vertex host can be, for a vertex v:
+    other JSON types, numbers equal to v, and ints out of range."""
+    return [True, 1.0, float(v), "1", str(v), None, -1, n, 2 ** 70, [v]]
+
+
+def _mutate(obj: dict, op: str, data, n: int, foreign: list) -> bool:
+    """Apply the mutation ``op`` to a random slot; True when it certainly
+    fails the certificate: a vertex or an edge of another type, an edge
+    that is no pair of distinct vertices, an emptied edge list, edges
+    moved to another slot, or a slot's edges replaced by the edges of a
+    slot of ``foreign``, a certificate of another instance."""
     slots = obj["slots"]
     if not slots:
-        return
+        return False
     k = data.draw(st.integers(0, len(slots) - 1))
     slot = slots[k]
     edges = slot["edges"]
     pair = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    # the type-level mutations need an edge list of pairs to work on
+    pairs = isinstance(edges, list) and bool(edges) and all(
+        isinstance(e, list) and len(e) == 2 for e in edges)
+    i = data.draw(st.integers(0, len(edges) - 1)) if pairs else 0
+    invalid = False
+    if op in ("retype-vertex", "retype-edge") and pairs:
+        j = data.draw(st.integers(0, 1))
+        value = data.draw(st.sampled_from(_retyped(n, edges[i][j])))
+        if op == "retype-vertex":
+            edges[i][j] = value
+        else:
+            edges[i] = value
+        invalid = True
+    elif op == "short-edge" and pairs:
+        edges[i] = edges[i][:1]
+        invalid = True
+    elif op == "loop-edge" and pairs:
+        edges[i] = [edges[i][0]] * 2
+        invalid = True
+    elif op == "empty-edges":
+        edges = slot["edges"] = data.draw(st.sampled_from([[], "", {}]))
+        invalid = True
+    elif op == "move-edges" and pairs and len(slots) > 1:
+        other = slots[(k + data.draw(st.integers(1, len(slots) - 1)))
+                      % len(slots)]
+        if isinstance(other["edges"], list):
+            count = data.draw(st.integers(1, min(3, len(edges))))
+            other["edges"] += edges[:count]
+            del edges[:count]
+            invalid = True
+    elif op == "foreign-cycle":
+        edges = slot["edges"] = copy.deepcopy(
+            data.draw(st.sampled_from(foreign)))
+        invalid = True
     if op == "drop-slot":
         slots.pop(k)
     elif op == "duplicate-slot":
         slots.append(copy.deepcopy(slot))
     elif op == "reindex-slot":
         slot["es_index"] = data.draw(st.integers(-1, len(slots)))
-    elif op == "add-edge":
+    elif op == "add-edge" and isinstance(edges, list):
         # either a random pair (maybe a loop or a host non-edge) or an
         # edge of another slot
         other = slots[data.draw(st.integers(0, len(slots) - 1))]["edges"]
         edges.append(list(pair) if data.draw(st.booleans()) or not other
                      else list(data.draw(st.sampled_from(other))))
-    elif op == "remove-edge" and edges:
+    elif op == "remove-edge" and isinstance(edges, list) and edges:
         edges.pop(data.draw(st.integers(0, len(edges) - 1)))
-    elif op == "swap-edge" and edges:
+    elif op == "swap-edge" and isinstance(edges, list) and edges:
         edges[data.draw(st.integers(0, len(edges) - 1))] = list(pair)
     elif op == "flip-kind":
         slot["kind"] = data.draw(st.sampled_from(["HES", "MES", "BES"]))
@@ -735,10 +1043,14 @@ def _mutate(obj: dict, op: str, data, n: int) -> None:
         slot.pop("edges_sha256", None)
     if "edges_sha256" in slot and data.draw(st.booleans()):
         slot["edges_sha256"] = _edge_hash(edges)
+    return invalid
 
 
+# triples are left out: the reference reads them differently on purpose
 MUTATIONS = ["drop-slot", "duplicate-slot", "reindex-slot", "add-edge",
-             "remove-edge", "swap-edge", "flip-kind", "drop-hash"]
+             "remove-edge", "swap-edge", "flip-kind", "drop-hash",
+             "retype-vertex", "retype-edge", "short-edge", "loop-edge",
+             "empty-edges", "move-edges", "foreign-cycle"]
 
 
 def _assert_plain_types(report: dict) -> None:
@@ -753,9 +1065,73 @@ def _assert_plain_types(report: dict) -> None:
     assert all(type(idx) is int for idx in g["slot_failures"])
 
 
+def ref_read_slot_arrays(slot: dict, n: int):
+    """The slot reader that scanned the edge list for types before the
+    array conversion, frozen as it was when the verifier moved to one
+    canonical text per slot."""
+    try:
+        kind, edges = slot["kind"], slot["edges"]
+        if not set(map(len, edges)) <= {2}:
+            return None
+        flat = list(chain.from_iterable(edges))
+    except (KeyError, TypeError):
+        return None
+    if not set(map(type, flat)) <= {int} or \
+            (flat and not (0 <= min(flat) and max(flat) < n)):
+        return None
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    if (lo == hi).any():
+        return None
+    return kind, lo, hi
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 12)
+                | st.sampled_from([2 ** 63, 2 ** 70]) | st.floats()
+                | st.text(alphabet="01[],", max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab1", max_size=2), inner,
+                      max_size=2), max_leaves=8)
+
+
+@st.composite
+def slot_edge_lists(draw):
+    """Edge lists as JSON gives them: any JSON value; lists of pairs of
+    ints in and out of 0..9, loops included; or such lists with one
+    entry, one edge or one vertex replaced by any JSON value."""
+    ints = st.integers(-1, 10)
+    pairs = st.lists(st.lists(ints, min_size=2, max_size=2), max_size=6)
+    edges = draw(st.one_of(JSON_VALUES, pairs, pairs.filter(bool)))
+    spot = draw(st.sampled_from(["none", "edge", "vertex"]))
+    if isinstance(edges, list) and edges and spot != "none":
+        i = draw(st.integers(0, len(edges) - 1))
+        if spot == "edge":
+            edges[i] = draw(JSON_VALUES)
+        elif isinstance(edges[i], list) and edges[i]:
+            edges[i][draw(st.integers(0, len(edges[i]) - 1))] = \
+                draw(JSON_VALUES)
+    return edges
+
+
+class TestSlotReaderMatchesReference:
+    @given(slot_edge_lists(), st.sampled_from(["kind", "edges", "none"]))
+    @settings(max_examples=300, deadline=None)
+    def test_reads_what_the_type_scan_read(self, edges, missing):
+        slot = {"kind": "HES", "edges": edges}
+        slot.pop(missing, None)
+        new, ref = _read_slot(slot, 10), ref_read_slot_arrays(slot, 10)
+        assert (new is None) == (ref is None)
+        if ref is not None:
+            assert new[0] == ref[0]
+            assert new[1].tolist() == ref[1].tolist()
+            assert new[2].tolist() == ref[2].tolist()
+            assert new[3] == canonical_json(edges)
+
+
 class TestVerifierMatchesReference:
     def test_valid_certificate(self, certified):
-        host, P, systems, obj = certified
+        host, P, systems, obj, _foreign = certified
         cert = DecompositionCertificate.from_json_obj(copy.deepcopy(obj))
         report = verify_certificate(host, P, systems, cert)
         assert report["global"]["all_ok"]
@@ -767,7 +1143,7 @@ class TestVerifierMatchesReference:
     def test_cross_edge_in_a_matching_slot(self, certified):
         # an edge from B0 to A leaves both Hamilton cycles of an MES slot
         # intact; only the cross-edge check rejects it
-        host, P, systems, obj = certified
+        host, P, systems, obj, _foreign = certified
         obj = copy.deepcopy(obj)
         slot = next(s for s in obj["slots"] if s["kind"] == "MES")
         slot["edges"] = slot["edges"] + [[P.b0[0], P.a_cluster(0)[0]]]
@@ -783,14 +1159,47 @@ class TestVerifierMatchesReference:
            ops=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_mutated_certificate(self, certified, data, ops):
-        host, P, systems, obj = certified
+        host, P, systems, obj, foreign = certified
         obj = copy.deepcopy(obj)
+        invalid = False
         for op in ops:
-            _mutate(obj, op, data, host.n)
+            invalid |= _mutate(obj, op, data, host.n, foreign)
         cert = DecompositionCertificate.from_json_obj(obj)
         report = verify_certificate(host, P, systems, cert)
         assert report == ref_verify_certificate(host, P, systems, cert)
         _assert_plain_types(report)
+        if invalid:
+            assert not report["global"]["all_ok"]
+
+    @pytest.mark.parametrize("whole_edge", [False, True])
+    def test_each_retyped_entry(self, certified, whole_edge):
+        host, P, systems, obj, _foreign = certified
+        v = obj["slots"][0]["edges"][0][1]
+        for value in _retyped(host.n, v):
+            mutated = copy.deepcopy(obj)
+            edges = mutated["slots"][0]["edges"]
+            if whole_edge:
+                edges[0] = value
+            else:
+                edges[0][1] = value
+            mutated["slots"][0]["edges_sha256"] = _edge_hash(edges)
+            cert = DecompositionCertificate.from_json_obj(mutated)
+            report = verify_certificate(host, P, systems, cert)
+            assert report == ref_verify_certificate(host, P, systems, cert)
+            assert report["slots"][0] == {"ok": False}
+
+    @pytest.mark.parametrize("edges", [[], "", {}])
+    def test_empty_edge_lists_read_alike(self, certified, edges):
+        # the reference reads an empty list, string or object as an
+        # empty edge list, and so does the reader of the canonical text
+        host, P, systems, obj, _foreign = certified
+        obj = copy.deepcopy(obj)
+        obj["slots"][0]["edges"] = edges
+        cert = DecompositionCertificate.from_json_obj(obj)
+        report = verify_certificate(host, P, systems, cert)
+        assert report == ref_verify_certificate(host, P, systems, cert)
+        assert report["slots"][0]["in_host"] is True
+        assert report["slots"][0]["hash_ok"] is False
 
 
 # -- the host matrix: generator and instance files ----------------------------
@@ -1116,3 +1525,26 @@ class TestRFactorMatchesReference:
         assert held == _row_ints(pack_rows(sub > 0))
         if flow < r * m:
             assert (s1, s2) == (ref_s1, ref_s2)
+
+
+# -- the row join against the frozen shift join --------------------------------
+
+
+def ref_row_ints(words: np.ndarray) -> list[int]:
+    bits = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        bits = [b << 64 | low for b, low in zip(bits, words[:, w].tolist())]
+    return bits
+
+
+class TestRowIntsMatchReference:
+    @pytest.mark.parametrize("words", [1, 2, 3, 20])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_against_the_shift_join(self, words, density):
+        # widths that fill the last word and ones that leave it short
+        for m in (64 * words - 63, 64 * words):
+            bits = np.random.default_rng(m).random((7, m)) < density
+            packed = pack_rows(bits)
+            assert packed.shape[1] == words
+            assert _row_ints(packed) == ref_row_ints(packed)
+        assert _row_ints(pack_rows(np.zeros((0, 64 * words), bool))) == []
