@@ -376,13 +376,6 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 def _row_ints(words: np.ndarray) -> list[int]:
     """One Python int per row of ``pack_rows`` words, bit q set iff bit q
     of the row was."""
-    if words.shape[1] > 2:
-        # one int.from_bytes per row is linear in the width; shifting a
-        # growing int word by word is quadratic, but faster up to 2 words
-        step = 8 * words.shape[1]
-        raw = words.astype("<u8", copy=False).tobytes()
-        return [int.from_bytes(raw[i:i + step], "little")
-                for i in range(0, len(raw), step)]
     bits = words[:, -1].tolist()
     for w in range(words.shape[1] - 2, -1, -1):
         bits = [b << 64 | low for b, low in zip(bits, words[:, w].tolist())]

@@ -784,20 +784,21 @@ def order_is_consistent(order: Sequence[int],
         if i is None or order[(i + 1) % len(order)] != v:
             return False
         tails.append(i)
-    # arc (u,v) sits where the cycle leaves u: the tails' positions,
-    # counted from the first tail, must increase
-    rel = [(i - tails[0]) % len(order) for i in tails]
-    return all(a < b for a, b in zip(rel, rel[1:]))
+    # arc (u,v) sits where the cycle leaves u
+    return _positions_in_order(tails, len(order))
 
 
 def visits_in_order(order: Sequence[int], targets: Sequence[int]) -> bool:
     """True iff walking the cyclic vertex sequence ``order`` once, from
     ``targets[0]``, meets the distinct ``targets`` in the given order."""
-    if not targets:
-        return True
     pos = {v: i for i, v in enumerate(order)}
-    base = pos[targets[0]]
-    rel = [(pos[t] - base) % len(order) for t in targets]
+    return _positions_in_order([pos[t] for t in targets], len(order))
+
+
+def _positions_in_order(positions: Sequence[int], length: int) -> bool:
+    """True iff the distinct positions of a cyclic sequence of ``length``
+    entries increase, counted from ``positions[0]``."""
+    rel = [(i - positions[0]) % length for i in positions]
     return all(a < b for a, b in zip(rel, rel[1:]))
 
 

@@ -423,7 +423,7 @@ def _is_rate(value) -> bool:
 # the certificate params that the instance does not determine, with the
 # type each must have
 _PARAM_TYPES = (
-    ("seed", lambda v: type(v) is int and v >= 0, "a non-negative int"),
+    ("seed", lambda v: type(v) is int, "an int"),
     *((key, _is_rate, "a finite int or float")
       for key in ("mu", "rho", "gamma")),
     ("quotas", lambda v: isinstance(v, dict), "an object"),
@@ -452,7 +452,7 @@ class DecompositionCertificate:
     def from_json_obj(cls, obj: dict) -> "DecompositionCertificate":
         """Raises MalformedInput on a missing key, a ``schema`` other than
         the int 1, non-list slots, or params of the wrong type: a
-        ``seed`` that is not a non-negative int, a ``mu``, ``rho`` or
+        ``seed`` that is not an int, a ``mu``, ``rho`` or
         ``gamma`` that is not a finite int or float, or ``quotas`` that
         are not an object (a boolean is none of these)."""
         if not isinstance(obj, dict):
@@ -473,10 +473,11 @@ class DecompositionCertificate:
                    slots=obj["slots"], global_report=obj["global"])
 
 
-def _edge_hash(edges: list) -> str:
-    """Content hash of a slot's edge list; lets consumers compare slots
-    for accidental duplication without shipping the lists around."""
-    return hashlib.sha256(canonical_json(edges).encode()).hexdigest()
+def _edge_hash(text: str) -> str:
+    """Content hash of a slot's edge list, given as its canonical JSON
+    text; lets consumers compare slots for accidental duplication without
+    shipping the lists around."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def instance_sha256(host: Host, partition: ClusterPartition,
@@ -693,7 +694,7 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
             "es_index": idx,
             "kind": es.kind,
             "edges": edges,
-            "edges_sha256": _edge_hash(edges),
+            "edges_sha256": _edge_hash(canonical_json(edges)),
         })
     params = {
         "mode": spec.mode, "K": partition.K, "m": partition.m,
@@ -804,8 +805,7 @@ def verify_certificate(host: Host, partition: ClusterPartition,
         verdicts["contains_system"] = bool(
             (pos < keys.size).all() and (keys[pos] == want).all())
         if "edges_sha256" in slot:
-            verdicts["hash_ok"] = slot["edges_sha256"] == \
-                hashlib.sha256(text.encode()).hexdigest()
+            verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(text)
         if es.kind == KIND_MES:
             cyc_a = undirected_cycle_order(lo, hi, a_mask) is not None
             cyc_b = undirected_cycle_order(lo, hi, b_mask) is not None

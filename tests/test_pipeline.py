@@ -392,7 +392,6 @@ MALFORMED_OBJECTS = {
     "schema-true": lambda obj: {**obj, "schema": True},
     # the params that the instance does not fix must still have their types
     "params-seed-string": _params(seed="x"),
-    "params-seed-negative": _params(seed=-1),
     "params-seed-true": _params(seed=True),
     "params-seed-float": _params(seed=4.0),
     "params-mu-string": _params(mu="0"),
@@ -418,6 +417,20 @@ class TestMalformedCertificate:
         assert cli_main(["verify", str(inst), str(bad)]) == 1
         out = capsys.readouterr().out
         assert json.loads(out.strip().splitlines()[-1])["all_ok"] is False
+
+    def test_negative_seed_verifies(self, tmp_path, capsys):
+        # any int seeds the generator, so a certificate made at a
+        # negative seed is one that verify accepts
+        params, inst, cert = tmp_path / "params.json", \
+            tmp_path / "inst.json", tmp_path / "cert.json"
+        params.write_text(json.dumps(SEED4_CONFIG.to_json_obj()))
+        assert cli_main(["gen", "--params", str(params), "--seed", "-1",
+                         "--out", str(inst)]) == 0
+        assert cli_main(["decompose", str(inst), "--out", str(cert)]) == 0
+        assert json.loads(cert.read_text())["params"]["seed"] == -1
+        assert cli_main(["verify", str(inst), str(cert)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out.strip().splitlines()[-1])["all_ok"] is True
 
     def test_unparsable_file_exits_1(self, seed4_files, tmp_path, capsys):
         inst, _obj, _ = seed4_files

@@ -1,12 +1,13 @@
 """Differential tests of the array cycle kernel, the array verifier and
 its one-text slot reader, the array splices, the one-walk structure
-walkers, the matrix host (generator and instance files) and the row join
-against frozen copies of the versions they replaced.
+walkers and the matrix host (generator and instance files) against
+frozen copies of the versions they replaced.
 
 The references below are the earlier ``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
 ``pipeline.verify_certificate`` (with its slot reader and matching
-split), kept verbatim apart from inlining ``Multigraph.edges_inside``;
+split), kept verbatim apart from inlining ``Multigraph.edges_inside`` and
+the edge hash;
 and the earlier ``Multigraph.is_path_system``/``paths``,
 ``Digraph.is_path_sequence``/``directed_paths`` and
 ``assembly._cycle_count``/``_hamilton_order``, as free functions; and
@@ -14,11 +15,10 @@ the dict-host generator; and the Digraph-based input check of the
 splices (``exceptional._check_input_cycle`` with the
 ``core.is_consistent_with`` walk it made); and a pure-Python max-flow
 for ``classic.regular_spanning_subgraph``, which once ran on a max-flow
-library; and the ``Multigraph`` sums of the two splices, the slot reader
-that scanned edge lists for types, and the shift join of
-``classic._row_ints``.  The reference verifier reads the host as a
-``Multigraph`` of its edges, and computes the instance digest it checks
-from those edges in pure Python.
+library; and the ``Multigraph`` sums of the two splices and the slot
+reader that scanned edge lists for types.  The reference verifier reads
+the host as a ``Multigraph`` of its edges, and computes the instance
+digest it checks from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
 unreadable.  The mutations here write pairs only.  The reference
@@ -60,7 +60,7 @@ from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
                                 build_fictive_two_cliques, splice_bipartite,
                                 splice_two_cliques)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
-                             MODE_TWO_CLIQUES, _cluster_pools, _edge_hash,
+                             MODE_TWO_CLIQUES, _cluster_pools,
                              _generate_bipartite, _generate_two_cliques,
                              _read_slot, _take, approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
@@ -156,6 +156,11 @@ def _ref_edges_inside(g: Multigraph, vertices) -> int:
     return sum(k for (u, v), k in g._mult.items() if u in vs and v in vs)
 
 
+def ref_edge_hash(edges: list) -> str:
+    return hashlib.sha256(json.dumps(
+        edges, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def _ref_read_slot(slot: dict, n: int):
     try:
         edges = [tuple(e) for e in slot["edges"]]
@@ -202,7 +207,7 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
         verdicts["in_host"] = sub.is_submultigraph_of(host)
         verdicts["contains_system"] = es.graph.is_submultigraph_of(sub)
         if "edges_sha256" in slot:
-            verdicts["hash_ok"] = slot["edges_sha256"] == _edge_hash(
+            verdicts["hash_ok"] = slot["edges_sha256"] == ref_edge_hash(
                 slot["edges"])
         if es.kind == "MES":
             cyc_a = ref_verify_hamilton_cycle(sub.restrict(a_pr), a_pr)
@@ -1042,7 +1047,7 @@ def _mutate(obj: dict, op: str, data, n: int, foreign: list) -> bool:
     elif op == "drop-hash":
         slot.pop("edges_sha256", None)
     if "edges_sha256" in slot and data.draw(st.booleans()):
-        slot["edges_sha256"] = _edge_hash(edges)
+        slot["edges_sha256"] = ref_edge_hash(edges)
     return invalid
 
 
@@ -1147,7 +1152,7 @@ class TestVerifierMatchesReference:
         obj = copy.deepcopy(obj)
         slot = next(s for s in obj["slots"] if s["kind"] == "MES")
         slot["edges"] = slot["edges"] + [[P.b0[0], P.a_cluster(0)[0]]]
-        slot["edges_sha256"] = _edge_hash(slot["edges"])
+        slot["edges_sha256"] = ref_edge_hash(slot["edges"])
         cert = DecompositionCertificate.from_json_obj(obj)
         report = verify_certificate(host, P, systems, cert)
         assert report == ref_verify_certificate(host, P, systems, cert)
@@ -1182,7 +1187,7 @@ class TestVerifierMatchesReference:
                 edges[0] = value
             else:
                 edges[0][1] = value
-            mutated["slots"][0]["edges_sha256"] = _edge_hash(edges)
+            mutated["slots"][0]["edges_sha256"] = ref_edge_hash(edges)
             cert = DecompositionCertificate.from_json_obj(mutated)
             report = verify_certificate(host, P, systems, cert)
             assert report == ref_verify_certificate(host, P, systems, cert)
@@ -1525,26 +1530,3 @@ class TestRFactorMatchesReference:
         assert held == _row_ints(pack_rows(sub > 0))
         if flow < r * m:
             assert (s1, s2) == (ref_s1, ref_s2)
-
-
-# -- the row join against the frozen shift join --------------------------------
-
-
-def ref_row_ints(words: np.ndarray) -> list[int]:
-    bits = words[:, -1].tolist()
-    for w in range(words.shape[1] - 2, -1, -1):
-        bits = [b << 64 | low for b, low in zip(bits, words[:, w].tolist())]
-    return bits
-
-
-class TestRowIntsMatchReference:
-    @pytest.mark.parametrize("words", [1, 2, 3, 20])
-    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
-    def test_against_the_shift_join(self, words, density):
-        # widths that fill the last word and ones that leave it short
-        for m in (64 * words - 63, 64 * words):
-            bits = np.random.default_rng(m).random((7, m)) < density
-            packed = pack_rows(bits)
-            assert packed.shape[1] == words
-            assert _row_ints(packed) == ref_row_ints(packed)
-        assert _row_ints(pack_rows(np.zeros((0, 64 * words), bool))) == []
