@@ -138,7 +138,7 @@ def cmd_gen(args) -> int:
 def cmd_decompose(args) -> int:
     cfg, host, partition, systems = _load_instance(args.instance)
     seed = _effective_seed(args) if (args.seed is not None or
-                                     os.environ.get("HAMDEC_SEED")) \
+                                     "HAMDEC_SEED" in os.environ) \
         else cfg.seed
     cert = _decomposer(cfg.mode)(host, partition, systems, cfg.mu, cfg.rho,
                                  cfg.gamma, seed, jobs=args.jobs)

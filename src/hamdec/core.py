@@ -57,15 +57,6 @@ class Multigraph:
         self._adj: dict[int, dict[int, int]] | None = None
         self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    # the lazy caches are rebuilt on demand, so pickles (the jobs=2 slice
-    # tasks) carry only the edges
-    def __getstate__(self):
-        return self.n, self._mult
-
-    def __setstate__(self, state):
-        self.n, self._mult = state
-        self._adj = self._keys = None
-
     # -- basic accessors -------------------------------------------------
 
     def edge_count(self) -> int:

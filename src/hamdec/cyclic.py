@@ -392,8 +392,7 @@ def reserve_sparse(graph: Multigraph, left, right, mu: float, gamma: float,
 
 
 def reserve_regular(mat: np.ndarray, degree: int, eps: float,
-                    rng_seed: int, retries: int = 8
-                    ) -> tuple[np.ndarray, SuperregularityReport]:
+                    rng_seed: int) -> tuple[np.ndarray, SuperregularityReport]:
     """Exact-degree variant of the sparse reservoir used inside the
     pipeline, on a pair's m x m multiplicity matrix ``mat`` (rows one
     class, columns the other): H is the union of ``degree`` randomly
@@ -401,49 +400,41 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
     with certainty and only the codegree and density checks are
     randomized.
 
-    Returns (chosen, report): ``chosen[k, p]`` is the column matched to
-    row p by H's k-th matching, and on success they are taken out of
-    ``mat`` in place; on SamplingFailed ``mat`` is left untouched.  The
-    report carries the verdicts at the literal parameters (eps, d, d/2,
-    3d/2) with d = degree/m.  The acceptance gate for the codegree uses a
-    scale-aware cap max(c^2 m, mean + 5 sd + 3): the literal cap is a
-    fixed multiple of the mean, which fluctuations at small m overshoot
-    with constant probability, while the wide cap converges to the
-    literal one as m grows.
+    One draw: returns (chosen, report), ``chosen[k, p]`` the column
+    matched to row p by H's k-th matching, and takes them out of ``mat``
+    in place; or raises SamplingFailed, whose ``failures`` names the
+    check that failed, and leaves ``mat`` untouched.  The report carries
+    the verdicts at the literal parameters (eps, d, d/2, 3d/2) with d =
+    degree/m.  The acceptance gate for the codegree uses a scale-aware
+    cap max(c^2 m, mean + 5 sd + 3): the literal cap is a fixed multiple
+    of the mean, which fluctuations at small m overshoot with constant
+    probability, while the wide cap converges to the literal one as m
+    grows.
     """
     m = len(mat)
     d = degree / m
     mean_codeg = degree * degree / m
     codeg_cap = max((1.5 * d) ** 2 * m,
                     mean_codeg + 5 * math.sqrt(mean_codeg) + 3)
-    failures: dict[str, int] = {}
-    for attempt in range(retries):
-        rng = np.random.default_rng(
-            derive_seed(rng_seed, "reserve_regular", attempt))
-        res = mat.copy()
-        chosen = _random_regular_subgraph(res, degree, rng)
-        if chosen is None:
-            raise SamplingFailed(
-                f"cannot extract {degree} edge-disjoint perfect matchings",
-                failures={"matching": attempt + 1})
-        report = _superregular_report(
-            mat - res, eps, d, d / 2, 1.5 * d, "sampled", REG1_TRIALS,
-            np.random.default_rng(
-                derive_seed(rng_seed, "reserve_regular_reg1", attempt)))
-        if not (report.reg3_ok and report.reg4_ok):
-            failures["degree"] = failures.get("degree", 0) + 1
-            continue
-        if report.max_codegree > codeg_cap:
-            failures["codegree"] = failures.get("codegree", 0) + 1
-            continue
-        if not report.reg1_ok:
-            failures["Reg1"] = failures.get("Reg1", 0) + 1
-            continue
-        mat[:] = res
-        return chosen, report
-    raise SamplingFailed(
-        f"no valid regular reservoir after {retries} attempts",
-        failures=failures)
+    res = mat.copy()
+    chosen = _random_regular_subgraph(res, degree, np.random.default_rng(
+        derive_seed(rng_seed, "reserve_regular", 0)))
+    if chosen is None:
+        raise SamplingFailed(
+            f"cannot extract {degree} edge-disjoint perfect matchings",
+            failures={"matching": 1})
+    report = _superregular_report(
+        mat - res, eps, d, d / 2, 1.5 * d, "sampled", REG1_TRIALS,
+        np.random.default_rng(derive_seed(rng_seed, "reserve_regular_reg1",
+                                          0)))
+    for check, ok in (("degree", report.reg3_ok and report.reg4_ok),
+                      ("codegree", report.max_codegree <= codeg_cap),
+                      ("Reg1", report.reg1_ok)):
+        if not ok:
+            raise SamplingFailed(f"the regular reservoir fails its {check} "
+                                 f"check", failures={check: 1})
+    mat[:] = res
+    return chosen, report
 
 
 def _random_regular_subgraph(res: np.ndarray, degree: int,
@@ -479,23 +470,18 @@ class SlotInfo:
 
 
 @dataclass
-class SliceSide:
+class SliceSide(CyclicSystem):
     """One cyclic system plus its reserve graph and assigned slots;
     ``reserve[ci, cj]``, ci < cj clusters of q, keeps H[V_ci, V_cj] as the
     r_h perfect matchings drawn for it: entry [k, p] is the position in
-    V_cj matched to position p of V_ci by the k-th."""
+    V_cj matched to position p of V_ci by the k-th.  A slice carries all
+    that its extension and assembly read, so it alone is shipped to a
+    pool worker."""
 
     side: str                      # "A", "B", or "AB"
     j: int
-    q: ClusterPartition
-    cycle: ClusterCycle
-    n: int
-    # (tails, heads, 0/1 arc matrix) per edge of cycle.edges()
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]]
     reserve: dict[tuple[int, int], np.ndarray]
     slots: list[SlotInfo]
-    mu: float
-    eps: float
 
 
 @dataclass

@@ -57,7 +57,8 @@ class ReservoirExhausted(HamdecError):
 
 
 class SamplingFailed(HamdecError):
-    """Randomized sparse-reservoir extraction failed every retry.
+    """A randomized reservoir failed its checks: ``reserve_sparse`` on
+    every retry, ``reserve_regular`` on its one draw.
 
     ``failures`` maps condition names to how often they failed.
     """

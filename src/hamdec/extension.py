@@ -16,7 +16,6 @@ import numpy as np
 from .core import (ClusterCycle, ClusterPartition, Digraph,
                    OrderedDirectedMatching, is_locally_balanced)
 from .errors import InvalidParameter, MalformedInput, ReservoirExhausted
-from .exceptional import BalancedExceptionalSystem, FictiveReduction
 
 
 @dataclass
@@ -206,8 +205,8 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
 # -- bipartite builder ----------------------------------------------------
 
 
-def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
-                             reductions: list[FictiveReduction],
+def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
+                             clusters: list[int],
                              partition: ClusterPartition,
                              cycle: ClusterCycle,
                              reserve: dict[tuple[int, int], np.ndarray],
@@ -219,7 +218,8 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     clusters A_1..A_K, B_1..B_K): exactly inner_degree + outer_degree per
     (A_i, B_i') pair, the first inner_degree of which are H'.
 
-    Phase 1 extends each J*_dir into an A_{i1}-extension by adding a
+    Phase 1 extends each ordered matching J*_dir, ``matchings[s]``, into
+    an A_{i1}-extension, i1 = ``clusters[s]``, by adding a
     greedy matching from H' oriented B -> A_{i1}, giving one
     vertex-disjoint directed path of length two per fictive edge.  Phase
     2 balances each sequence: every arc e_r gets a companion arc f_r from
@@ -233,8 +233,8 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     K, m = P.K, P.m
     q = P.ab_equipartition()
     n = max(v for c in P.clusters for v in c) + 1
-    if len(systems) != len(reductions):
-        raise InvalidParameter("systems and reductions must align")
+    if len(matchings) != len(clusters):
+        raise InvalidParameter("matchings and clusters must align")
     # pools[i, K + ip]: the matchings of H[A_i, B_ip], H' first
     pools = {(i, K + ip): _reserve_pool(reserve, i, K + ip,
                                         inner_degree + outer_degree, m)
@@ -244,9 +244,7 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
     used_inner: set[tuple[int, int]] = set()
     phase1: list[Digraph] = []
     ext_cluster: list[int] = []
-    for idx, (es, red) in enumerate(zip(systems, reductions)):
-        i1 = es.locality[0]
-        jstar = red.jstar_dir
+    for idx, (jstar, i1) in enumerate(zip(matchings, clusters)):
         a_i1 = P.a_cluster(i1)
         jstar_vs = jstar.vertices()
         taken_a: set[int] = set()
@@ -342,13 +340,13 @@ def balance_extend_bipartite(systems: list[BalancedExceptionalSystem],
         if not is_locally_balanced(ps2, q, cycle):
             raise ReservoirExhausted(
                 f"phase 2 output for system {idx} is not locally balanced")
-        if ps2.edge_count() != 4 * len(reductions[idx].jstar_dir):
+        if ps2.edge_count() != 4 * len(matchings[idx]):
             raise ReservoirExhausted(f"e(PS'_{idx}) != 4 e(J*_{idx})")
         sequences.append(ps2)
 
     be = BalancedExtension(
         path_sequences=sequences,
-        matchings=[red.jstar_dir for red in reductions],
+        matchings=list(matchings),
         extension_cluster=ext_cluster, eps=12 * eps * K, ell=12)
     validate_balanced_extension(be, q, cycle)
     return be

@@ -8,6 +8,7 @@ lists.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -25,8 +26,8 @@ from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterPartition, Host,
                    vertex_mask)
 # the fictive reductions, decomposers and splices are called by name
 # through MODES, so they are imported but not referenced directly
-from .cyclic import (CyclicSystem, DecompositionQuotas, SliceSide,
-                     reserve_regular, sysdecom, sysdecombip)
+from .cyclic import (DecompositionQuotas, SliceSide, reserve_regular,
+                     sysdecom, sysdecombip)
 from .errors import (HamdecError, HamiltonSearchExhausted, InvalidParameter,
                      MalformedInput, MatchingInfeasible, PipelineError,
                      SamplingFailed)
@@ -531,8 +532,8 @@ class ModeSpec:
     splice: str
 
 
-def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
-                    reductions, quotas: DecompositionQuotas):
+def _extend_cliques(slc: SliceSide, partition: ClusterPartition,
+                    quotas: DecompositionQuotas):
     """Two-cliques balanced extension of one slice; returns the extension
     and the slot index of each of its path sequences."""
     groups: dict[int, list] = {}
@@ -546,15 +547,15 @@ def _extend_cliques(slc: SliceSide, partition: ClusterPartition, systems,
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
 
-def _extend_bipartite(slc: SliceSide, partition: ClusterPartition, systems,
-                      reductions, quotas: DecompositionQuotas):
+def _extend_bipartite(slc: SliceSide, partition: ClusterPartition,
+                      quotas: DecompositionQuotas):
     """Bipartite balanced extension of one slice; its path sequences come
     in slot order."""
-    idxs = [slot.es_index for slot in slc.slots]
     be = balance_extend_bipartite(
-        [systems[i] for i in idxs], [reductions[i] for i in idxs],
-        partition, slc.cycle, slc.reserve, partition.eps0,
-        quotas.reserve_inner, quotas.reserve_outer)
+        [slot.matching for slot in slc.slots],
+        [slot.cluster_index for slot in slc.slots], partition, slc.cycle,
+        slc.reserve, partition.eps0, quotas.reserve_inner,
+        quotas.reserve_outer)
     return be, list(range(len(slc.slots)))
 
 
@@ -571,7 +572,7 @@ MODES = {
 
 
 def _slice_hamilton_cycles(mode: str, slc: SliceSide,
-                           partition: ClusterPartition, systems, reductions,
+                           partition: ClusterPartition,
                            quotas: DecompositionQuotas, gamma: float,
                            seed: int) -> dict[int, list[int]]:
     """Run balanced extension + reservoir split + assembly for one slice;
@@ -582,33 +583,32 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     q_count = len(slc.slots)
     if q_count == 0:
         return {}
-    be, be_to_slot = MODES[mode].extend(slc, partition, systems, reductions,
-                                        quotas)
+    be, be_to_slot = MODES[mode].extend(slc, partition, quotas)
 
-    # merge reservoir carved out of the cyclic system itself; if a Hall
-    # matching or a merge search fails, re-roll the reservoir (the bad
-    # event is a property of the random draw, not of the instance)
+    # merge reservoir carved out of the cyclic system itself; if a carve
+    # fails its gate, or a Hall matching or a merge search fails, re-roll
+    # the reservoir (the bad event is a property of the random draw, not
+    # of the instance)
     pair_min = min(int(mat.sum(axis=1).min()) for (_t, _h, mat) in slc.pairs)
     r_res = _reserve_degree_for(pair_min, gamma, m, q_count)
     last_error: HamdecError | None = None
     for attempt in range(SLICE_RETRIES):
-        # the reservoir as one boolean block per cycle edge: what
-        # reserve_regular takes out of the pair matrix
-        reservoir: list[np.ndarray] = []
-        kept = []
-        for (ci, _cj), (tails, heads, mat) in zip(slc.cycle.edges(),
-                                                  slc.pairs):
-            rest = mat.copy()
-            reserve_regular(
-                rest, r_res, 0.5,
-                rng_seed=core.derive_seed(seed, "res", slc.side, slc.j, ci,
-                                          attempt))
-            reservoir.append(mat > rest)
-            kept.append((tails, heads, rest))
-        system = CyclicSystem(slc.n, kept, slc.q, slc.cycle, slc.mu, 1.0)
         try:
+            # the reservoir as one boolean block per cycle edge: what
+            # reserve_regular takes out of the pair matrix
+            reservoir: list[np.ndarray] = []
+            kept = []
+            for (ci, _cj), (tails, heads, mat) in zip(slc.cycle.edges(),
+                                                      slc.pairs):
+                rest = mat.copy()
+                reserve_regular(
+                    rest, r_res, 0.5,
+                    rng_seed=core.derive_seed(seed, "res", slc.side, slc.j,
+                                              ci, attempt))
+                reservoir.append(mat > rest)
+                kept.append((tails, heads, rest))
             asm = assemble_slice(
-                system, be, reservoir,
+                dataclasses.replace(slc, pairs=kept), be, reservoir,
                 seed=core.derive_seed(seed, "asm", slc.side, slc.j, attempt))
         except (MatchingInfeasible, HamiltonSearchExhausted,
                 SamplingFailed) as e:
@@ -670,8 +670,9 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
         raise PipelineError(spec.decomposer, e, seed=seed) from e
     owners = [(k, slc) for k, slices in enumerate(slice_lists)
               for slc in slices]
-    tasks = [(spec.mode, slc, partition, systems, reductions, quotas, gamma,
-              seed) for (_k, slc) in owners]
+    # a task ships its slice alone: no system, reduction or Multigraph
+    tasks = [(spec.mode, slc, partition, quotas, gamma, seed)
+             for (_k, slc) in owners]
     results = _run_slice_tasks(tasks, jobs, seed)
     # cycles[k][es_index]: the cycle from slice list k
     cycles: list[dict[int, list[int]]] = [{} for _ in slice_lists]

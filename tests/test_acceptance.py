@@ -352,7 +352,8 @@ def test_criterion_05_balanced_extension_validators():
         for slc in slices:
             idxs = [slot.es_index for slot in slc.slots]
             be = balance_extend_bipartite(
-                [systems[i] for i in idxs], [reductions[i] for i in idxs],
+                [reductions[i].jstar_dir for i in idxs],
+                [systems[i].locality[0] for i in idxs],
                 P, slc.cycle, slc.reserve, P.eps0,
                 quotas.reserve_inner, quotas.reserve_outer)
             assert be.eps == 12 * P.eps0 * P.K and be.ell == 12

@@ -1,4 +1,3 @@
-import pickle
 import random
 
 import numpy as np
@@ -148,17 +147,6 @@ class TestPairMatrix:
         take_matching(res, range(6), range(6))
         res -= 1
         assert (pair_matrix(g, left, right) == 1).all()
-
-    def test_pickle_leaves_out_the_caches(self):
-        g, left, right = complete_bipartite(30)
-        size = len(pickle.dumps(g))
-        pair_matrix(g, left, right)
-        g.degree(0)
-        blob = pickle.dumps(g)
-        assert len(blob) == size
-        back = pickle.loads(blob)
-        assert back == g
-        assert (pair_matrix(back, left, right) == 1).all()
 
 
 class TestRegularSpanningSubgraph:

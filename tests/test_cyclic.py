@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hamdec import cyclic
 from hamdec.classic import pack_rows, pair_matrix
 from hamdec.core import Digraph, Multigraph, winds_around
-from hamdec.cyclic import (CyclicSystem, _extract_regular_parts,
-                           _superregular_report, check_robust_outexpander,
-                           check_superregular, reserve_regular,
-                           reserve_sparse, sysdecom, sysdecombip,
-                           two_cliques_reserve_degree,
+from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
+                           check_robust_outexpander, check_superregular,
+                           reserve_regular, reserve_sparse, sysdecom,
+                           sysdecombip, two_cliques_reserve_degree,
                            bipartite_reserve_degree)
 from hamdec.errors import InvalidParameter, SamplingFailed
 from hamdec.pipeline import InstanceConfig, generate_instance
@@ -323,11 +322,13 @@ class TestReserveSparse:
             kwargs = dict(degree=2, eps=0.5)
         else:
             # eps = 0 asks every sampled density to be exactly d: Reg1 fails
-            kwargs = dict(degree=10, eps=0.0, retries=2)
+            kwargs = dict(degree=10, eps=0.0)
         before = mat.copy()
-        with pytest.raises(SamplingFailed):
+        with pytest.raises(SamplingFailed) as exc:
             reserve_regular(mat, rng_seed=1, **kwargs)
         assert (mat == before).all()
+        check = "matching" if case == "no-matching" else "Reg1"
+        assert exc.value.failures == {check: 1}
 
 
 class TestReserveDegrees:
@@ -489,8 +490,7 @@ class TestSysdecom:
         cfg, host, P, systems, a_slices, b_slices, quotas = \
             two_cliques_decomposed
         for slc in a_slices + b_slices:
-            CyclicSystem(slc.n, slc.pairs, slc.q, slc.cycle, slc.mu,
-                         slc.eps).validate()
+            slc.validate()
 
 
 class TestSysdecomUnclamped:
@@ -527,8 +527,7 @@ class TestSysdecombip:
         for slc in slices:
             assert winds_around(Digraph(slc.n, system_arcs(slc)), slc.q,
                                 slc.cycle)
-            CyclicSystem(slc.n, slc.pairs, slc.q, slc.cycle, slc.mu,
-                         slc.eps).validate()
+            slc.validate()
             assert all((u in a_side) != (v in a_side)
                        for (u, v) in system_arcs(slc))
             # reserves only between an A-cluster and a B-cluster

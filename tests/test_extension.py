@@ -190,12 +190,12 @@ def built():
     slices, quotas = sysdecombip(host, P, systems, reductions,
                                  mu=cfg.mu, rho=cfg.rho, seed=31)
     slc = slices[0]
-    idxs = [slot.es_index for slot in slc.slots]
     be = balance_extend_bipartite(
-        [systems[i] for i in idxs], [reductions[i] for i in idxs],
-        P, slc.cycle, slc.reserve, P.eps0,
-        quotas.reserve_inner, quotas.reserve_outer)
-    return P, slc, [reductions[i] for i in idxs], be, systems, quotas
+        [slot.matching for slot in slc.slots],
+        [slot.cluster_index for slot in slc.slots], P, slc.cycle,
+        slc.reserve, P.eps0, quotas.reserve_inner, quotas.reserve_outer)
+    reds = [reductions[slot.es_index] for slot in slc.slots]
+    return P, slc, reds, be, systems, quotas
 
 
 class TestBipartiteBuilder:
@@ -248,13 +248,14 @@ class TestBipartiteBuilder:
 
     def test_malformed_pool_rejected(self, built):
         P, slc, reds, be, systems, quotas = built
-        idxs = [slot.es_index for slot in slc.slots]
         for kind, message in MALFORMED_POOLS.items():
             bad = malformed(slc.reserve, (1, P.K + 2), kind)
             with pytest.raises(InvalidParameter, match=message):
                 balance_extend_bipartite(
-                    [systems[i] for i in idxs], reds, P, slc.cycle, bad,
-                    P.eps0, quotas.reserve_inner, quotas.reserve_outer)
+                    [slot.matching for slot in slc.slots],
+                    [slot.cluster_index for slot in slc.slots], P,
+                    slc.cycle, bad, P.eps0, quotas.reserve_inner,
+                    quotas.reserve_outer)
 
 
 MATCHING_KERNELS = ("take_matching", "hopcroft_karp",
@@ -288,6 +289,6 @@ def test_extensions_compute_no_matching(mode, monkeypatch):
     extended = 0
     for slc in (slc for slices in slice_lists for slc in slices):
         if slc.slots:
-            be, _ = extend(slc, P, systems, reductions, quotas)
+            be, _ = extend(slc, P, quotas)
             extended += len(be)
     assert extended == len(systems) * len(slice_lists)

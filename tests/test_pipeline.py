@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import pickletools
 import subprocess
 import sys
 
@@ -13,9 +14,10 @@ import pytest
 import hamdec
 from hamdec import pipeline
 from hamdec.cli import _load_instance, main as cli_main
-from hamdec.core import Host, Multigraph, canonical_json
+from hamdec.core import Host, Multigraph, canonical_json, derive_seed
 from hamdec.errors import (HamiltonSearchExhausted, InvalidParameter,
-                           MalformedInput, MatchingInfeasible, PipelineError)
+                           MalformedInput, MatchingInfeasible, PipelineError,
+                           SamplingFailed)
 from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
                              approx_decompose_bipartite,
                              approx_decompose_two_cliques, generate_instance,
@@ -721,29 +723,40 @@ class TestJobs:
                 assert all(type(v) is int for v in order)
 
     def test_dense_slice_tasks_pickle_small(self, monkeypatch):
-        # bench/run.py's tc-dense config: each task ships its slice's five
-        # 80 x 80 pair matrices to a pool worker, as uint8 (about 80 KB a
-        # task; as int64 they made it about 300 KB)
-        cfg = InstanceConfig(mode="two-cliques", K=5, m=80, hes_count=25,
-                             seed=11)
-        host, P, systems = generate_instance(cfg)
+        # bench/run.py's tc-dense and bip-dense configs: each task ships
+        # its slice alone to a pool worker, with the slice's pair matrices
+        # as uint8, and no exceptional system, reduction or Multigraph
         run = pipeline._run_slice_tasks
         sizes = []
+        names = set()
 
         def recording(tasks, jobs, seed):
-            sizes.extend(len(pickle.dumps(task)) for task in tasks)
             for task in tasks:
+                blob = pickle.dumps(task)
+                sizes.append(len(blob))
+                names.update(arg for _op, arg, _pos in
+                             pickletools.genops(blob) if type(arg) is str)
                 assert all(mat.dtype == np.uint8
                            for (_t, _h, mat) in task[1].pairs)
             return run(tasks, jobs, seed)
 
         monkeypatch.setattr(pipeline, "_run_slice_tasks", recording)
-        certs = [approx_decompose_two_cliques(host, P, systems, cfg.mu,
-                                              cfg.rho, cfg.gamma,
-                                              seed=cfg.seed, jobs=jobs)
-                 for jobs in (1, 2)]
-        assert certs[0].to_json() == certs[1].to_json()
-        assert len(sizes) == 8 and max(sizes) < 100_000
+        for config, decompose in (
+                (TC_DENSE, approx_decompose_two_cliques),
+                (dict(mode="bipartite", K=4, m=80, eps0=0.015, gamma=0.1,
+                      hes_count=0, bes_count=16),
+                 approx_decompose_bipartite)):
+            cfg = InstanceConfig(seed=11, **config)
+            host, P, systems = generate_instance(cfg)
+            certs = [decompose(host, P, systems, cfg.mu, cfg.rho, cfg.gamma,
+                               seed=cfg.seed, jobs=jobs).to_json()
+                     for jobs in (1, 2)]
+            assert certs[0] == certs[1]
+        # 4 + 2 slices, each recorded under jobs=1 and jobs=2
+        assert len(sizes) == 12 and max(sizes) < 100_000
+        assert "SliceSide" in names
+        assert not names & {"ExceptionalSystem", "BalancedExceptionalSystem",
+                            "FictiveReduction", "Multigraph"}
 
 
 class TestCli:
@@ -856,13 +869,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_a_non_integer_env_seed_exits_2(self, seed4_files, tmp_path,
-                                            monkeypatch, capsys):
+    @pytest.mark.parametrize("value", ["abc", ""], ids=["abc", "empty"])
+    def test_a_non_integer_env_seed_exits_2(self, value, seed4_files,
+                                            tmp_path, monkeypatch, capsys):
+        # an empty HAMDEC_SEED is set too, so it is read like any other
         inst, _obj, _ = seed4_files
         out = tmp_path / "cert.json"
-        monkeypatch.setenv("HAMDEC_SEED", "abc")
+        monkeypatch.setenv("HAMDEC_SEED", value)
         assert cli_main(["decompose", str(inst), "--out", str(out)]) == 2
-        assert "error: HAMDEC_SEED" in capsys.readouterr().err
+        assert f"error: HAMDEC_SEED must be an integer, not {value!r}" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_import_loads_no_scipy(self):
@@ -1022,6 +1038,51 @@ class TestPipelineErrors:
                                             cfg.rho, cfg.gamma, seed=3)
         assert cert.global_report["all_ok"]
         assert len(calls) == 3  # two slices, one of them twice
+
+    def test_failed_carve_is_retried(self, monkeypatch):
+        # a reservoir carve that fails its gate re-rolls the whole slice,
+        # carve and assembly, with the next attempt's seeds
+        seeds = []
+        carve = pipeline.reserve_regular
+
+        def fails_once(*args, rng_seed, **kwargs):
+            seeds.append(rng_seed)
+            if len(seeds) == 1:
+                raise SamplingFailed("forced", failures={"Reg1": 1})
+            return carve(*args, rng_seed=rng_seed, **kwargs)
+
+        monkeypatch.setattr(pipeline, "reserve_regular", fails_once)
+        cfg = SEED4_CONFIG
+        host, P, systems = generate_instance(cfg)
+        cert = approx_decompose_two_cliques(host, P, systems, cfg.mu,
+                                            cfg.rho, cfg.gamma, seed=4)
+        assert cert.global_report["all_ok"]
+        # the first carve is slice A0's at its first cycle edge, and the
+        # next one that edge's again, at attempt 1
+        first = [ci for ci in range(cfg.K)
+                 if seeds[0] == derive_seed(4, "res", "A", 0, ci, 0)]
+        assert len(first) == 1
+        assert seeds[1] == derive_seed(4, "res", "A", 0, first[0], 1)
+
+    def test_carve_failing_every_attempt_names_its_slice(self,
+                                                         monkeypatch):
+        calls = []
+
+        def always_fails(*args, **kwargs):
+            calls.append(args)
+            raise SamplingFailed("forced", failures={"codegree": 1})
+
+        monkeypatch.setattr(pipeline, "reserve_regular", always_fails)
+        cfg = SEED4_CONFIG
+        host, P, systems = generate_instance(cfg)
+        with pytest.raises(PipelineError) as exc:
+            approx_decompose_two_cliques(host, P, systems, cfg.mu, cfg.rho,
+                                         cfg.gamma, seed=4)
+        assert exc.value.stage == "assemble"
+        assert exc.value.slice_index == "A0"
+        assert isinstance(exc.value.cause, SamplingFailed)
+        # each attempt stops at its first carve
+        assert len(calls) == pipeline.SLICE_RETRIES
 
 
 TC_DENSE = dict(mode="two-cliques", K=5, m=80, hes_count=25)
