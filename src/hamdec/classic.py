@@ -2,8 +2,9 @@
 the zig-zag Hamilton decomposition of complete graphs on an odd number
 of clusters, the Hamilton decomposition of complete balanced bipartite
 graphs on an even number of clusters per side, extraction of regular
-spanning subgraphs as r-factors, and exact 1-factorization of regular
-bipartite multigraphs by peeling off one perfect matching at a time.
+spanning subgraphs as r-factors, and one loop that peels perfect
+matchings off a residual matrix, for random reserve draws and for the
+exact 1-factorization of regular bipartite multigraphs.
 
 Perfect matchings and r-factors run on bit-packed rows: ``pack_rows``
 packs a boolean matrix into little-endian uint64 words (``cyclic``
@@ -477,7 +478,56 @@ def _hall_violator(adj, match_l, n_right) -> list[int]:
     return sorted(reach)
 
 
-# -- exact 1-factorization of regular bipartite multigraphs ------------------
+# -- peeled perfect matchings: reserve draws and exact 1-factorization ------
+
+
+def peel_matchings(res: np.ndarray, cols: np.ndarray,
+                   row_orders: np.ndarray) -> np.ndarray | None:
+    """Edge-disjoint perfect matchings peeled off the positive entries of
+    the m x m residual matrix ``res``, one per row of the k x m array
+    ``row_orders``, as the k x m intp array whose entry [k, p] is the
+    column matched to row p by the k-th; or None when a matching is
+    missing.  ``res`` is decremented once, at the end, so None leaves it
+    untouched.
+
+    The residual is gathered in the column order ``cols`` and packed
+    into one Python int per row once.  The k-th matching takes the rows
+    in the order ``row_orders[k]``, and the greedy first phase and
+    Hopcroft-Karp run on that list of row ints, so the orders decide
+    which matching is found.  After each peel, a row's bit of its matched
+    column is cleared once that entry is used up: the entries of
+    multiplicity above 1 keep a count of their spare uses in a map.
+    """
+    m = len(res)
+    block = res.take(cols, 1)
+    bits = _row_ints(pack_rows(block > 0))
+    ps, qs = np.nonzero(block > 1)
+    spare = dict(zip((ps * m + qs).tolist(), (block[ps, qs] - 1).tolist()))
+    matches = []
+    for rows in row_orders.tolist():
+        row_bits = [bits[p] for p in rows]
+        match_l = _greedy_matching(row_bits, m)
+        if -1 in match_l:
+            match_l = hopcroft_karp(row_bits, m, match_l)
+            if -1 in match_l:
+                return None
+        for p, q in zip(rows, match_l):
+            bits[p] ^= 1 << q
+        if spare:
+            # a used entry with a use to spare gets its bit back
+            for p, q in zip(rows, match_l):
+                left = spare.pop(p * m + q, 0)
+                if left:
+                    bits[p] |= 1 << q
+                    if left > 1:
+                        spare[p * m + q] = left - 1
+        matches.append(match_l)
+    parts = np.empty(row_orders.shape, dtype=np.intp)
+    matched = np.array(matches, dtype=np.intp).reshape(parts.shape)
+    np.put_along_axis(parts, row_orders, cols[matched], axis=1)
+    np.subtract.at(res, (np.broadcast_to(np.arange(m), parts.shape), parts),
+                   1)
+    return parts
 
 
 def regular_bipartite_to_matchings(mat: np.ndarray) -> np.ndarray:
@@ -489,34 +539,19 @@ def regular_bipartite_to_matchings(mat: np.ndarray) -> np.ndarray:
     By König's theorem an r-regular bipartite multigraph has a perfect
     matching, and removing it leaves an (r-1)-regular one, so r perfect
     matchings, rows and columns in index order, peel the matchings off one
-    by one: the same ones as r calls of ``take_matching(res, range(m),
-    range(m))`` on a copy ``res`` of ``mat``.  The rows are packed once;
-    after each peel, a row's bit of its matched column is cleared when
-    that entry of ``res`` reaches 0.
+    by one (``peel_matchings``): the same ones as r calls of
+    ``take_matching(res, range(m), range(m))`` on a copy ``res`` of
+    ``mat``.
     """
     degs = set(mat.sum(axis=1).tolist()) | set(mat.sum(axis=0).tolist())
     if len(degs) != 1:
         raise InvalidParameter(f"graph is not regular: degrees {sorted(degs)}")
     r = degs.pop()
-    m = len(mat)
+    idx = np.arange(len(mat))
     res = mat.copy()
-    bits = _row_ints(pack_rows(res > 0))
-    idx = np.arange(m)
-    parts = np.empty((r, m), dtype=np.intp)
-    for k in range(r):
-        match_l = _greedy_matching(bits, m)
-        if -1 in match_l:
-            match_l = hopcroft_karp(bits, m, match_l)
-            if -1 in match_l:
-                _raise_infeasible(res > 0, match_l, list(range(m)),
-                                  list(range(m)))
-        parts[k] = match_l
-        res[idx, parts[k]] -= 1
-        for p in np.flatnonzero(res[idx, parts[k]] == 0).tolist():
-            bits[p] ^= 1 << match_l[p]
+    parts = peel_matchings(res, idx, np.broadcast_to(idx, (r, len(mat))))
     # exactness check: perfect matchings that sum to the input
-    total = np.bincount((idx * m + parts).ravel(), minlength=m * m)
-    if not ((np.sort(parts, axis=1) == idx).all()
-            and (total.reshape(m, m) == mat).all()):
+    if (parts is None or (np.sort(parts, axis=1) != idx).any()
+            or res.any()):
         raise InvalidParameter("internal: factorization does not sum to input")
     return parts

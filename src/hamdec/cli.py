@@ -173,6 +173,8 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     """Run the invariant suites on small built-in configurations."""
     from .classic import walecki_decompose, bipartite_hamilton_decompose
+    # an unusable HAMDEC_SEED is an input error, not a failed check
+    seed = _effective_seed(args)
     failures = []
 
     def check(name, fn):
@@ -203,7 +205,6 @@ def cmd_selftest(args) -> int:
 
     def tiny_pipeline(**config):
         def run():
-            seed = _effective_seed(args)
             cfg = InstanceConfig(a0_size=1, b0_size=1, eps0=0.02, mu=0.0,
                                  rho=0.1, seed=seed, **config)
             host, partition, systems = generate_instance(cfg)

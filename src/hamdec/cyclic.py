@@ -21,14 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .classic import (bipartite_hamilton_decompose, pack_rows, pair_matrix,
-                      regular_bipartite_to_matchings,
-                      regular_spanning_subgraph, take_matching,
-                      walecki_decompose)
+                      peel_matchings, regular_bipartite_to_matchings,
+                      regular_spanning_subgraph, walecki_decompose)
 from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterCycle,
                    ClusterPartition, Digraph, Multigraph,
                    OrderedDirectedMatching, derive_seed)
-from .errors import (InvalidParameter, MalformedInput,
-                     MatchingInfeasible, SamplingFailed)
+from .errors import InvalidParameter, MalformedInput, SamplingFailed
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                           FictiveReduction, build_fictive_bipartite,
                           build_fictive_two_cliques)
@@ -398,7 +396,9 @@ def reserve_regular(mat: np.ndarray, degree: int, eps: float,
     class, columns the other): H is the union of ``degree`` randomly
     extracted perfect matchings, so the min/max degree conditions hold
     with certainty and only the codegree and density checks are
-    randomized.
+    randomized.  The draw packs ``mat`` once, its columns in one random
+    permutation, and peels the matchings off it, each trying the rows in
+    a fresh random permutation (``_random_regular_subgraph``).
 
     One draw: returns (chosen, report), ``chosen[k, p]`` the column
     matched to row p by H's k-th matching, and takes them out of ``mat``
@@ -442,19 +442,17 @@ def _random_regular_subgraph(res: np.ndarray, degree: int,
     """``degree`` random perfect matchings taken out of the residual
     matrix ``res`` in place, as the degree x m array (of the smallest type
     that holds a column, so it pickles small) whose entry [k, p] is the
-    column matched to row p by the k-th, or None.  Each matching tries
-    rows and columns in one fresh permutation each."""
-    chosen = np.empty((degree, len(res)),
-                      dtype=np.min_scalar_type(len(res) - 1))
-    for k in range(degree):
-        perm_l = rng.permutation(len(res))
-        perm_r = rng.permutation(len(res))
-        try:
-            match = take_matching(res, perm_l, perm_r)
-        except MatchingInfeasible:
-            return None
-        chosen[k, perm_l] = perm_r[match]
-    return chosen
+    column matched to row p by the k-th; or None, with ``res`` untouched,
+    when the draw starves.
+
+    One draw packs the residual once, its columns in one random
+    permutation; each matching then tries the rows in a fresh random
+    permutation (``classic.peel_matchings``)."""
+    m = len(res)
+    cols = rng.permutation(m)
+    rows = rng.permuted(np.broadcast_to(np.arange(m), (degree, m)), axis=1)
+    parts = peel_matchings(res, cols, rows)
+    return None if parts is None else parts.astype(np.min_scalar_type(m - 1))
 
 
 # -- decomposition into cyclic systems ----------------------------------------
@@ -573,18 +571,17 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
 
     Random perfect-matching extraction keeps the remainder unstructured
     (a deterministic r-factor leaves a remainder on which later Hall
-    matchings fail persistently); if the randomized route starves, fall
-    back to one r-factor of the pair
+    matchings fail persistently); if the randomized route starves, which
+    leaves ``res`` untouched, fall back to one r-factor of the pair
     (``classic.regular_spanning_subgraph``) plus an exact
     1-factorization.
     """
     total = parts * degree
-    pair = res.copy()
     cols = _random_regular_subgraph(res, total, rng)
     if cols is None:
-        sub = regular_spanning_subgraph(pair, left, right, 0.0, 0.0,
+        sub = regular_spanning_subgraph(res, left, right, 0.0, 0.0,
                                         degree=total)
-        res[:] = pair - sub
+        res -= sub
         cols = regular_bipartite_to_matchings(sub)
     return [cols[p * degree:(p + 1) * degree] for p in range(parts)]
 

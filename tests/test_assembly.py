@@ -437,7 +437,7 @@ class TestAssembleSlice:
                         block[a, heads.index(f[y])] = True
         t0 = time.perf_counter()
         with pytest.raises(HamiltonSearchExhausted,
-                           match=r"^slot 0: 2 cycles left at pair "
+                           match=r"^slot 0: 5 cycles left at pair "
                                  r"\(\d+,\d+\), [1-9]\d* unused reservoir "
                                  r"arcs in its block: no 2-switch or 4-arc "
                                  r"join left$"):

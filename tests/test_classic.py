@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -239,6 +240,43 @@ class TestFactorization:
         ms = factorize(g, [0, 1], [2, 3])
         assert len(ms) == 2
         assert ms[0] + ms[1] == g
+
+    # sha256 of the int64 output bytes on seeded r-regular matrices: sums
+    # of r random permutation matrices (max entry 2-5) and 0/1 shifted
+    # ones (rows of 2 words at m = 96); the matchings must not move
+    # however the peel loop is shared
+    PEEL_PINS = [
+        (6, 4, 1, False, 2, "6e4c3f30a3d8c3786dc187ded57602c8"
+                            "054067721a7d281d5d27ad97851278af"),
+        (12, 5, 2, False, 3, "9b6788cedfd48b1c746497b112ffbd01"
+                             "3a5371daebb7e4960a3f5d8ff1fdeb89"),
+        (70, 9, 4, False, 3, "51f4dca7ec163c63d83b9108465b0087"
+                             "5b29681c41879d3c8be1e83004e84b26"),
+        (130, 20, 5, False, 5, "aaa36676d65460d63f5d76969a292b82"
+                               "42068225be7eaf3983c9fad7ab38ccbd"),
+        (96, 30, 7, True, 1, "014588461a5e101a24a0932f59907f8a"
+                             "0d38abdcf9755d5ea20e87ed7d44c368"),
+        (33, 10, 8, True, 1, "1a80d39eb4c31b5b50cdb1f290928b4f"
+                             "ecc922013d6051fbb785c58186184137"),
+    ]
+
+    @pytest.mark.parametrize("m,r,seed,simple,top,digest", PEEL_PINS)
+    def test_output_bytes_pinned(self, m, r, seed, simple, top, digest):
+        gen = np.random.default_rng(seed)
+        mat = np.zeros((m, m), dtype=np.int64)
+        idx = np.arange(m)
+        if simple:
+            perm = gen.permutation(m)
+            for s in gen.choice(m, r, replace=False):
+                mat[idx, perm[(idx + s) % m]] += 1
+        else:
+            for _ in range(r):
+                mat[idx, gen.permutation(m)] += 1
+        assert mat.max() == top
+        parts = regular_bipartite_to_matchings(mat)
+        assert parts.shape == (r, m)
+        assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() \
+            == digest
 
     def test_not_regular_rejected(self):
         g = Multigraph(4, [(0, 2), (0, 3)])

@@ -351,10 +351,34 @@ class TestReserveDegrees:
         assert used == f and not notes
 
 
+class TestRandomRegularSubgraph:
+    @given(st.integers(1, 70), st.integers(0, 6), st.floats(0.2, 1.0),
+           st.integers(0, 2**32 - 1), st.sampled_from([np.int64, np.uint8]))
+    @settings(max_examples=80, deadline=None)
+    def test_draw_on_small_multiplicities(self, m, degree, density, seed,
+                                          dtype):
+        # a residual of 0/1/2 entries: the draw takes ``degree`` perfect
+        # matchings out of it, or starves and leaves it as it was
+        gen = np.random.default_rng(seed)
+        before = ((gen.random((m, m)) < density)
+                  * gen.integers(1, 3, (m, m))).astype(dtype)
+        res = before.copy()
+        cols = cyclic._random_regular_subgraph(res, degree,
+                                               np.random.default_rng(seed))
+        assert res.dtype == dtype
+        if cols is None:
+            assert (res == before).all()
+            return
+        assert cols.shape == (degree, m)
+        taken = matchings_matrix(cols)
+        assert (taken <= before).all()
+        assert (taken == before.astype(np.int64) - res).all()
+
+
 class TestExtractRegularParts:
     def test_starved_fallback(self, monkeypatch):
         # random perfect-matching extraction starves on this pair at
-        # rng seed 3, so the flow + 1-factorization fallback runs
+        # rng seed 4, so the flow + 1-factorization fallback runs
         left, right = list(range(6)), list(range(6, 12))
         g = Multigraph(12, [(0, 7), (0, 8), (0, 10), (1, 6), (1, 9),
                             (2, 7), (2, 9), (3, 10), (3, 11), (4, 8),
@@ -366,7 +390,7 @@ class TestExtractRegularParts:
                             or flow(*args, **kwargs))
         res = pair_matrix(g, left, right)
         parts = _extract_regular_parts(res, left, right, 2, 1,
-                                       np.random.default_rng(3))
+                                       np.random.default_rng(4))
         assert len(flows) == 1
         assert [part.shape for part in parts] == [(1, 6), (1, 6)]
         total = sum(matchings_matrix(part) for part in parts)

@@ -4,12 +4,12 @@ The sha256 of the canonical certificate JSON for fixed (config, seed)
 pairs.  A refactor that keeps every random draw must keep these bytes;
 a change that alters the draws on purpose re-pins them and says why.
 
-Last re-pin: each slice keeps its reserve graph as the perfect matchings
-sysdecom drew for it, and the balanced extensions take their pools from
-those matchings instead of re-factorizing the reserve.  The random
-streams are the same, but the extensions use different, equally valid
-reserve matchings, so every certificate's bytes change while its verdict
-does not.
+Last re-pin: each reservoir draw packs its residual once, with its
+columns in one random permutation, and peels its perfect matchings off
+it, each trying the rows in a fresh random permutation; before, every
+matching drew a fresh permutation of the columns as well.  Every
+reserve and merge reservoir is a different, equally valid draw, so
+every certificate's bytes change while its verdict does not.
 """
 
 import hashlib
@@ -21,13 +21,13 @@ from hamdec.pipeline import (InstanceConfig, approx_decompose_bipartite,
 
 GOLDEN = [
     ("two-cliques-default", InstanceConfig.two_cliques_default(seed=7),
-     "73f456a1d1c74e3b948e559fe991a82987b4e91d93f5c20328bed0fe3a4d27ae"),
+     "0bee0c753d9b795b5576ee67131c2a33ee6b7a150b1a9886015598b54b59f48e"),
     ("bipartite-default", InstanceConfig.bipartite_default(seed=7),
-     "a1a092f14095539f83c9b3347a112caea89ed105ef4b757bd5e4eb19844be731"),
+     "ad9cf68cef9308ca30800be30b107357d6148aa2a6719f0f5081c78fbb73b485"),
     ("two-cliques-mixed",
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
-     "5191aeff49122777674a893f9c78997213f25cb2efec800b6148c9d50e8f17e0"),
+     "9d1966547cf724ebd4acd730174bdedc0d9084754d9dec6bf9db8b075ff65aa4"),
 ]
 
 

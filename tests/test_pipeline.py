@@ -881,6 +881,17 @@ class TestCli:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_selftest_with_a_non_integer_env_seed_exits_2(self, monkeypatch,
+                                                          capsys):
+        # the seed is read before any check runs, so a bad one is an
+        # input error, not two failed pipeline checks
+        monkeypatch.setenv("HAMDEC_SEED", "")
+        assert cli_main(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: HAMDEC_SEED must be an integer, " \
+                               "not ''\n"
+        assert "FAIL" not in captured.out
+
     def test_import_loads_no_scipy(self):
         # hamdec needs no scipy, so importing it should not pay for one
         src = os.path.dirname(os.path.dirname(hamdec.__file__))
