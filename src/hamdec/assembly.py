@@ -21,13 +21,13 @@ import numpy as np
 
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
-from .core import (Digraph, OrderedDirectedMatching, derive_seed,
-                   order_is_consistent, visits_in_order)
+from .core import (PathSequence, derive_seed, order_is_consistent,
+                   visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
                      HamiltonSearchExhausted, MalformedInput,
                      MatchingInfeasible)
-from .extension import BalancedExtension
+from .extension import BalancedExtension, final_vertices
 
 
 # -- 1-factor completion (locally balanced path sequences -> 1-factors) ------
@@ -40,7 +40,7 @@ class SuccessorArray(list):
         return [(u, v) for u, v in enumerate(self) if v >= 0]
 
 
-def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
+def extend_to_one_factors(system: CyclicSystem, ps_list: list[PathSequence]
                           ) -> list[SuccessorArray]:
     """Extend each locally balanced path sequence into a directed 1-factor
     on the cyclic system's vertex set, using winding edges of the system;
@@ -55,28 +55,22 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
     q_count = len(ps_list)
     qp = system.q
     n = system.n
-    out_plus: list[dict[int, set[int]]] = []
-    in_minus: list[dict[int, set[int]]] = []
-    for ps in ps_list:
-        plus: dict[int, set[int]] = {}
-        minus: dict[int, set[int]] = {}
-        for (u, v) in ps._arcs:
-            plus.setdefault(qp.cluster_index(u), set()).add(u)
-            minus.setdefault(qp.cluster_index(v), set()).add(v)
-        out_plus.append(plus)
-        in_minus.append(minus)
+    # per slot: its heads, and the clusters of its tails and of its heads
+    ps_heads = [set(ps.values()) for ps in ps_list]
+    tail_at = [{qp.cluster_index(u) for u, _v in ps.items()}
+               for ps in ps_list]
+    head_at = [{qp.cluster_index(v) for v in hs} for hs in ps_heads]
 
     add_arcs: list[list[tuple[int, int]]] = [[] for _ in range(q_count)]
     for (ci, cj), (tails, heads, mat) in zip(system.cycle.edges(),
                                              system.pairs):
         avail = mat.copy()
         restricted = [s for s in range(q_count)
-                      if out_plus[s].get(ci) or in_minus[s].get(cj)]
+                      if ci in tail_at[s] or cj in head_at[s]]
         bulk = [s for s in range(q_count) if s not in set(restricted)]
         for s in restricted:
-            busy_t, busy_h = out_plus[s].get(ci, ()), in_minus[s].get(cj, ())
-            t_free = [a for a, u in enumerate(tails) if u not in busy_t]
-            h_free = [b for b, v in enumerate(heads) if v not in busy_h]
+            t_free = [a for a, u in enumerate(tails) if u not in ps_list[s]]
+            h_free = [b for b, v in enumerate(heads) if v not in ps_heads[s]]
             if len(t_free) != len(h_free):
                 raise MalformedInput(
                     f"slot {s} not locally balanced at pair ({ci},{cj}): "
@@ -107,7 +101,7 @@ def extend_to_one_factors(system: CyclicSystem, ps_list: list[Digraph]
     for s in range(q_count):
         succ = SuccessorArray([-1] * n)
         pred = [-1] * n
-        for (u, v) in chain(ps_list[s]._arcs, add_arcs[s]):
+        for (u, v) in chain(ps_list[s].items(), add_arcs[s]):
             if succ[u] != -1 or pred[v] != -1:
                 raise AssemblyVerificationFailed(
                     f"slot {s}: arc ({u},{v}) doubles a degree in the "
@@ -509,7 +503,6 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     from the slice's smallest vertex; no graph object is built for it.
     """
     qp = system.q
-    k = len(qp.clusters)
     factors = extend_to_one_factors(system, be.path_sequences)
     verts = sorted(v for c in qp.clusters for v in c)
     unused = ReservoirLedger(system, [block.copy() for block in reservoir])
@@ -519,22 +512,20 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
             be.path_sequences, be.matchings, be.extension_cluster)):
         rng = random.Random(derive_seed(seed, "slot", s))
         touched = sorted({qp.cluster_index(x)
-                          for (u, v) in ps._arcs for x in (u, v)})
+                          for (u, v) in ps.items() for x in (u, v)})
         if not touched:
-            touched = [(i_s + s) % k]
-        ordered = _pair_order(touched, i_s, system, k)
-        specs = []
-        for ci in ordered:
-            v1 = tuple(v for v in qp.cluster(ci)
-                       if ps.out_degree(v) == 0)
-            cj = system.cycle.successor(ci)
-            v2 = tuple(v for v in qp.cluster(cj)
-                       if ps.in_degree(v) == 0)
-            specs.append(PairSpec(cluster_index=ci, v1=v1, v2=v2))
+            touched = [(i_s + s) % len(qp.clusters)]
+        # V^1: the cluster's non-tails, V^2: the next cluster's non-heads
+        heads = set(ps.values())
+        specs = [PairSpec(cluster_index=ci,
+                          v1=tuple(v for v in qp.cluster(ci) if v not in ps),
+                          v2=tuple(v for v in qp.cluster(
+                              system.cycle.successor(ci)) if v not in heads))
+                 for ci in _pair_order(touched, i_s, system)]
         # reorder at the extension cluster
-        ext_spec = next(sp for sp in specs if sp.cluster_index == i_s) \
-            if any(sp.cluster_index == i_s for sp in specs) else specs[0]
-        xs = _final_waypoints(ps, matching)
+        ext_spec = next((sp for sp in specs if sp.cluster_index == i_s),
+                        specs[0])
+        xs = final_vertices(ps, matching)
         try:
             merged = merge_to_hamilton(factors[s], unused, specs, rng=rng)
             final = reorder_for_consistency(merged, unused, ext_spec, xs,
@@ -542,7 +533,7 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         except HamiltonSearchExhausted as e:
             raise HamiltonSearchExhausted(f"slot {s}: {e}") from None
         # full verification of the slot output
-        if any(final[u] != v for (u, v) in ps._arcs):
+        if any(final[u] != v for (u, v) in ps.items()):
             raise AssemblyVerificationFailed(
                 f"slot {s}: path sequence not contained in the output")
         cycles = _cycles(final, verts)
@@ -570,8 +561,8 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     return SliceAssembly(cycles=out_cycles, reservoir_usage=usage)
 
 
-def _pair_order(touched: list[int], i_s: int, system: CyclicSystem,
-                k: int) -> list[int]:
+def _pair_order(touched: list[int], i_s: int, system: CyclicSystem
+                ) -> list[int]:
     """Order pairs so the successor pair of the extension cluster comes
     first (every cycle of the 1-factor passes through it with free
     vertices), then the rest."""
@@ -584,25 +575,3 @@ def _pair_order(touched: list[int], i_s: int, system: CyclicSystem,
             ordered.append(ci)
     return ordered
 
-
-def _final_waypoints(ps: Digraph, matching: OrderedDirectedMatching
-                     ) -> list[int]:
-    """Final vertices of the paths containing the matching arcs, in
-    matching order; these drive the consistency reordering.  Each is
-    found by following the sequence's out-arcs from the matching arc's
-    head, for at most as many steps as the sequence has arcs."""
-    nxt = dict(ps._arcs)  # a path sequence has out-degree at most 1
-    xs = []
-    for (u, v) in matching.arcs:
-        if nxt.get(u) != v:
-            raise MalformedInput(f"matching arc {(u, v)} missing from its "
-                                 "path sequence")
-        for _ in range(len(nxt)):
-            if v not in nxt:
-                break
-            v = nxt[v]
-        else:
-            raise MalformedInput(f"matching arc {(u, nxt[u])} lies on a "
-                                 "cycle of its path sequence")
-        xs.append(v)
-    return xs

@@ -487,8 +487,9 @@ def peel_matchings(res: np.ndarray, cols: np.ndarray,
     the m x m residual matrix ``res``, one per row of the k x m array
     ``row_orders``, as the k x m intp array whose entry [k, p] is the
     column matched to row p by the k-th; or None when a matching is
-    missing.  ``res`` is decremented once, at the end, so None leaves it
-    untouched.
+    missing.  ``res`` is decremented once, at the end, through a flat
+    view, so None leaves it untouched and it must be C-contiguous
+    (InvalidParameter otherwise).
 
     The residual is gathered in the column order ``cols`` and packed
     into one Python int per row once.  The k-th matching takes the rows
@@ -498,6 +499,8 @@ def peel_matchings(res: np.ndarray, cols: np.ndarray,
     column is cleared once that entry is used up: the entries of
     multiplicity above 1 keep a count of their spare uses in a map.
     """
+    if not res.flags.c_contiguous:
+        raise InvalidParameter("the residual must be C-contiguous")
     m = len(res)
     block = res.take(cols, 1)
     bits = _row_ints(pack_rows(block > 0))
@@ -525,8 +528,9 @@ def peel_matchings(res: np.ndarray, cols: np.ndarray,
     parts = np.empty(row_orders.shape, dtype=np.intp)
     matched = np.array(matches, dtype=np.intp).reshape(parts.shape)
     np.put_along_axis(parts, row_orders, cols[matched], axis=1)
-    np.subtract.at(res, (np.broadcast_to(np.arange(m), parts.shape), parts),
-                   1)
+    # a 1-D index and res's own dtype keep ufunc.at on numpy's fast path
+    np.subtract.at(res.reshape(-1), (np.arange(m) * m + parts).ravel(),
+                   res.dtype.type(1))
     return parts
 
 

@@ -1,4 +1,4 @@
-"""Exact multigraph/digraph containers, cluster partitions, and the
+"""Exact graph containers, path sequences, cluster partitions, and the
 structural predicates every other module asserts against.
 
 Vertices are dense integer ids 0..n-1 throughout.  All containers are
@@ -324,11 +324,56 @@ class Host:
         return f"Host(n={self.n}, e={self.edge_count()})"
 
 
+class PathSequence(dict):
+    """Vertex-disjoint directed paths as the map of each arc's tail to its
+    head: only tails are keys, so a sequence costs its arcs, not n.  Built
+    by ``from_arcs`` and never changed afterwards."""
+
+    @classmethod
+    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]
+                  ) -> "PathSequence":
+        """The map of ``arcs``; MalformedInput on a loop, an end outside
+        0..n-1 or a second arc out of one vertex."""
+        ps = cls()
+        for (u, v) in arcs:
+            if u == v:
+                raise MalformedInput(f"loop at {u} not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedInput(f"arc ({u},{v}) outside 0..{n - 1}")
+            if u in ps:
+                raise MalformedInput(f"a second arc ({u},{v}) out of {u}")
+            ps[u] = v
+        return ps
+
+    def arcs(self) -> list[tuple[int, int]]:
+        """The arcs, sorted by tail."""
+        return sorted(self.items())
+
+    def vertices_with_arcs(self) -> set[int]:
+        return set(self).union(self.values())
+
+    def paths(self) -> list[list[int]]:
+        """The maximal directed paths as vertex lists, listed by their
+        first vertex; MalformedInput unless they are vertex-disjoint."""
+        heads = set(self.values())
+        if len(heads) == len(self):  # in-degree <= 1, so every walk ends
+            paths = []
+            for s in sorted(v for v in self if v not in heads):
+                path = [s]
+                while path[-1] in self:
+                    path.append(self[path[-1]])
+                paths.append(path)
+            # a cycle has no first vertex, so its arcs stay unwalked
+            if sum(map(len, paths)) - len(paths) == len(self):
+                return paths
+        raise MalformedInput("not a path sequence")
+
+
 class Digraph:
     """Digraph on 0..n-1; at most one arc per direction per pair, no loops.
 
-    No library code calls ``without_arcs``, ``with_arcs``, ``+`` or ``-``;
-    they stay because ``bench/tracing.py`` wraps them by name.
+    The pipeline builds none.  ``without_arcs``, ``with_arcs``, ``+`` and
+    ``-`` stay because ``bench/tracing.py`` wraps them by name.
     """
 
     __slots__ = ("n", "_arcs", "_out", "_in")
@@ -355,15 +400,6 @@ class Digraph:
     def arcs(self) -> list[tuple[int, int]]:
         return sorted(self._arcs)
 
-    def edge_count(self) -> int:
-        return len(self._arcs)
-
-    def out_degree(self, v: int) -> int:
-        return len(self._out.get(v, ()))
-
-    def in_degree(self, v: int) -> int:
-        return len(self._in.get(v, ()))
-
     def __add__(self, other: "Digraph") -> "Digraph":
         n = max(self.n, other.n)
         return Digraph(n, set(self._arcs) | set(other._arcs))
@@ -382,34 +418,17 @@ class Digraph:
         out.update(self._in)
         return out
 
-    def _walk_paths(self) -> list[list[int]] | None:
-        """The maximal directed paths as vertex lists, listed by their
-        first vertex, or None unless the digraph is a union of
-        vertex-disjoint directed paths."""
-        out, inn = self._out, self._in
-        if any(len(ends) > 1 for ends in chain(out.values(), inn.values())):
-            return None
-        paths = []
-        for s in sorted(v for v in out if v not in inn):
-            path = [s]
-            while path[-1] in out:
-                (nxt,) = out[path[-1]]
-                path.append(nxt)
-            paths.append(path)
-        # a cycle has no first vertex, so its arcs stay unwalked
-        walked = sum(map(len, paths)) - len(paths)
-        return paths if walked == len(self._arcs) else None
-
     def is_path_sequence(self) -> bool:
         """Union of vertex-disjoint directed paths (trivial paths allowed)."""
-        return self._walk_paths() is not None
+        try:
+            return self.directed_paths() is not None
+        except MalformedInput:
+            return False
 
     def directed_paths(self) -> list[list[int]]:
-        """Maximal directed paths of a path sequence, as vertex lists."""
-        paths = self._walk_paths()
-        if paths is None:
-            raise MalformedInput("not a path sequence")
-        return paths
+        """Maximal directed paths of a path sequence, as vertex lists
+        (``PathSequence.paths`` of the arcs)."""
+        return PathSequence.from_arcs(self.n, self._arcs).paths()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Digraph) and self.n == other.n
@@ -718,14 +737,14 @@ def cycle_vertex_order(cycle: Digraph, vertex_set: Iterable[int]) -> list[int]:
     return order
 
 
-def winds_around(d: Digraph, partition: ClusterPartition,
+def winds_around(d: Digraph | PathSequence, partition: ClusterPartition,
                  cycle: ClusterCycle) -> bool:
     """True iff every arc goes from V_i to V_{i+1} for some cycle edge."""
     succ = {}
     k = len(cycle.order)
     for i in range(k):
         succ[cycle.order[i]] = cycle.order[(i + 1) % k]
-    for (u, v) in d._arcs:
+    for (u, v) in d.arcs():
         cu = partition.cluster_index(u)
         cv = partition.cluster_index(v)
         if cu < 0 or cv < 0:
@@ -735,13 +754,13 @@ def winds_around(d: Digraph, partition: ClusterPartition,
     return True
 
 
-def is_locally_balanced(d: Digraph, partition: ClusterPartition,
+def is_locally_balanced(d: Digraph | PathSequence, partition: ClusterPartition,
                         cycle: ClusterCycle) -> bool:
     """For every cluster-cycle edge UW: #arcs starting in U == #arcs ending
     in W (arcs may live anywhere inside the partition)."""
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
-    for (u, v) in d._arcs:
+    for (u, v) in d.arcs():
         cu = partition.cluster_index(u)
         cv = partition.cluster_index(v)
         if cu < 0 or cv < 0:

@@ -473,8 +473,8 @@ class SliceSide(CyclicSystem):
     ``reserve[ci, cj]``, ci < cj clusters of q, keeps H[V_ci, V_cj] as the
     r_h perfect matchings drawn for it: entry [k, p] is the position in
     V_cj matched to position p of V_ci by the k-th.  A slice carries all
-    that its extension and assembly read, so it alone is shipped to a
-    pool worker."""
+    that its extension and assembly read, ``q`` its one partition, so a
+    pool task ships it with eps0 and no partition of the instance."""
 
     side: str                      # "A", "B", or "AB"
     j: int

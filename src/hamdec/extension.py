@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ClusterCycle, ClusterPartition, Digraph,
-                   OrderedDirectedMatching, is_locally_balanced)
+from .core import (ClusterCycle, ClusterPartition, OrderedDirectedMatching,
+                   PathSequence, is_locally_balanced)
 from .errors import InvalidParameter, MalformedInput, ReservoirExhausted
 
 
@@ -26,14 +26,32 @@ class BalancedExtension:
     order) whose final vertices realize the V_i-extension of M_s.
     """
 
-    path_sequences: list[Digraph]
+    path_sequences: list[PathSequence]
     matchings: list[OrderedDirectedMatching]
     extension_cluster: list[int]
     eps: float
     ell: int
 
-    def __len__(self):
-        return len(self.path_sequences)
+
+def final_vertices(ps: PathSequence, matching: OrderedDirectedMatching
+                   ) -> list[int]:
+    """The final vertex of the path of ``ps`` through each matching arc,
+    in matching order, followed from the arc's head for at most len(ps)
+    steps; MalformedInput if an arc is missing or lies on a cycle."""
+    xs = []
+    for (u, v) in matching.arcs:
+        if ps.get(u) != v:
+            raise MalformedInput(f"matching arc {(u, v)} missing from its "
+                                 "path sequence")
+        for _ in range(len(ps)):
+            if v not in ps:
+                break
+            v = ps[v]
+        else:
+            raise MalformedInput(f"matching arc {(u, ps[u])} lies on a "
+                                 "cycle of its path sequence")
+        xs.append(v)
+    return xs
 
 
 def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
@@ -53,34 +71,26 @@ def validate_balanced_extension(be: BalancedExtension, q: ClusterPartition,
     ext_count = [0] * k
     for s, (ps, matching, i_s) in enumerate(zip(
             be.path_sequences, be.matchings, be.extension_cluster)):
-        paths = ps._walk_paths()
-        if paths is None:
-            raise MalformedInput(f"PS_{s} is not a path sequence")
+        try:
+            ps.paths()
+            finals = final_vertices(ps, matching)
+        except MalformedInput as e:
+            raise MalformedInput(f"PS_{s}: {e}") from None
         if not is_locally_balanced(ps, q, cycle):
             raise MalformedInput(f"PS_{s} is not locally balanced")
         # (BE1) cross-disjointness of PS_s - M_s
-        extra = set(ps._arcs) - set(matching.arcs)
+        extra = set(ps.items()) - set(matching.arcs)
         if extra & seen_nonmatching_arcs:
             raise MalformedInput(f"PS_{s} - M_{s} shares arcs with an "
                                  "earlier sequence")
         seen_nonmatching_arcs |= extra
         # (BE2) V_{i_s}-extension: each matching arc in a distinct path
-        # whose final vertex lies in cluster i_s
-        arc_to_path: dict[tuple[int, int], int] = {}
+        # (distinct final vertices) that ends in cluster i_s
+        if len(set(finals)) != len(finals):
+            raise MalformedInput(f"two matching arcs share a path in PS_{s}")
         fin_cluster = set(q.cluster(i_s))
-        for pi, path in enumerate(paths):
-            for t in range(len(path) - 1):
-                arc_to_path[(path[t], path[t + 1])] = pi
-        used_paths: set[int] = set()
-        for arc in matching.arcs:
-            pi = arc_to_path.get(arc)
-            if pi is None:
-                raise MalformedInput(f"matching arc {arc} missing from PS_{s}")
-            if pi in used_paths:
-                raise MalformedInput(
-                    f"two matching arcs share a path in PS_{s}")
-            used_paths.add(pi)
-            if paths[pi][-1] not in fin_cluster:
+        for arc, x in zip(matching.arcs, finals):
+            if x not in fin_cluster:
                 raise MalformedInput(
                     f"path with arc {arc} does not end in cluster {i_s}")
         ext_count[i_s] += 1
@@ -164,7 +174,7 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
                 raise InvalidParameter(
                     f"matching vertices escape cluster {ci}")
 
-    sequences: list[Digraph] = []
+    sequences: list[PathSequence] = []
     matchings: list[OrderedDirectedMatching] = []
     ext_cluster: list[int] = []
     order: list[tuple[int, int]] = []
@@ -192,7 +202,8 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
             extra = list(zip(q.cluster(prev_c)[offset:offset + need],
                              np.take(q.cluster(next_c), cols).tolist()))
             offset += need
-            sequences.append(Digraph(n_vertices, list(mm.arcs) + extra))
+            sequences.append(PathSequence.from_arcs(n_vertices,
+                                                    [*mm.arcs, *extra]))
             matchings.append(mm)
             ext_cluster.append(ci)
             order.append((ci, gi))
@@ -206,17 +217,18 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
 
 
 def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
-                             clusters: list[int],
-                             partition: ClusterPartition,
+                             clusters: list[int], q: ClusterPartition,
                              cycle: ClusterCycle,
                              reserve: dict[tuple[int, int], np.ndarray],
                              eps: float, inner_degree: int,
                              outer_degree: int) -> BalancedExtension:
     """Two-phase bipartite balanced extension.
 
-    H is given as its perfect matchings (``SliceSide.reserve`` on the
-    clusters A_1..A_K, B_1..B_K): exactly inner_degree + outer_degree per
-    (A_i, B_i') pair, the first inner_degree of which are H'.
+    ``q`` is the slice's equipartition into the 2K clusters A_1..A_K,
+    B_1..B_K, in that order.  H is given as its perfect matchings
+    (``SliceSide.reserve`` on those clusters): exactly inner_degree +
+    outer_degree per (A_i, B_i') pair, the first inner_degree of which
+    are H'.
 
     Phase 1 extends each ordered matching J*_dir, ``matchings[s]``, into
     an A_{i1}-extension, i1 = ``clusters[s]``, by adding a
@@ -229,10 +241,8 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
     vertex-disjoint from the sequence.  The output passes (BE1)-(BE3)
     with parameters (12*eps*K, 12).
     """
-    P = partition
-    K, m = P.K, P.m
-    q = P.ab_equipartition()
-    n = max(v for c in P.clusters for v in c) + 1
+    K, m = len(q.clusters) // 2, q.m
+    n = max(map(max, q.clusters)) + 1
     if len(matchings) != len(clusters):
         raise InvalidParameter("matchings and clusters must align")
     # pools[i, K + ip]: the matchings of H[A_i, B_ip], H' first
@@ -242,19 +252,19 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
 
     # phase 1: A_{i1}-extensions PS_s = J*_dir + M_s,dir
     used_inner: set[tuple[int, int]] = set()
-    phase1: list[Digraph] = []
+    phase1: list[PathSequence] = []
     ext_cluster: list[int] = []
     for idx, (jstar, i1) in enumerate(zip(matchings, clusters)):
-        a_i1 = P.a_cluster(i1)
+        a_i1 = q.cluster(i1)
         jstar_vs = jstar.vertices()
         taken_a: set[int] = set()
         extra: list[tuple[int, int]] = []
         for (_u, bvert) in jstar.arcs:
             # the H' neighbours of a B-vertex in A_{i1}, one per draw
-            cb = P.cluster_index(bvert)
+            cb = q.cluster_index(bvert)
             nbrs = []
             if cb >= K:
-                b = P.cluster(cb).index(bvert)
+                b = q.cluster(cb).index(bvert)
                 nbrs = np.nonzero(pools[i1, cb][:inner_degree] == b)[1]
             cands = [w for w in (a_i1[p] for p in nbrs)
                      if w not in jstar_vs and w not in taken_a
@@ -267,8 +277,8 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
             taken_a.add(w)
             extra.append((bvert, w))
         used_inner.update(extra)
-        ps = Digraph(n, list(jstar.arcs) + extra)
-        paths = ps.directed_paths()
+        ps = PathSequence.from_arcs(n, [*jstar.arcs, *extra])
+        paths = ps.paths()
         if not (len(paths) == len(jstar.arcs)
                 and all(len(p) == 3 for p in paths)):
             raise ReservoirExhausted(
@@ -309,7 +319,7 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
         sigma = max(1, min(sigma_formula, m,
                            (outer_degree * m) // max(1, count_needed)))
         # (A, B) edges, so a pick is oriented whatever the id layout
-        a_i, b_ip = P.a_cluster(i), P.b_cluster(ip)
+        a_i, b_ip = q.cluster(i), q.cluster(K + ip)
         chunks: list[list[tuple[int, int]]] = []
         for cols in pools[i, K + ip][inner_degree:]:
             pm = list(zip(a_i, np.take(b_ip, cols).tolist()))
@@ -322,9 +332,9 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
         for ci, idx in enumerate(slot_list):
             assigned[(idx, key)] = chunks[ci]
 
-    sequences: list[Digraph] = []
+    sequences: list[PathSequence] = []
     for idx, ps in enumerate(phase1):
-        blocked = set(ps.vertices_with_arcs())
+        blocked = ps.vertices_with_arcs()
         f_arcs: list[tuple[int, int]] = []
         for (kind, key) in slot_needs[idx]:
             pick = next(((x, y) for (x, y) in assigned[(idx, key)]
@@ -336,11 +346,11 @@ def balance_extend_bipartite(matchings: list[OrderedDirectedMatching],
             x, y = pick  # x in A-side cluster, y in B-side cluster
             f_arcs.append((x, y) if kind == "AB" else (y, x))
             blocked.update(pick)
-        ps2 = Digraph(n, list(ps._arcs) + f_arcs)
+        ps2 = PathSequence.from_arcs(n, [*ps.items(), *f_arcs])
         if not is_locally_balanced(ps2, q, cycle):
             raise ReservoirExhausted(
                 f"phase 2 output for system {idx} is not locally balanced")
-        if ps2.edge_count() != 4 * len(matchings[idx]):
+        if len(ps2) != 4 * len(matchings[idx]):
             raise ReservoirExhausted(f"e(PS'_{idx}) != 4 e(J*_{idx})")
         sequences.append(ps2)
 

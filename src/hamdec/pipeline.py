@@ -532,30 +532,29 @@ class ModeSpec:
     splice: str
 
 
-def _extend_cliques(slc: SliceSide, partition: ClusterPartition,
+def _extend_cliques(slc: SliceSide, eps0: float,
                     quotas: DecompositionQuotas):
     """Two-cliques balanced extension of one slice; returns the extension
-    and the slot index of each of its path sequences."""
+    and the slot index of each of its path sequences; ``eps0`` is unused."""
     groups: dict[int, list] = {}
     group_slots: dict[int, list[int]] = {}
     for t, slot in enumerate(slc.slots):
         groups.setdefault(slot.cluster_index, []).append(slot.matching)
         group_slots.setdefault(slot.cluster_index, []).append(t)
-    eps_be = quotas.reserve_degree_used / (2 * partition.m)
+    eps_be = quotas.reserve_degree_used / (2 * slc.q.m)
     be, order = balance_extend_cliques(
         groups, slc.q, slc.cycle, slc.reserve, eps_be, slc.n)
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
 
-def _extend_bipartite(slc: SliceSide, partition: ClusterPartition,
+def _extend_bipartite(slc: SliceSide, eps0: float,
                       quotas: DecompositionQuotas):
     """Bipartite balanced extension of one slice; its path sequences come
     in slot order."""
     be = balance_extend_bipartite(
         [slot.matching for slot in slc.slots],
-        [slot.cluster_index for slot in slc.slots], partition, slc.cycle,
-        slc.reserve, partition.eps0, quotas.reserve_inner,
-        quotas.reserve_outer)
+        [slot.cluster_index for slot in slc.slots], slc.q, slc.cycle,
+        slc.reserve, eps0, quotas.reserve_inner, quotas.reserve_outer)
     return be, list(range(len(slc.slots)))
 
 
@@ -571,8 +570,7 @@ MODES = {
 }
 
 
-def _slice_hamilton_cycles(mode: str, slc: SliceSide,
-                           partition: ClusterPartition,
+def _slice_hamilton_cycles(mode: str, slc: SliceSide, eps0: float,
                            quotas: DecompositionQuotas, gamma: float,
                            seed: int) -> dict[int, list[int]]:
     """Run balanced extension + reservoir split + assembly for one slice;
@@ -583,7 +581,7 @@ def _slice_hamilton_cycles(mode: str, slc: SliceSide,
     q_count = len(slc.slots)
     if q_count == 0:
         return {}
-    be, be_to_slot = MODES[mode].extend(slc, partition, quotas)
+    be, be_to_slot = MODES[mode].extend(slc, eps0, quotas)
 
     # merge reservoir carved out of the cyclic system itself; if a carve
     # fails its gate, or a Hall matching or a merge search fails, re-roll
@@ -670,8 +668,8 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
         raise PipelineError(spec.decomposer, e, seed=seed) from e
     owners = [(k, slc) for k, slices in enumerate(slice_lists)
               for slc in slices]
-    # a task ships its slice alone: no system, reduction or Multigraph
-    tasks = [(spec.mode, slc, partition, quotas, gamma, seed)
+    # a task ships its slice and eps0: no system, reduction or partition
+    tasks = [(spec.mode, slc, partition.eps0, quotas, gamma, seed)
              for (_k, slc) in owners]
     results = _run_slice_tasks(tasks, jobs, seed)
     # cycles[k][es_index]: the cycle from slice list k

@@ -354,12 +354,12 @@ def test_criterion_05_balanced_extension_validators():
             be = balance_extend_bipartite(
                 [reductions[i].jstar_dir for i in idxs],
                 [systems[i].locality[0] for i in idxs],
-                P, slc.cycle, slc.reserve, P.eps0,
+                slc.q, slc.cycle, slc.reserve, P.eps0,
                 quotas.reserve_inner, quotas.reserve_outer)
             assert be.eps == 12 * P.eps0 * P.K and be.ell == 12
             validate_balanced_extension(be, P.ab_equipartition(), slc.cycle)
             for ps, idx in zip(be.path_sequences, idxs):
-                assert ps.edge_count() == 4 * len(reductions[idx].jstar_dir)
+                assert len(ps) == 4 * len(reductions[idx].jstar_dir)
     report(5, "balanced-extension validators", t0, 30.0)
 
 

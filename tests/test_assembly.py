@@ -10,8 +10,9 @@ from hamdec.assembly import (PairSpec, ReservoirLedger, assemble_slice,
                              extend_to_one_factors, merge_to_hamilton,
                              reorder_for_consistency)
 from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
-                         OrderedDirectedMatching, is_consistent_with,
-                         verify_hamilton_cycle, visits_in_order)
+                         OrderedDirectedMatching, PathSequence,
+                         is_consistent_with, verify_hamilton_cycle,
+                         visits_in_order)
 from hamdec.cyclic import CyclicSystem, reserve_regular
 from hamdec.errors import (AssemblyVerificationFailed,
                            HamiltonSearchExhausted, MalformedInput)
@@ -84,7 +85,7 @@ class TestExtendToOneFactors:
     def test_empty_sequences_give_winding_factors(self):
         system, clusters = blowup_system(4, 6)
         q = 5
-        ps_list = [Digraph(24, []) for _ in range(q)]
+        ps_list = [PathSequence.from_arcs(24, []) for _ in range(q)]
         factors = extend_to_one_factors(system, ps_list)
         assert len(factors) == q
         used = set()
@@ -97,7 +98,7 @@ class TestExtendToOneFactors:
         system, clusters = blowup_system(4, 6)
         # a path u -> v crossing from V_0 to V_1
         u, v = clusters[0][0], clusters[1][0]
-        ps = Digraph(24, [(u, v)])
+        ps = PathSequence.from_arcs(24, [(u, v)])
         (f,) = extend_to_one_factors(system, [ps])
         assert f[u] == v
         assert is_permutation(f)
@@ -375,12 +376,13 @@ class TestAssembleSlice:
             kept.append((tails, heads, rest))
         sys2 = CyclicSystem(n, kept, system.q, system.cycle, mu=0.4, eps=0.5)
         m0 = OrderedDirectedMatching(((0, 1), (2, 3)))
-        ps0 = Digraph(n, [(0, 1), (2, 3), (48, 12), (49, 13)])
+        ps0 = PathSequence.from_arcs(n, [(0, 1), (2, 3), (48, 12),
+                                         (49, 13)])
         m1 = OrderedDirectedMatching(())
-        ps1 = Digraph(n, [])
+        ps1 = PathSequence.from_arcs(n, [])
         m2 = OrderedDirectedMatching(((24, 25), (26, 27), (28, 29)))
-        ps2 = Digraph(n, [(24, 25), (26, 27), (28, 29),
-                          (12, 36), (14, 37), (16, 38)])
+        ps2 = PathSequence.from_arcs(n, [(24, 25), (26, 27), (28, 29),
+                                         (12, 36), (14, 37), (16, 38)])
         be = BalancedExtension([ps0, ps1, ps2], [m0, m1, m2], [0, 1, 2],
                                eps=0.5, ell=3)
         return sys2, blocks, be
@@ -403,7 +405,7 @@ class TestAssembleSlice:
             cyc = Digraph(n, zip(order, order[1:] + order[:1]))
             assert verify_hamilton_cycle(cyc, set(range(n)))
             assert is_consistent_with(cyc, be.matchings[s])
-            assert set(be.path_sequences[s]._arcs) <= set(cyc._arcs)
+            assert set(be.path_sequences[s].items()) <= set(cyc._arcs)
             # a slot is charged exactly the reservoir arcs of its cycle
             assert set(asm.reservoir_usage[s]) == \
                 set(cyc._arcs) & reservoir
@@ -433,7 +435,7 @@ class TestAssembleSlice:
             for a, x in enumerate(tails):
                 for y in tails:
                     if (cycle_of[x] == cycle_of[y] and x != y
-                            and ps.out_degree(y) == 0):
+                            and y not in ps):
                         block[a, heads.index(f[y])] = True
         t0 = time.perf_counter()
         with pytest.raises(HamiltonSearchExhausted,

@@ -278,6 +278,18 @@ class TestFactorization:
         assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() \
             == digest
 
+    def test_peel_needs_a_contiguous_residual(self):
+        # the decrement writes through a flat view, of which a strided
+        # residual would only get a copy
+        res = np.ones((8, 4), dtype=np.int64)[::2]
+        idx = np.arange(4)
+        with pytest.raises(InvalidParameter, match="C-contiguous"):
+            classic.peel_matchings(res, idx, idx[None])
+        assert (res == 1).all()
+        res = res.copy()
+        assert (classic.peel_matchings(res, idx, idx[None]) == idx).all()
+        assert (res == 1 - np.eye(4, dtype=np.int64)).all()
+
     def test_not_regular_rejected(self):
         g = Multigraph(4, [(0, 2), (0, 3)])
         with pytest.raises(InvalidParameter):

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamdec.core import (ClusterCycle, ClusterPartition, Digraph, Multigraph,
-                         OrderedDirectedMatching, cycle_to_perfect_matchings,
-                         is_consistent_with, is_locally_balanced,
-                         verify_hamilton_cycle, winds_around)
+                         OrderedDirectedMatching, PathSequence,
+                         cycle_to_perfect_matchings, is_consistent_with,
+                         is_locally_balanced, verify_hamilton_cycle,
+                         winds_around)
 from hamdec.errors import MalformedInput
 
 
@@ -65,7 +66,7 @@ class TestDigraph:
         with pytest.raises(MalformedInput):
             Digraph(3, [(0, 1), (0, 1)])
         d = Digraph(3, [(0, 1), (1, 0)])
-        assert d.edge_count() == 2
+        assert len(d.arcs()) == 2
 
     def test_path_sequence(self):
         assert Digraph(4, [(0, 1), (1, 2)]).is_path_sequence()
@@ -75,6 +76,32 @@ class TestDigraph:
     def test_directed_paths(self):
         d = Digraph(5, [(0, 1), (1, 2), (3, 4)])
         assert d.directed_paths() == [[0, 1, 2], [3, 4]]
+
+
+class TestPathSequence:
+    @pytest.mark.parametrize("arcs,message", [
+        ([(0, 1), (2, 2)], "loop at 2"),
+        ([(0, 4)], r"arc \(0,4\) outside 0..3"),
+        ([(-1, 0)], r"arc \(-1,0\) outside 0..3"),
+        # a dict would keep only the second arc out of vertex 0
+        ([(0, 1), (0, 2)], r"a second arc \(0,2\) out of 0"),
+    ], ids=["loop", "end-above-n", "end-below-0", "second-out-arc"])
+    def test_from_arcs_rejects(self, arcs, message):
+        with pytest.raises(MalformedInput, match=message):
+            PathSequence.from_arcs(4, arcs)
+
+    def test_arcs_sorted_by_tail(self):
+        ps = PathSequence.from_arcs(6, [(4, 5), (0, 1), (2, 3), (1, 2)])
+        assert ps.arcs() == [(0, 1), (1, 2), (2, 3), (4, 5)]
+        assert ps.paths() == [[0, 1, 2, 3], [4, 5]]
+        assert ps.vertices_with_arcs() == set(range(6))
+
+    def test_paths_reject_a_shared_head_and_a_cycle(self):
+        with pytest.raises(MalformedInput, match="not a path sequence"):
+            PathSequence.from_arcs(3, [(0, 2), (1, 2)]).paths()
+        with pytest.raises(MalformedInput, match="not a path sequence"):
+            PathSequence.from_arcs(5, [(3, 4), (0, 1), (1, 2), (2, 0)]
+                                   ).paths()
 
 
 class TestVerifyHamiltonCycle:
@@ -114,6 +141,7 @@ class TestWindsAround:
         cyc = ClusterCycle((0, 1, 2))
         d = Digraph(12, [(0, 4), (5, 8)])
         assert winds_around(d, qp, cyc)
+        assert winds_around(PathSequence.from_arcs(12, d.arcs()), qp, cyc)
 
     def test_arc_inside_cluster(self):
         qp = small_partition()

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from hamdec import classic, cyclic, extension, pipeline
-from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
-                         OrderedDirectedMatching, is_locally_balanced)
+from hamdec.core import (ClusterCycle, ClusterPartition,
+                         OrderedDirectedMatching, PathSequence,
+                         is_locally_balanced)
 from hamdec.cyclic import sysdecom, sysdecombip
 from hamdec.errors import InvalidParameter, MalformedInput
 from hamdec.exceptional import (build_fictive_bipartite,
                                 build_fictive_two_cliques)
 from hamdec.extension import (BalancedExtension, balance_extend_bipartite,
-                              balance_extend_cliques,
+                              balance_extend_cliques, final_vertices,
                               validate_balanced_extension)
 from hamdec.pipeline import InstanceConfig, generate_instance
 
@@ -73,7 +74,7 @@ class TestCliquesBuilder:
         assert be.eps == 2 * self.eps and be.ell == 3
         (ps,) = be.path_sequences
         assert is_locally_balanced(ps, self.qp, self.cycle)
-        extra = set(ps._arcs) - set(m0.arcs)
+        extra = set(ps.items()) - set(m0.arcs)
         assert len(extra) == 1
         ((u, v),) = extra
         assert self.qp.cluster_index(u) == 0 and self.qp.cluster_index(v) == 2
@@ -81,7 +82,7 @@ class TestCliquesBuilder:
     def test_empty_input(self):
         be, order = balance_extend_cliques(
             {}, self.qp, self.cycle, self.h, self.eps, self.n)
-        assert len(be) == 0
+        assert len(be.path_sequences) == 0
 
     def test_cluster_intersection_bound(self):
         m0 = OrderedDirectedMatching(((12, 13),))
@@ -123,7 +124,7 @@ class TestCliquesBuilder:
         be, _ = balance_extend_cliques(
             {4: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
         (ps,) = be.path_sequences
-        assert set(ps._arcs) - set(m0.arcs) == {(36, 1)}
+        assert set(ps.items()) - set(m0.arcs) == {(36, 1)}
 
     def test_many_seeded_inputs(self):
         # 20 seeds x several matchings; validator with parameters (2eps, 3)
@@ -153,7 +154,7 @@ class TestValidatorIndependence:
     def test_rejects_unbalanced(self):
         qp = equipartition(3, 4)
         cycle = ClusterCycle((0, 1, 2))
-        ps = Digraph(12, [(0, 1)])  # inside V_0, not balanced
+        ps = PathSequence.from_arcs(12, [(0, 1)])  # inside V_0, not balanced
         be = BalancedExtension([ps], [OrderedDirectedMatching(((0, 1),))],
                                [0], eps=0.9, ell=3)
         with pytest.raises(MalformedInput):
@@ -162,8 +163,8 @@ class TestValidatorIndependence:
     def test_rejects_shared_extra_arcs(self):
         qp = equipartition(3, 4)
         cycle = ClusterCycle((0, 1, 2))
-        ps1 = Digraph(12, [(0, 1), (8, 4)])
-        ps2 = Digraph(12, [(2, 3), (8, 4)])
+        ps1 = PathSequence.from_arcs(12, [(0, 1), (8, 4)])
+        ps2 = PathSequence.from_arcs(12, [(2, 3), (8, 4)])
         be = BalancedExtension(
             [ps1, ps2],
             [OrderedDirectedMatching(((0, 1),)),
@@ -175,11 +176,36 @@ class TestValidatorIndependence:
     def test_rejects_wrong_extension_cluster(self):
         qp = equipartition(3, 4)
         cycle = ClusterCycle((0, 1, 2))
-        ps = Digraph(12, [(0, 1), (8, 4)])
+        ps = PathSequence.from_arcs(12, [(0, 1), (8, 4)])
         be = BalancedExtension([ps], [OrderedDirectedMatching(((0, 1),))],
                                [2], eps=0.9, ell=3)
         with pytest.raises(MalformedInput):
             validate_balanced_extension(be, qp, cycle)
+
+
+class TestFinalVertices:
+    def test_ends_in_matching_order(self):
+        ps = PathSequence.from_arcs(9, [(5, 6), (0, 1), (1, 2), (6, 7)])
+        matching = OrderedDirectedMatching(((5, 6), (0, 1)))
+        assert final_vertices(ps, matching) == [7, 2]
+
+    def test_missing_matching_arc(self):
+        ps = PathSequence.from_arcs(6, [(0, 1), (1, 2)])
+        with pytest.raises(MalformedInput,
+                           match=r"matching arc \(3, 4\) missing"):
+            final_vertices(ps, OrderedDirectedMatching(((3, 4),)))
+        with pytest.raises(MalformedInput,
+                           match=r"matching arc \(0, 2\) missing"):
+            final_vertices(ps, OrderedDirectedMatching(((0, 2),)))
+
+    def test_arc_on_a_cycle(self):
+        # a path beside a cycle: the arc on the path has an end, the arc
+        # on the cycle none
+        ps = PathSequence.from_arcs(6, [(4, 5), (0, 1), (1, 2), (2, 0)])
+        assert final_vertices(ps, OrderedDirectedMatching(((4, 5),))) == [5]
+        with pytest.raises(MalformedInput,
+                           match=r"matching arc \(1, 2\) lies on a cycle"):
+            final_vertices(ps, OrderedDirectedMatching(((1, 2),)))
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +218,7 @@ def built():
     slc = slices[0]
     be = balance_extend_bipartite(
         [slot.matching for slot in slc.slots],
-        [slot.cluster_index for slot in slc.slots], P, slc.cycle,
+        [slot.cluster_index for slot in slc.slots], slc.q, slc.cycle,
         slc.reserve, P.eps0, quotas.reserve_inner, quotas.reserve_outer)
     reds = [reductions[slot.es_index] for slot in slc.slots]
     return P, slc, reds, be, systems, quotas
@@ -207,7 +233,7 @@ class TestBipartiteBuilder:
     def test_sequence_size_identity(self, built):
         P, slc, reds, be, *_ = built
         for ps, red in zip(be.path_sequences, reds):
-            assert ps.edge_count() == 4 * len(red.jstar_dir)
+            assert len(ps) == 4 * len(red.jstar_dir)
 
     def test_locality_on_canonical_cycle(self, built):
         # on the canonical cycle A1 B1 A2 B2 ..., a sequence localized at
@@ -224,7 +250,7 @@ class TestBipartiteBuilder:
             i1, i2, i3, i4 = systems[slot.es_index].locality
             a_ok = {i1, i2, i3, i4, (i3 + 1) % K, (i4 + 1) % K}
             b_ok = {(i1 - 1) % K, i1, i2, i3, i4}
-            touched = {q.cluster_index(x) for (u, v) in ps._arcs
+            touched = {q.cluster_index(x) for (u, v) in ps.items()
                        for x in (u, v)}
             for ci in touched:
                 if ci < K:
@@ -237,7 +263,7 @@ class TestBipartiteBuilder:
         q = P.ab_equipartition()
         for ps, matching, i_s in zip(be.path_sequences, be.matchings,
                                      be.extension_cluster):
-            paths = ps.directed_paths()
+            paths = ps.paths()
             ends_of_matching_paths = []
             for path in paths:
                 arcs = {(path[t], path[t + 1]) for t in range(len(path) - 1)}
@@ -253,7 +279,7 @@ class TestBipartiteBuilder:
             with pytest.raises(InvalidParameter, match=message):
                 balance_extend_bipartite(
                     [slot.matching for slot in slc.slots],
-                    [slot.cluster_index for slot in slc.slots], P,
+                    [slot.cluster_index for slot in slc.slots], slc.q,
                     slc.cycle, bad, P.eps0, quotas.reserve_inner,
                     quotas.reserve_outer)
 
@@ -289,6 +315,6 @@ def test_extensions_compute_no_matching(mode, monkeypatch):
     extended = 0
     for slc in (slc for slices in slice_lists for slc in slices):
         if slc.slots:
-            be, _ = extend(slc, P, quotas)
-            extended += len(be)
+            be, _ = extend(slc, P.eps0, quotas)
+            extended += len(be.path_sequences)
     assert extended == len(systems) * len(slice_lists)

@@ -28,6 +28,18 @@ GOLDEN = [
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=6, mes_count=6, seed=7),
      "9d1966547cf724ebd4acd730174bdedc0d9084754d9dec6bf9db8b075ff65aa4"),
+    # the benchmark workloads of bench/run.py at instance seed 11
+    ("tc-dense",
+     InstanceConfig(mode="two-cliques", K=5, m=80, hes_count=25, seed=11),
+     "3cb48b301291b073216dbeff05794b2aa2530625fbe948a015527a253258d945"),
+    ("bip-dense",
+     InstanceConfig(mode="bipartite", K=4, m=80, eps0=0.015, gamma=0.1,
+                    hes_count=0, bes_count=16, seed=11),
+     "aeea538a128c8b248912b073728d6c878888498b535ef7c6977d7afe1606943e"),
+    ("tc-crowded",
+     InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
+                    eps0=0.01, hes_count=12, mes_count=12, seed=11),
+     "08f2d7680c45df8eba5d8480f479c5bf882173feacae1dfdd48ad4c438ae131c"),
 ]
 
 

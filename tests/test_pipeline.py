@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import pytest
 import hamdec
 from hamdec import pipeline
 from hamdec.cli import _load_instance, main as cli_main
-from hamdec.core import Host, Multigraph, canonical_json, derive_seed
+from hamdec.core import (MODE_PLAIN, ClusterPartition, Host, Multigraph,
+                         canonical_json, derive_seed)
 from hamdec.errors import (HamiltonSearchExhausted, InvalidParameter,
                            MalformedInput, MatchingInfeasible, PipelineError,
                            SamplingFailed)
@@ -725,10 +727,17 @@ class TestJobs:
     def test_dense_slice_tasks_pickle_small(self, monkeypatch):
         # bench/run.py's tc-dense and bip-dense configs: each task ships
         # its slice alone to a pool worker, with the slice's pair matrices
-        # as uint8, and no exceptional system, reduction or Multigraph
+        # as uint8, and no exceptional system, reduction or Multigraph;
+        # the one partition it pickles is the slice's equipartition
         run = pipeline._run_slice_tasks
         sizes = []
         names = set()
+
+        class Recorder(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, ClusterPartition):
+                    partitions.append(obj)
+                return NotImplemented
 
         def recording(tasks, jobs, seed):
             for task in tasks:
@@ -738,7 +747,15 @@ class TestJobs:
                              pickletools.genops(blob) if type(arg) is str)
                 assert all(mat.dtype == np.uint8
                            for (_t, _h, mat) in task[1].pairs)
+                assert not any(isinstance(item, ClusterPartition)
+                               for item in task)
+                partitions.clear()
+                Recorder(io.BytesIO()).dump(task)
+                assert [id(p) for p in partitions] == [id(task[1].q)]
+                assert task[1].q.mode == MODE_PLAIN
             return run(tasks, jobs, seed)
+
+        partitions = []
 
         monkeypatch.setattr(pipeline, "_run_slice_tasks", recording)
         for config, decompose in (

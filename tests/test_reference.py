@@ -47,9 +47,9 @@ from hamdec.classic import (_augment, _row_ints, pack_rows,
                             regular_spanning_subgraph)
 from hamdec.cli import _dump_instance, main as cli_main
 from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
-                         OrderedDirectedMatching, canonical_json,
-                         cycle_to_perfect_matchings, cycle_vertex_order,
-                         derive_seed, is_consistent_with,
+                         OrderedDirectedMatching, PathSequence,
+                         canonical_json, cycle_to_perfect_matchings,
+                         cycle_vertex_order, derive_seed, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.errors import (DegreeHypothesisViolated, HamdecError,
                            InvalidParameter, MalformedInput, NotConsistent,
@@ -914,6 +914,15 @@ class TestWalkersMatchReference:
     def test_path_sequence(self, d):
         assert d.is_path_sequence() is ref_is_path_sequence(d)
         assert _outcome(Digraph.directed_paths, d) == \
+            _outcome(ref_directed_paths, d)
+
+    @given(path_instances(directed=True).filter(
+        lambda d: all(len(heads) <= 1 for heads in d._out.values())))
+    @settings(max_examples=300, deadline=None)
+    def test_successor_map_paths(self, d):
+        # the pipeline's container: arcs with out-degree at most 1
+        ps = PathSequence.from_arcs(d.n, d.arcs())
+        assert _outcome(PathSequence.paths, ps) == \
             _outcome(ref_directed_paths, d)
 
     @given(successor_arrays())
