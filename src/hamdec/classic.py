@@ -355,7 +355,7 @@ def pair_matrix(graph: Host | Multigraph, left: Sequence[int],
     col_of = np.full(graph.n, -1, dtype=np.intp)
     col_of[cols] = np.arange(cols.size)
     mat = np.zeros((rows.size, cols.size), dtype=np.int64)
-    us, vs, ks = graph._key_arrays()
+    us, vs, ks = graph.key_arrays()
     # each distinct edge fills at most one cell per orientation
     for tails, heads in ((us, vs), (vs, us)):
         r, c = row_of[tails], col_of[heads]

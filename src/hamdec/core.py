@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,163 +20,165 @@ from .errors import MalformedInput
 SCHEMA_VERSION = 1
 
 
-def _norm_pair(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise MalformedInput(f"loop at vertex {u} not allowed")
-    return (u, v) if u < v else (v, u)
+def _edge_array(rows: list, shape: str) -> np.ndarray:
+    """``rows`` as an int64 (E, 3) array; MalformedInput, naming the edge
+    ``shape`` expected, unless each row is three int64 values."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        arr = None
+    if arr is None or (len(arr) and arr.shape[1:] != (3,)):
+        raise MalformedInput(f"every edge must be {shape} of int64 values")
+    return arr.reshape(-1, 3)
+
+
+def _summed_edges(n: int, arr: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct edges of the rows (u, v, k) of the int64 (E, 3) array
+    ``arr`` as int64 arrays (us, vs, ks), us < vs, in sorted order, each k
+    summed over the rows of its edge.  Raises MalformedInput on an n < 0,
+    an end outside 0..n-1, a loop, a k < 1, or an n or a k so large that
+    the keys lo * n + hi or the sums would overflow int64."""
+    if n < 0:
+        raise MalformedInput("vertex count must be nonnegative")
+    u, v, k = arr.T
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = bad.argmax()
+        raise MalformedInput(f"edge ({u[i]},{v[i]}) outside 0..{n - 1}")
+    if (u == v).any():
+        raise MalformedInput(f"loop at vertex {u[(u == v).argmax()]} "
+                             f"not allowed")
+    if (k < 1).any():
+        i = (k < 1).argmax()
+        raise MalformedInput(f"multiplicity {k[i]} < 1 in edge "
+                             f"({u[i]},{v[i]})")
+    if n * n > 2 ** 63:
+        raise MalformedInput(f"{n} vertices overflow the int64 edge keys")
+    if k.size and k.max() > (2 ** 63 - 1) // k.size:
+        raise MalformedInput(f"multiplicity {k.max()} may overflow an "
+                             f"int64 sum")
+    keys, where = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                            return_inverse=True)
+    ks = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(ks, where, k)
+    return keys // n, keys % n, ks
 
 
 class Multigraph:
     """Undirected multigraph on vertices 0..n-1 with explicit multiplicities.
 
-    Edges are stored as a map (u, v) -> multiplicity with u < v and
-    multiplicity >= 1; loops are rejected.
+    A multigraph is n and three read-only int64 arrays (us, vs, ks), its
+    key arrays: the distinct edges (us[i], vs[i]), us < vs, in sorted
+    order, and their multiplicities ks[i] >= 1.  Loops are rejected.  The
+    constructor parses its edge list through ``_summed_edges``, as
+    ``Host`` does.
     """
 
-    __slots__ = ("n", "_mult", "_adj", "_keys")
+    __slots__ = ("n", "_us", "_vs", "_ks")
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 0:
-            raise MalformedInput("vertex count must be nonnegative")
+        """The multigraph of the given (u, v) and (u, v, k) edges, k the
+        multiplicity (1 for a pair); repeated edges add up.  Raises
+        MalformedInput on an edge of another length, and where
+        ``_summed_edges`` does."""
+        rows = [(*e, 1) if len(e) == 2 else e for e in edges]
+        self._wrap(n, *_summed_edges(n, _edge_array(
+            rows, "a pair (u, v) or a triple (u, v, k)")))
+
+    @classmethod
+    def from_key_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray,
+                        ks: np.ndarray) -> "Multigraph":
+        """The multigraph on n vertices whose key arrays are the given
+        int64 arrays, taken over read-only: the distinct edges (us[i],
+        vs[i]), us < vs, in sorted order, of multiplicity ks[i] >= 1."""
+        g = cls.__new__(cls)
+        g._wrap(n, us, vs, ks)
+        return g
+
+    def _wrap(self, n: int, us: np.ndarray, vs: np.ndarray,
+              ks: np.ndarray) -> None:
+        for arr in (us, vs, ks):
+            arr.flags.writeable = False
         self.n = n
-        mult: dict[tuple[int, int], int] = {}
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                k = 1
-            else:
-                u, v, k = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise MalformedInput(f"edge {e} outside 0..{n - 1}")
-            if k < 1:
-                raise MalformedInput(f"multiplicity {k} < 1 in edge {e}")
-            key = _norm_pair(u, v)
-            mult[key] = mult.get(key, 0) + k
-        self._mult = mult
-        self._adj: dict[int, dict[int, int]] | None = None
-        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._us, self._vs, self._ks = us, vs, ks
 
     # -- basic accessors -------------------------------------------------
 
+    def key_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only int64 arrays (us, vs, ks): the distinct edges,
+        us < vs, in sorted order, and their multiplicities."""
+        return self._us, self._vs, self._ks
+
     def edge_count(self) -> int:
         """e(G): number of edges counted with multiplicity."""
-        return sum(self._mult.values())
+        return int(self._ks.sum())
 
     def support(self) -> Iterator[tuple[int, int]]:
         """Distinct edges, ignoring multiplicity, in sorted order."""
-        return iter(sorted(self._mult))
+        return zip(self._us.tolist(), self._vs.tolist())
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """(u, v, multiplicity) triples in sorted order."""
-        for (u, v) in sorted(self._mult):
-            yield (u, v, self._mult[(u, v)])
-
-    def _adjacency(self) -> dict[int, dict[int, int]]:
-        if self._adj is None:
-            adj: dict[int, dict[int, int]] = {}
-            for (u, v), k in self._mult.items():
-                adj.setdefault(u, {})[v] = k
-                adj.setdefault(v, {})[u] = k
-            self._adj = adj
-        return self._adj
-
-    def _key_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """int64 arrays (us, vs, ks) of the distinct edges (u < v) and
-        their multiplicities, built once and read-only."""
-        if self._keys is None:
-            count = len(self._mult)
-            us, vs = np.fromiter(chain.from_iterable(self._mult),
-                                 dtype=np.int64,
-                                 count=2 * count).reshape(-1, 2).T
-            ks = np.fromiter(self._mult.values(), dtype=np.int64, count=count)
-            for arr in (us, vs, ks):
-                arr.flags.writeable = False
-            self._keys = us, vs, ks
-        return self._keys
-
-    @classmethod
-    def _from_key_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray,
-                         ks: np.ndarray) -> "Multigraph":
-        """The multigraph of the distinct edges (us[i], vs[i]), us < vs,
-        of multiplicity ks[i] >= 1: int64 arrays that become its key
-        arrays, in their order."""
-        g = cls(n)
-        g._mult = dict(zip(zip(us.tolist(), vs.tolist()), ks.tolist()))
-        for arr in (us, vs, ks):
-            arr.flags.writeable = False
-        g._keys = us, vs, ks
-        return g
+        return zip(self._us.tolist(), self._vs.tolist(), self._ks.tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 arrays (lo, hi), lo < hi, with one entry per edge counted
         with multiplicity."""
-        us, vs, ks = self._key_arrays()
-        return np.repeat(us, ks), np.repeat(vs, ks)
+        return np.repeat(self._us, self._ks), np.repeat(self._vs, self._ks)
 
     def degree(self, v: int) -> int:
-        return sum(self._adjacency().get(v, {}).values())
+        return int(self._ks[(self._us == v) | (self._vs == v)].sum())
 
     def covered_vertices(self) -> set[int]:
         """Vertices incident with at least one edge."""
-        out: set[int] = set()
-        for (u, v) in self._mult:
-            out.add(u)
-            out.add(v)
-        return out
+        return set(self._us.tolist()).union(self._vs.tolist())
 
     # -- arithmetic (section-2 style G+H / G-H) --------------------------
 
     def __add__(self, other: "Multigraph") -> "Multigraph":
-        n = max(self.n, other.n)
-        out = Multigraph(n)
-        mult = dict(self._mult)
-        for key, k in other._mult.items():
-            mult[key] = mult.get(key, 0) + k
-        out._mult = mult
-        return out
+        return self._combined(other, 1, max(self.n, other.n))
 
     def __sub__(self, other: "Multigraph") -> "Multigraph":
         """Multiplicity-arithmetic difference, never below zero."""
-        out = Multigraph(self.n)
-        mult = {}
-        for key, k in self._mult.items():
-            r = k - other._mult.get(key, 0)
-            if r > 0:
-                mult[key] = r
-        out._mult = mult
-        return out
+        return self._combined(other, -1, self.n)
+
+    def _combined(self, other: "Multigraph", sign: int, n: int
+                  ) -> "Multigraph":
+        """The n-vertex multigraph of the edges whose multiplicity in self
+        plus ``sign`` times that in other is positive.  Both are keyed on
+        base max(self.n, other.n), so that no two edges share a key."""
+        base = max(self.n, other.n, 1)
+        us = np.concatenate((self._us, other._us))
+        vs = np.concatenate((self._vs, other._vs))
+        keys, where = np.unique(us * base + vs, return_inverse=True)
+        total = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(total, where, np.concatenate((self._ks, sign * other._ks)))
+        keep = total > 0
+        return Multigraph.from_key_arrays(n, keys[keep] // base,
+                                          keys[keep] % base, total[keep])
 
     def restrict(self, vertices: Iterable[int]) -> "Multigraph":
-        """Subgraph induced on the given vertex set (same vertex ids)."""
-        vs = set(vertices)
-        out = Multigraph(self.n)
-        out._mult = {key: k for key, k in self._mult.items()
-                     if key[0] in vs and key[1] in vs}
-        return out
-
-    def edges_between(self, left: Iterable[int], right: Iterable[int]) -> int:
-        """e(L, R) for disjoint L, R, with multiplicity."""
-        ls, rs = set(left), set(right)
-        return sum(k for (u, v), k in self._mult.items()
-                   if (u in ls and v in rs) or (u in rs and v in ls))
+        """Subgraph induced on the given vertex set (same vertex ids);
+        vertices outside 0..n-1 are ignored."""
+        inside = np.zeros(self.n, dtype=bool)
+        inside[np.array([v for v in set(vertices) if 0 <= v < self.n],
+                        dtype=np.intp)] = True
+        keep = inside[self._us] & inside[self._vs]
+        return Multigraph.from_key_arrays(self.n, self._us[keep],
+                                          self._vs[keep], self._ks[keep])
 
     def is_submultigraph_of(self, other: "Multigraph") -> bool:
-        return all(other._mult.get(key, 0) >= k
-                   for key, k in self._mult.items())
+        return (self - other).edge_count() == 0
 
     def is_simple(self) -> bool:
-        return all(k == 1 for k in self._mult.values())
+        return bool((self._ks == 1).all())
 
     # -- structural predicates -------------------------------------------
 
     def is_matching(self) -> bool:
-        seen: set[int] = set()
-        for (u, v), k in self._mult.items():
-            if k != 1 or u in seen or v in seen:
-                return False
-            seen.add(u)
-            seen.add(v)
-        return True
+        ends = np.concatenate((self._us, self._vs))
+        return self.is_simple() and np.unique(ends).size == ends.size
 
     def _walk_paths(self) -> list[list[int]] | None:
         """The maximal paths as vertex lists, each walked from its smaller
@@ -185,7 +186,10 @@ class Multigraph:
         union of simple paths."""
         if not self.is_simple():
             return None
-        adj = self._adjacency()
+        adj: dict[int, list[int]] = {}
+        for u, v in self.support():
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         if any(len(row) > 2 for row in adj.values()):
             return None
         out = []
@@ -219,7 +223,8 @@ class Multigraph:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Multigraph) and self.n == other.n
-                and self._mult == other._mult)
+                and all(map(np.array_equal, self.key_arrays(),
+                            other.key_arrays())))
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, e={self.edge_count()})"
@@ -245,41 +250,22 @@ class Host:
         repeated edges add up.  Raises MalformedInput on a loop, an end
         outside 0..n-1, or a multiplicity, single or summed, outside
         1..MAX_HOST_MULTIPLICITY."""
-        if n < 0:
-            raise MalformedInput("vertex count must be nonnegative")
-        try:
-            arr = np.array(list(edges), dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            arr = None
-        if arr is None or (len(arr) and arr.shape[1:] != (3,)):
-            raise MalformedInput("every edge must be a triple (u, v, k) of "
-                                 "int64 values")
-        u, v, k = arr.reshape(-1, 3).T
-        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if bad.any():
-            raise MalformedInput(f"edge {arr[bad.argmax()].tolist()} outside "
-                                 f"0..{n - 1}")
-        if (u == v).any():
-            raise MalformedInput(f"loop at vertex {u[(u == v).argmax()]} "
-                                 f"not allowed")
-        bad = (k < 1) | (k > MAX_HOST_MULTIPLICITY)
-        if bad.any():
+        arr = _edge_array(list(edges), "a triple (u, v, k)")
+        # before the sums, so that one entry above the bound is named
+        big = arr[:, 2] > MAX_HOST_MULTIPLICITY
+        if big.any():
             raise MalformedInput(
-                f"multiplicity of edge {arr[bad.argmax()].tolist()} outside "
+                f"multiplicity of edge {arr[big.argmax()].tolist()} outside "
                 f"1..{MAX_HOST_MULTIPLICITY}")
-        keys, where = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
-                                return_inverse=True)
-        total = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(total, where, k)
-        if (total > MAX_HOST_MULTIPLICITY).any():
-            i = total.argmax()
+        us, vs, ks = _summed_edges(n, arr)
+        if (ks > MAX_HOST_MULTIPLICITY).any():
+            i = ks.argmax()
             raise MalformedInput(
-                f"edge ({keys[i] // n},{keys[i] % n}) repeated to "
-                f"multiplicity {total[i]} > {MAX_HOST_MULTIPLICITY}")
+                f"edge ({us[i]},{vs[i]}) repeated to multiplicity {ks[i]} > "
+                f"{MAX_HOST_MULTIPLICITY}")
         mat = np.zeros((n, n), dtype=np.uint8)
-        lo, hi = keys // n, keys % n
-        mat[lo, hi] = total
-        mat[hi, lo] = total
+        mat[us, vs] = ks
+        mat[vs, us] = ks
         self._wrap(mat)
 
     @classmethod

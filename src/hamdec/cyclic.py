@@ -24,7 +24,7 @@ from .classic import (bipartite_hamilton_decompose, pack_rows, pair_matrix,
                       peel_matchings, regular_bipartite_to_matchings,
                       regular_spanning_subgraph, walecki_decompose)
 from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterCycle,
-                   ClusterPartition, Digraph, Multigraph,
+                   ClusterPartition, Digraph, Host, Multigraph,
                    OrderedDirectedMatching, derive_seed)
 from .errors import InvalidParameter, MalformedInput, SamplingFailed
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
@@ -117,8 +117,8 @@ class SuperregularityReport:
 EXHAUSTIVE_REG1_LIMIT = 12
 
 
-def check_superregular(graph: Multigraph, left, right, eps: float, d: float,
-                       d_star: float, c: float, mode: str = "auto",
+def check_superregular(graph: Host | Multigraph, left, right, eps: float,
+                       d: float, d_star: float, c: float, mode: str = "auto",
                        trials: int = 200, rng: random.Random | None = None
                        ) -> SuperregularityReport:
     """Verify the four sparse-superregularity conditions on a bipartite
@@ -586,7 +586,7 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
     return [cols[p * degree:(p + 1) * degree] for p in range(parts)]
 
 
-def sysdecom(g: Multigraph, partition: ClusterPartition,
+def sysdecom(g: Host, partition: ClusterPartition,
              systems: list[ExceptionalSystem],
              reductions: list[FictiveReduction] | None = None,
              mu: float = 0.0, rho: float = 0.1, seed: int = 0
@@ -670,7 +670,7 @@ def _split_cells(systems: list, n_slices: int, offset: Callable
             for pos, (cell, idxs) in enumerate(sorted(cells.items()))}
 
 
-def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
+def _cyclic_slices(g: Host, side: str, q: ClusterPartition,
                    cycles: list[ClusterCycle], pairs: list[tuple],
                    cell_split: dict[tuple, list[list[int]]],
                    reductions: list[FictiveReduction], matching: str,
@@ -723,7 +723,7 @@ def _cyclic_slices(g: Multigraph, side: str, q: ClusterPartition,
     return slices
 
 
-def sysdecombip(g: Multigraph, partition: ClusterPartition,
+def sysdecombip(g: Host, partition: ClusterPartition,
                 systems: list[BalancedExceptionalSystem],
                 reductions: list[FictiveReduction] | None = None,
                 mu: float = 0.0, rho: float = 0.1, seed: int = 0

@@ -341,7 +341,7 @@ def _spliced(orders: Sequence[Sequence[int]], system, reduction
         raise MalformedInput(f"cycle vertex outside 0..{P.n - 1}")
     parts = [np.minimum(tails, heads) * n + np.maximum(tails, heads)]
     for g in (reduction.jstar, system.graph):
-        us, vs, ks = g._key_arrays()
+        us, vs, ks = g.key_arrays()
         parts.append(np.repeat(us * n + vs, ks))
     keys, where = np.unique(np.concatenate(parts), return_inverse=True)
     bounds = np.cumsum([part.size for part in parts[:2]])
@@ -349,8 +349,8 @@ def _spliced(orders: Sequence[Sequence[int]], system, reduction
                         for w in np.split(where, bounds))
     total = np.maximum(cycle - cut, 0) + join
     keep = total > 0
-    return Multigraph._from_key_arrays(n, keys[keep] // n, keys[keep] % n,
-                                       total[keep])
+    return Multigraph.from_key_arrays(n, keys[keep] // n, keys[keep] % n,
+                                      total[keep])
 
 
 def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
@@ -372,7 +372,7 @@ def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
     if system.kind == KIND_HES:
         ok = verify_hamilton_cycle(result, a_pr + b_pr)
     else:
-        us, vs, _ks = result._key_arrays()
+        us, vs, _ks = result.key_arrays()
         a_mask = vertex_mask(a_pr, result.n)
         b_mask = vertex_mask(b_pr, result.n)
         # both masks exist once both cycles check out

@@ -320,7 +320,7 @@ def _thinned_pair_block(cfg: InstanceConfig, rng: random.Random
 
 def _add_graph(mat: np.ndarray, graph: Multigraph) -> None:
     """Add the edges of a sparse graph to the symmetric matrix ``mat``."""
-    us, vs, ks = graph._key_arrays()
+    us, vs, ks = graph.key_arrays()
     mat[us, vs] += ks.astype(np.uint8)
     mat[vs, us] += ks.astype(np.uint8)
 
@@ -687,7 +687,7 @@ def _decompose(spec: ModeSpec, host: Host, partition: ClusterPartition,
         except HamdecError as e:
             raise PipelineError("splice", e, slot=idx, seed=seed) from e
         # the splice lists the distinct edges in sorted order
-        us, vs, _ks = spanning._key_arrays()
+        us, vs, _ks = spanning.key_arrays()
         edges = vertex[np.stack((us, vs), axis=1)].tolist()
         slots.append({
             "es_index": idx,

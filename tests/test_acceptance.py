@@ -111,7 +111,7 @@ def test_criterion_03_regular_subgraph_flow():
             s1, s2, r = (exc.witness["S1"], exc.witness["S2"],
                          exc.witness["r"])
             rbar = [v for v in right if v not in set(s2)]
-            e_val = g.edges_between(s1, rbar)
+            e_val = int(pair_matrix(g, s1, rbar).sum())
             assert e_val < r * (len(s1) - len(s2)), "invalid cut witness"
             witness_failures += 1
     assert witness_failures == 20

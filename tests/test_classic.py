@@ -13,6 +13,7 @@ from hamdec.classic import (bipartite_hamilton_decompose, hopcroft_karp,
 from hamdec.core import Multigraph
 from hamdec.errors import (DegreeHypothesisViolated, InvalidParameter,
                            MatchingInfeasible)
+from test_reference import RefMultigraph
 
 
 def cycle_edges(cluster_cycle):
@@ -90,7 +91,9 @@ def sub_graph(n, sub, left, right):
 
 def reference_pair_matrix(graph, left, right):
     """pair_matrix as it was when it read the adjacency rows of ``left``,
-    kept frozen here so that the dense cache must give the same matrix."""
+    kept frozen here so that the dense cache must give the same matrix;
+    it reads the graph as the frozen dict multigraph."""
+    graph = RefMultigraph(graph.n, graph.edges())
     col = np.full(graph.n, -1, dtype=np.intp)
     col[list(right)] = np.arange(len(right))
     adj = graph._adjacency()
@@ -177,7 +180,8 @@ class TestRegularSpanningSubgraph:
                                       right, 0.1, 0.2)
         w = exc.value.witness
         s1, s2, r = w["S1"], w["S2"], w["r"]
-        e_val = g.edges_between(s1, [v for v in right if v not in set(s2)])
+        rbar = [v for v in right if v not in set(s2)]
+        e_val = int(pair_matrix(g, s1, rbar).sum())
         assert e_val == w["e(S1,~S2)"]
         assert e_val < r * (len(s1) - len(s2))
 

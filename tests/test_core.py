@@ -40,6 +40,16 @@ class TestMultigraph:
         with pytest.raises(MalformedInput):
             Multigraph(3, [(1, 1)])
 
+    @pytest.mark.parametrize("n,edges,message", [
+        (3037000500, [], "vertices overflow"),
+        (3, [(0, 1, 2 ** 62), (1, 0, 2 ** 62)], "may overflow"),
+    ], ids=["keys", "sum"])
+    def test_int64_bounds(self, n, edges, message):
+        # the largest key is n * n - 1, and the sum takes one int64
+        assert Multigraph(3037000499, [(0, 3037000498)]).edge_count() == 1
+        with pytest.raises(MalformedInput, match=message):
+            Multigraph(n, edges)
+
     def test_path_system_detection(self):
         assert Multigraph(5, [(0, 1), (1, 2), (3, 4)]).is_path_system()
         assert not Multigraph(3, [(0, 1), (1, 2), (0, 2)]).is_path_system()

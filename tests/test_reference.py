@@ -1,9 +1,12 @@
-"""Differential tests of the array cycle kernel, the array verifier and
-its one-text slot reader, the array splices, the one-walk structure
-walkers and the matrix host (generator and instance files) against
-frozen copies of the versions they replaced.
+"""Differential tests of the array multigraph, the array cycle kernel,
+the array verifier and its one-text slot reader, the array splices, the
+one-walk structure walkers and the matrix host (generator and instance
+files) against frozen copies of the versions they replaced.
 
-The references below are the earlier ``core.verify_hamilton_cycle``,
+The references below are the dict ``Multigraph`` (as ``RefMultigraph``,
+which every other reference uses in its place: each converts the
+multigraphs it is given on entry); the earlier
+``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
 ``pipeline.verify_certificate`` (with its slot reader and matching
 split), kept verbatim apart from inlining ``Multigraph.edges_inside`` and
@@ -26,10 +29,12 @@ verifier also leaves ``params.eps0`` out of ``instance_match``, so the
 mutations leave the params alone.
 """
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -69,6 +74,211 @@ from hamdec.pipeline import (DecompositionCertificate, InstanceConfig,
 # -- frozen references --------------------------------------------------------
 
 
+def _norm_pair(u: int, v: int) -> tuple[int, int]:
+    if u == v:
+        raise MalformedInput(f"loop at vertex {u} not allowed")
+    return (u, v) if u < v else (v, u)
+
+
+class RefMultigraph:
+    """``core.Multigraph`` as it was when it kept its edges in a dict,
+    verbatim apart from its name and the constructor from key arrays,
+    which only the splices called."""
+
+    __slots__ = ("n", "_mult", "_adj", "_keys")
+
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise MalformedInput("vertex count must be nonnegative")
+        self.n = n
+        mult: dict[tuple[int, int], int] = {}
+        for e in edges:
+            if len(e) == 2:
+                u, v = e
+                k = 1
+            else:
+                u, v, k = e
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedInput(f"edge {e} outside 0..{n - 1}")
+            if k < 1:
+                raise MalformedInput(f"multiplicity {k} < 1 in edge {e}")
+            key = _norm_pair(u, v)
+            mult[key] = mult.get(key, 0) + k
+        self._mult = mult
+        self._adj: dict[int, dict[int, int]] | None = None
+        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    # -- basic accessors -------------------------------------------------
+
+    def edge_count(self) -> int:
+        """e(G): number of edges counted with multiplicity."""
+        return sum(self._mult.values())
+
+    def support(self):
+        """Distinct edges, ignoring multiplicity, in sorted order."""
+        return iter(sorted(self._mult))
+
+    def edges(self):
+        """(u, v, multiplicity) triples in sorted order."""
+        for (u, v) in sorted(self._mult):
+            yield (u, v, self._mult[(u, v)])
+
+    def _adjacency(self) -> dict[int, dict[int, int]]:
+        if self._adj is None:
+            adj: dict[int, dict[int, int]] = {}
+            for (u, v), k in self._mult.items():
+                adj.setdefault(u, {})[v] = k
+                adj.setdefault(v, {})[u] = k
+            self._adj = adj
+        return self._adj
+
+    def _key_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 arrays (us, vs, ks) of the distinct edges (u < v) and
+        their multiplicities, built once and read-only."""
+        if self._keys is None:
+            count = len(self._mult)
+            us, vs = np.fromiter(chain.from_iterable(self._mult),
+                                 dtype=np.int64,
+                                 count=2 * count).reshape(-1, 2).T
+            ks = np.fromiter(self._mult.values(), dtype=np.int64, count=count)
+            for arr in (us, vs, ks):
+                arr.flags.writeable = False
+            self._keys = us, vs, ks
+        return self._keys
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 arrays (lo, hi), lo < hi, with one entry per edge counted
+        with multiplicity."""
+        us, vs, ks = self._key_arrays()
+        return np.repeat(us, ks), np.repeat(vs, ks)
+
+    def degree(self, v: int) -> int:
+        return sum(self._adjacency().get(v, {}).values())
+
+    def covered_vertices(self) -> set[int]:
+        """Vertices incident with at least one edge."""
+        out: set[int] = set()
+        for (u, v) in self._mult:
+            out.add(u)
+            out.add(v)
+        return out
+
+    # -- arithmetic (section-2 style G+H / G-H) --------------------------
+
+    def __add__(self, other: "RefMultigraph") -> "RefMultigraph":
+        n = max(self.n, other.n)
+        out = RefMultigraph(n)
+        mult = dict(self._mult)
+        for key, k in other._mult.items():
+            mult[key] = mult.get(key, 0) + k
+        out._mult = mult
+        return out
+
+    def __sub__(self, other: "RefMultigraph") -> "RefMultigraph":
+        """Multiplicity-arithmetic difference, never below zero."""
+        out = RefMultigraph(self.n)
+        mult = {}
+        for key, k in self._mult.items():
+            r = k - other._mult.get(key, 0)
+            if r > 0:
+                mult[key] = r
+        out._mult = mult
+        return out
+
+    def restrict(self, vertices) -> "RefMultigraph":
+        """Subgraph induced on the given vertex set (same vertex ids)."""
+        vs = set(vertices)
+        out = RefMultigraph(self.n)
+        out._mult = {key: k for key, k in self._mult.items()
+                     if key[0] in vs and key[1] in vs}
+        return out
+
+    def edges_between(self, left, right) -> int:
+        """e(L, R) for disjoint L, R, with multiplicity."""
+        ls, rs = set(left), set(right)
+        return sum(k for (u, v), k in self._mult.items()
+                   if (u in ls and v in rs) or (u in rs and v in ls))
+
+    def is_submultigraph_of(self, other: "RefMultigraph") -> bool:
+        return all(other._mult.get(key, 0) >= k
+                   for key, k in self._mult.items())
+
+    def is_simple(self) -> bool:
+        return all(k == 1 for k in self._mult.values())
+
+    # -- structural predicates -------------------------------------------
+
+    def is_matching(self) -> bool:
+        seen: set[int] = set()
+        for (u, v), k in self._mult.items():
+            if k != 1 or u in seen or v in seen:
+                return False
+            seen.add(u)
+            seen.add(v)
+        return True
+
+    def _walk_paths(self) -> list[list[int]] | None:
+        """The maximal paths as vertex lists, each walked from its smaller
+        end and listed by it, or None unless the graph is a vertex-disjoint
+        union of simple paths."""
+        if not self.is_simple():
+            return None
+        adj = self._adjacency()
+        if any(len(row) > 2 for row in adj.values()):
+            return None
+        out = []
+        far_ends: set[int] = set()
+        for end in sorted(v for v, row in adj.items() if len(row) == 1):
+            if end in far_ends:
+                continue
+            path = [end, *adj[end]]
+            while len(adj[path[-1]]) == 2:
+                a, b = adj[path[-1]]
+                path.append(b if a == path[-2] else a)
+            far_ends.add(path[-1])
+            out.append(path)
+        # a cycle component has no end, so its vertices stay unwalked
+        return out if sum(map(len, out)) == len(adj) else None
+
+    def is_path_system(self) -> bool:
+        """True iff the graph is a vertex-disjoint union of (simple) paths."""
+        return self._walk_paths() is not None
+
+    def paths(self) -> list[list[int]]:
+        """Decompose a path system into its maximal paths (as vertex lists).
+
+        Isolated covered vertices do not occur (an edgeless vertex is not
+        stored); callers that track trivial paths keep a separate vertex set.
+        """
+        out = self._walk_paths()
+        if out is None:
+            raise MalformedInput("not a path system")
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RefMultigraph) and self.n == other.n
+                and self._mult == other._mult)
+
+    def __repr__(self):
+        return f"RefMultigraph(n={self.n}, e={self.edge_count()})"
+
+
+def _frozen(g) -> RefMultigraph:
+    """g as a RefMultigraph: how every reference reads a multigraph."""
+    return g if isinstance(g, RefMultigraph) else RefMultigraph(g.n,
+                                                                g.edges())
+
+
+def _edge_lists(out):
+    """An outcome with each multigraph in it as its n and edge list, so
+    that the outcomes of a function and of its reference compare."""
+    if isinstance(out, tuple):
+        return tuple(map(_edge_lists, out))
+    if isinstance(out, (Multigraph, RefMultigraph)):
+        return out.n, list(out.edges())
+    return out
+
+
 def ref_verify_hamilton_cycle(g, vertex_set) -> bool:
     vs = set(vertex_set)
     if not vs:
@@ -92,7 +302,7 @@ def ref_verify_hamilton_cycle(g, vertex_set) -> bool:
             cur = nxt[cur]
             steps += 1
         return steps == len(vs)
-    sub = g.restrict(vs)
+    sub = _frozen(g).restrict(vs)
     if sub.edge_count() != len(vs):
         return False
     if len(vs) == 1:
@@ -128,7 +338,8 @@ def ref_cycle_vertex_order(cycle: Digraph, vertex_set) -> list[int]:
     return order
 
 
-def ref_cycle_to_perfect_matchings(g: Multigraph, vertex_set):
+def ref_cycle_to_perfect_matchings(g, vertex_set):
+    g = _frozen(g)
     vs = set(vertex_set)
     if not ref_verify_hamilton_cycle(g, vs) or len(vs) % 2 != 0:
         raise MalformedInput("need a Hamilton cycle on an even vertex set")
@@ -148,10 +359,10 @@ def ref_cycle_to_perfect_matchings(g: Multigraph, vertex_set):
         order.append(nxt)
         prev, cur = cur, nxt
     edges = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
-    return Multigraph(g.n, edges[0::2]), Multigraph(g.n, edges[1::2])
+    return RefMultigraph(g.n, edges[0::2]), RefMultigraph(g.n, edges[1::2])
 
 
-def _ref_edges_inside(g: Multigraph, vertices) -> int:
+def _ref_edges_inside(g: RefMultigraph, vertices) -> int:
     vs = set(vertices)
     return sum(k for (u, v), k in g._mult.items() if u in vs and v in vs)
 
@@ -166,12 +377,12 @@ def _ref_read_slot(slot: dict, n: int):
         edges = [tuple(e) for e in slot["edges"]]
         if not all(type(e[0]) is int and type(e[1]) is int for e in edges):
             return None
-        return slot["kind"], Multigraph(n, edges)
+        return slot["kind"], RefMultigraph(n, edges)
     except (KeyError, TypeError, ValueError, IndexError, MalformedInput):
         return None
 
 
-def _ref_splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:
+def _ref_splits_into_matchings(sub: RefMultigraph, a_pr, b_pr) -> bool:
     try:
         m1a, m2a = ref_cycle_to_perfect_matchings(sub.restrict(a_pr), a_pr)
         m1b, m2b = ref_cycle_to_perfect_matchings(sub.restrict(b_pr), b_pr)
@@ -182,7 +393,8 @@ def _ref_splits_into_matchings(sub: Multigraph, a_pr, b_pr) -> bool:
 
 
 def ref_verify_certificate(host, partition, systems, cert) -> dict:
-    host = Multigraph(host.n, host.edges())
+    host = RefMultigraph(host.n, host.edges())
+    graphs = [_frozen(es.graph) for es in systems]
     all_vertices = set(partition.vertices())
     a_pr = set(partition.A_prime)
     b_pr = set(partition.B_prime)
@@ -205,7 +417,7 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
         es = systems[idx]
         verdicts = {}
         verdicts["in_host"] = sub.is_submultigraph_of(host)
-        verdicts["contains_system"] = es.graph.is_submultigraph_of(sub)
+        verdicts["contains_system"] = graphs[idx].is_submultigraph_of(sub)
         if "edges_sha256" in slot:
             verdicts["hash_ok"] = slot["edges_sha256"] == ref_edge_hash(
                 slot["edges"])
@@ -230,9 +442,9 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
             failures.append(idx)
         slot_reports.append(verdicts)
         used_edges.extend(sub.edges())
-        coverage_edges += sub.edge_count() - es.graph.edge_count()
+        coverage_edges += sub.edge_count() - graphs[idx].edge_count()
     failures += [idx for idx, count in enumerate(slot_counts) if count != 1]
-    usage = Multigraph(host.n, used_edges)
+    usage = RefMultigraph(host.n, used_edges)
     edge_disjoint = usage.is_submultigraph_of(host) and usage.is_simple()
     if partition.mode == MODE_TWO_CLIQUES:
         denom = (_ref_edges_inside(host, partition.A)
@@ -261,7 +473,8 @@ def ref_verify_certificate(host, partition, systems, cert) -> dict:
     return {"slots": slot_reports, "global": global_report}
 
 
-def ref_is_path_system(g: Multigraph) -> bool:
+def ref_is_path_system(g) -> bool:
+    g = _frozen(g)
     if not g.is_simple():
         return False
     adj = g._adjacency()
@@ -289,7 +502,8 @@ def ref_is_path_system(g: Multigraph) -> bool:
     return True
 
 
-def ref_paths(g: Multigraph) -> list[list[int]]:
+def ref_paths(g) -> list[list[int]]:
+    g = _frozen(g)
     if not ref_is_path_system(g):
         raise MalformedInput("not a path system")
     adj = g._adjacency()
@@ -426,6 +640,122 @@ def ref_check_input_cycle(cycle: Digraph, vertices: set[int], matching,
                             f"matching")
 
 
+# -- the multigraph on its key arrays ----------------------------------------
+
+
+@st.composite
+def multigraph_cases(draw):
+    """(n, edges): n in 0..7 and up to 8 edges on it, as pairs and as
+    triples of multiplicity 1-3, repeats allowed; empty when n < 2."""
+    n = draw(st.integers(0, 7))
+    if n < 2:
+        return n, []
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                    unique=True)
+    edge = ends.map(tuple) | st.tuples(ends, st.integers(1, 3)).map(
+        lambda e: (*e[0], e[1]))
+    return n, draw(st.lists(edge, max_size=8))
+
+
+@st.composite
+def multigraph_pairs(draw):
+    """Two (n, edges) cases and a vertex set that may name vertices
+    outside 0..n-1.  The second case is sometimes the first's edges
+    written otherwise (in reverse, ends swapped, each as a triple) on the
+    same or one more vertex."""
+    first = draw(multigraph_cases())
+    if draw(st.booleans()):
+        n, edges = first
+        second = (n + draw(st.integers(0, 1)),
+                  [(e[1], e[0], e[2] if len(e) == 3 else 1)
+                   for e in reversed(edges)])
+    else:
+        second = draw(multigraph_cases())
+    return first, second, draw(st.sets(st.integers(-2, 9)))
+
+
+def _assert_same_multigraph(g: Multigraph, ref: RefMultigraph) -> None:
+    """Every reader of g gives what the reference's gives, in its order."""
+    assert g.n == ref.n
+    assert list(g.support()) == list(ref.support())
+    assert list(g.edges()) == list(ref.edges())
+    assert g.edge_count() == ref.edge_count()
+    # the reference lists these in the order the edges first came
+    pairs = list(zip(*(a.tolist() for a in g.edge_arrays())))
+    assert pairs == sorted(zip(*(a.tolist() for a in ref.edge_arrays())))
+    vertices = range(-1, g.n + 2)
+    assert [g.degree(v) for v in vertices] == [ref.degree(v) for v in vertices]
+    assert g.covered_vertices() == ref.covered_vertices()
+    assert g.is_simple() is ref.is_simple()
+    assert g.is_matching() is ref.is_matching()
+    assert g.is_path_system() is ref.is_path_system()
+    assert _outcome(Multigraph.paths, g) == _outcome(RefMultigraph.paths, ref)
+
+
+MALFORMED_EDGES = ("loop", "outside", "multiplicity", "one-entry",
+                   "four-entries")
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """(n, edges, kind): a valid edge list with one edge of a
+    MALFORMED_EDGES kind put among its edges."""
+    n, edges = draw(multigraph_cases())
+    vertex = st.integers(0, max(n - 1, 0))
+    kind = draw(st.sampled_from(MALFORMED_EDGES))
+    if kind == "loop":
+        u = draw(vertex)
+        bad = draw(st.sampled_from([(u, u), (u, u, 2)]))
+    elif kind == "outside":
+        end = draw(st.sampled_from([-1, n, n + 2, 2 ** 70, -2 ** 70]))
+        bad = (draw(vertex), end)[::draw(st.sampled_from([1, -1]))]
+    elif kind == "multiplicity":
+        bad = (0, 1, draw(st.integers(-2, 0)))
+    elif kind == "one-entry":
+        bad = (draw(vertex),)
+    else:
+        bad = (0, 1, 1, 1)
+    edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges, kind
+
+
+class TestMultigraphMatchesReference:
+    @given(multigraph_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_every_method(self, case):
+        (n, edges), (n2, edges2), vertices = case
+        g, h = Multigraph(n, edges), Multigraph(n2, edges2)
+        ref_g, ref_h = RefMultigraph(n, edges), RefMultigraph(n2, edges2)
+        for new, ref in ((g, ref_g), (h, ref_h), (g + h, ref_g + ref_h),
+                         (h + g, ref_h + ref_g), (g - h, ref_g - ref_h),
+                         (h - g, ref_h - ref_g),
+                         (g.restrict(vertices), ref_g.restrict(vertices))):
+            _assert_same_multigraph(new, ref)
+        assert g.is_submultigraph_of(h) is ref_g.is_submultigraph_of(ref_h)
+        assert h.is_submultigraph_of(g) is ref_h.is_submultigraph_of(ref_g)
+        assert (g == h) is (ref_g == ref_h)
+
+    @given(malformed_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_edges(self, case):
+        n, edges, kind = case
+        with pytest.raises(MalformedInput):
+            Multigraph(n, edges)
+        # the reference unpacks an edge of 1 or 4 entries into (u, v, k)
+        with pytest.raises(ValueError if kind in ("one-entry", "four-entries")
+                           else MalformedInput):
+            RefMultigraph(n, edges)
+
+    def test_subtraction_keys_on_both_vertex_counts(self):
+        # keyed on self.n = 3, the edge (0, 5) of the 6-vertex graph
+        # would share the key 0 * 3 + 5 = 1 * 3 + 2 with (1, 2)
+        g = Multigraph(3, [(1, 2)])
+        h = Multigraph(6, [(0, 5)])
+        assert list((g - h).edges()) == [(1, 2, 1)]
+        assert (g - h).n == 3 and (h - g).n == 6
+        assert not g.is_submultigraph_of(h)
+
+
 # -- the cycle kernel ---------------------------------------------------------
 
 
@@ -471,8 +801,8 @@ class TestCycleKernelMatchesReference:
     def test_undirected(self, case):
         g, vs = case
         assert verify_hamilton_cycle(g, vs) is ref_verify_hamilton_cycle(g, vs)
-        assert _outcome(cycle_to_perfect_matchings, g, vs) == \
-            _outcome(ref_cycle_to_perfect_matchings, g, vs)
+        assert _edge_lists(_outcome(cycle_to_perfect_matchings, g, vs)) == \
+            _edge_lists(_outcome(ref_cycle_to_perfect_matchings, g, vs))
 
     @given(cycle_instances(directed=True))
     @settings(max_examples=300, deadline=None)
@@ -619,13 +949,13 @@ def ref_cycle_edges(order):
     return zip(order, chain(order[1:], order[:1]))
 
 
-def ref_splice_two_cliques(c_a, c_b, system, reduction) -> Multigraph:
+def ref_splice_two_cliques(c_a, c_b, system, reduction) -> RefMultigraph:
     P = system.partition
     _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
     _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
-    result = (Multigraph(P.n, chain(ref_cycle_edges(c_a),
-                                    ref_cycle_edges(c_b)))
-              - reduction.jstar + system.graph)
+    result = (RefMultigraph(P.n, chain(ref_cycle_edges(c_a),
+                                       ref_cycle_edges(c_b)))
+              - _frozen(reduction.jstar) + _frozen(system.graph))
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
         ok = ref_verify_hamilton_cycle(result, a_pr + b_pr)
@@ -639,11 +969,11 @@ def ref_splice_two_cliques(c_a, c_b, system, reduction) -> Multigraph:
     return result
 
 
-def ref_splice_bipartite(d, system, reduction) -> Multigraph:
+def ref_splice_bipartite(d, system, reduction) -> RefMultigraph:
     P = system.partition
     _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
-    result = Multigraph(P.n, ref_cycle_edges(d)) - reduction.jstar \
-        + system.graph
+    result = RefMultigraph(P.n, ref_cycle_edges(d)) \
+        - _frozen(reduction.jstar) + _frozen(system.graph)
     if not ref_verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")
@@ -783,12 +1113,9 @@ def _splice_outcome(splice, *args):
 
 
 def _assert_same_splice(out, ref) -> None:
-    assert out == ref
-    if isinstance(ref, Multigraph):
-        # the key arrays list the edges sorted, as _decompose reads them
-        us, vs, ks = out._key_arrays()
-        assert list(zip(us.tolist(), vs.tolist(), ks.tolist())) == \
-            list(ref.edges())
+    # the key arrays list the edges sorted, as _decompose reads them
+    assert isinstance(out, Multigraph) is isinstance(ref, RefMultigraph)
+    assert _edge_lists(out) == _edge_lists(ref)
 
 
 class TestSpliceMatchesReference:
@@ -808,9 +1135,9 @@ class TestSpliceMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_multiset_sum(self, case):
         orders, system, reduction = case
-        ref = Multigraph(system.partition.n, chain.from_iterable(
+        ref = RefMultigraph(system.partition.n, chain.from_iterable(
             ref_cycle_edges(order) for order in orders)) \
-            - reduction.jstar + system.graph
+            - _frozen(reduction.jstar) + _frozen(system.graph)
         _assert_same_splice(_spliced(orders, system, reduction), ref)
 
     @pytest.mark.parametrize("mode,a,b,orders,expected", [
@@ -945,9 +1272,9 @@ class TestWalkersMatchReference:
     ])
     def test_named_path_systems(self, edges, paths):
         g = Multigraph(6, edges)
-        assert g._walk_paths() == paths
-        assert _outcome(ref_paths, g) == ("raised" if paths is None
-                                          else paths)
+        expected = "raised" if paths is None else paths
+        assert _outcome(Multigraph.paths, g) == expected
+        assert _outcome(ref_paths, g) == expected
 
 
 # -- the verifier ---------------------------------------------------------------
@@ -965,9 +1292,10 @@ VERIFIER_CONFIGS = {
 
 
 @pytest.fixture(scope="module", params=sorted(VERIFIER_CONFIGS))
-def certified(request):
-    """The instance and certificate of a config, and the slots' edge lists
-    of the certificate of another instance of the same config."""
+def certified(request, tmp_path_factory):
+    """The instance and certificate of a config, the slots' edge lists
+    of the certificate of another instance of the same config, and the
+    path of an instance file of the first instance."""
     certs = []
     for seed in (VERIFIER_CONFIGS[request.param].seed,
                  VERIFIER_CONFIGS[request.param].seed + 1):
@@ -979,7 +1307,10 @@ def certified(request):
                          seed=cfg.seed)
         certs.append((host, P, systems, json.loads(cert.to_json())))
     foreign = [slot["edges"] for slot in certs[1][3]["slots"]]
-    return (*certs[0], foreign)
+    instance = tmp_path_factory.mktemp(request.param) / "instance.json"
+    _dump_instance(str(instance), VERIFIER_CONFIGS[request.param],
+                   *certs[0][:3])
+    return (*certs[0], foreign, instance)
 
 
 def _retyped(n: int, v: int) -> list:
@@ -1145,7 +1476,7 @@ class TestSlotReaderMatchesReference:
 
 class TestVerifierMatchesReference:
     def test_valid_certificate(self, certified):
-        host, P, systems, obj, _foreign = certified
+        host, P, systems, obj, _foreign, _instance = certified
         cert = DecompositionCertificate.from_json_obj(copy.deepcopy(obj))
         report = verify_certificate(host, P, systems, cert)
         assert report["global"]["all_ok"]
@@ -1157,7 +1488,7 @@ class TestVerifierMatchesReference:
     def test_cross_edge_in_a_matching_slot(self, certified):
         # an edge from B0 to A leaves both Hamilton cycles of an MES slot
         # intact; only the cross-edge check rejects it
-        host, P, systems, obj, _foreign = certified
+        host, P, systems, obj, _foreign, _instance = certified
         obj = copy.deepcopy(obj)
         slot = next(s for s in obj["slots"] if s["kind"] == "MES")
         slot["edges"] = slot["edges"] + [[P.b0[0], P.a_cluster(0)[0]]]
@@ -1173,7 +1504,7 @@ class TestVerifierMatchesReference:
            ops=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_mutated_certificate(self, certified, data, ops):
-        host, P, systems, obj, foreign = certified
+        host, P, systems, obj, foreign, _instance = certified
         obj = copy.deepcopy(obj)
         invalid = False
         for op in ops:
@@ -1185,9 +1516,29 @@ class TestVerifierMatchesReference:
         if invalid:
             assert not report["global"]["all_ok"]
 
+    @given(data=st.data(),
+           ops=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_certificate_through_the_cli(self, certified, data, ops):
+        host, P, systems, obj, foreign, instance = certified
+        obj = copy.deepcopy(obj)
+        invalid = False
+        for op in ops:
+            invalid |= _mutate(obj, op, data, host.n, foreign)
+        cert = instance.with_name("certificate.json")
+        cert.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["verify", str(instance), str(cert)])
+        verdict = json.loads(out.getvalue().splitlines()[-1])
+        assert "Traceback" not in err.getvalue()
+        assert code == (0 if verdict["all_ok"] else 1)
+        if invalid:
+            assert verdict["all_ok"] is False
+
     @pytest.mark.parametrize("whole_edge", [False, True])
     def test_each_retyped_entry(self, certified, whole_edge):
-        host, P, systems, obj, _foreign = certified
+        host, P, systems, obj, _foreign, _instance = certified
         v = obj["slots"][0]["edges"][0][1]
         for value in _retyped(host.n, v):
             mutated = copy.deepcopy(obj)
@@ -1206,7 +1557,7 @@ class TestVerifierMatchesReference:
     def test_empty_edge_lists_read_alike(self, certified, edges):
         # the reference reads an empty list, string or object as an
         # empty edge list, and so does the reader of the canonical text
-        host, P, systems, obj, _foreign = certified
+        host, P, systems, obj, _foreign, _instance = certified
         obj = copy.deepcopy(obj)
         obj["slots"][0]["edges"] = edges
         cert = DecompositionCertificate.from_json_obj(obj)
@@ -1245,14 +1596,14 @@ def ref_generate_two_cliques(cfg, partition, rng):
             xa = _take(pools, "A", i, 2)
             xb = _take(pools, "B", ip, 2)
             edges += [(xa[0], xb[0]), (xa[1], xb[1])]
-        graph = Multigraph(partition.n, edges)
+        graph = RefMultigraph(partition.n, edges)
         systems.append(ExceptionalSystem(partition, graph, eps0=cfg.eps0,
                                          locality=(i, ip)))
         j_edges_all += edges
     host_edges = list(j_edges_all)
     host_edges += ref_clique_side_edges(cfg, partition, "A", rng)
     host_edges += ref_clique_side_edges(cfg, partition, "B", rng)
-    return Multigraph(partition.n, host_edges), systems
+    return RefMultigraph(partition.n, host_edges), systems
 
 
 def ref_clique_side_edges(cfg, partition, side, rng):
@@ -1302,7 +1653,7 @@ def ref_generate_bipartite(cfg, partition, rng):
         for v0 in partition.b0:
             x, y = _take(pools, "B", i3, 1) + _take(pools, "B", i4, 1)
             edges += [(x, v0), (v0, y)]
-        graph = Multigraph(partition.n, edges)
+        graph = RefMultigraph(partition.n, edges)
         systems.append(BalancedExceptionalSystem(
             partition, graph, eps0=cfg.eps0, locality=(i1, i2, i3, i4)))
         j_edges_all += edges
@@ -1311,7 +1662,7 @@ def ref_generate_bipartite(cfg, partition, rng):
         for ip in range(K):
             host_edges += ref_thinned_pair_edges(
                 cfg, partition.a_cluster(i), partition.b_cluster(ip), rng)
-    return Multigraph(partition.n, host_edges), systems
+    return RefMultigraph(partition.n, host_edges), systems
 
 
 def ref_thinned_pair_edges(cfg, ci, cj, rng):
