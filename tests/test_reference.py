@@ -3,10 +3,9 @@ the array verifier and its one-text slot reader, the array splices, the
 one-walk structure walkers and the matrix host (generator and instance
 files) against frozen copies of the versions they replaced.
 
-The references below are the dict ``Multigraph`` (as ``RefMultigraph``,
-which every other reference uses in its place: each converts the
-multigraphs it is given on entry); the earlier
-``core.verify_hamilton_cycle``,
+The references below are the dict ``Multigraph`` as ``RefMultigraph``,
+which every other reference reads its multigraphs through, converting
+them on entry; the earlier ``core.verify_hamilton_cycle``,
 ``core.cycle_vertex_order``, ``core.cycle_to_perfect_matchings`` and
 ``pipeline.verify_certificate`` (with its slot reader and matching
 split), kept verbatim apart from inlining ``Multigraph.edges_inside`` and
@@ -20,7 +19,7 @@ splices (``exceptional._check_input_cycle`` with the
 for ``classic.regular_spanning_subgraph``, which once ran on a max-flow
 library; and the ``Multigraph`` sums of the two splices and the slot
 reader that scanned edge lists for types.  The reference verifier reads
-the host as a ``Multigraph`` of its edges, and computes the instance
+the host as a ``RefMultigraph`` of its edges, and computes the instance
 digest it checks from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
 ``[u, v, k]`` was read as an edge of multiplicity k, and is now
