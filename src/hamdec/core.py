@@ -168,9 +168,6 @@ class Multigraph:
         return Multigraph.from_key_arrays(self.n, self._us[keep],
                                           self._vs[keep], self._ks[keep])
 
-    def is_submultigraph_of(self, other: "Multigraph") -> bool:
-        return (self - other).edge_count() == 0
-
     def is_simple(self) -> bool:
         return bool((self._ks == 1).all())
 

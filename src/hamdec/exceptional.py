@@ -57,8 +57,13 @@ class _ExceptionalSystemBase:
                 f"{self.what}: edge endpoints outside V(J)")
         if not v0 <= self.vertices:
             raise InvalidExceptionalSystem("V0 not fully covered by V(J)")
+        # every degree in one pass over J's few edges
+        degree: dict[int, int] = {}
+        for u, v, k in self.graph.edges():
+            degree[u] = degree.get(u, 0) + k
+            degree[v] = degree.get(v, 0) + k
         for v in self.vertices:
-            d = self.graph.degree(v)
+            d = degree.get(v, 0)
             if v in v0:
                 if d != 2:
                     raise InvalidExceptionalSystem(

@@ -1177,8 +1177,8 @@ class TestOneWalkPerSystem:
         # validation walks J once and keeps its paths; the AB-path count,
         # J*_AB and the instance digest read them
         calls = []
-        walk = Multigraph.paths
-        monkeypatch.setattr(Multigraph, "paths",
+        walk = Multigraph._walk_paths
+        monkeypatch.setattr(Multigraph, "_walk_paths",
                             lambda g: calls.append(g) or walk(g))
         cfg = InstanceConfig(mode="two-cliques", K=3, m=24, a0_size=2,
                              b0_size=2, eps0=0.03, mu=0.0, rho=0.1,
