@@ -21,10 +21,8 @@ J = ExceptionalSystem(P, Multigraph(8, [(0, 6), (6, 3), (1, 7), (7, 4)]))
 print(f"J is a {J.kind} with {J.count_ab_paths()} cross connections")
 
 red = build_fictive_two_cliques(J)
-print(f"fictive edges on the A side: {sorted(red.ja.support())} "
-      f"(ordered arcs {red.ja_dir.arcs})")
-print(f"fictive edges on the B side: {sorted(red.jb.support())} "
-      f"(ordered arcs {red.jb_dir.arcs})")
+print(f"ordered fictive arcs on the A side: {red.ja_dir.arcs}")
+print(f"ordered fictive arcs on the B side: {red.jb_dir.arcs}")
 
 # Hamilton cycles on A and B consistent with the ordered fictive arcs,
 # each given as its vertex order: C_A is 0 -> 1 -> 2 -> 0

@@ -18,8 +18,8 @@ from .classic import (bipartite_hamilton_decompose, pair_matrix,
                       regular_spanning_subgraph, walecki_decompose)
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                           FictiveReduction, build_fictive_bipartite,
-                          build_fictive_two_cliques, induce_jab,
-                          splice_bipartite, splice_two_cliques)
+                          build_fictive_two_cliques, splice_bipartite,
+                          splice_two_cliques)
 from .cyclic import (CyclicSystem, SuperregularityReport,
                      check_robust_outexpander, check_superregular,
                      reserve_regular, reserve_sparse, sysdecom, sysdecombip)
@@ -46,7 +46,7 @@ __all__ = [
     "build_fictive_two_cliques", "check_robust_outexpander",
     "check_superregular", "cycle_to_perfect_matchings", "errors",
     "extend_to_one_factors", "generate_instance",
-    "induce_jab", "is_consistent_with", "is_locally_balanced",
+    "is_consistent_with", "is_locally_balanced",
     "merge_to_hamilton", "pair_matrix", "regular_bipartite_to_matchings",
     "regular_spanning_subgraph", "reorder_for_consistency", "reserve_regular",
     "reserve_sparse", "splice_bipartite", "splice_two_cliques",

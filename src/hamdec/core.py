@@ -72,7 +72,8 @@ class Multigraph:
     key arrays: the distinct edges (us[i], vs[i]), us < vs, in sorted
     order, and their multiplicities ks[i] >= 1.  Loops are rejected.  The
     constructor parses its edge list through ``_summed_edges``, as
-    ``Host`` does.
+    ``Host`` does.  ``+`` has no library caller; it stays because
+    ``bench/tracing.py`` wraps it by name.
     """
 
     __slots__ = ("n", "_us", "_vs", "_ks")

@@ -28,8 +28,7 @@ from .core import (MODE_BIPARTITE, MODE_TWO_CLIQUES, ClusterCycle,
                    OrderedDirectedMatching, derive_seed)
 from .errors import InvalidParameter, MalformedInput, SamplingFailed
 from .exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
-                          FictiveReduction, build_fictive_bipartite,
-                          build_fictive_two_cliques)
+                          FictiveReduction)
 
 
 @dataclass
@@ -273,7 +272,7 @@ def check_robust_outexpander(d: Digraph, nu: float, tau: float,
     rng = rng or random.Random(0)
     pos = {v: i for i, v in enumerate(verts)}
     in_mask = [0] * n
-    for (u, v) in d._arcs:
+    for (u, v) in d.arcs():
         if u in pos and v in pos:
             in_mask[pos[v]] |= 1 << pos[u]
     need = nu * n
@@ -588,7 +587,7 @@ def _extract_regular_parts(res: np.ndarray, left, right, parts: int,
 
 def sysdecom(g: Host, partition: ClusterPartition,
              systems: list[ExceptionalSystem],
-             reductions: list[FictiveReduction] | None = None,
+             reductions: list[FictiveReduction],
              mu: float = 0.0, rho: float = 0.1, seed: int = 0
              ) -> tuple[list[SliceSide], list[SliceSide], DecompositionQuotas]:
     """Decompose G[A] and G[B] into (K-1)/2 oriented blown-up Hamilton
@@ -607,8 +606,8 @@ def sysdecom(g: Host, partition: ClusterPartition,
     if K % 2 == 0:
         raise InvalidParameter("two-cliques mode needs odd K")
     n_slices = (K - 1) // 2
-    if reductions is None:
-        reductions = [build_fictive_two_cliques(j) for j in systems]
+    if any(red.ja_dir is None for red in reductions):
+        raise InvalidParameter("two-cliques reductions required")
 
     max_matching = max((max(len(r.ja_dir), len(r.jb_dir))
                         for r in reductions), default=0)
@@ -623,25 +622,23 @@ def sysdecom(g: Host, partition: ClusterPartition,
     cell_split = _split_cells(systems, n_slices,
                               lambda pos, cell: cell[0] * K + cell[1])
 
-    for red in reductions:
-        if red.ja_dir is None:
-            raise InvalidParameter("two-cliques reductions required")
-        bound = quotas.matching_size_bound
-        if len(red.ja_dir) > bound or len(red.jb_dir) > bound:
-            raise InvalidParameter(
-                f"fictive matching larger than 5*K*sqrt(eps0)*m = {bound:.2f}")
+    bound = quotas.matching_size_bound
+    if max_matching > bound:
+        raise InvalidParameter(
+            f"fictive matching larger than 5*K*sqrt(eps0)*m = {bound:.2f}")
 
     cycles = walecki_decompose(K)
     sides = []
-    for side, q, cell_pos, matching in (
-            ("A", partition.a_side_equipartition(), 0, "ja_dir"),
-            ("B", partition.b_side_equipartition(), 1, "jb_dir")):
+    for side, q, cell_pos, matchings in (
+            ("A", partition.a_side_equipartition(), 0,
+             [red.ja_dir for red in reductions]),
+            ("B", partition.b_side_equipartition(), 1,
+             [red.jb_dir for red in reductions])):
         # reserves per unordered cluster pair of this side
         pairs = [(i, ip, q.cluster(i), q.cluster(ip))
                  for i in range(K) for ip in range(i + 1, K)]
         slices = _cyclic_slices(g, side, q, cycles, pairs, cell_split,
-                                reductions, matching, cell_pos, r_h, mu,
-                                K, seed)
+                                matchings, cell_pos, r_h, mu, K, seed)
         for slc in slices:
             per_cluster = Counter(slot.cluster_index for slot in slc.slots)
             for ci, cnt in per_cluster.items():
@@ -673,7 +670,7 @@ def _split_cells(systems: list, n_slices: int, offset: Callable
 def _cyclic_slices(g: Host, side: str, q: ClusterPartition,
                    cycles: list[ClusterCycle], pairs: list[tuple],
                    cell_split: dict[tuple, list[list[int]]],
-                   reductions: list[FictiveReduction], matching: str,
+                   matchings: list[OrderedDirectedMatching],
                    cell_pos: int, r_h: int, mu: float, K: int, seed: int
                    ) -> list[SliceSide]:
     """One SliceSide per cluster cycle, shared by both modes.
@@ -684,8 +681,8 @@ def _cyclic_slices(g: Host, side: str, q: ClusterPartition,
     removed is oriented along the cluster cycle through it (the oriented
     blow-up) and kept as the slice's 0/1 arc matrix of that cycle edge.
     Slice j gets one slot per system of part j
-    of each cell, carrying the reduction's ``matching`` attribute and
-    localized at cluster ``cell[cell_pos]``.
+    of each cell, carrying that system's ordered matching from
+    ``matchings`` and localized at cluster ``cell[cell_pos]``.
     """
     n_slices = len(cycles)
     reserves: list[dict] = [{} for _ in range(n_slices)]
@@ -714,7 +711,7 @@ def _cyclic_slices(g: Host, side: str, q: ClusterPartition,
             for es_idx in parts[j]:
                 slots.append(SlotInfo(
                     es_index=es_idx,
-                    matching=getattr(reductions[es_idx], matching),
+                    matching=matchings[es_idx],
                     cluster_index=cell[cell_pos]))
         slices.append(SliceSide(side=side, j=j, q=q, cycle=cyc, n=g.n,
                                 pairs=arc_pairs, reserve=reserves[j],
@@ -725,7 +722,7 @@ def _cyclic_slices(g: Host, side: str, q: ClusterPartition,
 
 def sysdecombip(g: Host, partition: ClusterPartition,
                 systems: list[BalancedExceptionalSystem],
-                reductions: list[FictiveReduction] | None = None,
+                reductions: list[FictiveReduction],
                 mu: float = 0.0, rho: float = 0.1, seed: int = 0
                 ) -> tuple[list[SliceSide], DecompositionQuotas]:
     """Bipartite analogue of sysdecom: K/2 cyclic systems on the 2K
@@ -738,8 +735,8 @@ def sysdecombip(g: Host, partition: ClusterPartition,
     if K % 2 == 1:
         raise InvalidParameter("bipartite mode needs even K")
     n_slices = K // 2
-    if reductions is None:
-        reductions = [build_fictive_bipartite(j) for j in systems]
+    if any(red.jstar_dir is None for red in reductions):
+        raise InvalidParameter("bipartite reductions required")
 
     # functional minimum: the inner part must survive the greedy matching
     # (cluster share of J* plus e(J*) plus the per-vertex incidence), the
@@ -782,5 +779,6 @@ def sysdecombip(g: Host, partition: ClusterPartition,
              for i in range(K) for ip in range(K)]
     slices = _cyclic_slices(
         g, "AB", partition.ab_equipartition(), bipartite_hamilton_decompose(K),
-        pairs, cell_split, reductions, "jstar_dir", 0, r_h, mu, K, seed)
+        pairs, cell_split, [red.jstar_dir for red in reductions], 0, r_h,
+        mu, K, seed)
     return slices, quotas

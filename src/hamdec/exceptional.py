@@ -146,13 +146,7 @@ class ExceptionalSystem(_ExceptionalSystemBase):
                     f"not ({i},{ip})-localized: vertices escape V0+A_i+B_i'")
 
     def count_ab_paths(self) -> int:
-        a, b = set(self.partition.A), set(self.partition.B)
-        count = 0
-        for path in self.paths:
-            ends = {path[0], path[-1]}
-            if len(ends & a) == 1 and len(ends & b) == 1:
-                count += 1
-        return count
+        return len(_path_ends(self.paths, self.partition)[2])
 
 
 class BalancedExceptionalSystem(_ExceptionalSystemBase):
@@ -207,59 +201,55 @@ class BalancedExceptionalSystem(_ExceptionalSystemBase):
 
 @dataclass
 class FictiveReduction:
-    """The fictive-edge package for one exceptional system.
-
-    Two-cliques mode fills ja/jb (+ their ordered directed versions);
-    bipartite mode fills jstar directly.  ``jab`` is the endpoint matching
-    induced by the maximal paths in every mode.
+    """The fictive-edge package for one exceptional system: its ordered
+    directed matchings.  Two-cliques mode fills J*_A and J*_B (``ja_dir``,
+    ``jb_dir``); bipartite mode fills J* (``jstar_dir``).  J* is the
+    union of its mode's matchings, and the splices read only its arcs.
     """
 
-    jab: Multigraph
-    jstar: Multigraph
-    ja: Multigraph | None = None
-    jb: Multigraph | None = None
     ja_dir: OrderedDirectedMatching | None = None
     jb_dir: OrderedDirectedMatching | None = None
     jstar_dir: OrderedDirectedMatching | None = None
 
 
-def induce_jab(system) -> Multigraph:
-    """The matching joining the endpoints of each nontrivial path of J."""
-    jab = Multigraph(system.partition.n,
-                     [(path[0], path[-1]) for path in system.paths])
-    if not jab.is_matching():
-        raise InvalidExceptionalSystem("induced endpoint graph is not a "
-                                       "matching (axiom violation upstream)")
-    return jab
-
-
-def _classify_jab(jab: Multigraph, partition: ClusterPartition):
-    """Split the edges of J*_AB into sorted lists of A-edges, B-edges and
-    AB-edges; A- and B-edges as (low, high), AB-edges as (A-end, B-end)."""
+def _path_ends(paths: Sequence[Sequence[int]], partition: ClusterPartition):
+    """The edges of J*_AB, one joining the ends of each maximal path of
+    J, as sorted lists of A-edges, B-edges and AB-edges; A- and B-edges
+    as (low, high), AB-edges as (A-end, B-end).  A path with an end
+    outside A u B is in none of them."""
     a, b = set(partition.A), set(partition.B)
     aa_edges, bb_edges, ab_edges = [], [], []
-    for (u, v) in jab.support():
+    for path in paths:
+        u, v = sorted((path[0], path[-1]))
         if u in a and v in a:
-            aa_edges.append((min(u, v), max(u, v)))
+            aa_edges.append((u, v))
         elif u in b and v in b:
-            bb_edges.append((min(u, v), max(u, v)))
-        else:
-            x, y = (u, v) if u in a else (v, u)
-            ab_edges.append((x, y))
+            bb_edges.append((u, v))
+        elif u in a and v in b:
+            ab_edges.append((u, v))
+        elif u in b and v in a:
+            ab_edges.append((v, u))
     return sorted(aa_edges), sorted(bb_edges), sorted(ab_edges)
 
 
+def _check_fictive_size(system, size: int) -> None:
+    """e(J*) = e(J*_AB): every path of J gave one fictive edge.  Only a
+    path end past the partition's vertices escapes A u B."""
+    if size != len(system.paths):
+        raise MalformedInput(
+            f"e(J*) != e(J*_AB): a path of J ends outside "
+            f"0..{system.partition.n - 1}")
+
+
 def build_fictive_two_cliques(system: ExceptionalSystem) -> FictiveReduction:
-    """Construct J*_A, J*_B and their ordered directed versions.
+    """Construct the ordered directed matchings J*_A and J*_B.
 
     The AB-edges of J*_AB are enumerated x1y1,...,x_{2l}y_{2l} sorted by
     A-endpoint; J*_A adds the edges x_{2i-1}x_{2i}, J*_B the edges
     y_{2i}y_{2i+1} (indices mod 2l).  Orientations inside J*_AB[A] and
     J*_AB[B] are fixed low id -> high id.
     """
-    P = system.partition
-    jab = induce_jab(system)
-    aa_edges, bb_edges, ab_edges = _classify_jab(jab, P)
+    aa_edges, bb_edges, ab_edges = _path_ends(system.paths, system.partition)
     if len(ab_edges) % 2 != 0:
         raise InvalidExceptionalSystem(
             f"odd number of AB-connections ({len(ab_edges)})")
@@ -269,17 +259,14 @@ def build_fictive_two_cliques(system: ExceptionalSystem) -> FictiveReduction:
     ja_cross = [(xs[2 * i], xs[2 * i + 1]) for i in range(ell)]
     jb_cross = [(ys[(2 * i + 1) % (2 * ell)], ys[(2 * i + 2) % (2 * ell)])
                 for i in range(ell)]
-    ja = Multigraph(P.n, aa_edges + ja_cross)
-    jb = Multigraph(P.n, bb_edges + jb_cross)
-    jstar = ja + jb
-    if not (ja.is_matching() and jb.is_matching() and jstar.is_matching()):
-        raise InvalidExceptionalSystem("fictive graphs are not matchings")
-    if jstar.edge_count() != jab.edge_count():
-        raise InvalidExceptionalSystem("e(J*) != e(J*_AB)")
-    ja_dir = OrderedDirectedMatching(tuple(ja_cross) + tuple(aa_edges))
-    jb_dir = OrderedDirectedMatching(tuple(jb_cross) + tuple(bb_edges))
-    return FictiveReduction(jab=jab, jstar=jstar, ja=ja, jb=jb,
-                            ja_dir=ja_dir, jb_dir=jb_dir)
+    try:
+        ja_dir = OrderedDirectedMatching(tuple(ja_cross) + tuple(aa_edges))
+        jb_dir = OrderedDirectedMatching(tuple(jb_cross) + tuple(bb_edges))
+    except MalformedInput:
+        raise InvalidExceptionalSystem("fictive graphs are not matchings") \
+            from None
+    _check_fictive_size(system, len(ja_dir) + len(jb_dir))
+    return FictiveReduction(ja_dir=ja_dir, jb_dir=jb_dir)
 
 
 def build_fictive_bipartite(system: BalancedExceptionalSystem
@@ -290,9 +277,7 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
     E(J*_AB[B]) = {y1y2,...}, E(J*_AB[A,B]) = {x_{2s+1}y_{2s+1},...},
     J* joins x_i to y_i and is ordered/oriented by index.
     """
-    P = system.partition
-    jab = induce_jab(system)
-    aa_edges, bb_edges, ab_edges = _classify_jab(jab, P)
+    aa_edges, bb_edges, ab_edges = _path_ends(system.paths, system.partition)
     if len(aa_edges) != len(bb_edges):
         raise InvalidExceptionalSystem(
             f"e(J*_AB[A]) = {len(aa_edges)} != e(J*_AB[B]) = "
@@ -306,14 +291,12 @@ def build_fictive_bipartite(system: BalancedExceptionalSystem
     for (x, y) in ab_edges:
         xs.append(x)
         ys.append(y)
-    arcs = tuple(zip(xs, ys))
-    jstar = Multigraph(P.n, list(arcs))
-    if not jstar.is_matching():
-        raise InvalidExceptionalSystem("J* is not a matching")
-    if jstar.edge_count() != jab.edge_count():
-        raise InvalidExceptionalSystem("e(J*) != e(J*_AB)")
-    return FictiveReduction(jab=jab, jstar=jstar,
-                            jstar_dir=OrderedDirectedMatching(arcs))
+    try:
+        jstar_dir = OrderedDirectedMatching(tuple(zip(xs, ys)))
+    except MalformedInput:
+        raise InvalidExceptionalSystem("J* is not a matching") from None
+    _check_fictive_size(system, len(jstar_dir))
+    return FictiveReduction(jstar_dir=jstar_dir)
 
 
 def _check_input_cycle(order: Sequence[int], vertices: set[int],
@@ -331,12 +314,13 @@ def _check_input_cycle(order: Sequence[int], vertices: set[int],
                             f"matching")
 
 
-def _spliced(orders: Sequence[Sequence[int]], system, reduction
-             ) -> Multigraph:
+def _spliced(orders: Sequence[Sequence[int]],
+             cut: Sequence[tuple[int, int]], system) -> Multigraph:
     """C - J* + J, where C is the sum of the cycles that visit each of
-    ``orders`` in turn and the subtraction floors at 0, counted on int64
-    edge keys lo * n + hi.  Its key arrays list its edges in sorted
-    order."""
+    ``orders`` in turn, J* is the multigraph of the arcs ``cut`` (a
+    repeated arc counts once per copy) and the subtraction floors at 0,
+    counted on int64 edge keys lo * n + hi.  Its key arrays list its
+    edges in sorted order."""
     P = system.partition
     n = max(P.n, system.graph.n)
     rings = [np.asarray(order, dtype=np.int64) for order in orders]
@@ -344,15 +328,16 @@ def _spliced(orders: Sequence[Sequence[int]], system, reduction
     heads = np.concatenate([np.roll(ring, -1) for ring in rings])
     if tails.min() < 0 or tails.max() >= P.n:
         raise MalformedInput(f"cycle vertex outside 0..{P.n - 1}")
-    parts = [np.minimum(tails, heads) * n + np.maximum(tails, heads)]
-    for g in (reduction.jstar, system.graph):
-        us, vs, ks = g.key_arrays()
-        parts.append(np.repeat(us * n + vs, ks))
+    arcs = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+    us, vs, ks = system.graph.key_arrays()
+    parts = [np.minimum(tails, heads) * n + np.maximum(tails, heads),
+             arcs.min(axis=1) * n + arcs.max(axis=1),
+             np.repeat(us * n + vs, ks)]
     keys, where = np.unique(np.concatenate(parts), return_inverse=True)
     bounds = np.cumsum([part.size for part in parts[:2]])
-    cycle, cut, join = (np.bincount(w, minlength=keys.size)
-                        for w in np.split(where, bounds))
-    total = np.maximum(cycle - cut, 0) + join
+    cycle, fictive, join = (np.bincount(w, minlength=keys.size)
+                            for w in np.split(where, bounds))
+    total = np.maximum(cycle - fictive, 0) + join
     keep = total > 0
     return Multigraph.from_key_arrays(n, keys[keep] // n, keys[keep] % n,
                                       total[keep])
@@ -372,7 +357,8 @@ def splice_two_cliques(c_a: Sequence[int], c_b: Sequence[int],
     P = system.partition
     _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
     _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
-    result = _spliced((c_a, c_b), system, reduction)
+    result = _spliced((c_a, c_b), reduction.ja_dir.arcs
+                      + reduction.jb_dir.arcs, system)
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
         ok = verify_hamilton_cycle(result, a_pr + b_pr)
@@ -399,7 +385,7 @@ def splice_bipartite(d: Sequence[int], system: BalancedExceptionalSystem,
     arrays list its edges in sorted order."""
     P = system.partition
     _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
-    result = _spliced((d,), system, reduction)
+    result = _spliced((d,), reduction.jstar_dir.arcs, system)
     if not verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")

@@ -14,6 +14,8 @@ from hamdec.cyclic import (_extract_regular_parts, _superregular_report,
                            sysdecombip, two_cliques_reserve_degree,
                            bipartite_reserve_degree)
 from hamdec.errors import InvalidParameter, SamplingFailed
+from hamdec.exceptional import (build_fictive_bipartite,
+                                build_fictive_two_cliques)
 from hamdec.pipeline import InstanceConfig, generate_instance
 
 
@@ -456,8 +458,10 @@ def assert_pairs_sum_to_host(slices, host, pairs, r):
 def two_cliques_decomposed():
     cfg = InstanceConfig.two_cliques_default(seed=12)
     host, partition, systems = generate_instance(cfg)
+    reductions = [build_fictive_two_cliques(es) for es in systems]
     a_slices, b_slices, quotas = sysdecom(host, partition, systems,
-                                          mu=cfg.mu, rho=cfg.rho, seed=12)
+                                          reductions, mu=cfg.mu,
+                                          rho=cfg.rho, seed=12)
     return cfg, host, partition, systems, a_slices, b_slices, quotas
 
 
@@ -526,7 +530,8 @@ class TestSysdecomUnclamped:
                              b0_size=0, eps0=7.9e-4, mu=0.0, rho=0.1,
                              gamma=0.15, hes_count=6, mes_count=0, seed=41)
         host, P, systems = generate_instance(cfg)
-        a_slices, b_slices, quotas = sysdecom(host, P, systems,
+        reductions = [build_fictive_two_cliques(es) for es in systems]
+        a_slices, b_slices, quotas = sysdecom(host, P, systems, reductions,
                                               mu=cfg.mu, rho=cfg.rho,
                                               seed=41)
         formula = math.floor(10 * cfg.K * math.sqrt(cfg.eps0) * cfg.m)
@@ -540,8 +545,9 @@ class TestSysdecombip:
     def test_invariants(self):
         cfg = InstanceConfig.bipartite_default(seed=21)
         host, P, systems = generate_instance(cfg)
-        slices, quotas = sysdecombip(host, P, systems, mu=cfg.mu,
-                                     rho=cfg.rho, seed=21)
+        reductions = [build_fictive_bipartite(es) for es in systems]
+        slices, quotas = sysdecombip(host, P, systems, reductions,
+                                     mu=cfg.mu, rho=cfg.rho, seed=21)
         assert len(slices) == cfg.K // 2
         idx = [slot.es_index for slc in slices for slot in slc.slots]
         assert sorted(idx) == list(range(len(systems)))
@@ -561,3 +567,36 @@ class TestSysdecombip:
         assert_pairs_sum_to_host(
             slices, host, [(i, cfg.K + ip) for i in range(cfg.K)
                            for ip in range(cfg.K)], r)
+
+
+
+def small_instance(mode):
+    """A small instance of the mode, with both system kinds when it has
+    them."""
+    if mode == "two-cliques":
+        cfg = InstanceConfig(mode=mode, K=3, m=24, a0_size=2, b0_size=2,
+                             eps0=0.06, mu=0.0, gamma=0.18, hes_count=3,
+                             mes_count=2, seed=1)
+    else:
+        cfg = InstanceConfig(mode=mode, K=2, m=20, eps0=0.05, mu=0.0,
+                             gamma=0.15, hes_count=0, bes_count=2, seed=1)
+    return generate_instance(cfg)
+
+
+class TestWrongKindReductions:
+    # each decomposer names the reductions it needs before it reads them
+    def test_sysdecom_rejects_bipartite_reductions(self):
+        host, P, systems = small_instance("two-cliques")
+        wrong = [build_fictive_bipartite(es)
+                 for es in small_instance("bipartite")[2]]
+        with pytest.raises(InvalidParameter,
+                           match="two-cliques reductions required"):
+            sysdecom(host, P, systems, wrong)
+
+    def test_sysdecombip_rejects_two_cliques_reductions(self):
+        host, P, systems = small_instance("bipartite")
+        wrong = [build_fictive_two_cliques(es)
+                 for es in small_instance("two-cliques")[2]]
+        with pytest.raises(InvalidParameter,
+                           match="bipartite reductions required"):
+            sysdecombip(host, P, systems, wrong)

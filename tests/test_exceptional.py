@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 
 import pytest
@@ -5,11 +7,16 @@ import pytest
 from hamdec import core
 from hamdec.core import (ClusterPartition, Digraph, Multigraph,
                          cycle_to_perfect_matchings, verify_hamilton_cycle)
-from hamdec.errors import (InvalidExceptionalSystem, NotConsistent)
+from hamdec.errors import (InvalidExceptionalSystem, MalformedInput,
+                           NotConsistent)
 from hamdec.exceptional import (BalancedExceptionalSystem, ExceptionalSystem,
                                 build_fictive_bipartite,
-                                build_fictive_two_cliques, induce_jab,
-                                splice_bipartite, splice_two_cliques)
+                                build_fictive_two_cliques, splice_bipartite,
+                                splice_two_cliques)
+from hamdec.pipeline import InstanceConfig, generate_instance
+
+BENCH_RUN = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench",
+                         "run.py")
 
 
 def tiny_partition(a_size=3, b_size=3, a0=1, b0=1, eps0=0.5, mode="two-cliques"):
@@ -97,27 +104,28 @@ class TestFictive:
     def test_induced_matching_single_a_path(self):
         P = tiny_partition()
         g = Multigraph(P.n, [(0, 6), (6, 1), (3, 7), (7, 4)])
-        jab = induce_jab(ExceptionalSystem(P, g))
-        assert list(jab.edges()) == [(0, 1, 1), (3, 4, 1)]
-        assert jab.edge_count() == 2
+        red = build_fictive_two_cliques(ExceptionalSystem(P, g))
+        assert red.ja_dir.arcs == ((0, 1),)
+        assert red.jb_dir.arcs == ((3, 4),)
+        assert red.jstar_dir is None
 
     def test_empty_system_empty_matching(self):
         P = ClusterPartition.two_cliques(
             [], [[0, 1]], [], [[2, 3]], 0.5)
         es = ExceptionalSystem(P, Multigraph(4, []), vertices=set())
-        assert induce_jab(es).edge_count() == 0
+        red = build_fictive_two_cliques(es)
+        assert len(red.ja_dir) == len(red.jb_dir) == 0
 
     def test_two_cliques_reduction_hes(self):
         # two AB-paths 0-6-3 and 1-7-4 (ell = 1)
         P = tiny_partition()
         g = Multigraph(P.n, [(0, 6), (6, 3), (1, 7), (7, 4)])
-        red = build_fictive_two_cliques(ExceptionalSystem(P, g))
-        assert list(red.ja.edges()) == [(0, 1, 1)]
-        assert list(red.jb.edges()) == [(3, 4, 1)]
+        es = ExceptionalSystem(P, g)
+        red = build_fictive_two_cliques(es)
         # orientation: x1 -> x2 and y2 -> y1
         assert red.ja_dir.arcs == ((0, 1),)
         assert red.jb_dir.arcs == ((4, 3),)
-        assert red.jstar.edge_count() == red.jab.edge_count() == 2
+        assert len(red.ja_dir) + len(red.jb_dir) == len(es.paths) == 2
 
     def test_two_cliques_reduction_mes(self):
         P = tiny_partition(a_size=4, b_size=4)
@@ -129,11 +137,11 @@ class TestFictive:
     def test_bipartite_reduction(self):
         P = tiny_partition(mode="bipartite")
         g = Multigraph(P.n, [(0, 6), (6, 1), (3, 7), (7, 4)])
-        red = build_fictive_bipartite(
-            BalancedExceptionalSystem(P, g, locality=(0, 0, 0, 0)))
+        bes = BalancedExceptionalSystem(P, g, locality=(0, 0, 0, 0))
+        red = build_fictive_bipartite(bes)
         # s = 1, s' = 2: J* = {x1y1, x2y2} = {(0,3), (1,4)}
         assert red.jstar_dir.arcs == ((0, 3), (1, 4))
-        assert red.jstar.edge_count() == red.jab.edge_count() == 2
+        assert len(red.jstar_dir) == len(bes.paths) == 2
 
     def test_fictive_size_bound(self):
         # e(J*) = e(J*_AB) <= |V0| + sqrt(eps0) * n for every valid system
@@ -147,7 +155,8 @@ class TestFictive:
             P, es = built
             red = build_fictive_two_cliques(es)
             bound = len(P.V0) + (0.9 ** 0.5) * P.n
-            assert red.jstar.edge_count() == red.jab.edge_count() <= bound
+            assert len(red.ja_dir) + len(red.jb_dir) == len(es.paths) \
+                <= bound
             checked += 1
 
     def test_localized_fictive_vertices(self):
@@ -169,7 +178,7 @@ class TestFictive:
         es = ExceptionalSystem(P, g)
         assert es.kind == "MES"
         red = build_fictive_two_cliques(es)
-        assert sorted(red.jab.support()) == [(0, 1)]
+        assert red.ja_dir.arcs == ((0, 1),) and len(red.jb_dir) == 0
         out = splice_two_cliques([0, 1, 2, 3], [4, 5, 6, 7], es, red)
         a_pr = set(P.A_prime)
         assert verify_hamilton_cycle(out.restrict(a_pr), a_pr)
@@ -186,9 +195,49 @@ class TestFictive:
         # e(J*) = e(J*_AB) <= e(J)
         P = tiny_partition(mode="bipartite")
         g = Multigraph(P.n, [(0, 6), (6, 1), (3, 7), (7, 4)])
-        red = build_fictive_bipartite(
-            BalancedExceptionalSystem(P, g, locality=(0, 0, 0, 0)))
-        assert red.jstar.edge_count() == red.jab.edge_count() <= g.edge_count()
+        bes = BalancedExceptionalSystem(P, g, locality=(0, 0, 0, 0))
+        red = build_fictive_bipartite(bes)
+        assert len(red.jstar_dir) == len(bes.paths) <= g.edge_count()
+
+    @pytest.mark.parametrize("workload",
+                             ["tc-dense", "bip-dense", "tc-crowded"])
+    def test_builders_construct_no_multigraph(self, workload, monkeypatch):
+        # the reductions of the benchmark workloads at instance seed 11
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        cfg = InstanceConfig(seed=11, **run.WORKLOADS[workload])
+        _host, _partition, systems = generate_instance(cfg)
+        build = (build_fictive_bipartite if cfg.mode == "bipartite"
+                 else build_fictive_two_cliques)
+        made = []
+        init = Multigraph.__init__
+        from_key_arrays = Multigraph.from_key_arrays.__func__
+
+        def counted_init(self, *args):
+            made.append("__init__")
+            init(self, *args)
+
+        def counted_from_key_arrays(cls, *args):
+            made.append("from_key_arrays")
+            return from_key_arrays(cls, *args)
+
+        monkeypatch.setattr(Multigraph, "__init__", counted_init)
+        monkeypatch.setattr(Multigraph, "from_key_arrays",
+                            classmethod(counted_from_key_arrays))
+        reductions = [build(es) for es in systems]
+        assert len(reductions) == len(systems) > 0
+        assert made == []
+
+    def test_path_end_past_the_partition(self):
+        # a valid system whose graph has more vertices than the partition
+        # may end a path past it; no fictive edge can stand for that path
+        P = tiny_partition()
+        es = ExceptionalSystem(P, Multigraph(10, [(0, 6), (6, 1), (3, 7),
+                                                  (7, 9)]))
+        assert es.kind == "MES"
+        with pytest.raises(MalformedInput, match="outside 0..7"):
+            build_fictive_two_cliques(es)
 
     def test_bipartite_lone_cross_path(self):
         # a - v0 - b covers one A- and one B-vertex: s=0, s'=1

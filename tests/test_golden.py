@@ -12,6 +12,7 @@ reserve and merge reservoir is a different, equally valid draw, so
 every certificate's bytes change while its verdict does not.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -40,6 +41,22 @@ GOLDEN = [
      InstanceConfig(mode="two-cliques", K=5, m=40, a0_size=2, b0_size=2,
                     eps0=0.01, hes_count=12, mes_count=12, seed=11),
      "08f2d7680c45df8eba5d8480f479c5bf882173feacae1dfdd48ad4c438ae131c"),
+]
+# the same workloads at instance seeds 12 and 13
+WORKLOAD = {name: cfg for name, cfg, _digest in GOLDEN[3:]}
+GOLDEN += [
+    ("tc-dense-12", dataclasses.replace(WORKLOAD["tc-dense"], seed=12),
+     "6364efaade8baaab92cded52a52bc89e68f69c91369e4f117b1ad840b54b9c82"),
+    ("tc-dense-13", dataclasses.replace(WORKLOAD["tc-dense"], seed=13),
+     "fbfda45c45f1aab8741e5b9d1c453cdd7d9fff8d79577f40930a2f3141b912f9"),
+    ("bip-dense-12", dataclasses.replace(WORKLOAD["bip-dense"], seed=12),
+     "8a147f2fdb00f68e697c7e00e9ea21ffe3f9abe5b2833ca772f3596d41889f44"),
+    ("bip-dense-13", dataclasses.replace(WORKLOAD["bip-dense"], seed=13),
+     "e2fd8ac5cd9bbd2770d1aa9d783964b4afef19ecd543231c13c608060ae75e67"),
+    ("tc-crowded-12", dataclasses.replace(WORKLOAD["tc-crowded"], seed=12),
+     "b3e0b67993bfcac2a7799cb58965cf7dda679fed1a4178256b3eb3cb61defa3e"),
+    ("tc-crowded-13", dataclasses.replace(WORKLOAD["tc-crowded"], seed=13),
+     "716bbdc25db98442091ab0860093e25f2e13d3b0a29d59cd02844460306d2046"),
 ]
 
 

@@ -56,7 +56,8 @@ from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
                          cycle_vertex_order, derive_seed, is_consistent_with,
                          verify_hamilton_cycle)
 from hamdec.errors import (DegreeHypothesisViolated, HamdecError,
-                           InvalidParameter, MalformedInput, NotConsistent,
+                           InvalidExceptionalSystem, InvalidParameter,
+                           MalformedInput, NotConsistent,
                            SpliceVerificationFailed)
 from hamdec.exceptional import (KIND_HES, KIND_MES, BalancedExceptionalSystem,
                                 ExceptionalSystem, _check_input_cycle,
@@ -953,9 +954,10 @@ def ref_splice_two_cliques(c_a, c_b, system, reduction) -> RefMultigraph:
     P = system.partition
     _check_input_cycle(c_a, set(P.A), reduction.ja_dir, "C_A")
     _check_input_cycle(c_b, set(P.B), reduction.jb_dir, "C_B")
+    jstar = RefMultigraph(P.n, reduction.ja_dir.arcs + reduction.jb_dir.arcs)
     result = (RefMultigraph(P.n, chain(ref_cycle_edges(c_a),
                                        ref_cycle_edges(c_b)))
-              - _frozen(reduction.jstar) + _frozen(system.graph))
+              - jstar + _frozen(system.graph))
     a_pr, b_pr = P.A_prime, P.B_prime
     if system.kind == KIND_HES:
         ok = ref_verify_hamilton_cycle(result, a_pr + b_pr)
@@ -973,7 +975,8 @@ def ref_splice_bipartite(d, system, reduction) -> RefMultigraph:
     P = system.partition
     _check_input_cycle(d, set(P.A) | set(P.B), reduction.jstar_dir, "D")
     result = RefMultigraph(P.n, ref_cycle_edges(d)) \
-        - _frozen(reduction.jstar) + _frozen(system.graph)
+        - RefMultigraph(P.n, reduction.jstar_dir.arcs) \
+        + _frozen(system.graph)
     if not ref_verify_hamilton_cycle(result, P.vertices()):
         raise SpliceVerificationFailed("splice output is not a Hamilton "
                                        "cycle on V")
@@ -1027,13 +1030,10 @@ def _order_mutation(draw, order, others) -> list[int]:
 
 
 @st.composite
-def two_cliques_splices(draw):
-    """(c_a, c_b, system, reduction): a two-cliques exceptional system with
-    0-2 vertices in each of A0 and B0, each on a path between two fresh
-    vertices of its side; an HES adds 2 or 4 AB-edges, and an MES may be
-    empty.  C_A and C_B are drawn
-    consistent with J*_A and J*_B, and then perhaps mutated; and the
-    system may claim the other kind.  A side of one vertex has no cycle."""
+def two_cliques_systems(draw):
+    """A two-cliques exceptional system with 0-2 vertices in each of A0
+    and B0, each on a path between two fresh vertices of its side; an HES
+    adds 2 or 4 AB-edges, and an MES may be empty."""
     a0, b0 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     cross = draw(st.sampled_from([0, 2, 4]))
     P = _spliced_partition(draw, ClusterPartition.two_cliques, a0, b0,
@@ -1045,7 +1045,17 @@ def two_cliques_splices(draw):
                           ((v, pool_b) for v in P.b0)):
         edges += [(pool.pop(), v0), (v0, pool.pop())]
     edges += [(pool_a.pop(), pool_b.pop()) for _ in range(cross)]
-    system = ExceptionalSystem(P, Multigraph(P.n, edges))
+    return ExceptionalSystem(P, Multigraph(P.n, edges))
+
+
+@st.composite
+def two_cliques_splices(draw):
+    """(c_a, c_b, system, reduction): a system of ``two_cliques_systems``.
+    C_A and C_B are drawn consistent with J*_A and J*_B, and then perhaps
+    mutated; and the system may claim the other kind.  A side of one
+    vertex has no cycle."""
+    system = draw(two_cliques_systems())
+    P = system.partition
     reduction = build_fictive_two_cliques(system)
     if draw(st.integers(0, 5)) == 0:
         system.kind = KIND_MES if system.kind == KIND_HES else KIND_HES
@@ -1057,12 +1067,11 @@ def two_cliques_splices(draw):
 
 
 @st.composite
-def bipartite_splices(draw):
-    """(d, system, reduction): a balanced exceptional system localized at
-    (0, 0, 0, 0), with 0-2 vertices in each of A0 and B0, as many in
-    both, each on a path between two fresh vertices of its side, and 0-2
-    A-edges with as many B-edges; possibly empty, and a side may be one
-    vertex.  D is drawn consistent with J*, and then perhaps mutated."""
+def bipartite_systems(draw):
+    """A balanced exceptional system localized at (0, 0, 0, 0), with 0-2
+    vertices in each of A0 and B0, as many in both, each on a path between
+    two fresh vertices of its side, and 0-2 A-edges with as many B-edges;
+    possibly empty, and a side may be one vertex."""
     v0 = draw(st.integers(0, 2))
     inner = draw(st.integers(0, 2))
     P = _spliced_partition(draw, ClusterPartition.bipartite, v0, v0,
@@ -1075,8 +1084,16 @@ def bipartite_splices(draw):
         edges += [(pool.pop(), v), (v, pool.pop())]
     for _ in range(inner):
         edges += [(pool_a.pop(), pool_a.pop()), (pool_b.pop(), pool_b.pop())]
-    system = BalancedExceptionalSystem(P, Multigraph(P.n, edges),
-                                       locality=(0, 0, 0, 0))
+    return BalancedExceptionalSystem(P, Multigraph(P.n, edges),
+                                     locality=(0, 0, 0, 0))
+
+
+@st.composite
+def bipartite_splices(draw):
+    """(d, system, reduction): a system of ``bipartite_systems``.  D is
+    drawn consistent with J*, and then perhaps mutated."""
+    system = draw(bipartite_systems())
+    P = system.partition
     reduction = build_fictive_bipartite(system)
     d = _order_mutation(draw, _consistent_order(
         draw, P.A + P.B, reduction.jstar_dir.arcs), P.V0)
@@ -1085,24 +1102,28 @@ def bipartite_splices(draw):
 
 @st.composite
 def splice_sums(draw):
-    """(orders, system, reduction) with only what ``_spliced`` reads: 1 or
-    2 vertex-disjoint orders of at least 2 vertices on 0..n-1, and J* and
-    J as random multigraphs with multiplicities up to 3, so that J* may
-    hold edges off the cycles or more copies than they have."""
+    """(orders, cut, system) with only what ``_spliced`` reads: 1 or 2
+    vertex-disjoint orders of at least 2 vertices on 0..n-1, J* as a list
+    of arcs in which an arc may repeat up to 3 times, and J as a random
+    multigraph with multiplicities up to 3, so that J* may hold edges off
+    the cycles or more copies than they have."""
     n = draw(st.integers(2, 9))
     perm = draw(st.permutations(range(n)))
-    cut = draw(st.sampled_from([n] + list(range(2, n - 1))))
-    orders = [perm[:cut]] + ([perm[cut:]] if cut < n else [])
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                      st.integers(1, 3)).filter(lambda e: e[0] != e[1])
-    cycle_edges = [e for order in orders for e in ref_cycle_edges(order)]
-    some_cycle_edge = st.sampled_from(cycle_edges).map(lambda e: (*e, 1))
-    graphs = [Multigraph(n, draw(st.lists(pairs | some_cycle_edge,
-                                          max_size=5)))
-              for _ in range(2)]
+    split = draw(st.sampled_from([n] + list(range(2, n - 1))))
+    orders = [perm[:split]] + ([perm[split:]] if split < n else [])
+    arcs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
+        .filter(lambda e: e[0] != e[1])
+    cycle_arcs = [e for order in orders for e in ref_cycle_edges(order)]
+    some_arc = arcs | st.sampled_from(cycle_arcs)
+    cut = [arc for arc, k in draw(st.lists(
+        st.tuples(some_arc, st.integers(1, 3)), max_size=5))
+        for _ in range(k)]
+    graph = Multigraph(n, draw(st.lists(
+        st.tuples(some_arc, st.integers(1, 3)).map(lambda e: (*e[0], e[1])),
+        max_size=5)))
     system = types.SimpleNamespace(partition=types.SimpleNamespace(n=n),
-                                   graph=graphs[1])
-    return orders, system, types.SimpleNamespace(jstar=graphs[0])
+                                   graph=graph)
+    return orders, cut, system
 
 
 def _splice_outcome(splice, *args):
@@ -1134,11 +1155,12 @@ class TestSpliceMatchesReference:
     @given(splice_sums())
     @settings(max_examples=150, deadline=None)
     def test_multiset_sum(self, case):
-        orders, system, reduction = case
-        ref = RefMultigraph(system.partition.n, chain.from_iterable(
+        orders, cut, system = case
+        n = system.partition.n
+        ref = RefMultigraph(n, chain.from_iterable(
             ref_cycle_edges(order) for order in orders)) \
-            - _frozen(reduction.jstar) + _frozen(system.graph)
-        _assert_same_splice(_spliced(orders, system, reduction), ref)
+            - RefMultigraph(n, cut) + _frozen(system.graph)
+        _assert_same_splice(_spliced(orders, cut, system), ref)
 
     @pytest.mark.parametrize("mode,a,b,orders,expected", [
         # empty systems on 2-vertex sides: each cycle is a double edge
@@ -1174,11 +1196,121 @@ class TestSpliceMatchesReference:
         system = types.SimpleNamespace(partition=P, kind=KIND_MES,
                                        graph=Multigraph(6, [(0, 3)]))
         none = OrderedDirectedMatching(())
-        reduction = types.SimpleNamespace(ja_dir=none, jb_dir=none,
-                                          jstar=Multigraph(6))
+        reduction = types.SimpleNamespace(ja_dir=none, jb_dir=none)
         for splice in (splice_two_cliques, ref_splice_two_cliques):
             with pytest.raises(SpliceVerificationFailed):
                 splice([0, 1, 2], [3, 4, 5], system, reduction)
+
+
+# -- the fictive reductions on ordered matchings ------------------------------
+
+# frozen copies of the builders that also built J*_AB, J*_A, J*_B and J* as
+# multigraphs, on RefMultigraph
+
+
+def ref_induce_jab(system) -> RefMultigraph:
+    jab = RefMultigraph(system.partition.n,
+                        [(path[0], path[-1]) for path in system.paths])
+    if not jab.is_matching():
+        raise InvalidExceptionalSystem("induced endpoint graph is not a "
+                                       "matching (axiom violation upstream)")
+    return jab
+
+
+def ref_classify_jab(jab, partition):
+    a, b = set(partition.A), set(partition.B)
+    aa_edges, bb_edges, ab_edges = [], [], []
+    for (u, v) in jab.support():
+        if u in a and v in a:
+            aa_edges.append((min(u, v), max(u, v)))
+        elif u in b and v in b:
+            bb_edges.append((min(u, v), max(u, v)))
+        else:
+            x, y = (u, v) if u in a else (v, u)
+            ab_edges.append((x, y))
+    return sorted(aa_edges), sorted(bb_edges), sorted(ab_edges)
+
+
+def ref_count_ab_paths(system) -> int:
+    a, b = set(system.partition.A), set(system.partition.B)
+    count = 0
+    for path in system.paths:
+        ends = {path[0], path[-1]}
+        if len(ends & a) == 1 and len(ends & b) == 1:
+            count += 1
+    return count
+
+
+def ref_build_fictive_two_cliques(system):
+    P = system.partition
+    jab = ref_induce_jab(system)
+    aa_edges, bb_edges, ab_edges = ref_classify_jab(jab, P)
+    if len(ab_edges) % 2 != 0:
+        raise InvalidExceptionalSystem(
+            f"odd number of AB-connections ({len(ab_edges)})")
+    ell = len(ab_edges) // 2
+    xs = [x for (x, _y) in ab_edges]
+    ys = [y for (_x, y) in ab_edges]
+    ja_cross = [(xs[2 * i], xs[2 * i + 1]) for i in range(ell)]
+    jb_cross = [(ys[(2 * i + 1) % (2 * ell)], ys[(2 * i + 2) % (2 * ell)])
+                for i in range(ell)]
+    ja = RefMultigraph(P.n, aa_edges + ja_cross)
+    jb = RefMultigraph(P.n, bb_edges + jb_cross)
+    jstar = ja + jb
+    if not (ja.is_matching() and jb.is_matching() and jstar.is_matching()):
+        raise InvalidExceptionalSystem("fictive graphs are not matchings")
+    if jstar.edge_count() != jab.edge_count():
+        raise InvalidExceptionalSystem("e(J*) != e(J*_AB)")
+    ja_dir = OrderedDirectedMatching(tuple(ja_cross) + tuple(aa_edges))
+    jb_dir = OrderedDirectedMatching(tuple(jb_cross) + tuple(bb_edges))
+    return types.SimpleNamespace(jab=jab, jstar=jstar, ja=ja, jb=jb,
+                                 ja_dir=ja_dir, jb_dir=jb_dir,
+                                 jstar_dir=None)
+
+
+def ref_build_fictive_bipartite(system):
+    P = system.partition
+    jab = ref_induce_jab(system)
+    aa_edges, bb_edges, ab_edges = ref_classify_jab(jab, P)
+    if len(aa_edges) != len(bb_edges):
+        raise InvalidExceptionalSystem(
+            f"e(J*_AB[A]) = {len(aa_edges)} != e(J*_AB[B]) = "
+            f"{len(bb_edges)}; violates the balance axiom")
+    xs: list[int] = []
+    ys: list[int] = []
+    for (u, v) in aa_edges:
+        xs.extend((u, v))
+    for (u, v) in bb_edges:
+        ys.extend((u, v))
+    for (x, y) in ab_edges:
+        xs.append(x)
+        ys.append(y)
+    arcs = tuple(zip(xs, ys))
+    jstar = RefMultigraph(P.n, list(arcs))
+    if not jstar.is_matching():
+        raise InvalidExceptionalSystem("J* is not a matching")
+    if jstar.edge_count() != jab.edge_count():
+        raise InvalidExceptionalSystem("e(J*) != e(J*_AB)")
+    return types.SimpleNamespace(jab=jab, jstar=jstar, ja_dir=None,
+                                 jb_dir=None,
+                                 jstar_dir=OrderedDirectedMatching(arcs))
+
+
+class TestFictiveMatchesReference:
+    @given(two_cliques_systems() | bipartite_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_ordered_matchings(self, system):
+        if isinstance(system, BalancedExceptionalSystem):
+            builders = build_fictive_bipartite, ref_build_fictive_bipartite
+        else:
+            builders = build_fictive_two_cliques, ref_build_fictive_two_cliques
+            assert system.count_ab_paths() == ref_count_ab_paths(system)
+        red, ref = (build(system) for build in builders)
+        assert (red.ja_dir, red.jb_dir, red.jstar_dir) \
+            == (ref.ja_dir, ref.jb_dir, ref.jstar_dir)
+        arcs = [arc for matching in (red.ja_dir, red.jb_dir, red.jstar_dir)
+                if matching is not None for arc in matching.arcs]
+        assert RefMultigraph(system.partition.n, arcs) == ref.jstar
 
 
 # -- the structure walkers ---------------------------------------------------
