@@ -18,7 +18,9 @@ splices (``exceptional._check_input_cycle`` with the
 ``core.is_consistent_with`` walk it made); and a pure-Python max-flow
 for ``classic.regular_spanning_subgraph``, which once ran on a max-flow
 library; and the ``Multigraph`` sums of the two splices and the slot
-reader that scanned edge lists for types.  The reference verifier reads
+reader that scanned edge lists for types; and the two fictive builders
+that also built J*_AB, J*_A, J*_B and J* as multigraphs, with
+``ExceptionalSystem.count_ab_paths``.  The reference verifier reads
 the host as a ``RefMultigraph`` of its edges, and computes the instance
 digest it checks from those edges in pure Python.
 One verdict differs on purpose: an edge written as a triple
