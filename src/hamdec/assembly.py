@@ -22,7 +22,7 @@ import numpy as np
 from .classic import (regular_bipartite_to_matchings,
                       regular_spanning_subgraph, take_matching)
 from .core import (PathSequence, derive_seed, order_is_consistent,
-                   visits_in_order)
+                   successor_cycles, visits_in_order)
 from .cyclic import CyclicSystem
 from .errors import (AssemblyVerificationFailed, DegreeHypothesisViolated,
                      HamiltonSearchExhausted, MalformedInput,
@@ -144,6 +144,8 @@ class ReservoirLedger:
         for ci, cluster in enumerate(system.q.clusters):
             self.pos[list(cluster)] = np.arange(len(cluster))
             self._cluster[list(cluster)] = ci
+        # the slice's vertices, ascending
+        self.verts = np.flatnonzero(self._cluster >= 0).tolist()
 
     def block(self, ci: int) -> np.ndarray:
         """The block of the cycle edge leaving cluster ``ci``."""
@@ -177,32 +179,6 @@ class PairSpec:
     cluster_index: int
     v1: tuple[int, ...]
     v2: tuple[int, ...]
-
-
-def _cycles(succ: list[int], verts: list[int]) -> list[list[int]] | None:
-    """The cycles of ``succ`` as vertex lists, each from its first vertex
-    in ``verts``, or None unless ``succ`` permutes ``verts``: every walk
-    from a vertex of ``verts`` returns to it through unvisited vertices of
-    ``verts`` only."""
-    unseen = set(verts)
-    cycles = []
-    for v in verts:
-        if v not in unseen:
-            continue
-        unseen.discard(v)
-        cyc, cur = [v], succ[v]
-        while cur != v:
-            if cur not in unseen:
-                return None
-            unseen.discard(cur)
-            cyc.append(cur)
-            cur = succ[cur]
-        cycles.append(cyc)
-    return cycles
-
-
-def _support(succ: list[int]) -> list[int]:
-    return [v for v, w in enumerate(succ) if w >= 0]
 
 
 def _cycle_labels(cycles: list[list[int]], n: int) -> np.ndarray:
@@ -285,7 +261,7 @@ def _join_at(succ: list[int], v1: np.ndarray, ledger: ReservoirLedger,
     drops x1 -> succ(x2)."""
     w = _arc_matrix(succ, v1.tolist(), ledger, ci)
     at = {int(x): i for i, x in enumerate(v1)}
-    for cyc in _cycles(succ, _support(succ)):
+    for cyc in successor_cycles(succ, ledger.verts):
         ys = [at[y] for y in cyc if y in at]
         xs = np.setdiff1d(np.arange(len(v1)), ys)
         to_x, from_x = w[np.ix_(ys, xs)], w[np.ix_(xs, ys)]
@@ -308,10 +284,11 @@ def _join_at(succ: list[int], v1: np.ndarray, ledger: ReservoirLedger,
 def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
                       pairs: list[PairSpec],
                       rng: random.Random | None = None) -> list[int]:
-    """Merge the cycles of the 1-factor ``succ`` into a single directed
-    cycle with unused reservoir arcs of ``ledger``, at (a subset of) the
-    listed pairs, and return it.  ``ledger`` is only read: the caller
-    charges the arcs of the result that ``succ`` lacks.
+    """Merge the cycles of ``succ``, a 1-factor of the ledger's slice
+    (else MalformedInput), into a single directed cycle with unused
+    reservoir arcs of ``ledger``, at (a subset of) the listed pairs, and
+    return it.  ``ledger`` is only read: the caller charges the arcs of
+    the result that ``succ`` lacks.
 
     Karp's patching step: at each listed pair, while two or more current
     cycles meet V^1, a 2-switch drawn with ``rng`` swaps the successors
@@ -326,10 +303,10 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
     the cycles left and the unused arcs of its block.
     """
     rng = rng or random.Random(0)
-    verts = _support(succ)
-    cycles = _cycles(succ, verts)
-    if cycles is None:
-        raise MalformedInput("merge requires a 1-factor")
+    verts = ledger.verts
+    cycles = successor_cycles(succ, verts)
+    if cycles is None or len(succ) - succ.count(-1) != len(verts):
+        raise MalformedInput("merge requires a 1-factor of the slice")
     label = _cycle_labels(cycles, len(succ))
     v1s = [np.asarray(spec.v1, dtype=np.intp) for spec in pairs]
     met: set[int] = set()
@@ -362,7 +339,7 @@ def merge_to_hamilton(succ: list[int], ledger: ReservoirLedger,
         label[label == label[x1]] = label[x2]
         _rotate(current, join)
         count -= 1
-    cycles = _cycles(current, verts)
+    cycles = successor_cycles(current, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("merged factor failed verification")
     return current
@@ -414,11 +391,11 @@ def _waypoint_move(succ: list[int], seq: list[int], active: list[int],
 def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
                             spec: PairSpec, waypoints: list[int],
                             rng: random.Random | None = None) -> list[int]:
-    """A Hamilton cycle on the same vertices as the cycle ``succ``,
-    visiting ``waypoints`` (in V^1 of ``spec``) in cyclic order and
-    differing from the input only in out-arcs of V^1, with unused
-    reservoir arcs of ``ledger``.  ``ledger`` is only read: the caller
-    charges the arcs of the result that ``succ`` lacks.
+    """A Hamilton cycle of the ledger's slice, as ``succ`` must be (else
+    MalformedInput), visiting ``waypoints`` (in V^1 of ``spec``) in
+    cyclic order and differing from ``succ`` only in out-arcs of V^1,
+    with unused reservoir arcs of ``ledger``.  ``ledger`` is only read:
+    the caller charges the arcs of the result that ``succ`` lacks.
 
     A block move is the rotation of p, b, q in V^1, in cyclic order: it
     cuts their out-arcs and adds p -> succ(b), b -> succ(q) and
@@ -432,10 +409,11 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
     have not put a waypoint in place.
     """
     rng = rng or random.Random(0)
-    verts = _support(succ)
-    cycles = _cycles(succ, verts)
-    if cycles is None or len(cycles) != 1:
-        raise MalformedInput("reorder requires a Hamilton cycle")
+    verts = ledger.verts
+    cycles = successor_cycles(succ, verts)
+    if cycles is None or len(cycles) != 1 or \
+            len(succ) - succ.count(-1) != len(verts):
+        raise MalformedInput("reorder requires a Hamilton cycle of the slice")
     if not set(waypoints) <= set(spec.v1):
         raise MalformedInput("waypoints must lie inside V^1 of the pair")
     if sorted(succ[x] for x in spec.v1) != sorted(spec.v2):
@@ -446,9 +424,8 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
     out = list(succ)
     for j in range(2, len(waypoints)):
         for moves in range(len(v1) + 1):
-            seq = [v for v in _cycles(out, verts)[0] if v in v1]
-            k = seq.index(waypoints[0])
-            seq = seq[k:] + seq[:k]
+            seq = [v for v in successor_cycles(
+                out, [waypoints[0], *verts])[0] if v in v1]
             if visits_in_order(seq, waypoints[:j + 1]):
                 break
             cut = moves < len(v1) and _waypoint_move(
@@ -460,7 +437,7 @@ def reorder_for_consistency(succ: list[int], ledger: ReservoirLedger,
             _rotate(out, cut)
     if out == succ:
         return succ
-    cycles = _cycles(out, verts)
+    cycles = successor_cycles(out, verts)
     if cycles is None or len(cycles) != 1:
         raise AssemblyVerificationFailed("reordered cycle failed verification")
     if not visits_in_order(cycles[0], waypoints):
@@ -504,8 +481,8 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
     """
     qp = system.q
     factors = extend_to_one_factors(system, be.path_sequences)
-    verts = sorted(v for c in qp.clusters for v in c)
     unused = ReservoirLedger(system, [block.copy() for block in reservoir])
+    verts = unused.verts
     out_cycles: list[list[int]] = []
     usage: list[list[tuple[int, int]]] = []
     for s, (ps, matching, i_s) in enumerate(zip(
@@ -536,8 +513,9 @@ def assemble_slice(system: CyclicSystem, be: BalancedExtension,
         if any(final[u] != v for (u, v) in ps.items()):
             raise AssemblyVerificationFailed(
                 f"slot {s}: path sequence not contained in the output")
-        cycles = _cycles(final, verts)
-        if cycles is None or len(cycles) != 1 or _support(final) != verts:
+        cycles = successor_cycles(final, verts)
+        if cycles is None or len(cycles) != 1 or \
+                len(final) - final.count(-1) != len(verts):
             raise AssemblyVerificationFailed(
                 f"slot {s}: output is not a Hamilton cycle of the slice")
         order = cycles[0]

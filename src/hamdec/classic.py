@@ -16,7 +16,6 @@ bitset operations.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -404,8 +403,9 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
 
     The block ``res[rows][:, cols]`` is gathered once and packed into
     one Python int per row, bit q set iff the row reaches ``cols[q]``;
-    the greedy first phase and Hopcroft-Karp run on those ints, and the
-    decrement goes through the same index arrays.
+    the greedy first phase, Hopcroft-Karp and the Hall witness of a
+    failure run on those ints, and the decrement goes through the same
+    index arrays.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -415,26 +415,35 @@ def take_matching(res: np.ndarray, rows: Sequence[int],
     if -1 in match_l:
         match_l = hopcroft_karp(bits, len(cols), match_l)
         if -1 in match_l:
-            _raise_infeasible(sub, match_l, rows.tolist(), cols.tolist())
+            _raise_infeasible(bits, match_l, rows.tolist(), cols.tolist())
     res[rows, cols[match_l]] -= 1
     return match_l
 
 
-def _raise_infeasible(sub: np.ndarray, match_l: list[int], rows: list[int],
+def _raise_infeasible(bits: list[int], match_l: list[int], rows: list[int],
                       cols: list[int]):
-    """MatchingInfeasible for the maximum matching ``match_l`` of the
-    boolean block ``sub`` of ``rows`` x ``cols``."""
-    # row-major nonzero: each row's columns, ascending
-    flat = np.nonzero(sub)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
-    adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    violator = _hall_violator(adj, match_l, len(cols))
+    """MatchingInfeasible for the maximum matching ``match_l`` of the row
+    bitsets ``bits`` of ``rows`` x ``cols``.  Hopcroft-Karp's layer step
+    from the unmatched rows: the rows that alternating paths reach are a
+    Hall violator S, and the columns they reach are N(S), all matched, as
+    no augmenting path is left."""
+    match_r = {q: p for p, q in enumerate(match_l)}
+    unmatched = [p for p, q in enumerate(match_l) if q == -1]
+    reach, frontier, seen = set(unmatched), unmatched, 0
+    while frontier:
+        new = 0
+        for p in frontier:
+            new |= bits[p]
+        new &= ~seen
+        seen |= new
+        frontier = [match_r[q] for q in range(len(cols)) if new >> q & 1]
+        reach.update(frontier)
     raise MatchingInfeasible(
         f"no perfect matching between classes of size {len(rows)}",
-        witness={"S": [rows[p] for p in violator],
-                 "N(S)": sorted({cols[q] for p in violator for q in adj[p]}),
-                 "unmatched": [rows[p] for p, q in enumerate(match_l)
-                               if q == -1]})
+        witness={"S": [rows[p] for p in sorted(reach)],
+                 "N(S)": sorted(c for q, c in enumerate(cols)
+                                if seen >> q & 1),
+                 "unmatched": [rows[p] for p in unmatched]})
 
 
 def _greedy_matching(rows: list[int], n_right: int) -> list[int]:
@@ -456,26 +465,6 @@ def _greedy_matching(rows: list[int], n_right: int) -> list[int]:
         else:
             match.append(-1)
     return match
-
-
-def _hall_violator(adj, match_l, n_right) -> list[int]:
-    """Alternating-reachability set from the unmatched left vertices;
-    its neighbourhood is smaller than itself."""
-    match_r = [-1] * n_right
-    for u, v in enumerate(match_l):
-        if v != -1:
-            match_r[v] = u
-    frontier = [u for u, v in enumerate(match_l) if v == -1]
-    reach = set(frontier)
-    queue = deque(frontier)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            w = match_r[v]
-            if w != -1 and w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return sorted(reach)
 
 
 # -- peeled perfect matchings: reserve draws and exact 1-factorization ------

@@ -675,24 +675,40 @@ def undirected_cycle_order(lo: np.ndarray, hi: np.ndarray,
     return order if len(order) == count else None
 
 
+def successor_cycles(succ, verts: Sequence[int]) -> list[list[int]] | None:
+    """The cycles of the successor list or dict ``succ`` as vertex lists,
+    each from its first vertex in ``verts``, or None unless ``succ``
+    permutes ``verts``: every walk from a vertex of ``verts`` returns to
+    it through unvisited vertices of ``verts`` only."""
+    unseen = set(verts)
+    cycles = []
+    for v in verts:
+        if v not in unseen:
+            continue
+        unseen.discard(v)
+        cyc, cur = [v], succ[v]
+        while cur != v:
+            if cur not in unseen:
+                return None
+            unseen.discard(cur)
+            cyc.append(cur)
+            cur = succ[cur]
+        cycles.append(cyc)
+    return cycles
+
+
 def _directed_cycle_order(d: "Digraph", vs: set) -> list[int] | None:
     """``vs`` in the order of the directed cycle that the arcs of d inside
     it form, from its smallest vertex, or None when they form none through
     every vertex of ``vs``."""
-    if not vs:
-        return None
-    start = min(vs)
-    order, cur = [], start
-    out, none = d._out, frozenset()
-    for _ in range(len(vs)):
-        heads = out.get(cur, none) & vs
+    succ, none = {}, frozenset()
+    for v in vs:
+        heads = d._out.get(v, none) & vs
         if len(heads) != 1:
             return None
-        order.append(cur)
-        (cur,) = heads
-        if cur == start:
-            return order if len(order) == len(vs) else None
-    return None
+        (succ[v],) = heads
+    cycles = successor_cycles(succ, sorted(vs))
+    return cycles[0] if cycles is not None and len(cycles) == 1 else None
 
 
 def _multigraph_cycle_order(g: Multigraph, vertex_set: Iterable[int]

@@ -97,21 +97,6 @@ class SuperregularityReport:
     def all_ok(self) -> bool:
         return self.reg1_ok and self.reg2_ok and self.reg3_ok and self.reg4_ok
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "params": {"eps": self.eps, "d": self.d, "d_star": self.d_star,
-                       "c": self.c},
-            "verdicts": {"Reg1": self.reg1_ok, "Reg2": self.reg2_ok,
-                         "Reg3": self.reg3_ok, "Reg4": self.reg4_ok},
-            "reg1_mode": self.reg1_mode,
-            "pairs_tested": self.pairs_tested,
-            "worst_density_ratio": self.worst_density_ratio,
-            "max_codegree": self.max_codegree,
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-        }
-
 
 EXHAUSTIVE_REG1_LIMIT = 12
 

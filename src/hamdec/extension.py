@@ -140,7 +140,7 @@ def _reserve_pool(reserve: dict[tuple[int, int], np.ndarray], ci: int,
 def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]],
                            q: ClusterPartition, cycle: ClusterCycle,
                            reserve: dict[tuple[int, int], np.ndarray],
-                           eps: float, n_vertices: int
+                           eps: float
                            ) -> tuple[BalancedExtension,
                                       list[tuple[int, int]]]:
     """Extend each matching M in m_partition[i] (vertices inside V_i) by an
@@ -154,6 +154,7 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
     pairs.
     """
     k, m = len(q.clusters), q.m
+    n = max(map(max, q.clusters)) + 1
     if k < 3:
         raise InvalidParameter("need at least 3 clusters")
     target = round(2 * eps * m)
@@ -202,8 +203,7 @@ def balance_extend_cliques(m_partition: dict[int, list[OrderedDirectedMatching]]
             extra = list(zip(q.cluster(prev_c)[offset:offset + need],
                              np.take(q.cluster(next_c), cols).tolist()))
             offset += need
-            sequences.append(PathSequence.from_arcs(n_vertices,
-                                                    [*mm.arcs, *extra]))
+            sequences.append(PathSequence.from_arcs(n, [*mm.arcs, *extra]))
             matchings.append(mm)
             ext_cluster.append(ci)
             order.append((ci, gi))

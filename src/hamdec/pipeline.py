@@ -543,7 +543,7 @@ def _extend_cliques(slc: SliceSide, eps0: float,
         group_slots.setdefault(slot.cluster_index, []).append(t)
     eps_be = quotas.reserve_degree_used / (2 * slc.q.m)
     be, order = balance_extend_cliques(
-        groups, slc.q, slc.cycle, slc.reserve, eps_be, slc.n)
+        groups, slc.q, slc.cycle, slc.reserve, eps_be)
     return be, [group_slots[ci][gi] for (ci, gi) in order]
 
 

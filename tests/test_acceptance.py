@@ -307,7 +307,6 @@ def test_criterion_05_balanced_extension_validators():
     t0 = time.time()
     # two-cliques builder on 50 seeded inputs, validated at (2 eps, 3)
     k, m = 5, 20
-    n = k * m
     qp = ClusterPartition.equipartition(
         [list(range(i * m, (i + 1) * m)) for i in range(k)])
     from hamdec.core import ClusterCycle
@@ -337,7 +336,7 @@ def test_criterion_05_balanced_extension_validators():
                 group.append(OrderedDirectedMatching(arcs))
             if group:
                 groups[ci] = group
-        be, order = balance_extend_cliques(groups, qp, cycle, h, eps, n)
+        be, order = balance_extend_cliques(groups, qp, cycle, h, eps)
         assert be.eps == 2 * eps and be.ell == 3
         validate_balanced_extension(be, qp, cycle)
     # bipartite builder, validated at (12 eps K, 12) with the exact

@@ -11,8 +11,8 @@ from hamdec.assembly import (PairSpec, ReservoirLedger, assemble_slice,
                              reorder_for_consistency)
 from hamdec.core import (ClusterCycle, ClusterPartition, Digraph,
                          OrderedDirectedMatching, PathSequence,
-                         is_consistent_with, verify_hamilton_cycle,
-                         visits_in_order)
+                         is_consistent_with, successor_cycles,
+                         verify_hamilton_cycle, visits_in_order)
 from hamdec.cyclic import CyclicSystem, reserve_regular
 from hamdec.errors import (AssemblyVerificationFailed,
                            HamiltonSearchExhausted, MalformedInput)
@@ -244,6 +244,19 @@ class TestMergeAndReorder:
             merge_to_hamilton(f, ledger_of(self.system, reservoir), [spec],
                               rng=random.Random(1))
 
+    def test_a_cycle_on_part_of_the_slice_is_rejected(self):
+        # one cycle through 8 of the slice's 12 vertices, which holds
+        # every vertex of the pair's V^1 and V^2
+        cyc = cycle_succ([0, 6, 1, 7, 2, 8, 3, 9], 12)
+        spec = PairSpec(cluster_index=0, v1=(0, 1, 2, 3), v2=(6, 7, 8, 9))
+        ledger = ledger_of(self.system, set())
+        with pytest.raises(MalformedInput, match="1-factor of the slice"):
+            merge_to_hamilton(cyc, ledger, [spec], rng=random.Random(1))
+        with pytest.raises(MalformedInput,
+                           match="Hamilton cycle of the slice"):
+            reorder_for_consistency(cyc, ledger, spec, [],
+                                    rng=random.Random(1))
+
     def test_reorder_square_blowup(self):
         # 12-vertex blow-up of a 2-cluster cycle; 3 waypoints forced
         verts = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
@@ -427,8 +440,8 @@ class TestAssembleSlice:
         # of slot 0's 1-factor holds neither a 2-switch nor a 4-arc join
         sys2, blocks, be = self.slice_inputs()
         f = extend_to_one_factors(sys2, be.path_sequences)[0]
-        cycle_of = {v: k for k, cyc in enumerate(assembly._cycles(
-            f, assembly._support(f))) for v in cyc}
+        cycle_of = {v: k for k, cyc in enumerate(successor_cycles(
+            f, [v for v, w in enumerate(f) if w >= 0])) for v in cyc}
         ps = be.path_sequences[0]
         blocks = [np.zeros_like(block) for block in blocks]
         for block, (tails, heads, _mat) in zip(blocks, sys2.pairs):

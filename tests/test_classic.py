@@ -435,7 +435,7 @@ class TestPerfectMatching:
         if -1 in reference:
             with pytest.raises(MatchingInfeasible) as exc:
                 take_matching(res, rows, cols)
-            violator = classic._hall_violator(adj, reference, m)
+            violator = frozen_hall_violator(adj, reference, m)
             assert exc.value.witness == {
                 "S": [rows[p] for p in violator],
                 "N(S)": sorted({cols[q] for p in violator for q in adj[p]}),
@@ -485,6 +485,29 @@ class TestPerfectMatching:
                           range(3))
         w = exc.value.witness
         assert len(w["N(S)"]) < len(w["S"])
+
+
+def frozen_hall_violator(adj, match_l, n_right):
+    """The Hall violator as it was found before the witness was read from
+    the row bitsets (alternating reachability from the unmatched left
+    vertices on adjacency lists), kept frozen here so that the witness of
+    every failure must stay the same."""
+    from collections import deque
+    match_r = [-1] * n_right
+    for u, v in enumerate(match_l):
+        if v != -1:
+            match_r[v] = u
+    frontier = [u for u, v in enumerate(match_l) if v == -1]
+    reach = set(frontier)
+    queue = deque(frontier)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            w = match_r[v]
+            if w != -1 and w not in reach:
+                reach.add(w)
+                queue.append(w)
+    return sorted(reach)
 
 
 def reference_hopcroft_karp(adj, n_right):
@@ -604,7 +627,7 @@ def frozen_take_matching(res, rows, cols):
             flat = np.nonzero(sub)[1].tolist()
             ends = np.cumsum(np.count_nonzero(sub, axis=1)).tolist()
             adj = [flat[a:b] for a, b in zip([0] + ends, ends)]
-            violator = classic._hall_violator(adj, match_l, len(cols))
+            violator = frozen_hall_violator(adj, match_l, len(cols))
             raise MatchingInfeasible(
                 "no perfect matching",
                 witness={"S": [rows[p] for p in violator],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -106,9 +107,9 @@ class TestSuperregular:
 
     def test_sampled_same_seed_same_report(self):
         g, left, right = complete_pair(40, thin=10, seed=3)
-        reps = [check_superregular(g, left, right, eps=0.2, d=0.75,
-                                   d_star=0.5, c=1.0, mode="sampled",
-                                   rng=random.Random(9)).to_json_obj()
+        reps = [dataclasses.asdict(check_superregular(
+                    g, left, right, eps=0.2, d=0.75, d_star=0.5, c=1.0,
+                    mode="sampled", rng=random.Random(9)))
                 for _ in range(2)]
         assert reps[0] == reps[1]
         assert reps[0]["worst_density_ratio"] > 1.0
@@ -203,9 +204,9 @@ class TestPackedKernels:
         # the slices' pair matrices are uint8; reports must not notice
         mat = (np.random.default_rng(3).random((80, 80)) < 0.6).astype(
             np.int64)
-        reports = [_superregular_report(mat.astype(dtype), 0.2, 0.6, 0.3,
-                                        0.9, "sampled", 200,
-                                        np.random.default_rng(8)).to_json_obj()
+        reports = [dataclasses.asdict(_superregular_report(
+                       mat.astype(dtype), 0.2, 0.6, 0.3, 0.9, "sampled", 200,
+                       np.random.default_rng(8)))
                    for dtype in (np.int64, np.uint8)]
         assert reports[0] == reports[1]
         co_l, co_r = mat @ mat.T, mat.T @ mat

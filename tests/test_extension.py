@@ -60,7 +60,6 @@ MALFORMED_POOLS = {"count": "exactly", "not-perfect": "not a perfect",
 class TestCliquesBuilder:
     def setup_method(self):
         self.k, self.m = 5, 12
-        self.n = self.k * self.m
         self.qp = equipartition(self.k, self.m)
         self.cycle = ClusterCycle((0, 1, 2, 3, 4))
         self.eps = 1 / self.m  # 2*eps*m = 2-regular reservoir
@@ -69,7 +68,7 @@ class TestCliquesBuilder:
     def test_simple_extension(self):
         m0 = OrderedDirectedMatching(((12, 13),))  # inside V_1
         be, order = balance_extend_cliques(
-            {1: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
+            {1: [m0]}, self.qp, self.cycle, self.h, self.eps)
         validate_balanced_extension(be, self.qp, self.cycle)
         assert be.eps == 2 * self.eps and be.ell == 3
         (ps,) = be.path_sequences
@@ -81,13 +80,13 @@ class TestCliquesBuilder:
 
     def test_empty_input(self):
         be, order = balance_extend_cliques(
-            {}, self.qp, self.cycle, self.h, self.eps, self.n)
+            {}, self.qp, self.cycle, self.h, self.eps)
         assert len(be.path_sequences) == 0
 
     def test_cluster_intersection_bound(self):
         m0 = OrderedDirectedMatching(((12, 13),))
         be, _ = balance_extend_cliques(
-            {1: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
+            {1: [m0]}, self.qp, self.cycle, self.h, self.eps)
         (ps,) = be.path_sequences
         verts = ps.vertices_with_arcs()
         inter = len(verts & set(self.qp.cluster(1)))
@@ -99,7 +98,7 @@ class TestCliquesBuilder:
         m0 = OrderedDirectedMatching(((12, 13), (14, 15)))  # e(M) = 2 > eps*m
         with pytest.raises(InvalidParameter):
             balance_extend_cliques({1: [m0]}, self.qp, self.cycle, self.h,
-                                   self.eps, self.n)
+                                   self.eps)
 
     def test_irregular_reservoir_rejected(self):
         # one case per malformed-pool kind, on the pair stored as (0, 2)
@@ -109,11 +108,11 @@ class TestCliquesBuilder:
                 bad = malformed(self.h, key, kind)
                 with pytest.raises(InvalidParameter, match=message):
                     balance_extend_cliques({}, self.qp, self.cycle, bad,
-                                           self.eps, self.n)
+                                           self.eps)
         del self.h[0, 3]
         with pytest.raises(InvalidParameter, match="exactly 2"):
             balance_extend_cliques({}, self.qp, self.cycle, self.h,
-                                   self.eps, self.n)
+                                   self.eps)
 
     def test_pool_orientation(self):
         # H[V_3, V_0] is stored as (0, 3), position x of V_0 matched to
@@ -122,7 +121,7 @@ class TestCliquesBuilder:
         self.h[0, 3] = (np.arange(self.m) - np.array([[1], [2]])) % self.m
         m0 = OrderedDirectedMatching(((48, 49),))
         be, _ = balance_extend_cliques(
-            {4: [m0]}, self.qp, self.cycle, self.h, self.eps, self.n)
+            {4: [m0]}, self.qp, self.cycle, self.h, self.eps)
         (ps,) = be.path_sequences
         assert set(ps.items()) - set(m0.arcs) == {(36, 1)}
 
@@ -146,7 +145,7 @@ class TestCliquesBuilder:
                 if group:
                     groups[ci] = group
             be, _ = balance_extend_cliques(groups, self.qp, self.cycle,
-                                              h, eps, self.n)
+                                              h, eps)
             validate_balanced_extension(be, self.qp, self.cycle)
 
 

@@ -48,7 +48,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hamdec.assembly import _cycles
 from hamdec.classic import (_augment, _row_ints, pack_rows,
                             regular_spanning_subgraph)
 from hamdec.cli import _dump_instance, main as cli_main
@@ -56,7 +55,7 @@ from hamdec.core import (ClusterPartition, Digraph, Host, Multigraph,
                          OrderedDirectedMatching, PathSequence,
                          canonical_json, cycle_to_perfect_matchings,
                          cycle_vertex_order, derive_seed, is_consistent_with,
-                         verify_hamilton_cycle)
+                         successor_cycles, verify_hamilton_cycle)
 from hamdec.errors import (DegreeHypothesisViolated, HamdecError,
                            InvalidExceptionalSystem, InvalidParameter,
                            MalformedInput, NotConsistent,
@@ -1390,7 +1389,9 @@ class TestWalkersMatchReference:
     @settings(max_examples=300, deadline=None)
     def test_cycles(self, case):
         succ, verts = case
-        cycles = _cycles(succ, verts)
+        cycles = successor_cycles(succ, verts)
+        # a dict of the same entries walks alike
+        assert successor_cycles(dict(enumerate(succ)), verts) == cycles
         assert _outcome(ref_cycle_count, succ, verts) == \
             ("raised" if cycles is None else cycles)
         single = cycles[0] if cycles is not None and len(cycles) == 1 \
@@ -1511,7 +1512,7 @@ def _mutate(obj: dict, op: str, data, n: int, foreign: list) -> bool:
         # edge of another slot
         other = slots[data.draw(st.integers(0, len(slots) - 1))]["edges"]
         edges.append(list(pair) if data.draw(st.booleans()) or not other
-                     else list(data.draw(st.sampled_from(other))))
+                     else copy.deepcopy(data.draw(st.sampled_from(other))))
     elif op == "remove-edge" and isinstance(edges, list) and edges:
         edges.pop(data.draw(st.integers(0, len(edges) - 1)))
     elif op == "swap-edge" and isinstance(edges, list) and edges:
@@ -1523,6 +1524,17 @@ def _mutate(obj: dict, op: str, data, n: int, foreign: list) -> bool:
     if "edges_sha256" in slot and data.draw(st.booleans()):
         slot["edges_sha256"] = ref_edge_hash(edges)
     return invalid
+
+
+class _Scripted:
+    """A stand-in for hypothesis' ``data`` that returns the given draws
+    in turn, so that a draw sequence replays as a named case."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def draw(self, _strategy):
+        return self.draws.pop(0)
 
 
 # triples are left out: the reference reads them differently on purpose
@@ -1669,6 +1681,33 @@ class TestVerifierMatchesReference:
         assert code == (0 if verdict["all_ok"] else 1)
         if invalid:
             assert verdict["all_ok"] is False
+
+    def test_add_edge_copies_a_retyped_entry(self, certified):
+        # retype-edge turns the first edge of slot 0 into true; add-edge
+        # then copies that entry into slot 1, where it must stay retyped
+        host, P, systems, obj, foreign, instance = certified
+        obj = copy.deepcopy(obj)
+        # draws: slot, random pair, entry, end, value, rehash
+        assert _mutate(obj, "retype-edge",
+                       _Scripted(0, (0, 1), 0, 0, True, True), host.n,
+                       foreign)
+        entry = obj["slots"][0]["edges"][0]
+        # draws: slot, random pair, entry, source slot, add the random
+        # pair (no), source entry, rehash
+        _mutate(obj, "add-edge", _Scripted(1, (0, 1), 0, 0, False, entry,
+                                           True), host.n, foreign)
+        assert obj["slots"][1]["edges"][-1] is True
+        cert = DecompositionCertificate.from_json_obj(copy.deepcopy(obj))
+        report = verify_certificate(host, P, systems, cert)
+        assert report == ref_verify_certificate(host, P, systems, cert)
+        assert report["global"]["all_ok"] is False
+        path = instance.with_name("certificate.json")
+        path.write_text(json.dumps(obj))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["verify", str(instance), str(path)])
+        assert code == 1
+        assert json.loads(out.getvalue().splitlines()[-1])["all_ok"] is False
 
     @pytest.mark.parametrize("whole_edge", [False, True])
     def test_each_retyped_entry(self, certified, whole_edge):
