@@ -675,7 +675,8 @@ def undirected_cycle_order(lo: np.ndarray, hi: np.ndarray,
     return order if len(order) == count else None
 
 
-def successor_cycles(succ, verts: Sequence[int]) -> list[list[int]] | None:
+def successor_cycles(succ: Sequence[int] | dict[int, int],
+                     verts: Sequence[int]) -> list[list[int]] | None:
     """The cycles of the successor list or dict ``succ`` as vertex lists,
     each from its first vertex in ``verts``, or None unless ``succ``
     permutes ``verts``: every walk from a vertex of ``verts`` returns to
